@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
         --seed N --seconds S --trace 0|1
 
 With ``--trace 0`` the workload's unit of work repeats, at least three times,
-until the next unit would end after S seconds, and the end-to-end metrics of
+until the next unit would end after S seconds, with pieces of the reference
+kernel of ``reference.py`` timed between units, and the end-to-end metrics of
 BENCHMARK.json are reported.  With ``--trace 1`` the workload is set up with the layer wrappers
 of ``layertrace.py`` installed, then run untraced for about S/2 seconds, then
 exactly once traced; the per-layer metrics are reported.  Either way the last
@@ -37,6 +38,8 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SETUP_PROBES = 2
+REF_SHARE = 0.1     # reference-kernel time per second of work
+REF_FIRST_S = 0.5   # reference-kernel time before the first unit
 
 
 def _cap_threads(nproc: int) -> None:
@@ -127,22 +130,40 @@ def _run_unit(unit, state, i, failures):
     return time.perf_counter() - t0, res
 
 
-def _closed_loop(unit, state, seconds, failures, min_units=1):
+def _closed_loop(unit, state, seconds, failures, min_units=1, ref=None):
     """Repeat the unit until the next one would end after `seconds`.
 
     At least `min_units` units run, so that the median of a workload whose
     unit takes a third of the run still has three samples when the machine
-    is slow.
+    is slow.  With a reference kernel, its pieces run before the first unit
+    and after each one, for REF_SHARE of that unit's time; gap k holds the
+    piece times right before unit k.
     """
-    walls, results = [], []
+    walls, results, gaps = [], [], []
     t0 = time.perf_counter()
+    if ref:
+        gaps.append(ref.sample(REF_FIRST_S))
     while True:
         wall, res = _run_unit(unit, state, len(walls), failures)
         walls.append(wall)
         results.append(res)
-        if len(walls) >= min_units and \
-                time.perf_counter() - t0 + statistics.median(walls) > seconds:
-            return walls, results
+        if ref:
+            gaps.append(ref.sample(REF_SHARE * wall))
+        if len(walls) >= min_units and time.perf_counter() - t0 \
+                + statistics.median(walls) * (1 + (REF_SHARE if ref else 0)) > seconds:
+            return walls, results, gaps
+
+
+def _wall_ref(walls, gaps) -> float:
+    """Median over units of wall time over the reference piece time around it.
+
+    A unit's reference time is the mean of the median piece times of the gap
+    before and the gap after it.  Pooling the two gaps' pieces instead would
+    weight the faster gap, which holds more pieces.
+    """
+    return statistics.median(
+        2.0 * wall / (statistics.median(gaps[k]) + statistics.median(gaps[k + 1]))
+        for k, wall in enumerate(walls))
 
 
 def _accuracy(results) -> dict:
@@ -179,6 +200,7 @@ def main(argv=None) -> int:
 
     import workloads
     from layertrace import Tracer
+    from reference import Reference
     if args.workload not in workloads.WORKLOADS:
         print(f"error: unknown workload {args.workload!r}; choose from "
               f"{', '.join(workloads.WORKLOADS)}", file=sys.stderr)
@@ -205,20 +227,22 @@ def main(argv=None) -> int:
     failures: list[str] = []
     report: dict = {"workload": args.workload}
     if not tracer:
+        walls, results, gaps = _closed_loop(unit, state, args.seconds, failures,
+                                            min_units=3, ref=Reference())
         setups = [setup_s] + [_probe_setup(args) for _ in range(SETUP_PROBES)]
-        walls, results = _closed_loop(unit, state, args.seconds, failures,
-                                      min_units=3)
-        report.update(_accuracy(results), wall_s_samples=walls,
-                      setup_s_samples=setups)
+        report.update(_accuracy(results), wall_s=statistics.median(walls),
+                      wall_s_samples=walls, setup_s_samples=setups,
+                      ref_piece_s=[statistics.median(g) for g in gaps],
+                      ref_pieces=sum(map(len, gaps)))
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         attempted = len(walls)
         failed = sum(1 for res in results if res is None or res.failures)
-        values = {"wall_s": statistics.median(walls),
+        values = {"wall_ref": _wall_ref(walls, gaps),
                   "setup_s": statistics.median(setups),
                   "peak_rss_mb": peak_rss_mb,
                   "pass_frac": (attempted - failed) / attempted}
     else:
-        walls, results = _closed_loop(unit, state, args.seconds / 2.0, failures)
+        walls, results, _ = _closed_loop(unit, state, args.seconds / 2.0, failures)
         report.update(_accuracy(results))
         before = {name: rec.calls for name, rec in tracer.layers.items()}
         with tracer.active():
