@@ -154,16 +154,18 @@ def gamma_lame(index: int, material: MaterialParams, frame: CornerFrame,
 
 
 def gamma_stokes(index: int, omega_or_frame, modes=None,
-                 order: int = DEFAULT_ORDER) -> AngularIntegrals:
+                 order: int = DEFAULT_ORDER, table=None) -> AngularIntegrals:
     """Stokes normalizer gamma_i^s = int (2k T.Tdual - xi (Tdual.e_r) + (T.e_r) xidual).
 
     Built from the angular coefficient functions directly (the 1/mu velocity
     prefactors are not part of the normalizer), so the value depends on the
-    opening angle only.
+    opening angle only.  table is the Stokes exponent table of the opening
+    angle, computed here when None.
     """
     frame = omega_or_frame if isinstance(omega_or_frame, CornerFrame) \
         else CornerFrame(0.0, float(omega_or_frame))
-    table = stokes_exponents(frame.omega)
+    if table is None:
+        table = stokes_exponents(frame.omega)
     if index > table.mode_count:
         raise IndexError(
             f"Stokes mode {index} does not exist at omega={frame.omega} "

@@ -16,16 +16,22 @@ import sys
 
 import numpy as np
 
-from .angular import check_ij_identity, gamma_lame, gamma_stokes
-from .extraction import (ProblemData, extract_sifs_penalized,
-                         extract_sifs_stokes)
-from .fem import apply_dirichlet, assemble, norms, solve
+from .angular import GammaNearZero, check_ij_identity, gamma_lame, gamma_stokes
+from .extraction import (CornerDataNonzero, ProblemData, ZetaCornerNonzero,
+                         extract_sifs_penalized, extract_sifs_stokes)
+from .fem import (MeshMismatch, SingularSystem, SolverBreakdown,
+                  apply_dirichlet, assemble, norms, solve)
+from .geometry import MeshFormatError
 from .harness import (ConfigError, build_data, build_domain, emit,
                       load_config, run_eps_sweep, run_manufactured)
 from .modes import CornerFrame, make_mode
 from .spectral import MaterialParams, lame_exponents, stokes_exponents
 
 log = logging.getLogger(__name__)
+
+# Named library errors that end a run with one line on stderr.
+_RUN_ERRORS = (SingularSystem, SolverBreakdown, MeshMismatch, CornerDataNonzero,
+               ZetaCornerNonzero, GammaNearZero, MeshFormatError)
 
 
 def _write(text: str, path: str | None):
@@ -126,6 +132,8 @@ def cmd_solve(args) -> int:
     for k, v in nm.items():
         print(f"{k} = {v:.12e}")
     print(f"solver_residual = {field.residual:.3e}")
+    if material.eps == 0.0:
+        print(f"flux_defect = {field.flux_defect:.12e}")
     coords = field.space.dof_coords
     Np = mesh.n_nodes
     rows = []
@@ -266,6 +274,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except _RUN_ERRORS as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
-from .fem import (MeshMismatch, MixedField, P2Space, p1_shape, p2_shape,
-                  solve_psi, tri_quadrature)
+from .fem import (MeshMismatch, MixedField, MixedOperator, P2Space, p1_shape,
+                  p2_shape, solve_psi, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh, validate_boundary_data
 from .modes import SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, lame_exponents, stokes_exponents
@@ -95,9 +95,11 @@ class SifReport:
 class ProblemData:
     """One extraction problem: domain, mesh, material and data.
 
-    f    : callable (x, y) -> (..., 2) volume force, or None for zero
-    g    : Dirichlet boundary data (per-edge traces)
-    zeta : callable (x, y) -> (...) divergence source (Stokes only), or None
+    f        : callable (x, y) -> (..., 2) volume force, or None for zero
+    g        : Dirichlet boundary data (per-edge traces)
+    zeta     : callable (x, y) -> (...) divergence source (Stokes only), or None
+    operator : factored MixedOperator of (mesh, material) to reuse, or None
+               to have the extraction build its own
     """
 
     polygon: CornerPolygon
@@ -106,6 +108,7 @@ class ProblemData:
     g: BoundaryData
     f: object = None
     zeta: object = None
+    operator: MixedOperator | None = None
 
 
 def _mesh_id(mesh: TriMesh) -> str:
@@ -114,6 +117,20 @@ def _mesh_id(mesh: TriMesh) -> str:
 
 def _corner_point(polygon: CornerPolygon) -> np.ndarray:
     return np.asarray(polygon.edges[0].p0, dtype=float)
+
+
+def _operator(data: ProblemData, material: MaterialParams) -> MixedOperator:
+    """data.operator after checking it against the problem, or a new one."""
+    op = data.operator
+    if op is None:
+        return MixedOperator(P2Space(data.mesh), material)
+    if op.space.mesh is not data.mesh and not np.array_equal(
+            op.space.mesh.nodes, data.mesh.nodes):
+        raise MeshMismatch("operator was built on a different mesh")
+    if op.material != material:
+        raise ValueError(f"operator material {op.material} does not match "
+                         f"the problem's {material}")
+    return op
 
 
 def _check_corner_data(data: ProblemData) -> None:
@@ -447,17 +464,18 @@ def extract_sifs_penalized(data: ProblemData) -> SifReport:
     _check_corner_data(data)
     frame = data.polygon.frame
     table = lame_exponents(frame.omega, material.C)
-    g1 = gamma_lame(1, material, frame)
-    g2 = gamma_lame(2, material, frame)
+    primals = [make_mode("lame", "primal", i, frame, material, table) for i in (1, 2)]
     duals = [make_mode("lame", "dual", i, frame, material, table) for i in (1, 2)]
-    primal1 = make_mode("lame", "primal", 1, frame, material, table)
+    g1 = gamma_lame(1, material, frame, modes=(primals[0], duals[0]))
+    g2 = gamma_lame(2, material, frame, modes=(primals[1], duals[1]))
 
-    space = P2Space(data.mesh)
-    psi = [solve_psi(d, data.mesh, material, data.polygon, space=space)
+    op = _operator(data, material)
+    space = op.space
+    psi = [solve_psi(d, data.mesh, material, data.polygon, operator=op)
            for d in duals]
     C1, t1 = _ci_terms(data, duals[0], psi[0], space)
     C2, t2 = _ci_terms(data, duals[1], psi[1], space)
-    Cstar, tstar = _cstar_terms(primal1, duals[1], psi[1], data.polygon, material.mu)
+    Cstar, tstar = _cstar_terms(primals[0], duals[1], psi[1], data.polygon, material.mu)
     c1 = C1 / g1.gamma
     c2 = (C2 + c1 * Cstar) / g2.gamma
     log.info("penalized extraction: c1=%.6g c2=%.6g (eps=%g)", c1, c2, material.eps)
@@ -467,6 +485,7 @@ def extract_sifs_penalized(data: ProblemData) -> SifReport:
         c1=c1, c2=c2,
         terms={"C1": t1, "C2": t2, "Cstar": tstar,
                "psi_residuals": [p.residual for p in psi],
+               "psi_flux_defects": [p.flux_defect for p in psi],
                "gamma_quad_errors": [g1.quad_error, g2.quad_error]},
         mesh_id=_mesh_id(data.mesh))
 
@@ -482,13 +501,16 @@ def extract_sifs_stokes(data: ProblemData) -> SifReport:
     table = stokes_exponents(frame.omega)
     M = table.mode_count
 
-    g1 = gamma_stokes(1, frame)
+    primal1 = make_mode("stokes", "primal", 1, frame, material, table)
     dual1 = make_mode("stokes", "dual", 1, frame, material, table)
-    space = P2Space(data.mesh)
-    psi1 = solve_psi(dual1, data.mesh, material, data.polygon, space=space)
+    g1 = gamma_stokes(1, frame, modes=(primal1, dual1), table=table)
+    op = _operator(data, material)
+    space = op.space
+    psi1 = solve_psi(dual1, data.mesh, material, data.polygon, operator=op)
     C1, t1 = _ci_terms(data, dual1, psi1, space)
     c1 = C1 / g1.gamma
     terms = {"C1": t1, "psi_residuals": [psi1.residual],
+             "psi_flux_defects": [psi1.flux_defect],
              "gamma_quad_errors": [g1.quad_error], "mode_count": M}
 
     if M < 2:
@@ -497,15 +519,16 @@ def extract_sifs_stokes(data: ProblemData) -> SifReport:
                          gamma2=None, C1=C1, C2=None, Cstar=None,
                          c1=c1, c2=None, terms=terms, mesh_id=_mesh_id(data.mesh))
 
-    g2 = gamma_stokes(2, frame)
+    primal2 = make_mode("stokes", "primal", 2, frame, material, table)
     dual2 = make_mode("stokes", "dual", 2, frame, material, table)
-    primal1 = make_mode("stokes", "primal", 1, frame, material, table)
-    psi2 = solve_psi(dual2, data.mesh, material, data.polygon, space=space)
+    g2 = gamma_stokes(2, frame, modes=(primal2, dual2), table=table)
+    psi2 = solve_psi(dual2, data.mesh, material, data.polygon, operator=op)
     C2, t2 = _ci_terms(data, dual2, psi2, space)
     Cstar, tstar = _cstar_terms(primal1, dual2, psi2, data.polygon, material.mu)
     c2 = (C2 + c1 * Cstar) / g2.gamma
     terms.update({"C2": t2, "Cstar": tstar,
                   "psi_residuals": [psi1.residual, psi2.residual],
+                  "psi_flux_defects": [psi1.flux_defect, psi2.flux_defect],
                   "gamma_quad_errors": [g1.quad_error, g2.quad_error]})
     log.info("stokes extraction: c1=%.6g c2=%.6g", c1, c2)
     return SifReport(family="stokes", eps=None, gamma1=g1.gamma,

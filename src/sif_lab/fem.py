@@ -5,16 +5,24 @@ The weak form solved is
     mu (grad u, grad v) - (p, div v) = (f, v)
     (div u, q) + eps (p, q)          = (zeta, q)
 
-assembled as one symmetric indefinite sparse system.  At eps = 0 the pressure
-is only determined up to a constant, so a zero-mean Lagrange multiplier row is
-appended.  The solver is a deterministic direct factorization.
+assembled as one symmetric indefinite sparse system, with the velocity
+prescribed on the whole boundary.  A MixedOperator holds that system for one
+(mesh, material) and factors its free block once, by a deterministic direct
+LU; every solve on that mesh and material reuses the factorization.
+
+At eps = 0 the pressure is only determined up to a constant.  Summing the
+pressure rows eliminates the free velocity (a field vanishing on the boundary
+has no net flux), so the zero-mean multiplier follows from the data alone.  It
+is moved to the right-hand side and reported as the absorbed flux defect; then
+one pressure dof far from the corner is pinned, and the computed pressure is
+shifted to zero mean.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +44,10 @@ __all__ = [
     "P2Space",
     "SparseSystem",
     "MixedField",
+    "MixedOperator",
     "assemble",
+    "load_vector",
+    "dirichlet_values",
     "apply_dirichlet",
     "solve",
     "solve_psi",
@@ -69,6 +80,14 @@ class SingularSystem(Exception):
 
 class MeshMismatch(Exception):
     pass
+
+
+# One factorization policy for every system: a symmetric fill-reducing
+# ordering, with threshold pivoting kept on for the saddle point (without it
+# the residual gate fails at eps <= 1e-8 and at eps = 0).
+_LU_POLICY = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 1e-3,
+              "options": {"SymmetricMode": True}}
+_RESIDUAL_GATE = 1e-10
 
 
 # Symmetric quadrature rules on the reference triangle (weights sum to 1;
@@ -176,7 +195,8 @@ class P2Space:
         self.dof_coords = coords
         # Geometry caches for assembly and evaluation.
         p = mesh.nodes[mesh.tris]
-        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        # Forward affine maps (m, 2, 2): columns are the two edge vectors.
+        self.J = J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
         self.detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         invJ = np.empty_like(J)
         invJ[:, 0, 0] = J[:, 1, 1]
@@ -193,6 +213,17 @@ class P2Space:
                 owner.setdefault((min(u, v), max(u, v)), m)
         self.bedge_tri = np.array(
             [owner[(min(i, j), max(i, j))] for i, j, _ in mesh.bedges], dtype=int)
+        # Scalar dofs on the boundary per edge tag, tags in order of first
+        # appearance.
+        by_tag: dict[int, list[int]] = {}
+        for k, (_i, _j, tag) in enumerate(mesh.bedges):
+            by_tag.setdefault(int(tag), []).extend(self.bedge_dofs(k))
+        self.boundary_dofs = {tag: np.unique(d) for tag, d in by_tag.items()}
+
+    @property
+    def n_dofs(self) -> int:
+        """Velocity (two P2 components) plus P1 pressure dofs."""
+        return 2 * self.n_scalar + self.mesh.n_nodes
 
     def bedge_dofs(self, k: int) -> tuple[int, int, int]:
         i, j, _tag = self.mesh.bedges[k]
@@ -206,26 +237,24 @@ class P2Space:
 
 @dataclass
 class SparseSystem:
-    """Assembled mixed system before/after Dirichlet elimination."""
+    """Assembled mixed system; apply_dirichlet sets constrained and values."""
 
     space: P2Space
     material: MaterialParams
     K: sp.csr_matrix
     rhs: np.ndarray
-    n_scalar: int
-    n_pressure: int
-    has_gauge: bool
     constrained: np.ndarray | None = None     # bool mask over all dofs
     values: np.ndarray | None = None          # prescribed values where constrained
-
-    @property
-    def n_velocity(self) -> int:
-        return 2 * self.n_scalar
 
 
 @dataclass
 class MixedField:
-    """P2 velocity + P1 pressure coefficients on one mesh."""
+    """P2 velocity + P1 pressure coefficients on one mesh.
+
+    At eps = 0, gauge is the constant removed to give the pressure zero mean
+    and flux_defect the zero-mean multiplier absorbed by the pressure rows;
+    both are 0 for eps > 0.
+    """
 
     space: P2Space
     material: MaterialParams
@@ -234,6 +263,7 @@ class MixedField:
     p: np.ndarray
     gauge: float = 0.0
     residual: float = 0.0
+    flux_defect: float = 0.0
 
     @property
     def mesh(self) -> TriMesh:
@@ -278,11 +308,9 @@ def assemble(mesh: TriMesh, material: MaterialParams, f=None, zeta=None,
     space = space or P2Space(mesh)
     mu, eps = material.mu, material.eps
     pts, w = tri_quadrature(5)
-    Nsh = p2_shape(pts)                       # (q, 6)
     Gref = p2_shape_grad(pts)                 # (q, 6, 2)
     Lsh = p1_shape(pts)                       # (q, 3)
-    nel = len(mesh.tris)
-    S, Np = space.n_scalar, mesh.n_nodes
+    S = space.n_scalar
 
     Gphys = np.einsum("qid,mde->mqie", Gref, space.invJ)     # (m, q, 6, 2)
     wdet = w[None, :] * space.areas[:, None]                 # quadrature x area
@@ -294,7 +322,7 @@ def assemble(mesh: TriMesh, material: MaterialParams, f=None, zeta=None,
     Me = np.einsum("mq,qk,ql->mkl", wdet, Lsh, Lsh)
 
     vd = space.tri_dofs                                      # (m, 6)
-    pd = mesh.tris                                           # (m, 3)
+    pd = space.mesh.tris                                     # (m, 3)
     rows, cols, vals = [], [], []
 
     def add(r, c, block):
@@ -313,25 +341,26 @@ def assemble(mesh: TriMesh, material: MaterialParams, f=None, zeta=None,
     add(pd + P0, vd + S, -Bye)
     add(pd + P0, pd + P0, -eps * Me)
 
-    ndof = 2 * S + Np
-    has_gauge = eps == 0.0
-    if has_gauge:
-        # Zero-mean pressure gauge via one Lagrange multiplier row/column.
-        mass_vec = np.zeros(Np)
-        np.add.at(mass_vec, pd.ravel(), Me.sum(axis=2).ravel())
-        gi = np.full(Np, ndof)
-        rows.append(np.concatenate([gi, np.arange(Np) + P0]))
-        cols.append(np.concatenate([np.arange(Np) + P0, gi]))
-        vals.append(np.concatenate([mass_vec, mass_vec]))
-        ndof += 1
-
+    ndof = space.n_dofs
     K = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ndof, ndof)).tocsr()
+    return SparseSystem(space=space, material=material, K=K,
+                        rhs=load_vector(space, f, zeta))
 
-    rhs = np.zeros(ndof)
-    xq = space.tri_origin[:, None, :] + np.einsum("mde,qe->mqd", _jacobians(space), pts)
+
+def load_vector(space: P2Space, f=None, zeta=None) -> np.ndarray:
+    """Right-hand side of the mixed system; see assemble for f and zeta."""
+    rhs = np.zeros(space.n_dofs)
+    if f is None and zeta is None:
+        return rhs
+    pts, w = tri_quadrature(5)
+    wdet = w[None, :] * space.areas[:, None]
+    xq = space.tri_origin[:, None, :] + np.einsum("mde,qe->mqd", space.J, pts)
+    S = space.n_scalar
     if f is not None:
+        Nsh = p2_shape(pts)
+        vd = space.tri_dofs
         fv = np.asarray(f(xq[..., 0], xq[..., 1]), dtype=float)  # (m, q, 2)
         Fx = np.einsum("mq,qi,mq->mi", wdet, Nsh, fv[..., 0])
         Fy = np.einsum("mq,qi,mq->mi", wdet, Nsh, fv[..., 1])
@@ -339,111 +368,147 @@ def assemble(mesh: TriMesh, material: MaterialParams, f=None, zeta=None,
         np.add.at(rhs, (vd + S).ravel(), Fy.ravel())
     if zeta is not None:
         zv = np.asarray(zeta(xq[..., 0], xq[..., 1]), dtype=float)
-        Z = np.einsum("mq,qk,mq->mk", wdet, Lsh, zv)
-        np.add.at(rhs, (pd + P0).ravel(), -Z.ravel())
-
-    return SparseSystem(space=space, material=material, K=K, rhs=rhs,
-                        n_scalar=S, n_pressure=Np, has_gauge=has_gauge)
+        Z = np.einsum("mq,qk,mq->mk", wdet, p1_shape(pts), zv)
+        np.add.at(rhs, (space.mesh.tris + 2 * S).ravel(), -Z.ravel())
+    return rhs
 
 
-def _jacobians(space: P2Space):
-    """Forward affine maps (m, 2, 2): columns are the two edge vectors."""
-    p = space.mesh.nodes[space.mesh.tris]
-    return np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+def _dirichlet_mask(space: P2Space) -> np.ndarray:
+    """Both velocity components of every boundary P2 node, over all dofs."""
+    dofs = np.concatenate(list(space.boundary_dofs.values()))
+    mask = np.zeros(space.n_dofs, dtype=bool)
+    mask[dofs] = True
+    mask[dofs + space.n_scalar] = True
+    return mask
+
+
+def dirichlet_values(space: P2Space, traces: dict) -> np.ndarray:
+    """Prescribed velocity at every boundary P2 node, as a vector over all dofs.
+
+    traces maps polygon edge tag -> callable (x, y) -> (..., 2); each is
+    evaluated once, on the array of its edges' dof coordinates.  Vertex nodes
+    shared by two edges must receive consistent values.
+    """
+    S = space.n_scalar
+    vals = np.zeros((S, 2))
+    seen = np.zeros(S, dtype=bool)
+    for tag, dofs in space.boundary_dofs.items():
+        if tag not in traces:
+            raise MissingEdgeData(f"no Dirichlet trace for boundary edge tag {tag}")
+        x, y = space.dof_coords[dofs].T
+        val = np.broadcast_to(np.asarray(traces[tag](x, y), dtype=float),
+                              (len(dofs), 2))
+        clash = seen[dofs] & ~np.isclose(vals[dofs], val, atol=1e-10).all(axis=1)
+        if clash.any():
+            k = int(np.argmax(clash))
+            raise InconsistentEdgeData(
+                f"conflicting Dirichlet values at node {dofs[k]}: "
+                f"{vals[dofs[k]]} vs {val[k]}")
+        vals[dofs] = val
+        seen[dofs] = True
+    out = np.zeros(space.n_dofs)
+    out[:S], out[S:2 * S] = vals[:, 0], vals[:, 1]
+    return out
 
 
 def apply_dirichlet(system: SparseSystem, traces: dict) -> SparseSystem:
-    """Pin both velocity components at every boundary P2 node.
+    """Pin both velocity components at every boundary P2 node to the traces."""
+    return replace(system, constrained=_dirichlet_mask(system.space),
+                   values=dirichlet_values(system.space, traces))
 
-    traces maps polygon edge tag -> callable (x, y) -> (..., 2).  Vertex nodes
-    shared by two edges must receive consistent values.
+
+class MixedOperator:
+    """The mixed system of one (mesh, material), its free block factored once.
+
+    Both velocity components are prescribed at every boundary P2 node.  At
+    eps = 0 the pressure dof at the mesh node farthest from the corner is
+    pinned too, after the zero-mean multiplier has been moved to the
+    right-hand side.  solve() reuses the one factorization for any load
+    vector and any Dirichlet values.
     """
-    space = system.space
-    mesh = space.mesh
-    S = system.n_scalar
-    values: dict[int, np.ndarray] = {}
-    for k, (i, j, tag) in enumerate(mesh.bedges):
-        if int(tag) not in traces:
-            raise MissingEdgeData(f"no Dirichlet trace for boundary edge tag {tag}")
-        g = traces[int(tag)]
-        for dof in space.bedge_dofs(k):
-            x, y = space.dof_coords[dof]
-            val = np.asarray(g(x, y), dtype=float).reshape(2)
-            if dof in values and not np.allclose(values[dof], val, atol=1e-10):
-                raise InconsistentEdgeData(
-                    f"conflicting Dirichlet values at node {dof}: "
-                    f"{values[dof]} vs {val}")
-            values[dof] = val
 
-    ndof = system.K.shape[0]
-    constrained = np.zeros(ndof, dtype=bool)
-    vals = np.zeros(ndof)
-    for dof, v in values.items():
-        constrained[dof] = True
-        vals[dof] = v[0]
-        constrained[dof + S] = True
-        vals[dof + S] = v[1]
-    return SparseSystem(space=space, material=system.material, K=system.K,
-                        rhs=system.rhs, n_scalar=S, n_pressure=system.n_pressure,
-                        has_gauge=system.has_gauge,
-                        constrained=constrained, values=vals)
+    def __init__(self, space: P2Space, material: MaterialParams, K=None):
+        """K is the assembled matrix of (space, material) if already at hand."""
+        self.space = space
+        self.material = material
+        if K is None:
+            K = assemble(space.mesh, material, space=space).K
+        self.K = K.tocsr()
+        self.constrained = _dirichlet_mask(space)
+        free = ~self.constrained
+        self.pressure_mass = None
+        if material.eps == 0.0:
+            mesh, P0 = space.mesh, 2 * space.n_scalar
+            self.pressure_mass = np.bincount(
+                mesh.tris.ravel(), weights=np.repeat(space.areas / 3.0, 3),
+                minlength=mesh.n_nodes)
+            # Summed pressure rows on the constrained columns: the discrete
+            # flux of the Dirichlet values (they vanish on the free velocity).
+            self._flux_row = np.asarray(
+                self.K[P0:].sum(axis=0)).ravel()[self.constrained]
+            far = np.argmax(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]))
+            free[P0 + far] = False
+        self.free = free
+        rows = self.K[free]
+        self.Kff = rows[:, free].tocsc()
+        self.Kfc = rows[:, self.constrained]
+        try:
+            self.lu = splu(self.Kff, **_LU_POLICY)
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc)) from None
+
+    def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> MixedField:
+        """Solution for load vector rhs with the constrained dofs prescribed.
+
+        Both vectors span all dofs; only the constrained entries of
+        boundary_values are read (dirichlet_values builds it).
+        """
+        S, m = self.space.n_scalar, self.pressure_mass
+        xc = boundary_values[self.constrained]
+        flux_defect = 0.0
+        if m is not None:
+            flux_defect = (float(rhs[2 * S:].sum())
+                           - float(self._flux_row @ xc)) / float(m.sum())
+            rhs = np.concatenate([rhs[:2 * S], rhs[2 * S:] - m * flux_defect])
+        rhs_f = rhs[self.free] - self.Kfc @ xc
+        xf = self.lu.solve(rhs_f)
+        if not np.all(np.isfinite(xf)):
+            raise SingularSystem("factorization produced non-finite values")
+        scale = max(float(np.linalg.norm(rhs_f)), 1e-30)
+        resid = float(np.linalg.norm(self.Kff @ xf - rhs_f)) / scale
+        if resid > _RESIDUAL_GATE:
+            raise SolverBreakdown(
+                f"relative residual {resid:.3e} exceeds {_RESIDUAL_GATE:g}")
+        x = np.zeros(self.space.n_dofs)
+        x[self.constrained] = xc
+        x[self.free] = xf
+        p = x[2 * S:]
+        gauge = 0.0
+        if m is not None:
+            # Exact zero-mean shift: the pin fixes the level arbitrarily.
+            gauge = float(m @ p) / float(m.sum())
+            p = p - gauge
+        return MixedField(space=self.space, material=self.material,
+                          ux=x[:S], uy=x[S:2 * S], p=p, gauge=gauge,
+                          residual=resid, flux_defect=flux_defect)
 
 
 def solve(system: SparseSystem) -> MixedField:
-    """Direct symmetric-indefinite solve with residual verification."""
-    con = system.constrained
-    if con is None:
-        con = np.zeros(system.K.shape[0], dtype=bool)
-        system = SparseSystem(space=system.space, material=system.material,
-                              K=system.K, rhs=system.rhs,
-                              n_scalar=system.n_scalar,
-                              n_pressure=system.n_pressure,
-                              has_gauge=system.has_gauge,
-                              constrained=con, values=np.zeros(system.K.shape[0]))
-    free = ~con
-    K = system.K.tocsc()
-    xc = system.values
-    rhs_f = system.rhs[free] - K[free][:, con] @ xc[con]
-    Kff = K[free][:, free]
-    try:
-        lu = splu(Kff.tocsc())
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from None
-    xf = lu.solve(rhs_f)
-    if not np.all(np.isfinite(xf)):
-        raise SingularSystem("factorization produced non-finite values "
-                             "(pressure gauge missing?)")
-    x = xc.copy()
-    x[free] = xf
-    scale = max(float(np.linalg.norm(rhs_f)), 1e-30)
-    resid = float(np.linalg.norm(Kff @ xf - rhs_f)) / scale
-    if resid > 1e-10:
-        raise SolverBreakdown(f"relative residual {resid:.3e} exceeds 1e-10")
-    S, Np = system.n_scalar, system.n_pressure
-    ux, uy = x[:S], x[S:2 * S]
-    p = x[2 * S:2 * S + Np]
-    gauge = 0.0
-    if system.has_gauge:
-        space = system.space
-        # Exact zero-mean shift (the multiplier already enforces it weakly).
-        pts, w = tri_quadrature(5)
-        L = p1_shape(pts)
-        mean = float(np.einsum("m,qk,mk->", space.areas, w[:, None] * L,
-                               p[space.mesh.tris]))
-        area = float(space.areas.sum())
-        gauge = mean / area
-        p = p - gauge
-    return MixedField(space=system.space, material=system.material,
-                      ux=ux, uy=uy, p=p, gauge=gauge, residual=resid)
+    """One solve of an assembled system with its Dirichlet data applied."""
+    if system.values is None:
+        raise ValueError("solve needs the Dirichlet data: call apply_dirichlet first")
+    operator = MixedOperator(system.space, system.material, K=system.K)
+    return operator.solve(system.rhs, system.values)
 
 
 def solve_psi(dual_mode: SingularMode, mesh: TriMesh, material: MaterialParams,
-              polygon, space: P2Space | None = None) -> MixedField:
+              polygon, operator: MixedOperator | None = None) -> MixedField:
     """Auxiliary corrector solve for one dual mode.
 
     Zero volume data; Dirichlet data on the far edges is the negated dual
     trace (scaled so the penalized and Stokes data agree in the eps -> 0
-    limit), and exactly zero on the two corner edges.
+    limit), and exactly zero on the two corner edges.  operator is the
+    factored operator of (mesh, material), built here when None.
     """
     if dual_mode.kind != "dual":
         raise ValueError("solve_psi expects the dual mode")
@@ -455,12 +520,11 @@ def solve_psi(dual_mode: SingularMode, mesh: TriMesh, material: MaterialParams,
         return scale * dual_mode.eval_xy(x, y)
 
     zero = lambda x, y: np.zeros(np.shape(x) + (2,))
-    traces = {}
-    for e in polygon.edges:
-        traces[e.tag] = zero if e.on_corner_ray else far_trace
-    system = assemble(mesh, material, f=None, zeta=None, space=space)
-    system = apply_dirichlet(system, traces)
-    return solve(system)
+    traces = {e.tag: zero if e.on_corner_ray else far_trace for e in polygon.edges}
+    if operator is None:
+        operator = MixedOperator(P2Space(mesh), material)
+    space = operator.space
+    return operator.solve(np.zeros(space.n_dofs), dirichlet_values(space, traces))
 
 
 def norms(field: MixedField) -> dict:
@@ -503,7 +567,7 @@ def error_norms(field: MixedField, velocity, velocity_grad=None, pressure=None) 
     """
     space = field.space
     pts, w = tri_quadrature(8)
-    xq = space.tri_origin[:, None, :] + np.einsum("mde,qe->mqd", _jacobians(space), pts)
+    xq = space.tri_origin[:, None, :] + np.einsum("mde,qe->mqd", space.J, pts)
     wa = space.areas[:, None] * w[None, :]
     N = p2_shape(pts)
     vd = space.tri_dofs

@@ -22,7 +22,7 @@ import numpy as np
 from .expr import parse as parse_expr
 from .extraction import (ProblemData, extract_sifs_penalized,
                          extract_sifs_stokes, regular_part)
-from .fem import P2Space, apply_dirichlet, assemble, diff_norms, solve
+from .fem import MixedOperator, P2Space, diff_norms, dirichlet_values, load_vector
 from .geometry import BoundaryData, CornerPolygon, TriMesh, generate_lshape_mesh, lshape_polygon
 from .modes import make_mode
 from .spectral import MaterialParams, lame_exponents, stokes_exponents
@@ -306,6 +306,32 @@ def run_manufactured(cfg: RunConfig) -> dict:
 # eps sweep
 # ---------------------------------------------------------------------------
 
+def _extract_with_regular_part(polygon: CornerPolygon, space: P2Space,
+                               material: MaterialParams, g: BoundaryData, f,
+                               zeta=None):
+    """(report, regular part, exponent table) of one (mesh, material).
+
+    The extraction and the data solve share one factored operator, which is
+    freed on return, before the caller builds the next one.  eps = 0 selects
+    the Stokes family.
+    """
+    frame = polygon.frame
+    op = MixedOperator(space, material)
+    data = ProblemData(polygon=polygon, mesh=space.mesh, material=material,
+                       g=g, f=f, zeta=zeta, operator=op)
+    if material.eps == 0.0:
+        rep = extract_sifs_stokes(data)
+        family, table = "stokes", stokes_exponents(frame.omega)
+    else:
+        rep = extract_sifs_penalized(data)
+        family, table = "lame", lame_exponents(frame.omega, material.C)
+    u = op.solve(load_vector(space, f, zeta), dirichlet_values(space, g.traces))
+    modes = [make_mode(family, "primal", i, frame, material, table)
+             for i in range(1, (2 if rep.c2 is not None else 1) + 1)]
+    w, _ = regular_part(u, rep, modes)
+    return rep, w, table
+
+
 def run_eps_sweep(cfg: RunConfig) -> dict:
     """Penalized-to-Stokes comparison over a decreasing eps grid, fixed mesh.
 
@@ -325,34 +351,16 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
         raise ConfigError("eps_grid must be strictly decreasing")
 
     polygon, mesh = build_domain(cfg)
-    frame = polygon.frame
     f, g, zeta = build_data(cfg, polygon)
     space = P2Space(mesh)
 
-    # Stokes reference: extraction, solve, regular part.
-    smat = MaterialParams(mu, 0.0)
-    sdata = ProblemData(polygon=polygon, mesh=mesh, material=smat, g=g,
-                        f=f, zeta=zeta)
-    sref = extract_sifs_stokes(sdata)
-    ssys = apply_dirichlet(assemble(mesh, smat, f=f, zeta=zeta, space=space),
-                           g.traces)
-    us = solve(ssys)
-    stable = stokes_exponents(frame.omega)
-    smodes = [make_mode("stokes", "primal", i, frame, smat, stable)
-              for i in range(1, (2 if sref.c2 is not None else 1) + 1)]
-    ws, _ = regular_part(us, sref, smodes)
-
+    sref, ws, _ = _extract_with_regular_part(polygon, space, MaterialParams(mu, 0.0),
+                                             g, f, zeta)
     records = []
     for eps in eps_grid:
         t0 = time.perf_counter()
-        mat = MaterialParams(mu, eps)
-        data = ProblemData(polygon=polygon, mesh=mesh, material=mat, g=g, f=f)
-        rep = extract_sifs_penalized(data)
-        table = lame_exponents(frame.omega, mat.C)
-        modes = [make_mode("lame", "primal", i, frame, mat, table) for i in (1, 2)]
-        sysk = apply_dirichlet(assemble(mesh, mat, f=f, space=space), g.traces)
-        ue = solve(sysk)
-        we, _ = regular_part(ue, rep, modes)
+        rep, we, table = _extract_with_regular_part(polygon, space,
+                                                    MaterialParams(mu, eps), g, f)
         dn = diff_norms(we, ws)
         records.append(SweepRecord(
             eps=eps,

@@ -1,6 +1,7 @@
 """Coefficient functionals: manufactured recovery, linearity, guards."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,8 @@ from sif_lab.extraction import (CornerDataNonzero, MeshMismatch, ProblemData,
                                 compute_Ci_stokes, compute_Cstar_penalized,
                                 extract_sifs_penalized, extract_sifs_stokes,
                                 regular_part)
-from sif_lab.fem import (P2Space, apply_dirichlet, assemble, error_norms,
-                         norms, solve, solve_psi)
+from sif_lab.fem import (MixedOperator, P2Space, apply_dirichlet, assemble,
+                         error_norms, norms, solve, solve_psi)
 from sif_lab.geometry import BoundaryData, generate_lshape_mesh, lshape_polygon
 from sif_lab.harness import manufactured_fields
 from sif_lab.modes import make_mode
@@ -58,6 +59,20 @@ def test_stokes_recovery_coarse(coarse_mesh):
     rep = extract_sifs_stokes(data)
     assert abs(rep.c1 - c_true[0]) < 0.01 * abs(c_true[0])
     assert abs(rep.c2 - c_true[1]) < 0.01 * abs(c_true[1])
+
+
+def test_shared_operator_is_checked_and_changes_nothing(coarse_mesh):
+    data, _ = manufactured_data(coarse_mesh, "penalized", MAT)
+    op = MixedOperator(P2Space(coarse_mesh), MAT)
+    own = extract_sifs_penalized(data)
+    shared = extract_sifs_penalized(replace(data, operator=op))
+    assert (shared.c1, shared.c2) == (own.c1, own.c2)
+    other = MixedOperator(P2Space(generate_lshape_mesh(POLY, 0.2, levels=3)), MAT)
+    with pytest.raises(MeshMismatch):
+        extract_sifs_penalized(replace(data, operator=other))
+    stiffer = MixedOperator(op.space, MaterialParams(1.0, 1e-2))
+    with pytest.raises(ValueError):
+        extract_sifs_penalized(replace(data, operator=stiffer))
 
 
 def test_regular_part_removes_singular_content():

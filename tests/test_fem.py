@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 import sympy as sp
 
+import sif_lab.fem
+from sif_lab.extraction import ProblemData, extract_sifs_penalized
 from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, P2Space,
                          apply_dirichlet, assemble, diff_norms, error_norms,
                          norms, second_equation_residual, solve, solve_psi)
-from sif_lab.geometry import generate_lshape_mesh, generate_square_mesh, lshape_polygon
+from sif_lab.geometry import (BoundaryData, generate_lshape_mesh,
+                              generate_square_mesh, lshape_polygon)
 from sif_lab.modes import make_mode
 from sif_lab.spectral import MaterialParams, lame_exponents
 
@@ -165,3 +170,73 @@ def test_pressure_zero_mean_at_stokes_gauge():
     pts_mean = np.einsum("m,mk->", field.space.areas / 3.0,
                          field.p[mesh.tris])
     assert abs(pts_mean) < 1e-10 * max(1.0, np.max(np.abs(field.p)))
+
+
+def count_factorizations(monkeypatch):
+    """Wrap sif_lab.fem.splu; returns the list of matrix sizes it factored."""
+    calls = []
+    original = sif_lab.fem.splu
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(sif_lab.fem, "splu", counting)
+    return calls
+
+
+def test_penalized_extraction_factors_once(monkeypatch):
+    poly = lshape_polygon(1.0)
+    mesh = generate_lshape_mesh(poly, 0.25, levels=3)
+    g = lambda x, y: np.stack([x * y, np.zeros_like(x)], axis=-1)
+    data = ProblemData(polygon=poly, mesh=mesh, material=MaterialParams(1.0, 1e-3),
+                       g=BoundaryData(traces={e.tag: g for e in poly.edges},
+                                      zeta=None))
+    calls = count_factorizations(monkeypatch)
+    rep = extract_sifs_penalized(data)
+    assert len(calls) == 1
+    assert len(rep.terms["psi_residuals"]) == 2
+
+
+def test_pinned_stokes_solve_matches_dense_gauge():
+    """eps = 0: pinned pressure dof vs the zero-mean Lagrange multiplier row."""
+    poly = lshape_polygon(1.0)
+    mesh = generate_lshape_mesh(poly, 0.25, levels=3)
+    f = lambda x, y: np.stack([np.ones_like(x), x * y], axis=-1)
+    # Nonzero net flux, so the multiplier has something to absorb.
+    g = lambda x, y: np.stack([x * y * (1.0 - x), x * x * y], axis=-1)
+    system = apply_dirichlet(assemble(mesh, MaterialParams(1.0, 0.0), f=f),
+                             {e.tag: g for e in poly.edges})
+    field = solve(system)
+
+    # Reference: K bordered by the P1 mass vector in the pressure rows.
+    space = field.space
+    S, Np = space.n_scalar, mesh.n_nodes
+    mass = np.zeros(Np)
+    np.add.at(mass, mesh.tris.ravel(), np.repeat(space.areas / 3.0, 3))
+    border = np.concatenate([np.zeros(2 * S), mass])[:, None]
+    Kb = scipy.sparse.bmat([[system.K, border], [border.T, None]]).tocsc()
+    con = np.append(system.constrained, False)
+    xb = np.append(system.values, 0.0)
+    rhs = np.append(system.rhs, 0.0) - Kb[:, con] @ xb[con]
+    xb[~con] = scipy.sparse.linalg.spsolve(Kb[~con][:, ~con], rhs[~con])
+    u_ref, p_ref, lam_ref = xb[:2 * S], xb[2 * S:-1], xb[-1]
+
+    u = np.concatenate([field.ux, field.uy])
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(field.p - p_ref) <= 1e-8 * np.linalg.norm(p_ref)
+    assert abs(field.flux_defect - lam_ref) <= 1e-8 * abs(lam_ref)
+    assert abs(lam_ref) > 1e-3
+
+
+def test_penalized_solve_at_tiny_eps_meets_residual_gate():
+    """Threshold pivoting keeps the corrector solves accurate as eps -> 0."""
+    poly = lshape_polygon(1.0)
+    mesh = generate_lshape_mesh(poly, 0.1, levels=5)
+    material = MaterialParams(1.0, 1e-10)
+    table = lame_exponents(poly.omega, material.C)
+    operator = sif_lab.fem.MixedOperator(P2Space(mesh), material)
+    for i in (1, 2):
+        dual = make_mode("lame", "dual", i, poly.frame, material, table)
+        psi = solve_psi(dual, mesh, material, poly, operator=operator)
+        assert psi.residual <= 1e-10

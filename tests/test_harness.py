@@ -13,6 +13,8 @@ from sif_lab.harness import (SCHEMA, SWEEP_COLUMNS, ConfigError, SweepRecord,
                              build_data, build_domain, emit, load_config,
                              run_eps_sweep, run_manufactured)
 
+from test_fem import count_factorizations
+
 BASE = """
 [domain]
 kind = lshape
@@ -159,6 +161,16 @@ def test_eps_sweep_deterministic_up_to_wall_time():
     assert all(y < x for x, y in zip(dc1, dc1[1:]))
 
 
+def test_eps_sweep_factors_once_per_material(monkeypatch):
+    """Four penalized operators plus the Stokes reference: five LU in all."""
+    calls = count_factorizations(monkeypatch)
+    cfg_text = SWEEP_CFG.replace(
+        "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4")
+    out = run_eps_sweep(load_config(cfg_text))
+    assert len(out["records"]) == 4
+    assert len(calls) == 5
+
+
 # -- CLI -----------------------------------------------------------------------
 
 def _read_csv(path):
@@ -246,3 +258,25 @@ def test_cli_reports_config_errors(tmp_path):
     cfg.write_text("[domain]\nkind = lshape\n")
     rc = main(["sweep", "--config", str(cfg)])
     assert rc == 2
+
+
+def test_cli_reports_library_errors_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "corner.ini"
+    cfg.write_text(BASE + "[data]\nf_x = 1\ng_x = 1\n")  # g(0, 0) != 0
+    rc = main(["extract", "--config", str(cfg), "--family", "penalized",
+               "--eps", "1e-2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CornerDataNonzero: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_solve_prints_flux_defect_at_eps_zero(tmp_path, capsys):
+    cfg = tmp_path / "stokes.ini"
+    cfg.write_text(BASE + "[data]\nf_x = 1\ng_x = y\n")
+    rc = main(["solve", "--config", str(cfg), "--eps", "0",
+               "--out", str(tmp_path / "solve.csv")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    defect = [ln for ln in lines if ln.startswith("flux_defect = ")]
+    assert len(defect) == 1 and np.isfinite(float(defect[0].split("=")[1]))
