@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -54,11 +55,20 @@ class AngularIntegrals:
     quad_error: float
 
 
+@lru_cache(maxsize=64)
+def _reference_rule(n: int):
+    """Read-only leggauss(n) pair, built once per order."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_nodes(n: int, a: float, b: float):
     """Gauss-Legendre nodes and weights on [a, b], exact through degree 2n-1."""
     if n < 1:
         raise ValueError("quadrature order must be >= 1")
-    x, w = leggauss(n)
+    x, w = _reference_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -15,10 +15,23 @@ Quadrature policy:
     with corner-incident elements subdivided geometrically toward the corner;
   * everything paired with the finite element corrector uses standard rules
     on the solve mesh.
+
+Reuse: c1 = C1/gamma1 and c2 = (C2 + c1*Cstar)/gamma2 are fixed linear
+functionals of the data.  The exponent table, the dual modes, gamma1 and
+gamma2, the corrector fields and Cstar depend only on the mesh, the polygon,
+the material and the family; they are computed once and kept in a
+single-entry memo, reused while the next extraction has the same mesh and
+polygon objects, an equal material and the same family.  Each data set
+recomputes only C1 and C2, and still runs the corner checks and the check of
+data.operator.  The memo keeps the corrector fields but no operator or
+factorization, and is dropped before a new entry is computed.  Meshes are
+treated as immutable (TriMesh is frozen): changing the arrays of a mesh in
+place after an extraction is not detected.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
@@ -112,25 +125,29 @@ class ProblemData:
 
 
 def _mesh_id(mesh: TriMesh) -> str:
-    return f"{mesh.n_nodes}n-{len(mesh.tris)}t-h{mesh.h:g}"
+    """Counts and h, then a digest of the node, triangle and boundary arrays."""
+    digest = hashlib.blake2b(digest_size=8)
+    for arr, dtype in ((mesh.nodes, np.float64), (mesh.tris, np.int64),
+                       (mesh.bedges, np.int64)):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return f"{mesh.n_nodes}n-{len(mesh.tris)}t-h{mesh.h:g}-{digest.hexdigest()}"
 
 
 def _corner_point(polygon: CornerPolygon) -> np.ndarray:
     return np.asarray(polygon.edges[0].p0, dtype=float)
 
 
-def _operator(data: ProblemData, material: MaterialParams) -> MixedOperator:
-    """data.operator after checking it against the problem, or a new one."""
+def _check_operator(data: ProblemData, material: MaterialParams) -> None:
+    """Reject a data.operator built for another mesh or material."""
     op = data.operator
     if op is None:
-        return MixedOperator(P2Space(data.mesh), material)
+        return
     if op.space.mesh is not data.mesh and not np.array_equal(
             op.space.mesh.nodes, data.mesh.nodes):
         raise MeshMismatch("operator was built on a different mesh")
     if op.material != material:
         raise ValueError(f"operator material {op.material} does not match "
                          f"the problem's {material}")
-    return op
 
 
 def _check_corner_data(data: ProblemData) -> None:
@@ -287,8 +304,7 @@ def _volume_analytic(space: P2Space, func) -> float:
     """
     mesh = space.mesh
     rnode = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    corner_nodes = set(np.where(rnode < 1e-12)[0])
-    corner_mask = np.array([bool(corner_nodes & set(t)) for t in mesh.tris])
+    corner_mask = np.isin(mesh.tris, np.flatnonzero(rnode < 1e-12)).any(axis=1)
 
     pts, w = tri_quadrature(8)
     p = mesh.nodes[mesh.tris]
@@ -456,84 +472,120 @@ def compute_Cstar_stokes(primal1: SingularMode, dual2: SingularMode,
 # full pipelines
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _DualWeights:
+    """The data-independent half of an extraction on one (mesh, material).
+
+    The dual modes, normalizers and correctors of every mode index, and the
+    cross coupling C* when the second mode exists.  The factored operator
+    that solved the correctors is not kept.
+    """
+
+    mesh: TriMesh
+    polygon: CornerPolygon
+    material: MaterialParams
+    family: str
+    mesh_id: str
+    duals: tuple
+    gammas: tuple
+    psi: tuple
+    Cstar: float | None
+    cstar_terms: dict | None
+
+
+# Single-entry memo of _dual_weights.  It holds the mesh and the polygon
+# strongly, so their ids cannot be reused while it lives.
+_last_weights: _DualWeights | None = None
+
+
+def _dual_weights(data: ProblemData, material: MaterialParams,
+                  family: str) -> _DualWeights:
+    """The data-independent half for (data.mesh, data.polygon, material, family).
+
+    Reused while the mesh and polygon are the same objects and the material
+    and family are equal.  Otherwise the old entry is dropped before the new
+    one is computed, so two entries never coexist.
+    """
+    global _last_weights
+    _check_operator(data, material)
+    w = _last_weights
+    if (w is not None and w.mesh is data.mesh and w.polygon is data.polygon
+            and w.material == material and w.family == family):
+        return w
+    _last_weights = w = None
+
+    frame = data.polygon.frame
+    kind = "lame" if family == "penalized" else "stokes"
+    table = (lame_exponents(frame.omega, material.C) if kind == "lame"
+             else stokes_exponents(frame.omega))
+    indices = range(1, table.mode_count + 1)
+    primals = [make_mode(kind, "primal", i, frame, material, table) for i in indices]
+    duals = tuple(make_mode(kind, "dual", i, frame, material, table) for i in indices)
+    pairs = list(zip(primals, duals))
+    if kind == "lame":
+        gammas = tuple(gamma_lame(i, material, frame, modes=m)
+                       for i, m in enumerate(pairs, 1))
+    else:
+        gammas = tuple(gamma_stokes(i, frame, modes=m, table=table)
+                       for i, m in enumerate(pairs, 1))
+    op = data.operator
+    if op is None:
+        op = MixedOperator(P2Space(data.mesh), material)
+    psi = tuple(solve_psi(d, data.mesh, material, data.polygon, operator=op)
+                for d in duals)
+    del op  # the entry keeps the correctors, never the factorization
+    Cstar = tstar = None
+    if len(duals) >= 2:
+        Cstar, tstar = _cstar_terms(primals[0], duals[1], psi[1], data.polygon,
+                                    material.mu)
+    w = _DualWeights(
+        mesh=data.mesh, polygon=data.polygon, material=material, family=family,
+        mesh_id=_mesh_id(data.mesh), duals=duals, gammas=gammas, psi=psi,
+        Cstar=Cstar, cstar_terms=tstar)
+    _last_weights = w
+    return w
+
+
+def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
+    """Corner checks, the (reused) dual weights, then the data functionals."""
+    _check_corner_data(data)
+    if family == "stokes":
+        _check_corner_zeta(data)
+    w = _dual_weights(data, material, family)
+    space = w.psi[0].space
+    C1, t1 = _ci_terms(data, w.duals[0], w.psi[0], space)
+    c1 = C1 / w.gammas[0].gamma
+    gamma2 = C2 = c2 = None
+    second: dict = {}
+    if len(w.duals) >= 2:
+        gamma2 = w.gammas[1].gamma
+        C2, t2 = _ci_terms(data, w.duals[1], w.psi[1], space)
+        c2 = (C2 + c1 * w.Cstar) / gamma2
+        second = {"C2": t2, "Cstar": dict(w.cstar_terms)}
+    health = {"psi_residuals": [p.residual for p in w.psi],
+              "psi_flux_defects": [p.flux_defect for p in w.psi],
+              "gamma_quad_errors": [g.quad_error for g in w.gammas]}
+    if family == "penalized":
+        terms = {"C1": t1, **second, **health}
+    else:
+        terms = {"C1": t1, **health, "mode_count": len(w.duals), **second}
+    log.info("%s extraction: c1=%.6g c2=%s (eps=%g)", family, c1, c2, material.eps)
+    return SifReport(
+        family=family, eps=material.eps if family == "penalized" else None,
+        gamma1=w.gammas[0].gamma, gamma2=gamma2, C1=C1, C2=C2, Cstar=w.Cstar,
+        c1=c1, c2=c2, terms=terms, mesh_id=w.mesh_id)
+
+
 def extract_sifs_penalized(data: ProblemData) -> SifReport:
     """Exponents -> modes -> normalizers -> correctors -> functionals -> c1, c2."""
-    material = data.material
-    if material.eps <= 0.0:
+    if data.material.eps <= 0.0:
         raise ValueError("penalized extraction requires eps > 0")
-    _check_corner_data(data)
-    frame = data.polygon.frame
-    table = lame_exponents(frame.omega, material.C)
-    primals = [make_mode("lame", "primal", i, frame, material, table) for i in (1, 2)]
-    duals = [make_mode("lame", "dual", i, frame, material, table) for i in (1, 2)]
-    g1 = gamma_lame(1, material, frame, modes=(primals[0], duals[0]))
-    g2 = gamma_lame(2, material, frame, modes=(primals[1], duals[1]))
-
-    op = _operator(data, material)
-    space = op.space
-    psi = [solve_psi(d, data.mesh, material, data.polygon, operator=op)
-           for d in duals]
-    C1, t1 = _ci_terms(data, duals[0], psi[0], space)
-    C2, t2 = _ci_terms(data, duals[1], psi[1], space)
-    Cstar, tstar = _cstar_terms(primals[0], duals[1], psi[1], data.polygon, material.mu)
-    c1 = C1 / g1.gamma
-    c2 = (C2 + c1 * Cstar) / g2.gamma
-    log.info("penalized extraction: c1=%.6g c2=%.6g (eps=%g)", c1, c2, material.eps)
-    return SifReport(
-        family="penalized", eps=material.eps,
-        gamma1=g1.gamma, gamma2=g2.gamma, C1=C1, C2=C2, Cstar=Cstar,
-        c1=c1, c2=c2,
-        terms={"C1": t1, "C2": t2, "Cstar": tstar,
-               "psi_residuals": [p.residual for p in psi],
-               "psi_flux_defects": [p.flux_defect for p in psi],
-               "gamma_quad_errors": [g1.quad_error, g2.quad_error]},
-        mesh_id=_mesh_id(data.mesh))
+    return _extract(data, data.material, "penalized")
 
 
 def extract_sifs_stokes(data: ProblemData) -> SifReport:
     """Stokes pipeline; computes only the first coefficient below the critical angle."""
-    material = data.material
-    if material.eps != 0.0:
-        material = MaterialParams(material.mu, 0.0)
-    _check_corner_data(data)
-    _check_corner_zeta(data)
-    frame = data.polygon.frame
-    table = stokes_exponents(frame.omega)
-    M = table.mode_count
-
-    primal1 = make_mode("stokes", "primal", 1, frame, material, table)
-    dual1 = make_mode("stokes", "dual", 1, frame, material, table)
-    g1 = gamma_stokes(1, frame, modes=(primal1, dual1), table=table)
-    op = _operator(data, material)
-    space = op.space
-    psi1 = solve_psi(dual1, data.mesh, material, data.polygon, operator=op)
-    C1, t1 = _ci_terms(data, dual1, psi1, space)
-    c1 = C1 / g1.gamma
-    terms = {"C1": t1, "psi_residuals": [psi1.residual],
-             "psi_flux_defects": [psi1.flux_defect],
-             "gamma_quad_errors": [g1.quad_error], "mode_count": M}
-
-    if M < 2:
-        log.info("stokes extraction: c1=%.6g (single mode, omega=%g)", c1, frame.omega)
-        return SifReport(family="stokes", eps=None, gamma1=g1.gamma,
-                         gamma2=None, C1=C1, C2=None, Cstar=None,
-                         c1=c1, c2=None, terms=terms, mesh_id=_mesh_id(data.mesh))
-
-    primal2 = make_mode("stokes", "primal", 2, frame, material, table)
-    dual2 = make_mode("stokes", "dual", 2, frame, material, table)
-    g2 = gamma_stokes(2, frame, modes=(primal2, dual2), table=table)
-    psi2 = solve_psi(dual2, data.mesh, material, data.polygon, operator=op)
-    C2, t2 = _ci_terms(data, dual2, psi2, space)
-    Cstar, tstar = _cstar_terms(primal1, dual2, psi2, data.polygon, material.mu)
-    c2 = (C2 + c1 * Cstar) / g2.gamma
-    terms.update({"C2": t2, "Cstar": tstar,
-                  "psi_residuals": [psi1.residual, psi2.residual],
-                  "psi_flux_defects": [psi1.flux_defect, psi2.flux_defect],
-                  "gamma_quad_errors": [g1.quad_error, g2.quad_error]})
-    log.info("stokes extraction: c1=%.6g c2=%.6g", c1, c2)
-    return SifReport(family="stokes", eps=None, gamma1=g1.gamma,
-                     gamma2=g2.gamma, C1=C1, C2=C2, Cstar=Cstar,
-                     c1=c1, c2=c2, terms=terms, mesh_id=_mesh_id(data.mesh))
+    return _extract(data, MaterialParams(data.material.mu, 0.0), "stokes")
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,10 @@ def _floats(text: str) -> list[float]:
 
 
 def load_config(source: str) -> RunConfig:
-    """Read an INI config from a path or from literal text."""
+    """Read an INI config from a path, or from literal text if it has a newline."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    comment_prefixes=("#",))
-    if "\n" in source or "=" in source:
+    if "\n" in source:
         cp.read_string(source)
     else:
         if not cp.read(source):

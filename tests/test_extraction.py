@@ -1,6 +1,8 @@
-"""Coefficient functionals: manufactured recovery, linearity, guards."""
+"""Coefficient functionals: manufactured recovery, linearity, reuse, guards."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ from sif_lab.geometry import BoundaryData, generate_lshape_mesh, lshape_polygon
 from sif_lab.harness import manufactured_fields
 from sif_lab.modes import make_mode
 from sif_lab.spectral import MaterialParams, lame_exponents, stokes_exponents
+from test_fem import count_factorizations
 
 POLY = lshape_polygon(1.0)
 FRAME = POLY.frame
@@ -121,12 +124,17 @@ def test_regular_part_identity_for_zero_data(coarse_mesh):
 def test_regular_part_mesh_mismatch(coarse_mesh):
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
     rep = extract_sifs_penalized(data)
-    other = generate_lshape_mesh(POLY, 0.2, levels=3)
-    u = solve(apply_dirichlet(assemble(other, MAT), zero_g().traces))
+    # Equal node, triangle and h counts, one interior node moved.
+    interior = np.setdiff1d(np.arange(coarse_mesh.n_nodes), coarse_mesh.bedges[:, :2])
+    nodes = coarse_mesh.nodes.copy()
+    nodes[interior[len(interior) // 2]] += 1e-6
+    moved = replace(coarse_mesh, nodes=nodes)
     table = lame_exponents(FRAME.omega, MAT.C)
     modes = [make_mode("lame", "primal", i, FRAME, MAT, table) for i in (1, 2)]
-    with pytest.raises(MeshMismatch):
-        regular_part(u, rep, modes)
+    for other in (generate_lshape_mesh(POLY, 0.2, levels=3), moved):
+        u = solve(apply_dirichlet(assemble(other, MAT), zero_g().traces))
+        with pytest.raises(MeshMismatch):
+            regular_part(u, rep, modes)
 
 
 # -- functional-level properties ---------------------------------------------
@@ -228,6 +236,94 @@ def pts_weights_bary():
 def _area(tri):
     (x0, y0), (x1, y1), (x2, y2) = tri
     return 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+
+
+# -- reuse of the data-independent half --------------------------------------
+
+def fresh_copy(mesh):
+    """An equal mesh that is a different object."""
+    return replace(mesh, nodes=mesh.nodes.copy())
+
+
+def report_hex(rep):
+    """float.hex of c1, c2, C1, C2, C* and of every number in terms."""
+    out = [(k, float(getattr(rep, k)).hex())
+           for k in ("c1", "c2", "C1", "C2", "Cstar")]
+
+    def walk(key, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(f"{key}.{k}", v)
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(f"{key}[{i}]", v)
+        else:
+            out.append((key, float(value).hex()))
+
+    walk("terms", rep.terms)
+    return out
+
+
+@pytest.mark.parametrize("case, extract, material", [
+    ("penalized", extract_sifs_penalized, MAT),
+    ("stokes", extract_sifs_stokes, MaterialParams(1.0, 0.0))])
+def test_warm_extraction_is_bit_identical_to_cold(coarse_mesh, monkeypatch,
+                                                  case, extract, material):
+    mesh = fresh_copy(coarse_mesh)
+    data, _ = manufactured_data(mesh, case, material)
+    calls = count_factorizations(monkeypatch)
+    extract(replace(data, f=None, g=zero_g()))
+    warm = extract(data)
+    assert len(calls) == 1
+    cold = extract(replace(data, mesh=fresh_copy(coarse_mesh)))
+    assert len(calls) == 2
+    assert report_hex(warm) == report_hex(cold)
+
+
+def test_dual_weights_reused_per_mesh_and_material(coarse_mesh, monkeypatch):
+    mesh = fresh_copy(coarse_mesh)
+    data, _ = manufactured_data(mesh, "penalized", MAT)
+    calls = count_factorizations(monkeypatch)
+    for d in (data, replace(data, f=None), replace(data, g=zero_g())):
+        extract_sifs_penalized(d)
+    assert len(calls) == 1
+    extract_sifs_penalized(replace(data, material=MaterialParams(1.0, 1e-2)))
+    assert len(calls) == 2
+    extract_sifs_penalized(replace(data, mesh=fresh_copy(mesh)))
+    assert len(calls) == 3
+
+
+def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):
+    mesh = fresh_copy(coarse_mesh)
+    data, _ = manufactured_data(mesh, "penalized", MAT)
+    op = MixedOperator(P2Space(mesh), MAT)
+    other = MixedOperator(P2Space(generate_lshape_mesh(POLY, 0.2, levels=3)), MAT)
+    stiffer = MixedOperator(op.space, MaterialParams(1.0, 1e-2))
+    extract_sifs_penalized(data)
+    calls = count_factorizations(monkeypatch)
+    const = lambda x, y: np.stack([np.ones(np.shape(x)), np.zeros(np.shape(x))],
+                                  axis=-1)
+    with pytest.raises(CornerDataNonzero):
+        extract_sifs_penalized(replace(data, g=BoundaryData(
+            traces={e.tag: const for e in POLY.edges}, zeta=None)))
+    with pytest.raises(MeshMismatch):
+        extract_sifs_penalized(replace(data, operator=other))
+    with pytest.raises(ValueError):
+        extract_sifs_penalized(replace(data, operator=stiffer))
+    extract_sifs_penalized(replace(data, operator=op))
+    assert calls == []
+
+
+def test_extraction_keeps_no_operator(coarse_mesh):
+    mesh = fresh_copy(coarse_mesh)
+    op = MixedOperator(P2Space(mesh), MAT)
+    ref = weakref.ref(op)
+    rep = extract_sifs_penalized(
+        ProblemData(polygon=POLY, mesh=mesh, material=MAT, g=zero_g(), operator=op))
+    assert rep.c1 == 0.0
+    del op
+    gc.collect()
+    assert ref() is None
 
 
 # -- guards ------------------------------------------------------------------

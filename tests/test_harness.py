@@ -41,6 +41,13 @@ def test_load_config_from_text_and_file(tmp_path):
     assert cfg2.data == cfg.data
 
 
+def test_load_config_path_with_equals_sign(tmp_path):
+    text = BASE + "[data]\nf_x = 1\nf_y = 0\n"
+    path = tmp_path / "eps=1e-3.ini"
+    path.write_text(text)
+    assert load_config(str(path)) == load_config(text)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config("[domain]\nkind = lshape\n")  # missing sections
