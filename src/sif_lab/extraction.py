@@ -10,9 +10,10 @@ mode, or minus the mixed pressure of the corrector).
 Quadrature policy:
   * boundary integrals against analytic duals on the two corner edges use
     composite Gauss panels geometrically graded toward the corner
-    (ratio 0.5, 30 levels, 8 points per panel);
-  * volume integrals of data against analytic duals use a degree-8 rule,
-    with corner-incident elements subdivided geometrically toward the corner;
+    (ratio 0.5, 30 levels, 8 points per panel), measured from the corner;
+  * volume integrals of data against analytic duals use a degree-8 rule;
+    corner-incident elements use one graded reference rule, built once and
+    mapped affinely: degree 8 on a 16-level subdivision stack toward the corner;
   * everything paired with the finite element corrector uses standard rules
     on the solve mesh.
 
@@ -33,15 +34,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
 from .fem import (MeshMismatch, MixedField, MixedOperator, P2Space, p1_shape,
-                  p2_shape, solve_psi, tri_quadrature)
-from .geometry import BoundaryData, CornerPolygon, TriMesh, validate_boundary_data
+                  p2_shape, p2_shape_grad, solve_psi, tri_quadrature)
+from .geometry import BoundaryData, CornerPolygon, TriMesh
 from .modes import SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, lame_exponents, stokes_exponents
 
@@ -175,35 +175,36 @@ def _check_corner_zeta(data: ProblemData) -> None:
 # 1D boundary quadrature along polygon edges
 # ---------------------------------------------------------------------------
 
-def _edge_param_rule(edge, graded: bool):
-    """Parameter nodes/weights on [0, 1] for one polygon edge.
+def _composite_rule(breaks):
+    """Composite Gauss nodes/weights over consecutive panels, read-only."""
+    ts, ws = zip(*(gauss_nodes(PANEL_POINTS, a, b)
+                   for a, b in zip(breaks, breaks[1:])))
+    t, w = np.concatenate(ts), np.concatenate(ws)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
-    Graded rules stack geometric panels toward whichever endpoint is the
-    corner; the innermost panel touches t = 0 but its Gauss nodes stay
-    strictly inside, so analytic duals remain evaluable.
+
+# Parameter rules on [0, 1]: geometric panels toward t = 0, and uniform panels.
+_GRADED_EDGE_RULE = _composite_rule(
+    [0.0] + [GRADING_RATIO ** k for k in range(GRADING_LEVELS, -1, -1)])
+_FAR_EDGE_RULE = _composite_rule(np.linspace(0.0, 1.0, FAR_PANELS + 1))
+
+
+def _edge_rule(edge):
+    """Quadrature points on one polygon edge, and weights summing to 1.
+
+    A corner edge takes the graded rule from its corner end, so the points
+    nearest the corner keep full relative precision; the Gauss nodes stay
+    strictly inside the innermost panel, so analytic duals remain evaluable.
     """
-    if graded:
-        r0 = np.hypot(*edge.p0)
-        r1 = np.hypot(*edge.p1)
-        breaks = [0.0] + [GRADING_RATIO ** k
-                          for k in range(GRADING_LEVELS, -1, -1)]
-        ts, ws = [], []
-        for a, b in zip(breaks, breaks[1:]):
-            x, w = gauss_nodes(PANEL_POINTS, a, b)
-            ts.append(x)
-            ws.append(w)
-        t = np.concatenate(ts)
-        w = np.concatenate(ws)
-        if r1 < r0:  # corner at the t = 1 end
-            t = 1.0 - t
-        return t, w
-    breaks = np.linspace(0.0, 1.0, FAR_PANELS + 1)
-    ts, ws = [], []
-    for a, b in zip(breaks, breaks[1:]):
-        x, w = gauss_nodes(PANEL_POINTS, a, b)
-        ts.append(x)
-        ws.append(w)
-    return np.concatenate(ts), np.concatenate(ws)
+    if not edge.on_corner_ray:
+        t, w = _FAR_EDGE_RULE
+        return edge.point_at(t), w
+    t, w = _GRADED_EDGE_RULE
+    a, b = edge.p0, edge.p1
+    if np.hypot(*b) < np.hypot(*a):  # corner at the p1 end
+        a, b = b, a
+    return a + t[:, None] * (b - a), w
 
 
 def _polar(pts, frame):
@@ -218,8 +219,7 @@ def _boundary_analytic(edge, g, dual: SingularMode, mu: float) -> float:
     Penalized:  mu g . dn(Phi~)  + (g.n) (div Phi~)/eps    (closed form)
     Stokes:     mu g . dn(mu Phi~) - (g.n) (mu phi~)
     """
-    t, w = _edge_param_rule(edge, graded=edge.on_corner_ray)
-    pts = edge.point_at(t)
+    pts, w = _edge_rule(edge)
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     n = edge.normal
     r, theta = _polar(pts, dual.frame)
@@ -241,29 +241,35 @@ def _boundary_psi(space: P2Space, psi: MixedField, polygon: CornerPolygon,
 
     The same expression serves both families: the penalized term
     (g.n) (div Psi)/eps equals -(g.n) psi through the mixed second equation.
+    Each trace is evaluated once, on the 4 Gauss points of all its edges.
     """
     mesh = space.mesh
     tq, wq = gauss_nodes(4, 0.0, 1.0)
     out: dict[int, float] = {}
-    normals = {e.tag: e.normal for e in polygon.edges}
-    for k, (i, j, tag) in enumerate(mesh.bedges):
-        tag = int(tag)
-        if tags is not None and tag not in tags:
+    for edge in polygon.edges:
+        tag, n = edge.tag, edge.normal
+        if tag not in traces or (tags is not None and tag not in tags):
             continue
-        if tag not in traces:
-            continue
-        p0, p1 = mesh.nodes[int(i)], mesh.nodes[int(j)]
-        seg = p1 - p0
-        length = float(np.hypot(*seg))
-        phys = p0[None, :] + tq[:, None] * seg[None, :]
-        m = int(space.bedge_tri[k])
-        ref = space.to_reference(m, phys)
-        n = normals[tag]
-        dpsi = np.einsum("qkl,l->qk", psi.grad_at(m, ref), n)
-        psiv = psi.pressure_at(m, ref)
-        gv = np.asarray(traces[tag](phys[:, 0], phys[:, 1]), dtype=float)
-        vals = mu * np.einsum("qk,qk->q", gv, dpsi) - (gv @ n) * psiv
-        out[tag] = out.get(tag, 0.0) + float(length * np.dot(wq, vals))
+        k = np.flatnonzero(mesh.bedges[:, 2] == tag)
+        p0 = mesh.nodes[mesh.bedges[k, 0]]
+        seg = mesh.nodes[mesh.bedges[k, 1]] - p0
+        phys = p0[:, None, :] + tq[None, :, None] * seg[:, None, :]   # (e, q, 2)
+        m, eq = space.bedge_tri[k], phys.shape[:2]
+        invJ = space.invJ[m]
+        ref = ((phys - space.tri_origin[m][:, None]) @ np.swapaxes(invJ, 1, 2)).reshape(-1, 2)
+        # Basis gradients (e, q, 6, 2) and pressure basis (e, q, 3) at the points.
+        G = p2_shape_grad(ref).reshape(*eq, 6, 2) @ invJ[:, None]
+        L = p1_shape(ref).reshape(*eq, 3)
+        dofs = space.tri_dofs[m]
+        grad = np.stack([np.einsum("eqid,ei->eqd", G, psi.ux[dofs]),
+                         np.einsum("eqid,ei->eqd", G, psi.uy[dofs])], axis=2)
+        dpsi = np.einsum("eqkl,l->eqk", grad, n)
+        psiv = (L @ psi.p[mesh.tris[m]][..., None])[..., 0]
+        gv = np.asarray(traces[tag](phys[..., 0], phys[..., 1]), dtype=float)
+        vals = mu * np.einsum("eqk,eqk->eq", gv, dpsi) - (gv @ n) * psiv
+        # One dot product per edge, the edges summed in mesh order.
+        per_edge = np.hypot(seg[:, 0], seg[:, 1]) * (vals[:, None, :] @ wq)[:, 0]
+        out[tag] = float(sum(per_edge, 0.0))
     return out
 
 
@@ -271,67 +277,62 @@ def _boundary_psi(space: P2Space, psi: MixedField, polygon: CornerPolygon,
 # volume quadrature
 # ---------------------------------------------------------------------------
 
-def _tri_deg8(p0, p1, p2, func) -> float:
-    pts, w = tri_quadrature(8)
-    e1, e2 = p1 - p0, p2 - p0
-    area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-    x = p0[0] + pts[:, 0] * e1[0] + pts[:, 1] * e2[0]
-    y = p0[1] + pts[:, 0] * e1[1] + pts[:, 1] * e2[1]
-    return float(area * np.dot(w, np.asarray(func(x, y), dtype=float)))
+def _graded_reference_rule(depth: int):
+    """Degree-8 points (s, t) and weights on the unit triangle, graded toward (0, 0).
 
-
-def _graded_tri(corner, b, c, func, depth: int) -> float:
-    """Integrate func over triangle (corner, b, c), grading toward corner."""
-    total = 0.0
-    a = corner
+    The triangle (a, b, c) is split into the three outer quarters of each of
+    depth nested halvings toward a, plus the innermost triangle.  A point maps
+    to a + s (b - a) + t (c - a); the weights sum to 1 (multiply by area).
+    """
+    a, b, c = np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    tris = []
     for _ in range(depth):
-        mab = 0.5 * (a + b)
-        mca = 0.5 * (c + a)
-        mbc = 0.5 * (b + c)
-        total += _tri_deg8(mab, b, mbc, func)
-        total += _tri_deg8(mca, mbc, c, func)
-        total += _tri_deg8(mab, mbc, mca, func)
+        mab, mca, mbc = 0.5 * (a + b), 0.5 * (c + a), 0.5 * (b + c)
+        tris += [(mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
         b, c = mab, mca
-    return total + _tri_deg8(a, b, c, func)
+    tris.append((a, b, c))
+    v = np.array(tris)                                   # (n, 3, 2)
+    e = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+    pts, w = tri_quadrature(8)
+    st = v[:, None, 0] + np.einsum("nde,qe->nqd", e, pts)
+    area = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+    st, wt = st.reshape(-1, 2), np.outer(area, w).ravel()
+    st.flags.writeable = wt.flags.writeable = False
+    return st, wt
+
+
+_GRADED_TRI_RULE = _graded_reference_rule(CORNER_DEPTH)
 
 
 def _volume_analytic(space: P2Space, func) -> float:
     """Integral of a scalar integrand that is smooth away from the corner.
 
-    Degree-8 on every element; elements touching the corner vertex are
-    replaced by a geometric subdivision stack so the r^(a-1) growth of the
-    dual weight is resolved.
+    Degree-8 on every element; elements touching the corner vertex use the
+    graded reference rule instead, mapped with the corner as its (0, 0), so
+    the r^(a-1) growth of the dual weight is resolved.  func is called once.
     """
     mesh = space.mesh
     rnode = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    corner_mask = np.isin(mesh.tris, np.flatnonzero(rnode < 1e-12)).any(axis=1)
+    corner = np.isin(mesh.tris, np.flatnonzero(rnode < 1e-12)).any(axis=1)
 
     pts, w = tri_quadrature(8)
-    p = mesh.nodes[mesh.tris]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    x = p[:, None, 0, 0] + pts[None, :, 0] * e1[:, None, 0] + pts[None, :, 1] * e2[:, None, 0]
-    y = p[:, None, 0, 1] + pts[None, :, 0] * e1[:, None, 1] + pts[None, :, 1] * e2[:, None, 1]
-    keep = ~corner_mask
-    vals = np.asarray(func(x[keep], y[keep]), dtype=float)
-    total = float(np.einsum("m,mq,q->", space.areas[keep], vals, w))
-
-    for m in np.where(corner_mask)[0]:
-        tri = p[m]
-        order = np.argsort([np.hypot(*v) for v in tri])
-        a, b, c = tri[order[0]], tri[order[1]], tri[order[2]]
-        total += _graded_tri(a, b, c, func, CORNER_DEPTH)
-    return total
+    smooth = space.quad_points(pts)[~corner].reshape(-1, 2)
+    # Corner elements with their vertices ordered by distance to the corner.
+    tris = mesh.tris[corner]
+    v = mesh.nodes[np.take_along_axis(tris, np.argsort(rnode[tris], axis=1), axis=1)]
+    st, wt = _GRADED_TRI_RULE
+    graded = v[:, None, 0] + np.einsum("mkd,qk->mqd", v[:, 1:] - v[:, :1], st)
+    x = np.concatenate([smooth, graded.reshape(-1, 2)])
+    weights = np.concatenate([np.outer(space.areas[~corner], w).ravel(),
+                              np.outer(space.areas[corner], wt).ravel()])
+    return float(np.asarray(func(x[:, 0], x[:, 1]), dtype=float) @ weights)
 
 
 def _volume_fem(space: P2Space, f, zeta, psi: MixedField) -> tuple[float, float]:
     """(integral of f . Psi, integral of zeta * psi) by degree-5 quadrature."""
     mesh = space.mesh
     pts, w = tri_quadrature(5)
-    p = mesh.nodes[mesh.tris]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    x = p[:, None, 0, 0] + pts[None, :, 0] * e1[:, None, 0] + pts[None, :, 1] * e2[:, None, 0]
-    y = p[:, None, 0, 1] + pts[None, :, 0] * e1[:, None, 1] + pts[None, :, 1] * e2[:, None, 1]
+    x, y = np.moveaxis(space.quad_points(pts), -1, 0)
     wa = space.areas[:, None] * w[None, :]
     f_term = 0.0
     if f is not None:

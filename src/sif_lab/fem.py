@@ -234,6 +234,10 @@ class P2Space:
         rel = np.asarray(pts, dtype=float) - self.tri_origin[m]
         return rel @ self.invJ[m].T
 
+    def quad_points(self, pts):
+        """Physical images (m, q, 2) of reference points pts (q, 2) in every element."""
+        return self.tri_origin[:, None, :] + np.einsum("mde,qe->mqd", self.J, pts)
+
 
 @dataclass
 class SparseSystem:
@@ -356,7 +360,7 @@ def load_vector(space: P2Space, f=None, zeta=None) -> np.ndarray:
         return rhs
     pts, w = tri_quadrature(5)
     wdet = w[None, :] * space.areas[:, None]
-    xq = space.tri_origin[:, None, :] + np.einsum("mde,qe->mqd", space.J, pts)
+    xq = space.quad_points(pts)
     S = space.n_scalar
     if f is not None:
         Nsh = p2_shape(pts)
@@ -567,7 +571,7 @@ def error_norms(field: MixedField, velocity, velocity_grad=None, pressure=None) 
     """
     space = field.space
     pts, w = tri_quadrature(8)
-    xq = space.tri_origin[:, None, :] + np.einsum("mde,qe->mqd", space.J, pts)
+    xq = space.quad_points(pts)
     wa = space.areas[:, None] * w[None, :]
     N = p2_shape(pts)
     vd = space.tri_dofs

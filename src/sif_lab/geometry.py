@@ -258,16 +258,6 @@ class TriMesh:
                 f"{len(spurious)} tagged edges are not mesh boundary edges")
 
 
-def _graded_axis(s: float, m: int, ratio: float, levels: int) -> np.ndarray:
-    """Nodes on [0, s]: m uniform cells, first cell split geometrically."""
-    base = np.linspace(0.0, s, m + 1)
-    if levels == 0:
-        return base
-    first = base[1]
-    graded = first * ratio ** np.arange(1, levels + 1)
-    return np.unique(np.concatenate([base, graded]))
-
-
 def generate_square_mesh(n: int, size: float = 1.0) -> TriMesh:
     """Uniform triangulation of [0, size]^2 with boundary tags 1..4.
 

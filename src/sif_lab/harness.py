@@ -388,7 +388,7 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
         "sigma_diff_l2": fit_slope([r.sigma_diff_l2 for r in records]),
     }
     return {"schema": SCHEMA, "kind": "eps_sweep", "mu": mu,
-            "mesh_id": f"{mesh.n_nodes}n-{len(mesh.tris)}t-h{mesh.h:g}",
+            "mesh_id": sref.mesh_id,
             "records": records, "slopes": slopes}
 
 

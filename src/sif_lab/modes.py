@@ -194,10 +194,15 @@ class SingularMode:
 
 
 def map_theta(theta, frame: CornerFrame):
-    """Shift atan2 output by multiples of 2*pi into [omega1, omega2]."""
+    """Shift atan2 output by multiples of 2*pi into [omega1, omega2].
+
+    The branch is cut in the middle of the excluded sector, not on the corner
+    rays, so a point a rounding error outside a ray keeps that ray's angle.
+    """
     theta = np.asarray(theta, dtype=float)
-    theta = np.where(theta < frame.omega1, theta + 2.0 * math.pi, theta)
-    theta = np.where(theta > frame.omega2, theta - 2.0 * math.pi, theta)
+    cut = frame.omega2 + 0.5 * (2.0 * math.pi - frame.omega)
+    theta = np.where(theta < cut - 2.0 * math.pi, theta + 2.0 * math.pi, theta)
+    theta = np.where(theta >= cut, theta - 2.0 * math.pi, theta)
     return theta
 
 

@@ -9,14 +9,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sif_lab.extraction import (CornerDataNonzero, MeshMismatch, ProblemData,
-                                ZetaCornerNonzero, compute_Ci_penalized,
+from sif_lab.angular import gauss_nodes
+from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero, MeshMismatch,
+                                ProblemData, ZetaCornerNonzero,
+                                _boundary_analytic, _boundary_psi,
+                                _volume_analytic, compute_Ci_penalized,
                                 compute_Ci_stokes, compute_Cstar_penalized,
                                 extract_sifs_penalized, extract_sifs_stokes,
                                 regular_part)
 from sif_lab.fem import (MixedOperator, P2Space, apply_dirichlet, assemble,
-                         error_norms, norms, solve, solve_psi)
-from sif_lab.geometry import BoundaryData, generate_lshape_mesh, lshape_polygon
+                         error_norms, norms, solve, solve_psi, tri_quadrature)
+from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
+                              generate_lshape_mesh, lshape_polygon,
+                              lshape_vertices)
 from sif_lab.harness import manufactured_fields
 from sif_lab.modes import make_mode
 from sif_lab.spectral import MaterialParams, lame_exponents, stokes_exponents
@@ -236,6 +241,170 @@ def pts_weights_bary():
 def _area(tri):
     (x0, y0), (x1, y1), (x2, y2) = tri
     return 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+
+
+# -- vectorized functionals against element-by-element references ------------
+
+def boundary_psi_per_edge(space, psi, polygon, traces, mu, tags=None):
+    """The boundary corrector term, one mesh boundary edge at a time."""
+    tq, wq = gauss_nodes(4, 0.0, 1.0)
+    normals = {e.tag: e.normal for e in polygon.edges}
+    out = {}
+    for k, (i, j, tag) in enumerate(space.mesh.bedges):
+        tag = int(tag)
+        if tag not in traces or (tags is not None and tag not in tags):
+            continue
+        p0, p1 = space.mesh.nodes[i], space.mesh.nodes[j]
+        phys = p0 + tq[:, None] * (p1 - p0)
+        m = int(space.bedge_tri[k])
+        ref = space.to_reference(m, phys)
+        n = normals[tag]
+        dpsi = psi.grad_at(m, ref) @ n
+        gv = np.asarray(traces[tag](phys[:, 0], phys[:, 1]), dtype=float)
+        vals = mu * np.sum(gv * dpsi, axis=-1) - (gv @ n) * psi.pressure_at(m, ref)
+        out[tag] = out.get(tag, 0.0) + float(np.hypot(*(p1 - p0)) * (wq @ vals))
+    return out
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_boundary_psi_matches_edge_by_edge_loop(coarse_mesh, index):
+    table = lame_exponents(FRAME.omega, MAT.C)
+    dual = make_mode("lame", "dual", index, FRAME, MAT, table)
+    psi = solve_psi(dual, coarse_mesh, MAT, POLY)
+    _, traces, _, _ = manufactured_fields("penalized", MAT, POLY)
+    primal = make_mode("lame", "primal", 1, FRAME, MAT, table)
+    far = {e.tag for e in POLY.far_edges}
+    for trs, tags in ((traces, None), ({t: primal.eval_xy for t in far}, far)):
+        got = _boundary_psi(psi.space, psi, POLY, trs, MAT.mu, tags=tags)
+        want = boundary_psi_per_edge(psi.space, psi, POLY, trs, MAT.mu, tags=tags)
+        assert got.keys() == want.keys() == (tags or {e.tag for e in POLY.edges})
+        scale = max(abs(v) for v in want.values())
+        for tag, v in want.items():
+            assert abs(got[tag] - v) <= 1e-13 * max(abs(v), 1e-3 * scale)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_corner_edge_integrals_mirror_each_other(index):
+    """The L-shape is symmetric about theta = pi/4, and so are the two corner edges.
+
+    The first corner edge starts at the corner and the last one ends there;
+    both must be integrated to the same precision near the corner.
+    """
+    table = lame_exponents(FRAME.omega, MAT.C)
+    dual = make_mode("lame", "dual", index, FRAME, MAT, table)
+
+    def g(x, y):
+        return np.stack([x * x - 0.5 * y + x * y, 0.3 * x + y * y], axis=-1)
+
+    def g_mirror(x, y):
+        return g(y, x)[..., ::-1]
+
+    first = _boundary_analytic(POLY.edges[0], g, dual, MAT.mu)
+    last = _boundary_analytic(POLY.edges[-1], g_mirror, dual, MAT.mu)
+    # The first mode is odd about the bisector, the second even.
+    assert abs(last - (-1) ** index * first) <= 1e-13 * abs(first)
+
+
+def graded_tri_recursion(a, b, c, func, depth=CORNER_DEPTH):
+    """Degree-8 rule on each triangle of the stack halving (a, b, c) toward a."""
+    pts, w = tri_quadrature(8)
+
+    def deg8(p0, p1, p2):
+        e1, e2 = p1 - p0, p2 - p0
+        area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+        x = p0 + pts[:, :1] * e1 + pts[:, 1:] * e2
+        return area * (w @ func(x[:, 0], x[:, 1]))
+
+    total = 0.0
+    for _ in range(depth):
+        mab, mca, mbc = 0.5 * (a + b), 0.5 * (c + a), 0.5 * (b + c)
+        total += deg8(mab, b, mbc) + deg8(mca, mbc, c) + deg8(mab, mbc, mca)
+        b, c = mab, mca
+    return total + deg8(a, b, c)
+
+
+def corner_elements(mesh):
+    """Each element at the corner as a one-element space, corner node first."""
+    for tri in mesh.tris:
+        v = mesh.nodes[tri]
+        if np.hypot(v[:, 0], v[:, 1]).min() < 1e-12:
+            one = TriMesh(nodes=v, tris=np.array([[0, 1, 2]]),
+                          bedges=np.array([[0, 1, 1], [1, 2, 2], [2, 0, 3]]))
+            k = int(np.argmin(np.hypot(v[:, 0], v[:, 1])))
+            yield P2Space(one), np.roll(v, -k, axis=0)
+
+
+@pytest.mark.parametrize("lam", [0.5444837, 0.9085292])
+def test_graded_rule_matches_subdivision_recursion(coarse_mesh, lam):
+    def func(x, y):
+        return np.hypot(x, y) ** (lam - 1.0) * (1.0 + x - 2.0 * y + 3.0 * x * y)
+
+    spaces = list(corner_elements(coarse_mesh))
+    assert len(spaces) >= 4
+    for space, (a, b, c) in spaces:
+        want = graded_tri_recursion(a, b, c, func)
+        assert abs(_volume_analytic(space, func) - want) <= 1e-13 * abs(want)
+
+
+def test_graded_rule_is_exact_for_degree_8(coarse_mesh):
+    """Positive barycentric monomials of total degree 8 on every corner element."""
+    rng = np.random.default_rng(7)
+    powers = [(i, j, 8 - i - j) for i in range(9) for j in range(9 - i)]
+    coef = rng.uniform(0.5, 1.5, len(powers))
+    for space, v in corner_elements(coarse_mesh):
+        T = np.stack([v[1] - v[0], v[2] - v[0]], axis=-1)
+
+        def poly(x, y):
+            l2, l3 = np.linalg.solve(T, np.stack([x - v[0, 0], y - v[0, 1]]))
+            bary = (1.0 - l2 - l3, l2, l3)
+            return sum(c * bary[0] ** i * bary[1] ** j * bary[2] ** k
+                       for c, (i, j, k) in zip(coef, powers))
+
+        area = space.areas[0]
+        exact = sum(c * 2.0 * area * math.factorial(i) * math.factorial(j)
+                    * math.factorial(k) / math.factorial(10)
+                    for c, (i, j, k) in zip(coef, powers))
+        assert abs(_volume_analytic(space, poly) - exact) <= 1e-14 * exact
+
+
+# -- invariance ----------------------------------------------------------------
+
+ROTATION = 0.37
+
+
+def rotated(field):
+    """The vector field x -> R field(R^T x), R the rotation by ROTATION."""
+    c, s = math.cos(ROTATION), math.sin(ROTATION)
+    R = np.array([[c, -s], [s, c]])
+
+    def out(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.asarray(field(c * x + s * y, -s * x + c * y)) @ R.T
+
+    return out, R
+
+
+@pytest.mark.parametrize("case, extract, material", [
+    ("penalized", extract_sifs_penalized, MAT),
+    ("stokes", extract_sifs_stokes, MaterialParams(1.0, 0.0))])
+def test_coefficients_invariant_under_rotation(coarse_mesh, case, extract,
+                                               material):
+    """Rotating the domain, mesh and data together leaves c1 and c2 alone.
+
+    The rotated interior straddles the arctan2 branch cut at theta = pi.
+    """
+    data, _ = manufactured_data(coarse_mesh, case, material)
+    rep = extract(data)
+    f, R = rotated(data.f)
+    polygon = build_polygon(lshape_vertices(1.0) @ R.T)
+    assert polygon.omega2 > math.pi
+    traces = {t: rotated(g)[0] for t, g in data.g.traces.items()}
+    turned = extract(replace(
+        data, polygon=polygon, f=f, g=BoundaryData(traces=traces, zeta=None),
+        mesh=replace(coarse_mesh, nodes=coarse_mesh.nodes @ R.T)))
+    for key in ("c1", "c2"):
+        want = getattr(rep, key)
+        assert abs(getattr(turned, key) - want) <= 1e-9 * abs(want)
 
 
 # -- reuse of the data-independent half --------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sif_lab.cli import main
+from sif_lab.extraction import _mesh_id
 from sif_lab.harness import (SCHEMA, SWEEP_COLUMNS, ConfigError, SweepRecord,
                              build_data, build_domain, emit, load_config,
                              run_eps_sweep, run_manufactured)
@@ -176,6 +177,13 @@ def test_eps_sweep_factors_once_per_material(monkeypatch):
     out = run_eps_sweep(load_config(cfg_text))
     assert len(out["records"]) == 4
     assert len(calls) == 5
+
+
+def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
+    cfg = load_config(SWEEP_CFG.replace(
+        "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4"))
+    _, mesh = build_domain(cfg)
+    assert run_eps_sweep(cfg)["mesh_id"] == _mesh_id(mesh)
 
 
 # -- CLI -----------------------------------------------------------------------

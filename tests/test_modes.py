@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from sif_lab.geometry import lshape_polygon
 from sif_lab.modes import (CornerFrame, FamilyMismatch, IndexOutOfRange,
-                           NonpositiveRadius, make_mode, trace_on_edge)
+                           NonpositiveRadius, make_mode, map_theta,
+                           trace_on_edge)
 from sif_lab.spectral import MaterialParams, lame_exponents, stokes_exponents
 
 FRAME = CornerFrame(-math.pi / 2, math.pi)
@@ -157,6 +158,17 @@ def test_rotation_consistency(phi, r, that):
 
 
 # -- errors ------------------------------------------------------------------
+
+@pytest.mark.parametrize("rotation", [0.0, 0.37, -2.0])
+def test_map_theta_is_continuous_across_both_rays(rotation):
+    """Interior angles come back unwrapped; a hair outside a ray stays by it."""
+    frame = CornerFrame(FRAME.omega1 + rotation, FRAME.omega2 + rotation)
+    inside = np.linspace(frame.omega1 + 1e-3, frame.omega2 - 1e-3, 101)
+    rays = np.array([frame.omega1 - 1e-9, frame.omega2 + 1e-9])
+    for want in (inside, rays):
+        got = map_theta(np.arctan2(np.sin(want), np.cos(want)), frame)
+        assert np.max(np.abs(got - want)) < 1e-12
+
 
 def test_error_conditions():
     with pytest.raises(IndexOutOfRange):
