@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .modes import CornerFrame, SingularMode, make_mode
-from .spectral import MaterialParams, lame_exponents, stokes_exponents
+from .spectral import MaterialParams, exponent_table, stokes_exponents
 
 __all__ = [
     "AngularIntegrals",
@@ -76,8 +76,7 @@ def gauss_nodes(n: int, a: float, b: float):
 def _pair(family: str, frame: CornerFrame, material: MaterialParams, index: int,
           table=None) -> tuple[SingularMode, SingularMode]:
     if table is None:
-        table = (lame_exponents(frame.omega, material.C) if family == "lame"
-                 else stokes_exponents(frame.omega))
+        table = exponent_table(family, frame.omega, material.C)
     primal = make_mode(family, "primal", index, frame, material, table)
     dual = make_mode(family, "dual", index, frame, material, table)
     return primal, dual

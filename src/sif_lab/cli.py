@@ -2,15 +2,13 @@
 
 Subcommands cover the analytic layers (eigen, mode, gamma, identity-check),
 the discrete layers (solve, extract) and the experiment drivers (sweep,
-manufactured).  Tabular output is CSV on stdout unless --out is given.
+manufactured).  Tabular output is CSV on stdout unless --out is given;
+every subcommand writes through harness.emit.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import logging
 import sys
 
@@ -19,36 +17,19 @@ import numpy as np
 from .angular import GammaNearZero, check_ij_identity, gamma_lame, gamma_stokes
 from .extraction import (CornerDataNonzero, ProblemData, ZetaCornerNonzero,
                          extract_sifs_penalized, extract_sifs_stokes)
-from .fem import (MeshMismatch, SingularSystem, SolverBreakdown,
-                  apply_dirichlet, assemble, norms, solve)
+from .fem import (MeshMismatch, MixedOperator, P2Space, SingularSystem,
+                  SolverBreakdown, dirichlet_values, load_vector, norms)
 from .geometry import MeshFormatError
 from .harness import (ConfigError, build_data, build_domain, emit,
                       load_config, run_eps_sweep, run_manufactured)
 from .modes import CornerFrame, make_mode
-from .spectral import MaterialParams, lame_exponents, stokes_exponents
+from .spectral import MaterialParams, exponent_table
 
 log = logging.getLogger(__name__)
 
 # Named library errors that end a run with one line on stderr.
 _RUN_ERRORS = (SingularSystem, SolverBreakdown, MeshMismatch, CornerDataNonzero,
                ZetaCornerNonzero, GammaNearZero, MeshFormatError)
-
-
-def _write(text: str, path: str | None):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _csv_rows(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    for r in rows:
-        w.writerow(r)
-    return buf.getvalue()
 
 
 def _eps_values(args) -> list[float]:
@@ -60,62 +41,56 @@ def _eps_values(args) -> list[float]:
 
 def cmd_eigen(args) -> int:
     material = MaterialParams(args.mu, args.eps)
-    if args.family == "lame":
-        table = lame_exponents(args.omega, material.C)
-    else:
-        table = stokes_exponents(args.omega)
-    row = [table.family, table.omega, table.C,
-           *table.exponents, table.mode_count, *table.residuals]
-    _write(_csv_rows(
-        ["family", "omega", "C", "e1", "e2", "e3", "modes", "res1", "res2", "res3"],
-        [row]), args.out)
+    table = exponent_table(args.family, args.omega, material.C)
+    row = {"family": table.family, "omega": table.omega, "C": table.C,
+           **dict(zip(("e1", "e2", "e3"), table.exponents)),
+           "modes": table.mode_count,
+           **dict(zip(("res1", "res2", "res3"), table.residuals))}
+    emit([row], format="csv", path=args.out)
     return 0
 
 
 def cmd_mode(args) -> int:
     material = MaterialParams(args.mu, args.eps)
     frame = CornerFrame(0.0, args.omega)
-    table = (lame_exponents(args.omega, material.C) if args.family == "lame"
-             else stokes_exponents(args.omega))
+    table = exponent_table(args.family, args.omega, material.C)
     mode = make_mode(args.family, args.kind, args.index, frame, material, table)
     r, theta = (float(t) for t in args.at.split(","))
     v = mode.eval(r, theta)
     G = mode.eval_grad(r, theta)
-    extra = (mode.eval_div_scaled(r, theta) if args.family == "lame"
-             else mode.eval_pressure(r, theta))
-    header = ["family", "kind", "index", "a", "r", "theta",
-              "vx", "vy", "g11", "g12", "g21", "g22",
-              "div_scaled" if args.family == "lame" else "pressure"]
-    row = [mode.family, mode.kind, mode.index, mode.a, r, theta,
-           v[0], v[1], G[0, 0], G[0, 1], G[1, 0], G[1, 1], float(extra)]
-    _write(_csv_rows(header, [row]), args.out)
+    if args.family == "lame":
+        extra = {"div_scaled": float(mode.eval_div_scaled(r, theta))}
+    else:
+        extra = {"pressure": float(mode.eval_pressure(r, theta))}
+    row = {"family": mode.family, "kind": mode.kind, "index": mode.index,
+           "a": mode.a, "r": r, "theta": theta, "vx": v[0], "vy": v[1],
+           "g11": G[0, 0], "g12": G[0, 1], "g21": G[1, 0], "g22": G[1, 1], **extra}
+    emit([row], format="csv", path=args.out)
     return 0
 
 
 def cmd_gamma(args) -> int:
     frame = CornerFrame(0.0, args.omega)
-    rows = []
     if args.family == "stokes":
-        g = gamma_stokes(args.index, frame)
-        rows.append(["stokes", args.index, "", g.gamma, g.order, g.quad_error])
+        runs = [("", gamma_stokes(args.index, frame))]
     else:
-        for eps in _eps_values(args):
-            g = gamma_lame(args.index, MaterialParams(args.mu, eps), frame)
-            rows.append(["lame", args.index, eps, g.gamma, g.order, g.quad_error])
-    _write(_csv_rows(["family", "index", "eps", "gamma", "order", "quad_error"],
-                     rows), args.out)
+        runs = [(eps, gamma_lame(args.index, MaterialParams(args.mu, eps), frame))
+                for eps in _eps_values(args)]
+    rows = [{"family": args.family, "index": args.index, "eps": eps,
+             "gamma": g.gamma, "order": g.order, "quad_error": g.quad_error}
+            for eps, g in runs]
+    emit(rows, format="csv", path=args.out)
     return 0
 
 
 def cmd_identity_check(args) -> int:
     frame = CornerFrame(0.0, args.omega)
+    keys = ("index", "eps", "max_deviation", "scale", "sup_kappa")
     rows = []
     for eps in _eps_values(args):
         rep = check_ij_identity(args.index, MaterialParams(args.mu, eps), frame)
-        rows.append([rep["index"], rep["eps"], rep["max_deviation"],
-                     rep["scale"], rep["sup_kappa"]])
-    _write(_csv_rows(["index", "eps", "max_deviation", "scale", "sup_kappa"],
-                     rows), args.out)
+        rows.append({k: rep[k] for k in keys})
+    emit(rows, format="csv", path=args.out)
     return 0
 
 
@@ -125,23 +100,21 @@ def cmd_solve(args) -> int:
     mu = float(cfg.material["mu"])
     material = MaterialParams(mu, args.eps)
     f, g, zeta = build_data(cfg, polygon)
-    system = assemble(mesh, material, f=f, zeta=zeta)
-    system = apply_dirichlet(system, g.traces)
-    field = solve(system)
+    space = P2Space(mesh)
+    field = MixedOperator(space, material).solve(
+        load_vector(space, f, zeta), dirichlet_values(space, g.traces))
     nm = norms(field)
     for k, v in nm.items():
         print(f"{k} = {v:.12e}")
     print(f"solver_residual = {field.residual:.3e}")
     if material.eps == 0.0:
         print(f"flux_defect = {field.flux_defect:.12e}")
-    coords = field.space.dof_coords
+    coords = space.dof_coords
     Np = mesh.n_nodes
-    rows = []
-    for i in range(field.space.n_scalar):
-        p = field.p[i] if i < Np else ""
-        rows.append([coords[i, 0], coords[i, 1], field.ux[i], field.uy[i], p])
-    out = args.out or cfg.output.get("path")
-    _write(_csv_rows(["x", "y", "ux", "uy", "p"], rows), out)
+    rows = [{"x": coords[i, 0], "y": coords[i, 1], "ux": field.ux[i],
+             "uy": field.uy[i], "p": field.p[i] if i < Np else ""}
+            for i in range(space.n_scalar)]
+    emit(rows, format="csv", path=args.out or cfg.output.get("path"))
     return 0
 
 
@@ -150,27 +123,19 @@ def cmd_extract(args) -> int:
     polygon, mesh = build_domain(cfg)
     mu = float(cfg.material["mu"])
     f, g, zeta = build_data(cfg, polygon)
-    if args.family == "penalized":
-        material = MaterialParams(mu, args.eps)
-        data = ProblemData(polygon=polygon, mesh=mesh, material=material,
-                           g=g, f=f)
-        rep = extract_sifs_penalized(data)
-    else:
-        material = MaterialParams(mu, 0.0)
-        data = ProblemData(polygon=polygon, mesh=mesh, material=material,
-                           g=g, f=f, zeta=zeta)
-        rep = extract_sifs_stokes(data)
+    # The penalized family ignores zeta; the Stokes one sets eps = 0 itself.
+    data = ProblemData(polygon=polygon, mesh=mesh, material=MaterialParams(mu, args.eps),
+                       g=g, f=f, zeta=zeta)
+    extract = {"penalized": extract_sifs_penalized, "stokes": extract_sifs_stokes}
+    rep = extract[args.family](data)
     payload = {"schema": "sif-lab/1", "family": rep.family, "eps": rep.eps,
                "gamma1": rep.gamma1, "gamma2": rep.gamma2,
                "C1": rep.C1, "C2": rep.C2, "Cstar": rep.Cstar,
                "c1": rep.c1, "c2": rep.c2, "terms": rep.terms,
                "mesh_id": rep.mesh_id}
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    line = _csv_rows(
-        ["family", "eps", "gamma1", "gamma2", "C1", "C2", "Cstar", "c1", "c2"],
-        [[rep.family, rep.eps, rep.gamma1, rep.gamma2, rep.C1, rep.C2,
-          rep.Cstar, rep.c1, rep.c2]])
-    sys.stdout.write(line)
+    emit(payload, format="json", path=args.out)
+    summary = ("family", "eps", "gamma1", "gamma2", "C1", "C2", "Cstar", "c1", "c2")
+    emit([{k: payload[k] for k in summary}], format="csv")
     return 0
 
 

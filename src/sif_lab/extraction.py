@@ -17,6 +17,12 @@ Quadrature policy:
   * everything paired with the finite element corrector uses standard rules
     on the solve mesh.
 
+Families: the penalized and the Stokes extraction run the same code.  What
+differs between them (the mode family, the normalizer, the scale of the dual
+weight, the pressure-like part of a mode, whether the divergence source
+enters, the reported eps and the order of the report's terms) is one entry of
+the _FAMILY table.
+
 Reuse: c1 = C1/gamma1 and c2 = (C2 + c1*Cstar)/gamma2 are fixed linear
 functionals of the data.  The exponent table, the dual modes, gamma1 and
 gamma2, the corrector fields and Cstar depend only on the mesh, the polygon,
@@ -35,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +50,7 @@ from .fem import (MeshMismatch, MixedField, MixedOperator, P2Space, p1_shape,
                   p2_shape, p2_shape_grad, solve_psi, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh
 from .modes import SingularMode, make_mode, map_theta
-from .spectral import MaterialParams, lame_exponents, stokes_exponents
+from .spectral import MaterialParams, exponent_table
 
 log = logging.getLogger(__name__)
 
@@ -54,10 +61,6 @@ __all__ = [
     "ZetaCornerNonzero",
     "GammaNearZero",
     "MeshMismatch",
-    "compute_Ci_penalized",
-    "compute_Cstar_penalized",
-    "compute_Ci_stokes",
-    "compute_Cstar_stokes",
     "extract_sifs_penalized",
     "extract_sifs_stokes",
     "regular_part",
@@ -81,6 +84,54 @@ class CornerDataNonzero(Exception):
 
 class ZetaCornerNonzero(Exception):
     """The divergence source does not vanish at the re-entrant corner."""
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What differs between the penalized and the Stokes extraction.
+
+    modes      : mode family of the exponent table and the modes
+    gamma      : (index, material, frame, (primal, dual), table) -> normalizer
+    dual_scale : mu -> factor of the dual mode in the dual weight
+    sigma      : (mode, r, theta) -> pressure-like part paired with g.n: the
+                 scaled divergence, or minus the pressure
+    zeta       : whether the divergence source enters
+    eps        : whether the report carries eps
+    terms      : key order of SifReport.terms
+    """
+
+    modes: str
+    gamma: Callable
+    dual_scale: Callable
+    sigma: Callable
+    zeta: bool
+    eps: bool
+    terms: tuple
+
+
+# The lambdas look up gamma_lame/gamma_stokes at call time, so a replaced
+# module attribute is what runs.
+_FAMILY = {
+    "penalized": _Family(
+        modes="lame",
+        gamma=lambda i, material, frame, modes, table: gamma_lame(
+            i, material, frame, modes=modes),
+        dual_scale=lambda mu: 1.0,
+        sigma=lambda mode, r, theta: mode.eval_div_scaled(r, theta),
+        zeta=False, eps=True,
+        terms=("C1", "C2", "Cstar", "psi_residuals", "psi_flux_defects",
+               "gamma_quad_errors")),
+    "stokes": _Family(
+        modes="stokes",
+        gamma=lambda i, material, frame, modes, table: gamma_stokes(
+            i, frame, modes=modes, table=table),
+        dual_scale=lambda mu: mu,
+        sigma=lambda mode, r, theta: -mode.eval_pressure(r, theta),
+        zeta=True, eps=False,
+        terms=("C1", "psi_residuals", "psi_flux_defects", "gamma_quad_errors",
+               "mode_count", "C2", "Cstar")),
+}
+_BY_MODES = {fam.modes: fam for fam in _FAMILY.values()}
 
 
 @dataclass(frozen=True)
@@ -111,8 +162,9 @@ class ProblemData:
     f        : callable (x, y) -> (..., 2) volume force, or None for zero
     g        : Dirichlet boundary data (per-edge traces)
     zeta     : callable (x, y) -> (...) divergence source (Stokes only), or None
-    operator : factored MixedOperator of (mesh, material) to reuse, or None
-               to have the extraction build its own
+    operator : MixedOperator(P2Space(mesh), material) to reuse, or None to
+               have the extraction build its own; one built on other nodes,
+               triangles or boundary edges raises MeshMismatch
     """
 
     polygon: CornerPolygon
@@ -142,8 +194,7 @@ def _check_operator(data: ProblemData, material: MaterialParams) -> None:
     op = data.operator
     if op is None:
         return
-    if op.space.mesh is not data.mesh and not np.array_equal(
-            op.space.mesh.nodes, data.mesh.nodes):
+    if not data.mesh.same_as(op.space.mesh):
         raise MeshMismatch("operator was built on a different mesh")
     if op.material != material:
         raise ValueError(f"operator material {op.material} does not match "
@@ -219,6 +270,8 @@ def _boundary_analytic(edge, g, dual: SingularMode, mu: float) -> float:
     Penalized:  mu g . dn(Phi~)  + (g.n) (div Phi~)/eps    (closed form)
     Stokes:     mu g . dn(mu Phi~) - (g.n) (mu phi~)
     """
+    fam = _BY_MODES[dual.family]
+    s = fam.dual_scale(mu)
     pts, w = _edge_rule(edge)
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     n = edge.normal
@@ -226,12 +279,10 @@ def _boundary_analytic(edge, g, dual: SingularMode, mu: float) -> float:
     G = dual.eval_grad(r, theta)
     dn = np.einsum("...kl,l->...k", G, n)
     gdotn = gv @ n
-    if dual.family == "lame":
-        vals = mu * np.einsum("...k,...k->...", gv, dn) \
-            + gdotn * dual.eval_div_scaled(r, theta)
-    else:
-        vals = mu * mu * np.einsum("...k,...k->...", gv, dn) \
-            - gdotn * mu * dual.eval_pressure(r, theta)
+    # s = 1.0 and the sign inside sigma multiply exactly, so each family keeps
+    # its own floating point expression.
+    vals = mu * s * np.einsum("...k,...k->...", gv, dn) \
+        + gdotn * s * fam.sigma(dual, r, theta)
     return float(edge.length * np.dot(w, vals))
 
 
@@ -357,30 +408,29 @@ def _volume_fem(space: P2Space, f, zeta, psi: MixedField) -> tuple[float, float]
 
 def _ci_terms(data: ProblemData, dual: SingularMode, psi: MixedField,
               space: P2Space) -> tuple[float, dict]:
-    """Shared implementation of the coefficient functional for either family."""
+    """Coefficient functional of data against the dual weight (dual, psi).
+
+    Returns the value and its parts by term.  It does not check its input.
+    """
     mu = data.material.mu
-    family = dual.family
+    fam = _BY_MODES[dual.family]
+    s = fam.dual_scale(mu)
+    zeta = data.zeta if fam.zeta else None
     parts: dict = {}
 
     vol = 0.0
     if data.f is not None:
-        if family == "lame":
-            def f_dot_dual(x, y):
-                fv = np.asarray(data.f(x, y), dtype=float)
-                dv = dual.eval_xy(x, y)
-                return np.einsum("...k,...k->...", fv, dv)
-        else:
-            def f_dot_dual(x, y):
-                fv = np.asarray(data.f(x, y), dtype=float)
-                dv = mu * dual.eval_xy(x, y)
-                return np.einsum("...k,...k->...", fv, dv)
+        def f_dot_dual(x, y):
+            fv = np.asarray(data.f(x, y), dtype=float)
+            dv = s * dual.eval_xy(x, y)
+            return np.einsum("...k,...k->...", fv, dv)
         parts["volume_f_dual"] = _volume_analytic(space, f_dot_dual)
         vol += parts["volume_f_dual"]
-    f_psi, z_psi = _volume_fem(space, data.f, data.zeta if family == "stokes" else None, psi)
+    f_psi, z_psi = _volume_fem(space, data.f, zeta, psi)
     if data.f is not None:
         parts["volume_f_psi"] = f_psi
         vol += f_psi
-    if family == "stokes" and data.zeta is not None:
+    if zeta is not None:
         def zeta_dual_p(x, y):
             zv = np.asarray(data.zeta(x, y), dtype=float)
             r, theta = _polar(np.stack([x, y], axis=-1), dual.frame)
@@ -398,31 +448,6 @@ def _ci_terms(data: ProblemData, dual: SingularMode, psi: MixedField,
         parts[f"boundary_edge_{edge.tag}"] = val
         bnd_total += val
     return vol - bnd_total, parts
-
-
-def compute_Ci_penalized(data: ProblemData, i: int, dual: SingularMode,
-                         psi: MixedField) -> float:
-    """Coefficient functional of penalized mode i against its dual weight."""
-    if dual.family != "lame" or dual.kind != "dual" or dual.index != i:
-        raise ValueError(f"expected the penalized dual mode of index {i}")
-    if psi.mesh is not data.mesh and not np.array_equal(psi.mesh.nodes, data.mesh.nodes):
-        raise MeshMismatch("corrector field was solved on a different mesh")
-    _check_corner_data(data)
-    value, _ = _ci_terms(data, dual, psi, psi.space)
-    return value
-
-
-def compute_Ci_stokes(data: ProblemData, i: int, dual: SingularMode,
-                      psi: MixedField) -> float:
-    """Coefficient functional of Stokes mode i (velocity + pressure pairing)."""
-    if dual.family != "stokes" or dual.kind != "dual" or dual.index != i:
-        raise ValueError(f"expected the Stokes dual mode of index {i}")
-    if psi.mesh is not data.mesh and not np.array_equal(psi.mesh.nodes, data.mesh.nodes):
-        raise MeshMismatch("corrector field was solved on a different mesh")
-    _check_corner_data(data)
-    _check_corner_zeta(data)
-    value, _ = _ci_terms(data, dual, psi, psi.space)
-    return value
 
 
 def _cstar_terms(primal1: SingularMode, dual2: SingularMode, psi2: MixedField,
@@ -447,26 +472,6 @@ def _cstar_terms(primal1: SingularMode, dual2: SingularMode, psi2: MixedField,
         parts[f"cross_edge_{edge.tag}"] = val
         total += val
     return total, parts
-
-
-def compute_Cstar_penalized(primal1: SingularMode, dual2: SingularMode,
-                            psi2: MixedField, polygon: CornerPolygon) -> float:
-    if primal1.family != "lame" or primal1.kind != "primal" or primal1.index != 1:
-        raise ValueError("expected the first penalized primal mode")
-    if dual2.family != "lame" or dual2.kind != "dual" or dual2.index != 2:
-        raise ValueError("expected the second penalized dual mode")
-    value, _ = _cstar_terms(primal1, dual2, psi2, polygon, primal1.mu)
-    return value
-
-
-def compute_Cstar_stokes(primal1: SingularMode, dual2: SingularMode,
-                         psi2: MixedField, polygon: CornerPolygon) -> float:
-    if primal1.family != "stokes" or primal1.kind != "primal" or primal1.index != 1:
-        raise ValueError("expected the first Stokes primal mode")
-    if dual2.family != "stokes" or dual2.kind != "dual" or dual2.index != 2:
-        raise ValueError("expected the second Stokes dual mode")
-    value, _ = _cstar_terms(primal1, dual2, psi2, polygon, primal1.mu)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -511,24 +516,18 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
     _check_operator(data, material)
     w = _last_weights
     if (w is not None and w.mesh is data.mesh and w.polygon is data.polygon
-            and w.material == material and w.family == family):
+            and (w.material, w.family) == (material, family)):
         return w
     _last_weights = w = None
 
+    fam = _FAMILY[family]
     frame = data.polygon.frame
-    kind = "lame" if family == "penalized" else "stokes"
-    table = (lame_exponents(frame.omega, material.C) if kind == "lame"
-             else stokes_exponents(frame.omega))
+    table = exponent_table(fam.modes, frame.omega, material.C)
     indices = range(1, table.mode_count + 1)
-    primals = [make_mode(kind, "primal", i, frame, material, table) for i in indices]
-    duals = tuple(make_mode(kind, "dual", i, frame, material, table) for i in indices)
-    pairs = list(zip(primals, duals))
-    if kind == "lame":
-        gammas = tuple(gamma_lame(i, material, frame, modes=m)
-                       for i, m in enumerate(pairs, 1))
-    else:
-        gammas = tuple(gamma_stokes(i, frame, modes=m, table=table)
-                       for i, m in enumerate(pairs, 1))
+    primals = [make_mode(fam.modes, "primal", i, frame, material, table) for i in indices]
+    duals = tuple(make_mode(fam.modes, "dual", i, frame, material, table) for i in indices)
+    gammas = tuple(fam.gamma(i, material, frame, m, table)
+                   for i, m in enumerate(zip(primals, duals), 1))
     op = data.operator
     if op is None:
         op = MixedOperator(P2Space(data.mesh), material)
@@ -549,8 +548,9 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
 
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
     """Corner checks, the (reused) dual weights, then the data functionals."""
+    fam = _FAMILY[family]
     _check_corner_data(data)
-    if family == "stokes":
+    if fam.zeta:
         _check_corner_zeta(data)
     w = _dual_weights(data, material, family)
     space = w.psi[0].space
@@ -563,16 +563,15 @@ def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifRep
         C2, t2 = _ci_terms(data, w.duals[1], w.psi[1], space)
         c2 = (C2 + c1 * w.Cstar) / gamma2
         second = {"C2": t2, "Cstar": dict(w.cstar_terms)}
-    health = {"psi_residuals": [p.residual for p in w.psi],
-              "psi_flux_defects": [p.flux_defect for p in w.psi],
-              "gamma_quad_errors": [g.quad_error for g in w.gammas]}
-    if family == "penalized":
-        terms = {"C1": t1, **second, **health}
-    else:
-        terms = {"C1": t1, **health, "mode_count": len(w.duals), **second}
+    parts = {"C1": t1, **second,
+             "psi_residuals": [p.residual for p in w.psi],
+             "psi_flux_defects": [p.flux_defect for p in w.psi],
+             "gamma_quad_errors": [g.quad_error for g in w.gammas],
+             "mode_count": len(w.duals)}
+    terms = {k: parts[k] for k in fam.terms if k in parts}
     log.info("%s extraction: c1=%.6g c2=%s (eps=%g)", family, c1, c2, material.eps)
     return SifReport(
-        family=family, eps=material.eps if family == "penalized" else None,
+        family=family, eps=material.eps if fam.eps else None,
         gamma1=w.gammas[0].gamma, gamma2=gamma2, C1=C1, C2=C2, Cstar=w.Cstar,
         c1=c1, c2=c2, terms=terms, mesh_id=w.mesh_id)
 
@@ -635,9 +634,6 @@ def regular_part(u: MixedField, report: SifReport, modes) -> tuple[MixedField, n
     theta = map_theta(np.arctan2(nodes[:, 1], nodes[:, 0]), modes[0].frame)
     sigma = u.p.copy()
     for c, mode in zip(coeffs, modes):
-        if mode.family == "lame":
-            sigma += c * mode.eval_div_scaled(rc, theta)
-        else:
-            sigma -= c * mode.eval_pressure(rc, theta)
+        sigma += c * _BY_MODES[mode.family].sigma(mode, rc, theta)
     w = MixedField(space=space, material=u.material, ux=ux, uy=uy, p=sigma)
     return w, sigma

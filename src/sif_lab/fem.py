@@ -6,9 +6,14 @@ The weak form solved is
     (div u, q) + eps (p, q)          = (zeta, q)
 
 assembled as one symmetric indefinite sparse system, with the velocity
-prescribed on the whole boundary.  A MixedOperator holds that system for one
-(mesh, material) and factors its free block once, by a deterministic direct
-LU; every solve on that mesh and material reuses the factorization.
+prescribed on the whole boundary.  A MixedOperator is the one way to solve it:
+it assembles the matrix of one (mesh, material) and factors its free block
+once, by a deterministic direct LU; every solve on that mesh and material
+reuses the factorization.  A solve takes the load vector (load_vector) and
+the prescribed boundary values (dirichlet_values):
+
+    op = MixedOperator(space, material)
+    field = op.solve(load_vector(space, f, zeta), dirichlet_values(space, traces))
 
 At eps = 0 the pressure is only determined up to a constant.  Summing the
 pressure rows eliminates the free velocity (a field vanishing on the boundary
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,14 +47,10 @@ __all__ = [
     "SingularSystem",
     "MeshMismatch",
     "P2Space",
-    "SparseSystem",
     "MixedField",
     "MixedOperator",
-    "assemble",
     "load_vector",
     "dirichlet_values",
-    "apply_dirichlet",
-    "solve",
     "solve_psi",
     "norms",
     "diff_norms",
@@ -240,18 +241,6 @@ class P2Space:
 
 
 @dataclass
-class SparseSystem:
-    """Assembled mixed system; apply_dirichlet sets constrained and values."""
-
-    space: P2Space
-    material: MaterialParams
-    K: sp.csr_matrix
-    rhs: np.ndarray
-    constrained: np.ndarray | None = None     # bool mask over all dofs
-    values: np.ndarray | None = None          # prescribed values where constrained
-
-
-@dataclass
 class MixedField:
     """P2 velocity + P1 pressure coefficients on one mesh.
 
@@ -284,32 +273,20 @@ class MixedField:
         gy = np.einsum("qid,i->qd", G, self.uy[dofs])
         return np.stack([gx, gy], axis=1)
 
-    def velocity_at(self, m, ref_pts):
-        N = p2_shape(np.atleast_2d(ref_pts))
-        dofs = self.space.tri_dofs[m]
-        return np.stack([N @ self.ux[dofs], N @ self.uy[dofs]], axis=-1)
-
     def pressure_at(self, m, ref_pts):
         L = p1_shape(np.atleast_2d(ref_pts))
         return L @ self.p[self.mesh.tris[m]]
 
     def minus(self, other: "MixedField") -> "MixedField":
-        if other.space is not self.space and not np.array_equal(
-                other.mesh.nodes, self.mesh.nodes):
+        if other.space is not self.space and not self.mesh.same_as(other.mesh):
             raise MeshMismatch("fields live on different meshes")
         return MixedField(space=self.space, material=self.material,
                           ux=self.ux - other.ux, uy=self.uy - other.uy,
                           p=self.p - other.p)
 
 
-def assemble(mesh: TriMesh, material: MaterialParams, f=None, zeta=None,
-             space: P2Space | None = None) -> SparseSystem:
-    """Taylor-Hood discretization of the mixed weak form.
-
-    f    : callable (x, y) -> (..., 2) volume force, or None for zero
-    zeta : callable (x, y) -> (...)    prescribed divergence source, or None
-    """
-    space = space or P2Space(mesh)
+def _mixed_matrix(space: P2Space, material: MaterialParams) -> sp.csr_matrix:
+    """Taylor-Hood matrix of the mixed weak form on space, for material."""
     mu, eps = material.mu, material.eps
     pts, w = tri_quadrature(5)
     Gref = p2_shape_grad(pts)                 # (q, 6, 2)
@@ -346,15 +323,17 @@ def assemble(mesh: TriMesh, material: MaterialParams, f=None, zeta=None,
     add(pd + P0, pd + P0, -eps * Me)
 
     ndof = space.n_dofs
-    K = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ndof, ndof)).tocsr()
-    return SparseSystem(space=space, material=material, K=K,
-                        rhs=load_vector(space, f, zeta))
 
 
 def load_vector(space: P2Space, f=None, zeta=None) -> np.ndarray:
-    """Right-hand side of the mixed system; see assemble for f and zeta."""
+    """Right-hand side of the mixed system.
+
+    f    : callable (x, y) -> (..., 2) volume force, or None for zero
+    zeta : callable (x, y) -> (...)    prescribed divergence source, or None
+    """
     rhs = np.zeros(space.n_dofs)
     if f is None and zeta is None:
         return rhs
@@ -415,12 +394,6 @@ def dirichlet_values(space: P2Space, traces: dict) -> np.ndarray:
     return out
 
 
-def apply_dirichlet(system: SparseSystem, traces: dict) -> SparseSystem:
-    """Pin both velocity components at every boundary P2 node to the traces."""
-    return replace(system, constrained=_dirichlet_mask(system.space),
-                   values=dirichlet_values(system.space, traces))
-
-
 class MixedOperator:
     """The mixed system of one (mesh, material), its free block factored once.
 
@@ -431,13 +404,10 @@ class MixedOperator:
     vector and any Dirichlet values.
     """
 
-    def __init__(self, space: P2Space, material: MaterialParams, K=None):
-        """K is the assembled matrix of (space, material) if already at hand."""
+    def __init__(self, space: P2Space, material: MaterialParams):
         self.space = space
         self.material = material
-        if K is None:
-            K = assemble(space.mesh, material, space=space).K
-        self.K = K.tocsr()
+        self.K = _mixed_matrix(space, material)
         self.constrained = _dirichlet_mask(space)
         free = ~self.constrained
         self.pressure_mass = None
@@ -495,14 +465,6 @@ class MixedOperator:
         return MixedField(space=self.space, material=self.material,
                           ux=x[:S], uy=x[S:2 * S], p=p, gauge=gauge,
                           residual=resid, flux_defect=flux_defect)
-
-
-def solve(system: SparseSystem) -> MixedField:
-    """One solve of an assembled system with its Dirichlet data applied."""
-    if system.values is None:
-        raise ValueError("solve needs the Dirichlet data: call apply_dirichlet first")
-    operator = MixedOperator(system.space, system.material, K=system.K)
-    return operator.solve(system.rhs, system.values)
 
 
 def solve_psi(dual_mode: SingularMode, mesh: TriMesh, material: MaterialParams,

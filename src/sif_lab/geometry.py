@@ -229,6 +229,12 @@ class TriMesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
+    def same_as(self, other: "TriMesh") -> bool:
+        """True if other is this mesh or has equal nodes, tris and bedges."""
+        return other is self or all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in ("nodes", "tris", "bedges"))
+
     def areas(self) -> np.ndarray:
         p = self.nodes[self.tris]
         return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])

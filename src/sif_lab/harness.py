@@ -25,7 +25,7 @@ from .extraction import (ProblemData, extract_sifs_penalized,
 from .fem import MixedOperator, P2Space, diff_norms, dirichlet_values, load_vector
 from .geometry import BoundaryData, CornerPolygon, TriMesh, generate_lshape_mesh, lshape_polygon
 from .modes import make_mode
-from .spectral import MaterialParams, lame_exponents, stokes_exponents
+from .spectral import MaterialParams, exponent_table, lame_exponents, stokes_exponents
 
 log = logging.getLogger(__name__)
 
@@ -319,12 +319,10 @@ def _extract_with_regular_part(polygon: CornerPolygon, space: P2Space,
     op = MixedOperator(space, material)
     data = ProblemData(polygon=polygon, mesh=space.mesh, material=material,
                        g=g, f=f, zeta=zeta, operator=op)
-    if material.eps == 0.0:
-        rep = extract_sifs_stokes(data)
-        family, table = "stokes", stokes_exponents(frame.omega)
-    else:
-        rep = extract_sifs_penalized(data)
-        family, table = "lame", lame_exponents(frame.omega, material.C)
+    stokes = material.eps == 0.0
+    rep = (extract_sifs_stokes if stokes else extract_sifs_penalized)(data)
+    family = "stokes" if stokes else "lame"
+    table = exponent_table(family, frame.omega, material.C)
     u = op.solve(load_vector(space, f, zeta), dirichlet_values(space, g.traces))
     modes = [make_mode(family, "primal", i, frame, material, table)
              for i in range(1, (2 if rep.c2 is not None else 1) + 1)]
@@ -411,8 +409,9 @@ def _jsonable(obj):
 def emit(report, format: str = "json", path: str | None = None) -> str:
     """Serialize a report and write it to path (or stdout); returns the text.
 
-    CSV is available for row tables (reports carrying "records" or "rows");
-    everything serializes to JSON under the versioned schema.
+    CSV is available for row tables: a list of row dicts, whose first row's
+    keys are the header, or a report carrying "records" or "rows".
+    Everything serializes to JSON.
     """
     if format == "json":
         text = json.dumps(_jsonable(report), indent=2) + "\n"
@@ -424,16 +423,10 @@ def emit(report, format: str = "json", path: str | None = None) -> str:
             rows = report.get("rows")
         if rows is None:
             raise ValueError("CSV output needs a row table")
-        rows = list(rows)
-        if rows and isinstance(rows[0], SweepRecord):
-            writer.writerow(SWEEP_COLUMNS)
-            for r in rows:
-                writer.writerow([getattr(r, c) for c in SWEEP_COLUMNS])
-        else:
-            cols = list(rows[0].keys()) if rows else SWEEP_COLUMNS
-            writer.writerow(cols)
-            for r in rows:
-                writer.writerow([r[c] for c in cols])
+        rows = [asdict(r) if isinstance(r, SweepRecord) else r for r in rows]
+        cols = list(rows[0]) if rows else SWEEP_COLUMNS
+        writer.writerow(cols)
+        writer.writerows([r[c] for c in cols] for r in rows)
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {format!r}")

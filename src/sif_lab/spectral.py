@@ -19,6 +19,8 @@ __all__ = [
     "ExponentTable",
     "NoRootInBracket",
     "MultipleRootsInBracket",
+    "UnknownFamily",
+    "exponent_table",
     "lame_exponents",
     "stokes_exponents",
     "critical_angle",
@@ -33,6 +35,10 @@ class NoRootInBracket(Exception):
 
 class MultipleRootsInBracket(Exception):
     """A bracket expected to contain exactly one root showed several sign changes."""
+
+
+class UnknownFamily(ValueError):
+    """A mode family other than "lame" or "stokes"."""
 
 
 @dataclass(frozen=True)
@@ -226,6 +232,15 @@ def stokes_exponents(omega: float) -> ExponentTable:
     return ExponentTable(
         family="stokes", omega=omega, C=1.0, exponents=exponents,
         mode_count=mode_count, brackets=brackets, residuals=residuals)
+
+
+def exponent_table(family: str, omega: float, C: float) -> ExponentTable:
+    """The exponent table of mode family "lame" or "stokes"; Stokes ignores C."""
+    if family == "lame":
+        return lame_exponents(omega, C)
+    if family == "stokes":
+        return stokes_exponents(omega)
+    raise UnknownFamily(f"unknown mode family {family!r}; expected 'lame' or 'stokes'")
 
 
 def critical_angle() -> float:

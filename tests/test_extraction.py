@@ -12,20 +12,19 @@ import pytest
 from sif_lab.angular import gauss_nodes
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero,
-                                _boundary_analytic, _boundary_psi,
-                                _volume_analytic, compute_Ci_penalized,
-                                compute_Ci_stokes, compute_Cstar_penalized,
+                                _boundary_analytic, _boundary_psi, _ci_terms,
+                                _cstar_terms, _volume_analytic,
                                 extract_sifs_penalized, extract_sifs_stokes,
                                 regular_part)
-from sif_lab.fem import (MixedOperator, P2Space, apply_dirichlet, assemble,
-                         error_norms, norms, solve, solve_psi, tri_quadrature)
+from sif_lab.fem import (MixedOperator, P2Space, diff_norms, error_norms, norms,
+                         solve_psi, tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
                               generate_lshape_mesh, lshape_polygon,
                               lshape_vertices)
 from sif_lab.harness import manufactured_fields
 from sif_lab.modes import make_mode
 from sif_lab.spectral import MaterialParams, lame_exponents, stokes_exponents
-from test_fem import count_factorizations
+from test_fem import count_factorizations, mixed_solve
 
 POLY = lshape_polygon(1.0)
 FRAME = POLY.frame
@@ -87,10 +86,7 @@ def test_regular_part_removes_singular_content():
     mesh = generate_lshape_mesh(POLY, 0.05, levels=6)
     data, c_true = manufactured_data(mesh, "penalized", MAT)
     rep = extract_sifs_penalized(data)
-    space = P2Space(mesh)
-    system = apply_dirichlet(assemble(mesh, MAT, f=data.f, space=space),
-                             data.g.traces)
-    u = solve(system)
+    u = mixed_solve(mesh, MAT, data.g.traces, data.f)[-1]
     table = lame_exponents(FRAME.omega, MAT.C)
     modes = [make_mode("lame", "primal", i, FRAME, MAT, table) for i in (1, 2)]
     w, sigma = regular_part(u, rep, modes)
@@ -116,9 +112,7 @@ def test_regular_part_identity_for_zero_data(coarse_mesh):
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
     rep = extract_sifs_penalized(data)
     assert rep.c1 == 0.0 and rep.c2 == 0.0
-    space = P2Space(coarse_mesh)
-    u = solve(apply_dirichlet(assemble(coarse_mesh, MAT, space=space),
-                              data.g.traces))
+    u = mixed_solve(coarse_mesh, MAT, data.g.traces)[-1]
     table = lame_exponents(FRAME.omega, MAT.C)
     modes = [make_mode("lame", "primal", i, FRAME, MAT, table) for i in (1, 2)]
     w, sigma = regular_part(u, rep, modes)
@@ -137,9 +131,48 @@ def test_regular_part_mesh_mismatch(coarse_mesh):
     table = lame_exponents(FRAME.omega, MAT.C)
     modes = [make_mode("lame", "primal", i, FRAME, MAT, table) for i in (1, 2)]
     for other in (generate_lshape_mesh(POLY, 0.2, levels=3), moved):
-        u = solve(apply_dirichlet(assemble(other, MAT), zero_g().traces))
+        u = mixed_solve(other, MAT, zero_g().traces)[-1]
         with pytest.raises(MeshMismatch):
             regular_part(u, rep, modes)
+
+
+def flip_one_diagonal(mesh):
+    """The same nodes and boundary edges with one interior edge flipped."""
+    opposite = {}
+    for t, (p, q, r) in enumerate(mesh.tris):
+        for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
+            opposite[(a, b)] = (t, c)
+    def cross(o, u, v):
+        (x1, y1), (x2, y2) = mesh.nodes[u] - mesh.nodes[o], mesh.nodes[v] - mesh.nodes[o]
+        return x1 * y2 - y1 * x2
+
+    for (a, b), (t1, c) in opposite.items():
+        if (b, a) not in opposite:
+            continue
+        t2, d = opposite[(b, a)]
+        # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c) if both stay CCW.
+        if cross(a, d, c) > 1e-12 and cross(d, b, c) > 1e-12:
+            tris = mesh.tris.copy()
+            tris[t1], tris[t2] = (a, d, c), (d, b, c)
+            flipped = replace(mesh, tris=tris)
+            flipped.validate()
+            return flipped
+    raise AssertionError("no flippable interior edge")
+
+
+def test_mesh_checks_compare_connectivity(coarse_mesh):
+    """A re-triangulation of the same nodes is another mesh."""
+    flipped = flip_one_diagonal(coarse_mesh)
+    assert np.array_equal(flipped.nodes, coarse_mesh.nodes)
+    assert np.array_equal(flipped.bedges, coarse_mesh.bedges)
+    data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
+    with pytest.raises(MeshMismatch):
+        extract_sifs_penalized(replace(data, operator=MixedOperator(P2Space(flipped), MAT)))
+    u = mixed_solve(coarse_mesh, MAT, zero_g().traces)[-1]
+    v = mixed_solve(flipped, MAT, zero_g().traces)[-1]
+    with pytest.raises(MeshMismatch):
+        diff_norms(u, v)
+    assert coarse_mesh.same_as(replace(coarse_mesh, nodes=coarse_mesh.nodes.copy()))
 
 
 # -- functional-level properties ---------------------------------------------
@@ -149,7 +182,7 @@ def test_zero_data_gives_exact_zero(coarse_mesh):
     dual = make_mode("lame", "dual", 1, FRAME, MAT, table)
     psi = solve_psi(dual, coarse_mesh, MAT, POLY)
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
-    assert compute_Ci_penalized(data, 1, dual, psi) == 0.0
+    assert _ci_terms(data, dual, psi, psi.space)[0] == 0.0
 
 
 def test_ci_linearity_in_f(coarse_mesh):
@@ -171,9 +204,7 @@ def test_ci_linearity_in_f(coarse_mesh):
         return ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT,
                            g=zero_g(), f=f)
 
-    a = compute_Ci_penalized(make(f1), 2, dual, psi)
-    b = compute_Ci_penalized(make(f2), 2, dual, psi)
-    c = compute_Ci_penalized(make(combo), 2, dual, psi)
+    a, b, c = (_ci_terms(make(f), dual, psi, psi.space)[0] for f in (f1, f2, combo))
     assert abs(c - (2.5 * a - 0.75 * b)) < 1e-12 * max(abs(a), abs(b), abs(c))
 
 
@@ -183,11 +214,10 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
     primal1 = make_mode("lame", "primal", 1, FRAME, MAT, table)
     dual2 = make_mode("lame", "dual", 2, FRAME, MAT, table)
     psi2 = solve_psi(dual2, coarse_mesh, MAT, POLY)
-    val = compute_Cstar_penalized(primal1, dual2, psi2, POLY)
+    val = _cstar_terms(primal1, dual2, psi2, POLY, MAT.mu)[0]
     assert abs(val) < 1e-8
-    stub = SimpleNamespace(family="lame", kind="primal", index=1, mu=MAT.mu,
-                           eval_xy=lambda x, y: np.zeros(np.shape(x) + (2,)))
-    assert compute_Cstar_penalized(stub, dual2, psi2, POLY) == 0.0
+    stub = SimpleNamespace(eval_xy=lambda x, y: np.zeros(np.shape(x) + (2,)))
+    assert _cstar_terms(stub, dual2, psi2, POLY, MAT.mu)[0] == 0.0
 
 
 def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
@@ -203,7 +233,7 @@ def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
 
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=smat,
                        g=zero_g(), zeta=zeta)
-    got = compute_Ci_stokes(data, 1, dual, psi)
+    got = _ci_terms(data, dual, psi, psi.space)[0]
 
     # brute force: interior-point rule on a 4x uniform split of every element
     space = psi.space

@@ -10,9 +10,9 @@ import sympy as sp
 
 import sif_lab.fem
 from sif_lab.extraction import ProblemData, extract_sifs_penalized
-from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, P2Space,
-                         apply_dirichlet, assemble, diff_norms, error_norms,
-                         norms, second_equation_residual, solve, solve_psi)
+from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedOperator,
+                         P2Space, diff_norms, dirichlet_values, error_norms,
+                         load_vector, norms, second_equation_residual, solve_psi)
 from sif_lab.geometry import (BoundaryData, generate_lshape_mesh,
                               generate_square_mesh, lshape_polygon)
 from sif_lab.modes import make_mode
@@ -59,13 +59,19 @@ def manufactured_square(mu, eps):
     return velocity, velocity_grad, pressure, f, zeta
 
 
+def mixed_solve(mesh, material, traces, f=None, zeta=None):
+    """One solve through a MixedOperator: (operator, rhs, boundary values, field)."""
+    space = P2Space(mesh)
+    op = MixedOperator(space, material)
+    rhs, values = load_vector(space, f, zeta), dirichlet_values(space, traces)
+    return op, rhs, values, op.solve(rhs, values)
+
+
 def solve_square(n, mu, eps):
     velocity, velocity_grad, pressure, f, zeta = manufactured_square(mu, eps)
     mesh = generate_square_mesh(n, 1.0)
-    material = MaterialParams(mu, eps)
-    system = assemble(mesh, material, f=f, zeta=zeta)
     traces = {tag: velocity for tag in (1, 2, 3, 4)}
-    field = solve(apply_dirichlet(system, traces))
+    field = mixed_solve(mesh, MaterialParams(mu, eps), traces, f, zeta)[-1]
     err = error_norms(field, velocity, velocity_grad, pressure)
     return field, err
 
@@ -96,8 +102,8 @@ def test_stokes_limit_matches_small_eps_velocity():
     f1, _ = solve_square(8, 1.0, 1e-8)
     velocity, velocity_grad, pressure, f, _ = manufactured_square(1.0, 0.0)
     mesh = generate_square_mesh(8, 1.0)
-    system = assemble(mesh, MaterialParams(1.0, 0.0), f=f)
-    field = solve(apply_dirichlet(system, {t: velocity for t in (1, 2, 3, 4)}))
+    field = mixed_solve(mesh, MaterialParams(1.0, 0.0),
+                        {t: velocity for t in (1, 2, 3, 4)}, f)[-1]
     d = diff_norms(f1, field)
     assert d["h1"] < 1e-6 * norms(field)["h1"]
 
@@ -106,22 +112,20 @@ def test_discrete_second_equation_residual_is_machine_zero():
     # no divergence source: div u + eps*p must vanish weakly to solver precision
     velocity, _, _, f, _ = manufactured_square(1.0, 1e-3)
     mesh = generate_square_mesh(8, 1.0)
-    system = assemble(mesh, MaterialParams(1.0, 1e-3), f=f)
-    field = solve(apply_dirichlet(system, {t: velocity for t in (1, 2, 3, 4)}))
+    field = mixed_solve(mesh, MaterialParams(1.0, 1e-3),
+                        {t: velocity for t in (1, 2, 3, 4)}, f)[-1]
     assert second_equation_residual(field) < 1e-12
 
 
 def test_galerkin_residual_probe():
     velocity, _, _, f, zeta = manufactured_square(1.0, 1e-3)
     mesh = generate_square_mesh(8, 1.0)
-    system = assemble(mesh, MaterialParams(1.0, 1e-3), f=f, zeta=zeta)
-    system = apply_dirichlet(system, {t: velocity for t in (1, 2, 3, 4)})
-    field = solve(system)
+    op, rhs, values, field = mixed_solve(
+        mesh, MaterialParams(1.0, 1e-3), {t: velocity for t in (1, 2, 3, 4)}, f, zeta)
     x = np.concatenate([field.ux, field.uy, field.p])
-    free = ~system.constrained
-    resid = (system.K @ np.where(system.constrained, system.values, x)
-             - system.rhs)[free]
-    scale = max(np.linalg.norm(system.rhs), 1.0)
+    free = ~op.constrained
+    resid = (op.K @ np.where(op.constrained, values, x) - rhs)[free]
+    scale = max(np.linalg.norm(rhs), 1.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         v = rng.standard_normal(resid.shape)
@@ -129,15 +133,14 @@ def test_galerkin_residual_probe():
 
 
 def test_dirichlet_data_errors():
-    mesh = generate_square_mesh(4, 1.0)
-    system = assemble(mesh, MaterialParams(1.0, 1e-3))
+    space = P2Space(generate_square_mesh(4, 1.0))
     with pytest.raises(MissingEdgeData):
-        apply_dirichlet(system, {1: lambda x, y: np.zeros(np.shape(x) + (2,))})
+        dirichlet_values(space, {1: lambda x, y: np.zeros(np.shape(x) + (2,))})
     # conflicting corner values between adjacent edges
     traces = {t: (lambda x, y: np.zeros(np.shape(x) + (2,))) for t in (1, 2, 3, 4)}
     traces[2] = lambda x, y: np.ones(np.shape(x) + (2,))
     with pytest.raises(InconsistentEdgeData):
-        apply_dirichlet(system, traces)
+        dirichlet_values(space, traces)
 
 
 def test_solve_psi_traces():
@@ -164,8 +167,8 @@ def test_solve_psi_traces():
 def test_pressure_zero_mean_at_stokes_gauge():
     velocity, _, _, f, _ = manufactured_square(1.0, 0.0)
     mesh = generate_square_mesh(6, 1.0)
-    system = assemble(mesh, MaterialParams(1.0, 0.0), f=f)
-    field = solve(apply_dirichlet(system, {t: velocity for t in (1, 2, 3, 4)}))
+    field = mixed_solve(mesh, MaterialParams(1.0, 0.0),
+                        {t: velocity for t in (1, 2, 3, 4)}, f)[-1]
     # weighted mean with the P1 mass vector is removed exactly
     pts_mean = np.einsum("m,mk->", field.space.areas / 3.0,
                          field.p[mesh.tris])
@@ -205,9 +208,8 @@ def test_pinned_stokes_solve_matches_dense_gauge():
     f = lambda x, y: np.stack([np.ones_like(x), x * y], axis=-1)
     # Nonzero net flux, so the multiplier has something to absorb.
     g = lambda x, y: np.stack([x * y * (1.0 - x), x * x * y], axis=-1)
-    system = apply_dirichlet(assemble(mesh, MaterialParams(1.0, 0.0), f=f),
-                             {e.tag: g for e in poly.edges})
-    field = solve(system)
+    op, rhs, values, field = mixed_solve(mesh, MaterialParams(1.0, 0.0),
+                                         {e.tag: g for e in poly.edges}, f)
 
     # Reference: K bordered by the P1 mass vector in the pressure rows.
     space = field.space
@@ -215,11 +217,11 @@ def test_pinned_stokes_solve_matches_dense_gauge():
     mass = np.zeros(Np)
     np.add.at(mass, mesh.tris.ravel(), np.repeat(space.areas / 3.0, 3))
     border = np.concatenate([np.zeros(2 * S), mass])[:, None]
-    Kb = scipy.sparse.bmat([[system.K, border], [border.T, None]]).tocsc()
-    con = np.append(system.constrained, False)
-    xb = np.append(system.values, 0.0)
-    rhs = np.append(system.rhs, 0.0) - Kb[:, con] @ xb[con]
-    xb[~con] = scipy.sparse.linalg.spsolve(Kb[~con][:, ~con], rhs[~con])
+    Kb = scipy.sparse.bmat([[op.K, border], [border.T, None]]).tocsc()
+    con = np.append(op.constrained, False)
+    xb = np.append(values, 0.0)
+    rhs_b = np.append(rhs, 0.0) - Kb[:, con] @ xb[con]
+    xb[~con] = scipy.sparse.linalg.spsolve(Kb[~con][:, ~con], rhs_b[~con])
     u_ref, p_ref, lam_ref = xb[:2 * S], xb[2 * S:-1], xb[-1]
 
     u = np.concatenate([field.ux, field.uy])
@@ -235,7 +237,7 @@ def test_penalized_solve_at_tiny_eps_meets_residual_gate():
     mesh = generate_lshape_mesh(poly, 0.1, levels=5)
     material = MaterialParams(1.0, 1e-10)
     table = lame_exponents(poly.omega, material.C)
-    operator = sif_lab.fem.MixedOperator(P2Space(mesh), material)
+    operator = MixedOperator(P2Space(mesh), material)
     for i in (1, 2):
         dual = make_mode("lame", "dual", i, poly.frame, material, table)
         psi = solve_psi(dual, mesh, material, poly, operator=operator)

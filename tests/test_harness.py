@@ -10,6 +10,8 @@ import pytest
 
 from sif_lab.cli import main
 from sif_lab.extraction import _mesh_id
+from sif_lab.fem import MixedOperator, P2Space, dirichlet_values, load_vector
+from sif_lab.spectral import MaterialParams
 from sif_lab.harness import (SCHEMA, SWEEP_COLUMNS, ConfigError, SweepRecord,
                              build_data, build_domain, emit, load_config,
                              run_eps_sweep, run_manufactured)
@@ -295,3 +297,57 @@ def test_cli_solve_prints_flux_defect_at_eps_zero(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     defect = [ln for ln in lines if ln.startswith("flux_defect = ")]
     assert len(defect) == 1 and np.isfinite(float(defect[0].split("=")[1]))
+
+
+SOLVE_DATA = "[data]\nf_x = 1 + y\nf_y = x*x\ng_x = x*y\ng_y = y*y - x*x\nzeta = x*y*y\n"
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.0])
+def test_cli_solve_is_the_operator_solve(tmp_path, capsys, eps):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE + SOLVE_DATA)
+    out = tmp_path / "solve.csv"
+    assert main(["solve", "--config", str(cfg), "--eps", repr(eps), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+
+    config = load_config(str(cfg))
+    polygon, mesh = build_domain(config)
+    f, g, zeta = build_data(config, polygon)
+    space = P2Space(mesh)
+    field = MixedOperator(space, MaterialParams(1.0, eps)).solve(
+        load_vector(space, f, zeta), dirichlet_values(space, g.traces))
+
+    rows = _read_csv(out)[1:]
+    assert len(rows) == space.n_scalar
+    cols = np.array([[float(v) for v in r[:4]] for r in rows])
+    assert np.array_equal(cols[:, :2], space.dof_coords)
+    assert np.array_equal(cols[:, 2], field.ux) and np.array_equal(cols[:, 3], field.uy)
+    Np = mesh.n_nodes
+    assert np.array_equal([float(r[4]) for r in rows[:Np]], field.p)
+    assert all(r[4] == "" for r in rows[Np:])
+    defect = [ln for ln in printed if ln.startswith("flux_defect = ")]
+    if eps == 0.0:
+        assert defect == [f"flux_defect = {field.flux_defect:.12e}"]
+        assert field.flux_defect != 0.0
+    else:
+        assert defect == []
+
+
+TERM_ORDER = {
+    "penalized": ["C1", "C2", "Cstar", "psi_residuals", "psi_flux_defects",
+                  "gamma_quad_errors"],
+    "stokes": ["C1", "psi_residuals", "psi_flux_defects", "gamma_quad_errors",
+               "mode_count", "C2", "Cstar"],
+}
+
+
+@pytest.mark.parametrize("family", ["penalized", "stokes"])
+def test_cli_extract_terms_order(tmp_path, family):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE + "[data]\nf_x = 1 + y\nf_y = x*x\ng_x = x*y\n")
+    out = tmp_path / "extract.json"
+    assert main(["extract", "--config", str(cfg), "--family", family,
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload["terms"]) == TERM_ORDER[family]
+    assert payload["eps"] == (1e-3 if family == "penalized" else None)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sif_lab.spectral import (MaterialParams, MultipleRootsInBracket,
-                              NoRootInBracket, critical_angle, lame_exponents,
-                              stokes_exponents)
+                              NoRootInBracket, UnknownFamily, critical_angle,
+                              exponent_table, lame_exponents, stokes_exponents)
 from sif_lab.spectral import (_lame_eq, _scan_and_bisect, _scan_grid,
                               _scan_signs)
 
@@ -99,6 +99,14 @@ def test_ordering_property(omega, C):
     for e, res in zip(table.exponents, table.residuals):
         assert abs(lame_eq(e, omega, C)) < 1e-11
         assert res < 1e-11
+
+
+def test_exponent_table_by_family():
+    omega, C = 1.5 * math.pi, 1.002
+    assert exponent_table("lame", omega, C) == lame_exponents(omega, C)
+    assert exponent_table("stokes", omega, C) == stokes_exponents(omega)
+    with pytest.raises(UnknownFamily, match="'penalized'"):
+        exponent_table("penalized", omega, C)
 
 
 def test_rejects_non_reentrant_angle():
