@@ -17,9 +17,12 @@ import numpy as np
 from .angular import GammaNearZero, check_ij_identity, gamma_lame, gamma_stokes
 from .extraction import (CornerDataNonzero, ProblemData, ZetaCornerNonzero,
                          extract_sifs_penalized, extract_sifs_stokes)
-from .fem import (MeshMismatch, MixedOperator, P2Space, SingularSystem,
-                  SolverBreakdown, dirichlet_values, load_vector, norms)
-from .geometry import MeshFormatError
+from .fem import (EmptyMesh, InconsistentEdgeData, MeshMismatch, MissingEdgeData,
+                  MixedOperator, P2Space, SingularSystem, SolverBreakdown,
+                  dirichlet_values, load_vector, norms)
+from .geometry import (DegenerateEdge, MeshFormatError, MultipleReentrant,
+                       NegativeArea, NonConforming, NotReentrant,
+                       UnsupportedPolygon, UntaggedBoundaryEdge)
 from .harness import (ConfigError, build_data, build_domain, emit,
                       load_config, run_eps_sweep, run_manufactured)
 from .modes import CornerFrame, make_mode
@@ -27,9 +30,13 @@ from .spectral import MaterialParams, exponent_table
 
 log = logging.getLogger(__name__)
 
-# Named library errors that end a run with one line on stderr.
+# Named library errors, and bad input values (ValueError, UnknownFamily among
+# them), end a run with one line on stderr.
 _RUN_ERRORS = (SingularSystem, SolverBreakdown, MeshMismatch, CornerDataNonzero,
-               ZetaCornerNonzero, GammaNearZero, MeshFormatError)
+               ZetaCornerNonzero, GammaNearZero, MeshFormatError, ValueError,
+               UnsupportedPolygon, NotReentrant, MultipleReentrant, DegenerateEdge,
+               NonConforming, NegativeArea, UntaggedBoundaryEdge,
+               EmptyMesh, MissingEdgeData, InconsistentEdgeData)
 
 
 def _eps_values(args) -> list[float]:

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .geometry import TriMesh
+from .geometry import TriMesh, _edge_table, _find_edges
 from .modes import SingularMode
 from .spectral import MaterialParams
 
@@ -170,30 +170,19 @@ def p1_shape(pts):
 
 
 class P2Space:
-    """Scalar P2 dof numbering: mesh vertices first, then edge midpoints."""
+    """Scalar P2 dof numbering: mesh vertices first, then edge midpoints in
+    order of first occurrence in mesh.tris."""
 
     def __init__(self, mesh: TriMesh):
         if len(mesh.tris) == 0:
             raise EmptyMesh("mesh has no triangles")
         self.mesh = mesh
-        edge_index: dict[tuple[int, int], int] = {}
-        tri_dofs = np.empty((len(mesh.tris), 6), dtype=int)
         N = mesh.n_nodes
-        for m, (a, b, c) in enumerate(mesh.tris):
-            tri_dofs[m, :3] = (a, b, c)
-            for slot, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                key = (min(u, v), max(u, v))
-                if key not in edge_index:
-                    edge_index[key] = N + len(edge_index)
-                tri_dofs[m, 3 + slot] = edge_index[key]
-        self.tri_dofs = tri_dofs
-        self.edge_index = edge_index
-        self.n_scalar = N + len(edge_index)
-        coords = np.empty((self.n_scalar, 2))
-        coords[:N] = mesh.nodes
-        for (u, v), d in edge_index.items():
-            coords[d] = 0.5 * (mesh.nodes[u] + mesh.nodes[v])
-        self.dof_coords = coords
+        edges, tri_edge, _ = _edge_table(mesh.tris, N)
+        self.tri_dofs = np.concatenate([mesh.tris, N + tri_edge], axis=1)
+        self.n_scalar = N + len(edges)
+        self.dof_coords = np.concatenate(
+            [mesh.nodes, 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])])
         # Geometry caches for assembly and evaluation.
         p = mesh.nodes[mesh.tris]
         # Forward affine maps (m, 2, 2): columns are the two edge vectors.
@@ -207,19 +196,19 @@ class P2Space:
         self.invJ = invJ / self.detJ[:, None, None]
         self.tri_origin = p[:, 0]
         self.areas = 0.5 * self.detJ
-        # Boundary edge -> (element, scalar dofs of the edge).
-        owner: dict[tuple[int, int], int] = {}
-        for m, (a, b, c) in enumerate(mesh.tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                owner.setdefault((min(u, v), max(u, v)), m)
-        self.bedge_tri = np.array(
-            [owner[(min(i, j), max(i, j))] for i, j, _ in mesh.bedges], dtype=int)
+        # Boundary edge -> (element, edge dof).  A boundary edge has one
+        # element, so the scatter below is unambiguous on it.
+        i, j, tags = mesh.bedges.T
+        bedge_edge = _find_edges(edges, N, i, j)
+        owner = np.empty(len(edges), dtype=int)
+        owner[tri_edge.ravel()] = np.repeat(np.arange(len(mesh.tris)), 3)
+        self.bedge_tri = owner[bedge_edge]
+        self.bedge_mid = N + bedge_edge
         # Scalar dofs on the boundary per edge tag, tags in order of first
         # appearance.
-        by_tag: dict[int, list[int]] = {}
-        for k, (_i, _j, tag) in enumerate(mesh.bedges):
-            by_tag.setdefault(int(tag), []).extend(self.bedge_dofs(k))
-        self.boundary_dofs = {tag: np.unique(d) for tag, d in by_tag.items()}
+        dofs = np.stack([i, j, self.bedge_mid])
+        first = np.sort(np.unique(tags, return_index=True)[1])
+        self.boundary_dofs = {int(t): np.unique(dofs[:, tags == t]) for t in tags[first]}
 
     @property
     def n_dofs(self) -> int:
@@ -228,7 +217,7 @@ class P2Space:
 
     def bedge_dofs(self, k: int) -> tuple[int, int, int]:
         i, j, _tag = self.mesh.bedges[k]
-        return int(i), int(j), self.edge_index[(min(i, j), max(i, j))]
+        return int(i), int(j), int(self.bedge_mid[k])
 
     def to_reference(self, m: int, pts):
         """Map physical points into reference coordinates of element m."""
@@ -237,7 +226,7 @@ class P2Space:
 
     def quad_points(self, pts):
         """Physical images (m, q, 2) of reference points pts (q, 2) in every element."""
-        return self.tri_origin[:, None, :] + np.einsum("mde,qe->mqd", self.J, pts)
+        return self.tri_origin[:, None] + np.swapaxes(self.J @ pts.T, 1, 2)
 
 
 @dataclass

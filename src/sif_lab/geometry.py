@@ -5,6 +5,13 @@ theta = omega1 and theta = omega2 with opening omega2 - omega1 in (pi, 2*pi).
 Meshing is provided for the built-in axis-aligned L-shape family (structured
 base grid plus geometric refinement toward the corner); anything else comes
 in through the text mesh format.
+
+Meshing, boundary tagging, refinement and mesh validation are array code on
+one edge table (_edge_table): the sides of every triangle as (min, max) node
+pairs, numbered in order of first occurrence.  Refinement numbers its new
+midpoint nodes in that order too, after the existing nodes, and emits each
+triangle's children in the parent's order; fem.P2Space numbers its edge dofs
+from the same table.
 """
 
 from __future__ import annotations
@@ -245,23 +252,90 @@ class TriMesh:
         if np.any(self.areas() <= 0.0):
             bad = int(np.argmin(self.areas()))
             raise NegativeArea(f"triangle {bad} has non-positive area")
-        counts: dict[tuple[int, int], int] = {}
-        for t in self.tris:
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
-        if any(c > 2 for c in counts.values()):
+        n = 1 + int(max(self.tris.max(initial=0), self.bedges.max(initial=0)))
+        edges, _, counts = _edge_table(self.tris, n)
+        if np.any(counts > 2):
             raise NonConforming("an edge is shared by more than two triangles")
-        boundary = {k for k, c in counts.items() if c == 1}
-        tagged = {(min(i, j), max(i, j)) for i, j, _tag in self.bedges}
-        missing = boundary - tagged
-        if missing:
+        hit = _find_edges(edges, n, self.bedges[:, 0], self.bedges[:, 1])
+        tagged = np.zeros(len(edges), dtype=bool)
+        tagged[hit[hit >= 0]] = True
+        missing = np.flatnonzero((counts == 1) & ~tagged)
+        if len(missing):
             raise UntaggedBoundaryEdge(
-                f"{len(missing)} boundary edges carry no tag, e.g. {next(iter(missing))}")
-        spurious = tagged - boundary
+                f"{len(missing)} boundary edges carry no tag, "
+                f"e.g. {tuple(edges[missing[0]].tolist())}")
+        spurious = np.count_nonzero((hit < 0) | (counts[hit] != 1))
         if spurious:
             raise NonConforming(
-                f"{len(spurious)} tagged edges are not mesh boundary edges")
+                f"{spurious} tagged edges are not mesh boundary edges")
+
+
+def _first_use(keys):
+    """Number the distinct keys in the order they first appear in keys.
+
+    Returns the position of each distinct key's first use, the number of
+    every entry of keys, and how often each distinct key occurs.
+    """
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse], counts[order]
+
+
+def _edge_table(tris, n_nodes: int):
+    """Edges of a triangle array, numbered in order of first occurrence.
+
+    The sides of triangle (a, b, c) are (a, b), (b, c), (c, a).  Returns the
+    edges (E, 2) as (min, max) node pairs, the edge of every side (M, 3) and
+    the number of triangles sharing each edge (E,).
+    """
+    t = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    s = np.roll(t, -1, axis=1)
+    lo, hi = np.minimum(t, s).ravel(), np.maximum(t, s).ravel()
+    first, tri_edge, counts = _first_use(lo * n_nodes + hi)
+    return np.stack([lo[first], hi[first]], axis=1), tri_edge.reshape(t.shape), counts
+
+
+def _find_edges(edges, n_nodes: int, i, j):
+    """Row of each node pair (i[k], j[k]) in the edge table edges, or -1."""
+    keys = edges[:, 0] * n_nodes + edges[:, 1]
+    order = np.argsort(keys)
+    want = np.minimum(i, j) * n_nodes + np.maximum(i, j)
+    pos = order[np.clip(np.searchsorted(keys, want, sorter=order), 0, len(keys) - 1)]
+    return np.where(keys[pos] == want, pos, -1)
+
+
+def _segment_tags(p, q, outline):
+    """1-based side of the closed polygon outline holding both p[k] and q[k].
+
+    Side j joins outline[j - 1] to outline[j % J]; the first side that holds
+    both points wins, and 0 means none does.
+    """
+    d = np.roll(outline, -1, axis=0) - outline                 # (J, 2)
+    rel = np.stack([p, q])[:, :, None, :] - outline            # (2, K, J, 2)
+    t = np.einsum("pkjd,jd->pkj", rel, d) / np.sum(d * d, axis=1)
+    off = np.linalg.norm(t[..., None] * d - rel, axis=-1)
+    on = np.all((t >= -1e-10) & (t <= 1.0 + 1e-10) & (off <= 1e-10), axis=0)
+    return np.where(on.any(axis=1), on.argmax(axis=1) + 1, 0)
+
+
+def _tag_boundary(nodes, tris, outline) -> np.ndarray:
+    """Sorted rows (i, j, tag), i < j, of the edges that only one triangle has."""
+    edges, _, counts = _edge_table(tris, len(nodes))
+    b = edges[counts == 1]
+    tags = _segment_tags(nodes[b[:, 0]], nodes[b[:, 1]], outline)
+    if not tags.all():
+        i, j = b[np.argmin(tags)]
+        raise UntaggedBoundaryEdge(
+            f"boundary edge {nodes[i]}-{nodes[j]} lies on no polygon edge")
+    return _sorted_bedges(np.column_stack([b, tags]))
+
+
+def _sorted_bedges(bedges):
+    """Rows (i, j, tag) in order of (i, j)."""
+    return bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))]
 
 
 def generate_square_mesh(n: int, size: float = 1.0) -> TriMesh:
@@ -271,88 +345,29 @@ def generate_square_mesh(n: int, size: float = 1.0) -> TriMesh:
     counterclockwise from the bottom edge.
     """
     xs = np.linspace(0.0, size, n + 1)
-    return _tensor_mesh(xs, xs, tagger=_square_tagger(size), h=size / n)
+    outline = size * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    return TriMesh(*_tensor_mesh(xs, xs, outline), h=size / n)
 
 
-def _square_tagger(size):
-    def tag(p, q):
-        mid = 0.5 * (p + q)
-        if abs(mid[1]) < _TOL:
-            return 1
-        if abs(mid[0] - size) < _TOL:
-            return 2
-        if abs(mid[1] - size) < _TOL:
-            return 3
-        if abs(mid[0]) < _TOL:
-            return 4
-        return None
-    return tag
+def _tensor_mesh(xs, ys, outline, keep=None):
+    """Triangulate the tensor grid xs x ys, keeping cells where keep(cx, cy).
 
-
-def _tensor_mesh(xs, ys, tagger, h, keep=None) -> TriMesh:
-    """Triangulate the tensor grid xs x ys, keeping cells where keep(center)."""
-    index: dict[tuple[int, int], int] = {}
-    nodes = []
-
-    def node(i, j):
-        key = (i, j)
-        if key not in index:
-            index[key] = len(nodes)
-            nodes.append((xs[i], ys[j]))
-        return index[key]
-
-    tris = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            cx, cy = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
-            if keep is not None and not keep(cx, cy):
-                continue
-            n00, n10 = node(i, j), node(i + 1, j)
-            n11, n01 = node(i + 1, j + 1), node(i, j + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    nodes = np.array(nodes)
-    tris = np.array(tris, dtype=int)
-    bedges = _tag_boundary(nodes, tris, tagger)
-    return TriMesh(nodes=nodes, tris=tris, bedges=bedges, h=h)
-
-
-def _tag_boundary(nodes, tris, tagger) -> np.ndarray:
-    counts: dict[tuple[int, int], int] = {}
-    for t in tris:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
-    rows = []
-    for (i, j), c in counts.items():
-        if c != 1:
-            continue
-        tag = tagger(nodes[i], nodes[j])
-        if tag is None:
-            raise UntaggedBoundaryEdge(
-                f"boundary edge {nodes[i]}-{nodes[j]} lies on no polygon edge")
-        rows.append((i, j, tag))
-    return np.array(sorted(rows), dtype=int)
-
-
-def _polygon_tagger(polygon: CornerPolygon):
-    def tag(p, q):
-        for e in polygon.edges:
-            d = e.p1 - e.p0
-            L2 = float(d @ d)
-            ok = True
-            for pt in (p, q):
-                t = float((pt - e.p0) @ d) / L2
-                if t < -1e-10 or t > 1.0 + 1e-10:
-                    ok = False
-                    break
-                if np.linalg.norm(e.p0 + t * d - pt) > 1e-10:
-                    ok = False
-                    break
-            if ok:
-                return e.tag
-        return None
-    return tag
+    Cells run x-major and each gives the triangles (00, 10, 11), (00, 11, 01);
+    nodes are numbered in order of first use.  Returns nodes, tris, bedges.
+    """
+    ny = len(ys)
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(len(xs) - 1),
+                                           np.arange(ny - 1), indexing="ij"))
+    if keep is not None:
+        cell = keep(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+        i, j = i[cell], j[cell]
+    g = i * ny + j
+    corners = np.stack([g, g + ny, g + ny + 1, g + 1], axis=1).ravel()
+    first, number, _ = _first_use(corners)
+    grid = corners[first]
+    nodes = np.column_stack([xs[grid // ny], ys[grid % ny]])
+    tris = number.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    return nodes, tris, _tag_boundary(nodes, tris, outline)
 
 
 def generate_lshape_mesh(polygon: CornerPolygon, h: float,
@@ -382,86 +397,71 @@ def generate_lshape_mesh(polygon: CornerPolygon, h: float,
                          np.linspace(0.0, s, m + 1)])
 
     def keep(cx, cy):
-        theta = math.atan2(cy, cx)
-        if theta < polygon.omega1:
-            theta += 2.0 * math.pi
-        if theta > polygon.omega2:
-            theta -= 2.0 * math.pi
-        return polygon.omega1 < theta < polygon.omega2
+        theta = np.arctan2(cy, cx)
+        theta = np.where(theta < polygon.omega1, theta + 2.0 * math.pi, theta)
+        theta = np.where(theta > polygon.omega2, theta - 2.0 * math.pi, theta)
+        return (polygon.omega1 < theta) & (theta < polygon.omega2)
 
-    mesh = _tensor_mesh(xs, xs, tagger=_polygon_tagger(polygon), h=h, keep=keep)
+    nodes, tris, bedges = _tensor_mesh(xs, xs, verts, keep)
     if levels > 0:
         n_ref = max(1, round(levels * math.log(1.0 / grading_ratio) / math.log(2.0)))
-        mesh = _refine_toward_corner(mesh, n_ref)
-    return TriMesh(nodes=mesh.nodes, tris=mesh.tris, bedges=mesh.bedges,
+        nodes, tris, bedges = _refine_toward_corner(nodes, tris, bedges, n_ref)
+    return TriMesh(nodes=nodes, tris=tris, bedges=bedges,
                    grading_ratio=grading_ratio, grading_levels=levels, h=h)
 
 
-def _refine_toward_corner(mesh: TriMesh, n_ref: int) -> TriMesh:
-    nodes = [tuple(p) for p in mesh.nodes]
-    tris = [tuple(t) for t in mesh.tris]
-    btags = {(min(i, j), max(i, j)): tag for i, j, tag in mesh.bedges}
-    corner = int(np.argmin(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])))
+def _refine_toward_corner(nodes, tris, bedges, n_ref: int):
+    """Quadrisect the triangles at the corner node n_ref times.
+
+    Each pass splits the edges of the marked triangles at their midpoints,
+    numbered after the existing nodes in edge-table order, and emits every
+    triangle's children in the parent's triangle order.
+    """
+    corner = int(np.argmin(np.hypot(nodes[:, 0], nodes[:, 1])))
     if np.hypot(*nodes[corner]) > _TOL:
         raise ValueError("mesh has no node at the origin")
-
     for _ in range(n_ref):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in midpoint:
-                p = (0.5 * (nodes[a][0] + nodes[b][0]),
-                     0.5 * (nodes[a][1] + nodes[b][1]))
-                midpoint[key] = len(nodes)
-                nodes.append(p)
-                if key in btags:
-                    tag = btags.pop(key)
-                    m_ = midpoint[key]
-                    btags[(min(a, m_), max(a, m_))] = tag
-                    btags[(min(b, m_), max(b, m_))] = tag
-            return midpoint[key]
-
-        red = {k for k, t in enumerate(tris) if corner in t}
+        n = len(nodes)
+        edges, tri_edge, _ = _edge_table(tris, n)
         # Closure: a triangle with split points on two or more edges must be
-        # quadrisected too, so iterate until the marked set is stable.
+        # quadrisected too, so grow the marked set until it is stable.
+        red = np.any(tris == corner, axis=1)
+        split = np.zeros(len(edges), dtype=bool)
         while True:
-            for k in red:
-                a, b, c = tris[k]
-                mid(a, b), mid(b, c), mid(c, a)
-            grew = False
-            for k, (a, b, c) in enumerate(tris):
-                if k in red:
-                    continue
-                hits = sum((min(u, v), max(u, v)) in midpoint
-                           for u, v in ((a, b), (b, c), (c, a)))
-                if hits >= 2:
-                    red.add(k)
-                    grew = True
-            if not grew:
+            split[tri_edge[red]] = True
+            hits = split[tri_edge]
+            grown = hits.sum(axis=1) >= 2
+            if np.array_equal(grown, red):
                 break
-        new_tris = []
-        for k, (a, b, c) in enumerate(tris):
-            if k in red:
-                ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-                new_tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-                continue
-            split = [(u, v) for u, v in ((a, b), (b, c), (c, a))
-                     if (min(u, v), max(u, v)) in midpoint]
-            if not split:
-                new_tris.append((a, b, c))
-                continue
-            # Exactly one hanging midpoint: bisect toward the opposite vertex.
-            u, v = split[0]
-            w = ({a, b, c} - {u, v}).pop()
-            m_ = midpoint[(min(u, v), max(u, v))]
-            new_tris += [(u, m_, w), (m_, v, w)]
-        tris = new_tris
-
-    bedges = np.array(sorted((i, j, tag) for (i, j), tag in btags.items()), dtype=int)
-    return TriMesh(nodes=np.array(nodes), tris=np.array(tris, dtype=int),
-                   bedges=bedges, grading_ratio=mesh.grading_ratio,
-                   grading_levels=mesh.grading_levels, h=mesh.h)
+            red = grown
+        mid = np.full(len(edges), -1)
+        mid[split] = n + np.arange(np.count_nonzero(split))
+        e = edges[split]
+        nodes = np.concatenate([nodes, 0.5 * (nodes[e[:, 0]] + nodes[e[:, 1]])])
+        # Red triangles have 4 children, green ones (exactly one hanging
+        # midpoint) are bisected toward the opposite vertex, the rest stay.
+        green = hits.any(axis=1) & ~red
+        size = np.where(red, 4, np.where(green, 2, 1))
+        start = np.cumsum(size) - size
+        out = np.empty((int(size.sum()), 3), dtype=tris.dtype)
+        out[start[size == 1]] = tris[size == 1]
+        (a, b, c), (ab, bc, ca) = tris[red].T, mid[tri_edge[red]].T
+        out[start[red, None] + np.arange(4)] = np.stack(
+            [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 4, 3)
+        gi = np.flatnonzero(green)
+        slot = np.argmax(hits[gi], axis=1)
+        u, v, w = (tris[gi, (slot + k) % 3] for k in range(3))
+        m = mid[tri_edge[gi, slot]]
+        out[start[green, None] + np.arange(2)] = np.stack(
+            [u, m, w, m, v, w], axis=1).reshape(-1, 2, 3)
+        tris = out
+        # A split boundary edge (i, j) gives way to (i, m) and (j, m).
+        bmid = mid[_find_edges(edges, n, bedges[:, 0], bedges[:, 1])]
+        cut = bmid >= 0
+        i, j, tag = bedges[cut].T
+        bedges = np.concatenate([bedges[~cut], np.column_stack([i, bmid[cut], tag]),
+                                 np.column_stack([j, bmid[cut], tag])])
+    return nodes, tris, _sorted_bedges(bedges)
 
 
 # -- mesh file format ---------------------------------------------------------
@@ -530,12 +530,13 @@ def load_mesh(text: str, polygon: CornerPolygon | None = None) -> TriMesh:
                    bedges=np.array(bed_rows, dtype=int).reshape(-1, 3))
     mesh.validate()
     if polygon is not None:
-        tagger = _polygon_tagger(polygon)
-        for i, j, tag in mesh.bedges:
-            want = tagger(mesh.nodes[i], mesh.nodes[j])
-            if want != tag:
-                raise UntaggedBoundaryEdge(
-                    f"edge ({i},{j}) tagged {tag} but lies on polygon edge {want}")
+        i, j, tag = mesh.bedges.T
+        want = _segment_tags(mesh.nodes[i], mesh.nodes[j], polygon.vertices)
+        bad = np.flatnonzero(want != tag)
+        if len(bad):
+            k = bad[0]
+            raise UntaggedBoundaryEdge(f"edge ({i[k]},{j[k]}) tagged {tag[k]} "
+                                       f"but lies on polygon edge {want[k] or None}")
     return mesh
 
 

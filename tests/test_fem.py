@@ -13,7 +13,7 @@ from sif_lab.extraction import ProblemData, extract_sifs_penalized
 from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedOperator,
                          P2Space, diff_norms, dirichlet_values, error_norms,
                          load_vector, norms, second_equation_residual, solve_psi)
-from sif_lab.geometry import (BoundaryData, generate_lshape_mesh,
+from sif_lab.geometry import (BoundaryData, TriMesh, generate_lshape_mesh,
                               generate_square_mesh, lshape_polygon)
 from sif_lab.modes import make_mode
 from sif_lab.spectral import MaterialParams, lame_exponents
@@ -130,6 +130,56 @@ def test_galerkin_residual_probe():
     for _ in range(20):
         v = rng.standard_normal(resid.shape)
         assert abs(v @ resid) <= 1e-9 * scale * np.linalg.norm(v)
+
+
+def _reference_p2_numbering(mesh):
+    """Element-by-element P2 numbering: vertices first, then edge midpoints in
+    order of first use; each edge's owner is the first triangle that has it."""
+    N = mesh.n_nodes
+    index, owner, tri_dofs = {}, {}, []
+    for m, (a, b, c) in enumerate(mesh.tris.tolist()):
+        row = [a, b, c]
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(u, v), max(u, v))
+            index.setdefault(key, N + len(index))
+            owner.setdefault(key, m)
+            row.append(index[key])
+        tri_dofs.append(row)
+    coords = list(mesh.nodes) + [0.5 * (mesh.nodes[u] + mesh.nodes[v]) for u, v in index]
+    keys = [(min(i, j), max(i, j)) for i, j, _ in mesh.bedges.tolist()]
+    by_tag = {}
+    for (i, j), tag in zip(keys, mesh.bedges[:, 2].tolist()):
+        by_tag.setdefault(tag, set()).update((i, j, index[(i, j)]))
+    return (np.array(tri_dofs), np.array(coords), [owner[k] for k in keys],
+            {tag: sorted(d) for tag, d in by_tag.items()})
+
+
+def _shuffled(mesh, seed=0):
+    """The same mesh with its triangles reordered and their vertices rotated."""
+    rng = np.random.default_rng(seed)
+    tris = mesh.tris[rng.permutation(len(mesh.tris))]
+    shift = rng.integers(0, 3, len(tris))
+    tris = np.stack([np.roll(t, -s) for t, s in zip(tris, shift)])
+    return TriMesh(nodes=mesh.nodes, tris=tris, bedges=mesh.bedges[::-1].copy())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_square_mesh(4, 1.0),
+    lambda: generate_lshape_mesh(lshape_polygon(1.0), 0.25, levels=3),
+    lambda: _shuffled(generate_lshape_mesh(lshape_polygon(1.0), 0.25, levels=3)),
+], ids=["square", "lshape", "lshape-shuffled"])
+def test_p2_numbering_matches_reference_loop(make):
+    mesh = make()
+    mesh.validate()
+    space = P2Space(mesh)
+    tri_dofs, coords, bedge_tri, boundary = _reference_p2_numbering(mesh)
+    assert np.array_equal(space.tri_dofs, tri_dofs)
+    assert np.array_equal(space.dof_coords, coords)
+    assert space.n_scalar == len(coords)
+    assert space.bedge_tri.tolist() == bedge_tri
+    assert list(space.boundary_dofs) == list(boundary)
+    for tag, dofs in boundary.items():
+        assert space.boundary_dofs[tag].tolist() == dofs
 
 
 def test_dirichlet_data_errors():

@@ -1,16 +1,20 @@
 """Polygons, graded meshes, mesh IO, boundary data validation."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sif_lab.geometry import (BoundaryData, MeshFormatError, NotReentrant,
-                              TriMesh, UnsupportedPolygon, build_polygon,
-                              generate_lshape_mesh, generate_square_mesh,
-                              load_mesh, lshape_polygon, lshape_vertices,
-                              serialize_mesh, validate_boundary_data)
+from sif_lab.geometry import (BoundaryData, MeshFormatError, NonConforming,
+                              NotReentrant, TriMesh, UnsupportedPolygon,
+                              UntaggedBoundaryEdge, _edge_table, _find_edges,
+                              build_polygon, generate_lshape_mesh,
+                              generate_square_mesh, load_mesh, lshape_polygon,
+                              lshape_vertices, serialize_mesh,
+                              validate_boundary_data)
 
 
 def test_lshape_polygon_angles_and_measures():
@@ -81,6 +85,125 @@ def test_square_mesh_for_fem_smoke():
     mesh.validate()
     assert TriMesh.areas(mesh).sum() == pytest.approx(1.0)
     assert {int(t) for _, _, t in mesh.bedges} == {1, 2, 3, 4}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _tri_digest(mesh):
+    """Digest of the triangles as coordinates, in mesh order."""
+    return _sha(mesh.nodes[mesh.tris].tobytes())
+
+
+def _bedge_digest(mesh):
+    """Digest of the boundary edges as sorted (segment, tag) coordinate rows."""
+    p, q = mesh.nodes[mesh.bedges[:, 0]], mesh.nodes[mesh.bedges[:, 1]]
+    swap = ((p[:, 0] > q[:, 0]) | ((p[:, 0] == q[:, 0]) & (p[:, 1] > q[:, 1])))[:, None]
+    rows = np.column_stack([np.where(swap, q, p), np.where(swap, p, q),
+                            mesh.bedges[:, 2]])
+    return _sha(rows[np.lexsort(rows.T[::-1])].tobytes())
+
+
+def _array_digest(mesh):
+    return _sha(mesh.nodes.tobytes() + mesh.tris.astype("<i8").tobytes()
+                + mesh.bedges.astype("<i8").tobytes())
+
+
+# (h, levels, grading_ratio) -> (_tri_digest, _bedge_digest), as computed by
+# the dict-based mesher that the array mesher replaced.  Refinement may number
+# its new nodes differently; the triangles, their order and the tagged
+# boundary segments may not change.
+_LSHAPE_DIGESTS = {
+    (0.25, 0, 0.5): ("eda312959e28442d", "ecee69871d8d02ee"),
+    (0.25, 0, 0.3): ("eda312959e28442d", "ecee69871d8d02ee"),
+    (0.25, 2, 0.5): ("422209c8f418bd29", "912251a1b24a450a"),
+    (0.25, 2, 0.3): ("61d32a6c2d106138", "93a288a460be417b"),
+    (0.25, 6, 0.5): ("82e3e58f0b2b979b", "c7c919c65050ca77"),
+    (0.25, 6, 0.3): ("64821f192f88b4fc", "8138edfadd16b0b9"),
+    (0.1, 0, 0.5): ("a7b760ec5437b00c", "f8242fdb364d4c23"),
+    (0.1, 0, 0.3): ("a7b760ec5437b00c", "f8242fdb364d4c23"),
+    (0.1, 2, 0.5): ("d68caaee07c41a04", "8efe201f883166a1"),
+    (0.1, 2, 0.3): ("73a1da3ebca8865f", "0fa6a4b66aabeb73"),
+    (0.1, 6, 0.5): ("c0fa04f730257c0d", "2ee5c8776dc07758"),
+    (0.1, 6, 0.3): ("0eecc1d6605f34ab", "062bca86152ac0bd"),
+    (0.05, 0, 0.5): ("833963419f7fef63", "36ef132c78ea02a9"),
+    (0.05, 0, 0.3): ("833963419f7fef63", "36ef132c78ea02a9"),
+    (0.05, 2, 0.5): ("5018867123c36ba0", "04c216e91df143a7"),
+    (0.05, 2, 0.3): ("f2aebc933dbb81ef", "3007b85e74797741"),
+    (0.05, 6, 0.5): ("2e7085602b4c0c6e", "1805f53d90badc89"),
+    (0.05, 6, 0.3): ("b9422827e5561ea5", "f6ed774a7db41e2d"),
+}
+
+
+@pytest.mark.parametrize("h,levels,ratio", sorted(_LSHAPE_DIGESTS))
+def test_lshape_mesh_matches_pinned_digests(h, levels, ratio):
+    poly = lshape_polygon(1.0)
+    mesh = generate_lshape_mesh(poly, h, grading_ratio=ratio, levels=levels)
+    assert (_tri_digest(mesh), _bedge_digest(mesh)) == _LSHAPE_DIGESTS[h, levels, ratio]
+    # The base grid keeps its node numbers, so the node farthest from the
+    # corner (the pinned pressure dof at eps = 0) stays where it was.
+    base = generate_lshape_mesh(poly, h, levels=0)
+    assert np.array_equal(mesh.nodes[:base.n_nodes], base.nodes)
+    far = np.argmax(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]))
+    assert mesh.nodes[far].tolist() == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("make,digest", [
+    (lambda: generate_lshape_mesh(lshape_polygon(1.0), 0.25, levels=0), "06535c22f9ac224b"),
+    (lambda: generate_lshape_mesh(lshape_polygon(1.0), 0.1, levels=0), "c324ae26c8299c3f"),
+    (lambda: generate_lshape_mesh(lshape_polygon(1.0), 0.05, levels=0), "fe6f5ae9590a8028"),
+    (lambda: generate_square_mesh(1), "eee4bd61280dd9ce"),
+    (lambda: generate_square_mesh(4), "7e77edd049d4e77c"),
+    (lambda: generate_square_mesh(7), "965418d286ee9892"),
+], ids=["lshape-0.25", "lshape-0.1", "lshape-0.05", "square-1", "square-4", "square-7"])
+def test_unrefined_meshes_are_bit_identical(make, digest):
+    assert _array_digest(make()) == digest
+
+
+def test_edge_table_numbers_edges_by_first_occurrence():
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    edges, tri_edge, counts = _edge_table(tris, 4)
+    assert edges.tolist() == [[0, 1], [1, 2], [0, 2], [2, 3], [0, 3]]
+    assert tri_edge.tolist() == [[0, 1, 2], [2, 3, 4]]
+    assert counts.tolist() == [1, 1, 2, 1, 1]
+    assert _find_edges(edges, 4, np.array([2, 3, 1]), np.array([0, 2, 3])).tolist() == [2, 3, -1]
+
+
+def _broken_meshes():
+    poly = lshape_polygon(1.0)
+    mesh = generate_lshape_mesh(poly, 0.5, levels=2)
+    edges, _, counts = _edge_table(mesh.tris, mesh.n_nodes)
+    u, v = edges[np.argmax(counts == 2)]
+    # A copy of the node opposite (u, v) in its first triangle makes a third
+    # triangle on that edge, with positive area.
+    t = mesh.tris[np.flatnonzero((mesh.tris == u).any(1) & (mesh.tris == v).any(1))[0]]
+    w = t[(t != u) & (t != v)][0]
+    third = np.where(t == w, mesh.n_nodes, t)
+    wrong = mesh.bedges.copy()
+    wrong[0, 2] = wrong[0, 2] % 6 + 1
+    return poly, {
+        "triply-shared": (NonConforming, replace(
+            mesh, nodes=np.vstack([mesh.nodes, mesh.nodes[w]]),
+            tris=np.vstack([mesh.tris, third]))),
+        "missing-tag": (UntaggedBoundaryEdge, replace(mesh, bedges=mesh.bedges[1:])),
+        "wrong-tag": (UntaggedBoundaryEdge, replace(mesh, bedges=wrong)),
+        "spurious-tag": (NonConforming, replace(
+            mesh, bedges=np.vstack([mesh.bedges, [u, v, 1]]))),
+    }
+
+
+@pytest.mark.parametrize("case", ["triply-shared", "missing-tag", "wrong-tag", "spurious-tag"])
+def test_mesh_checks_raise_named_errors(case):
+    poly, meshes = _broken_meshes()
+    error, mesh = meshes[case]
+    if case == "wrong-tag":
+        mesh.validate()  # tag values are checked against a polygon only
+    else:
+        with pytest.raises(error):
+            mesh.validate()
+    with pytest.raises(error):
+        load_mesh(serialize_mesh(mesh), poly)
 
 
 def test_mesh_roundtrip_exact():

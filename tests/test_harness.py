@@ -288,6 +288,23 @@ def test_cli_reports_library_errors_in_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["extract", "--family", "penalized", "--eps", "0"], BASE),
+    (["eigen", "--family", "lame", "--omega", "1.0"], None),
+    (["solve", "--eps", "1e-3"], BASE.replace("h = 0.25", "h = -1")),
+], ids=["extract-eps-0", "eigen-convex-omega", "negative-h"])
+def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(config + "[data]\nf_x = 1\n")
+        argv = argv + ["--config", str(cfg)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc != 0
+    assert err.startswith("error: ValueError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_solve_prints_flux_defect_at_eps_zero(tmp_path, capsys):
     cfg = tmp_path / "stokes.ini"
     cfg.write_text(BASE + "[data]\nf_x = 1\ng_x = y\n")
