@@ -12,3 +12,7 @@ Subpackages/modules:
 """
 
 __version__ = "0.1.0"
+
+
+class SifLabError(Exception):
+    """Base of every named error the package raises."""

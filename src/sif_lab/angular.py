@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .modes import CornerFrame, SingularMode, make_mode
+from . import SifLabError
+from .modes import CornerFrame, IndexOutOfRange, SingularMode, make_mode
 from .spectral import MaterialParams, exponent_table, stokes_exponents
 
 __all__ = [
@@ -34,11 +35,11 @@ DEFAULT_ORDER = 64
 _GAMMA_FLOOR = 1e-8
 
 
-class QuadratureNotConverged(Exception):
+class QuadratureNotConverged(SifLabError):
     """Doubling the Gauss order moved the integral more than the tolerance."""
 
 
-class GammaNearZero(Exception):
+class GammaNearZero(SifLabError):
     """The normalizer is too close to zero to divide by."""
 
 
@@ -176,7 +177,7 @@ def gamma_stokes(index: int, omega_or_frame, modes=None,
     if table is None:
         table = stokes_exponents(frame.omega)
     if index > table.mode_count:
-        raise IndexError(
+        raise IndexOutOfRange(
             f"Stokes mode {index} does not exist at omega={frame.omega} "
             f"(M={table.mode_count})")
     if modes is None:

@@ -14,15 +14,10 @@ import sys
 
 import numpy as np
 
-from .angular import GammaNearZero, check_ij_identity, gamma_lame, gamma_stokes
-from .extraction import (CornerDataNonzero, ProblemData, ZetaCornerNonzero,
-                         extract_sifs_penalized, extract_sifs_stokes)
-from .fem import (EmptyMesh, InconsistentEdgeData, MeshMismatch, MissingEdgeData,
-                  MixedOperator, P2Space, SingularSystem, SolverBreakdown,
-                  dirichlet_values, load_vector, norms)
-from .geometry import (DegenerateEdge, MeshFormatError, MultipleReentrant,
-                       NegativeArea, NonConforming, NotReentrant,
-                       UnsupportedPolygon, UntaggedBoundaryEdge)
+from . import SifLabError
+from .angular import check_ij_identity, gamma_lame, gamma_stokes
+from .extraction import ProblemData, extract_sifs_penalized, extract_sifs_stokes
+from .fem import MixedOperator, P2Space, dirichlet_values, load_vector, norms
 from .harness import (ConfigError, build_data, build_domain, emit,
                       load_config, run_eps_sweep, run_manufactured)
 from .modes import CornerFrame, make_mode
@@ -30,13 +25,9 @@ from .spectral import MaterialParams, exponent_table
 
 log = logging.getLogger(__name__)
 
-# Named library errors, and bad input values (ValueError, UnknownFamily among
-# them), end a run with one line on stderr.
-_RUN_ERRORS = (SingularSystem, SolverBreakdown, MeshMismatch, CornerDataNonzero,
-               ZetaCornerNonzero, GammaNearZero, MeshFormatError, ValueError,
-               UnsupportedPolygon, NotReentrant, MultipleReentrant, DegenerateEdge,
-               NonConforming, NegativeArea, UntaggedBoundaryEdge,
-               EmptyMesh, MissingEdgeData, InconsistentEdgeData)
+# The package's named errors, and bad input values (ValueError), end a run
+# with one line on stderr.
+_RUN_ERRORS = (SifLabError, ValueError)
 
 
 def _eps_values(args) -> list[float]:

@@ -3,9 +3,10 @@
 A recursive-descent parser over the variables x, y, r, theta, the constants
 pi, omega1, omega2, the binary operators + - * / ^ (with ^ right-associative)
 and a fixed set of real functions.  Printing is canonical: parsing the printed
-form reproduces the tree exactly.  Evaluation is numpy-vectorized; the polar
-angle is branch-adjusted into [omega1, omega2] so expressions are continuous
-across the domain interior.
+form reproduces the tree exactly.  Evaluation is numpy-vectorized; given a
+corner frame, the polar angle takes the frame's branch (modes.map_theta, cut
+in the middle of the excluded sector), so expressions are continuous across
+the domain interior and up to its corner rays.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import SifLabError
+from .modes import map_theta
 
 __all__ = [
     "FieldExpr",
@@ -38,7 +42,7 @@ _VARIABLES = ("x", "y", "r", "theta")
 _CONSTANTS = ("pi", "omega1", "omega2")
 
 
-class ExprSyntaxError(Exception):
+class ExprSyntaxError(SifLabError):
     """Malformed expression text, with 1-based line/column position."""
 
     def __init__(self, line: int, col: int, expected: str):
@@ -48,11 +52,11 @@ class ExprSyntaxError(Exception):
         self.expected = expected
 
 
-class UnknownIdentifier(Exception):
+class UnknownIdentifier(SifLabError):
     """Identifier is not a known variable, constant or function."""
 
 
-class EvalDomainError(Exception):
+class EvalDomainError(SifLabError):
     """Evaluation left the real domain (division by zero, log/sqrt of negatives)."""
 
 
@@ -246,10 +250,7 @@ def parse(text: str) -> FieldExpr:
 
 def _theta_branch(x, y, frame):
     theta = np.arctan2(y, x)
-    if frame is not None:
-        theta = np.where(theta < frame.omega1, theta + 2.0 * math.pi, theta)
-        theta = np.where(theta > frame.omega2, theta - 2.0 * math.pi, theta)
-    return theta
+    return theta if frame is None else map_theta(theta, frame)
 
 
 def evaluate(expr: FieldExpr, x, y, frame=None):

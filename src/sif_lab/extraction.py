@@ -24,16 +24,18 @@ enters, the reported eps and the order of the report's terms) is one entry of
 the _FAMILY table.
 
 Reuse: c1 = C1/gamma1 and c2 = (C2 + c1*Cstar)/gamma2 are fixed linear
-functionals of the data.  The exponent table, the dual modes, gamma1 and
-gamma2, the corrector fields and Cstar depend only on the mesh, the polygon,
-the material and the family; they are computed once and kept in a
-single-entry memo, reused while the next extraction has the same mesh and
-polygon objects, an equal material and the same family.  Each data set
+functionals of the data.  The exponent table, the primal and dual modes,
+gamma1 and gamma2, the corrector fields and Cstar depend only on the mesh,
+the polygon, the material and the family; they are computed once and kept
+in a single-entry memo, reused while the next extraction has the same mesh
+and polygon objects, an equal material and the same family.  Each data set
 recomputes only C1 and C2, and still runs the corner checks and the check of
 data.operator.  The memo keeps the corrector fields but no operator or
 factorization, and is dropped before a new entry is computed.  Meshes are
 treated as immutable (TriMesh is frozen): changing the arrays of a mesh in
-place after an extraction is not detected.
+place after an extraction is not detected.  The report carries the primal
+modes (SifReport.modes), so regular_part(u, report) subtracts c1 and c2
+times them without building the modes again.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import SifLabError
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
 from .fem import (MeshMismatch, MixedField, MixedOperator, P2Space, p1_shape,
-                  p2_shape, p2_shape_grad, solve_psi, tri_quadrature)
+                  p2_shape_grad, solve_psi, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh
 from .modes import SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, exponent_table
@@ -78,11 +81,11 @@ CORNER_DEPTH = 16
 _CORNER_ATOL = 1e-8
 
 
-class CornerDataNonzero(Exception):
+class CornerDataNonzero(SifLabError):
     """Boundary data does not vanish at the re-entrant corner."""
 
 
-class ZetaCornerNonzero(Exception):
+class ZetaCornerNonzero(SifLabError):
     """The divergence source does not vanish at the re-entrant corner."""
 
 
@@ -139,7 +142,8 @@ class SifReport:
     """Extraction result: normalizers, functionals, coefficients, breakdown.
 
     The stored values satisfy c1 = C1/gamma1 and, when the second mode exists,
-    c2 = (C2 + c1*Cstar)/gamma2, exactly as floating point expressions.
+    c2 = (C2 + c1*Cstar)/gamma2, exactly as floating point expressions.  modes
+    holds the primal modes that c1 (and c2) multiply.
     """
 
     family: str
@@ -151,6 +155,7 @@ class SifReport:
     Cstar: float | None
     c1: float
     c2: float | None
+    modes: tuple
     terms: dict = field(default_factory=dict)
     mesh_id: str = ""
 
@@ -287,19 +292,20 @@ def _boundary_analytic(edge, g, dual: SingularMode, mu: float) -> float:
 
 
 def _boundary_psi(space: P2Space, psi: MixedField, polygon: CornerPolygon,
-                  traces: dict, mu: float, tags=None) -> dict:
+                  traces: dict, mu: float) -> dict:
     """Per-tag integral of mu g . dn(Psi) - (g.n) psi over mesh boundary edges.
 
     The same expression serves both families: the penalized term
     (g.n) (div Psi)/eps equals -(g.n) psi through the mixed second equation.
-    Each trace is evaluated once, on the 4 Gauss points of all its edges.
+    Only the tags in traces contribute; each trace is evaluated once, on the
+    4 Gauss points of all its edges.
     """
     mesh = space.mesh
     tq, wq = gauss_nodes(4, 0.0, 1.0)
     out: dict[int, float] = {}
     for edge in polygon.edges:
         tag, n = edge.tag, edge.normal
-        if tag not in traces or (tags is not None and tag not in tags):
+        if tag not in traces:
             continue
         k = np.flatnonzero(mesh.bedges[:, 2] == tag)
         p0 = mesh.nodes[mesh.bedges[k, 0]]
@@ -381,22 +387,15 @@ def _volume_analytic(space: P2Space, func) -> float:
 
 def _volume_fem(space: P2Space, f, zeta, psi: MixedField) -> tuple[float, float]:
     """(integral of f . Psi, integral of zeta * psi) by degree-5 quadrature."""
-    mesh = space.mesh
     pts, w = tri_quadrature(5)
     x, y = np.moveaxis(space.quad_points(pts), -1, 0)
     wa = space.areas[:, None] * w[None, :]
-    f_term = 0.0
+    v, pv = psi.values(pts)
+    f_term = z_term = 0.0
     if f is not None:
-        N = p2_shape(pts)
-        vd = space.tri_dofs
-        vx = psi.ux[vd] @ N.T
-        vy = psi.uy[vd] @ N.T
         fv = np.asarray(f(x, y), dtype=float)
-        f_term = float(np.sum(wa * (fv[..., 0] * vx + fv[..., 1] * vy)))
-    z_term = 0.0
+        f_term = float(np.sum(wa * (fv[..., 0] * v[..., 0] + fv[..., 1] * v[..., 1])))
     if zeta is not None:
-        L = p1_shape(pts)
-        pv = psi.p[mesh.tris] @ L.T
         zv = np.asarray(zeta(x, y), dtype=float)
         z_term = float(np.sum(wa * zv * pv))
     return f_term, z_term
@@ -457,13 +456,11 @@ def _cstar_terms(primal1: SingularMode, dual2: SingularMode, psi2: MixedField,
     Only the far edges contribute; the primal trace plays the role of the
     boundary data in the same integrand as the coefficient functional.
     """
-    far_tags = {e.tag for e in polygon.far_edges}
-
     def primal_trace(x, y):
         return primal1.eval_xy(x, y)
 
-    traces = {tag: primal_trace for tag in far_tags}
-    psi_parts = _boundary_psi(psi2.space, psi2, polygon, traces, mu, tags=far_tags)
+    traces = {e.tag: primal_trace for e in polygon.far_edges}
+    psi_parts = _boundary_psi(psi2.space, psi2, polygon, traces, mu)
     parts: dict = {}
     total = 0.0
     for edge in polygon.far_edges:
@@ -482,9 +479,9 @@ def _cstar_terms(primal1: SingularMode, dual2: SingularMode, psi2: MixedField,
 class _DualWeights:
     """The data-independent half of an extraction on one (mesh, material).
 
-    The dual modes, normalizers and correctors of every mode index, and the
-    cross coupling C* when the second mode exists.  The factored operator
-    that solved the correctors is not kept.
+    The primal and dual modes, normalizers and correctors of every mode
+    index, and the cross coupling C* when the second mode exists.  The
+    factored operator that solved the correctors is not kept.
     """
 
     mesh: TriMesh
@@ -492,6 +489,7 @@ class _DualWeights:
     material: MaterialParams
     family: str
     mesh_id: str
+    primals: tuple
     duals: tuple
     gammas: tuple
     psi: tuple
@@ -524,7 +522,8 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
     frame = data.polygon.frame
     table = exponent_table(fam.modes, frame.omega, material.C)
     indices = range(1, table.mode_count + 1)
-    primals = [make_mode(fam.modes, "primal", i, frame, material, table) for i in indices]
+    primals = tuple(make_mode(fam.modes, "primal", i, frame, material, table)
+                    for i in indices)
     duals = tuple(make_mode(fam.modes, "dual", i, frame, material, table) for i in indices)
     gammas = tuple(fam.gamma(i, material, frame, m, table)
                    for i, m in enumerate(zip(primals, duals), 1))
@@ -540,8 +539,8 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
                                     material.mu)
     w = _DualWeights(
         mesh=data.mesh, polygon=data.polygon, material=material, family=family,
-        mesh_id=_mesh_id(data.mesh), duals=duals, gammas=gammas, psi=psi,
-        Cstar=Cstar, cstar_terms=tstar)
+        mesh_id=_mesh_id(data.mesh), primals=primals, duals=duals, gammas=gammas,
+        psi=psi, Cstar=Cstar, cstar_terms=tstar)
     _last_weights = w
     return w
 
@@ -573,7 +572,7 @@ def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifRep
     return SifReport(
         family=family, eps=material.eps if fam.eps else None,
         gamma1=w.gammas[0].gamma, gamma2=gamma2, C1=C1, C2=C2, Cstar=w.Cstar,
-        c1=c1, c2=c2, terms=terms, mesh_id=w.mesh_id)
+        c1=c1, c2=c2, modes=w.primals, terms=terms, mesh_id=w.mesh_id)
 
 
 def extract_sifs_penalized(data: ProblemData) -> SifReport:
@@ -592,9 +591,10 @@ def extract_sifs_stokes(data: ProblemData) -> SifReport:
 # regular part
 # ---------------------------------------------------------------------------
 
-def regular_part(u: MixedField, report: SifReport, modes) -> tuple[MixedField, np.ndarray]:
-    """Subtract the known singular content from a solved field.
+def regular_part(u: MixedField, report: SifReport) -> tuple[MixedField, np.ndarray]:
+    """Subtract the singular content that report found from a solved field.
 
+    The coefficients c1 (and c2) of the report multiply its primal modes.
     Returns (w, sigma): w is a velocity field whose pressure slot holds sigma,
     the regular pressure-like scalar, and sigma is also returned directly as
     the P1 nodal array.  For the penalized family sigma adds the closed-form
@@ -606,10 +606,7 @@ def regular_part(u: MixedField, report: SifReport, modes) -> tuple[MixedField, n
     if report.mesh_id != _mesh_id(u.mesh):
         raise MeshMismatch(
             f"field mesh {_mesh_id(u.mesh)} does not match report {report.mesh_id}")
-    coeffs = [report.c1] + ([report.c2] if report.c2 is not None else [])
-    modes = list(modes)
-    if len(modes) != len(coeffs):
-        raise ValueError(f"expected {len(coeffs)} primal modes, got {len(modes)}")
+    pairs = list(zip((report.c1, report.c2), report.modes))
 
     space = u.space
     coords = space.dof_coords
@@ -617,9 +614,7 @@ def regular_part(u: MixedField, report: SifReport, modes) -> tuple[MixedField, n
     interior = r > 1e-12
     ux = u.ux.copy()
     uy = u.uy.copy()
-    for c, mode in zip(coeffs, modes):
-        if mode.kind != "primal":
-            raise ValueError("regular_part expects primal modes")
+    for c, mode in pairs:
         vals = np.zeros((len(coords), 2))
         vals[interior] = mode.eval_xy(coords[interior, 0], coords[interior, 1])
         # r^a -> 0 at the corner for a > 0, so the corner node stays zero.
@@ -631,9 +626,9 @@ def regular_part(u: MixedField, report: SifReport, modes) -> tuple[MixedField, n
     pos = rn[rn > 1e-12]
     r_floor = 0.5 * float(pos.min()) if len(pos) else 1.0
     rc = np.maximum(rn, r_floor)
-    theta = map_theta(np.arctan2(nodes[:, 1], nodes[:, 0]), modes[0].frame)
+    theta = map_theta(np.arctan2(nodes[:, 1], nodes[:, 0]), report.modes[0].frame)
     sigma = u.p.copy()
-    for c, mode in zip(coeffs, modes):
+    for c, mode in pairs:
         sigma += c * _BY_MODES[mode.family].sigma(mode, rc, theta)
     w = MixedField(space=space, material=u.material, ux=ux, uy=uy, p=sigma)
     return w, sigma

@@ -15,6 +15,12 @@ the prescribed boundary values (dirichlet_values):
     op = MixedOperator(space, material)
     field = op.solve(load_vector(space, f, zeta), dirichlet_values(space, traces))
 
+A solved field is evaluated in one place: P2Space.basis_grad maps the
+reference basis gradients into every element, and MixedField.values and
+MixedField.gradient give velocity, pressure and velocity gradient at
+reference points of every element.  Assembly, the norms and the
+second-equation residual read them.
+
 At eps = 0 the pressure is only determined up to a constant.  Summing the
 pressure rows eliminates the free velocity (a field vanishing on the boundary
 has no net flux), so the zero-mean multiplier follows from the data alone.  It
@@ -33,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import SifLabError
 from .geometry import TriMesh, _edge_table, _find_edges
 from .modes import SingularMode
 from .spectral import MaterialParams
@@ -59,27 +66,27 @@ __all__ = [
 ]
 
 
-class EmptyMesh(Exception):
+class EmptyMesh(SifLabError):
     pass
 
 
-class MissingEdgeData(Exception):
+class MissingEdgeData(SifLabError):
     pass
 
 
-class InconsistentEdgeData(Exception):
+class InconsistentEdgeData(SifLabError):
     pass
 
 
-class SolverBreakdown(Exception):
+class SolverBreakdown(SifLabError):
     pass
 
 
-class SingularSystem(Exception):
+class SingularSystem(SifLabError):
     pass
 
 
-class MeshMismatch(Exception):
+class MeshMismatch(SifLabError):
     pass
 
 
@@ -228,6 +235,11 @@ class P2Space:
         """Physical images (m, q, 2) of reference points pts (q, 2) in every element."""
         return self.tri_origin[:, None] + np.swapaxes(self.J @ pts.T, 1, 2)
 
+    def basis_grad(self, pts):
+        """Physical P2 basis gradients (m, q, 6, 2) at reference points pts (q, 2)."""
+        G, invJ = p2_shape_grad(pts)[..., None], self.invJ[:, None, None]
+        return G[..., 0, :] * invJ[..., 0, :] + G[..., 1, :] * invJ[..., 1, :]
+
 
 @dataclass
 class MixedField:
@@ -251,8 +263,19 @@ class MixedField:
     def mesh(self) -> TriMesh:
         return self.space.mesh
 
-    def velocity_dofs(self) -> np.ndarray:
-        return np.stack([self.ux, self.uy], axis=-1)
+    def values(self, pts):
+        """Velocity (m, q, 2) and pressure (m, q) at reference points pts (q, 2)
+        of every element."""
+        N, vd = p2_shape(pts), self.space.tri_dofs
+        u = np.stack([self.ux[vd] @ N.T, self.uy[vd] @ N.T], axis=-1)
+        return u, self.p[self.mesh.tris] @ p1_shape(pts).T
+
+    def gradient(self, pts):
+        """Velocity gradients (m, q, 2, 2), [k, l] = d(u_k)/d(x_l), at reference
+        points pts (q, 2) of every element."""
+        G, vd = self.space.basis_grad(pts), self.space.tri_dofs
+        return np.stack([np.einsum("mqie,mi->mqe", G, self.ux[vd]),
+                         np.einsum("mqie,mi->mqe", G, self.uy[vd])], axis=2)
 
     def grad_at(self, m, ref_pts):
         """Velocity gradient tensors d(u_k)/d(x_l) inside element m."""
@@ -278,11 +301,10 @@ def _mixed_matrix(space: P2Space, material: MaterialParams) -> sp.csr_matrix:
     """Taylor-Hood matrix of the mixed weak form on space, for material."""
     mu, eps = material.mu, material.eps
     pts, w = tri_quadrature(5)
-    Gref = p2_shape_grad(pts)                 # (q, 6, 2)
     Lsh = p1_shape(pts)                       # (q, 3)
     S = space.n_scalar
 
-    Gphys = np.einsum("qid,mde->mqie", Gref, space.invJ)     # (m, q, 6, 2)
+    Gphys = space.basis_grad(pts)                            # (m, q, 6, 2)
     wdet = w[None, :] * space.areas[:, None]                 # quadrature x area
     # Scalar stiffness mu * grad.grad per element: (m, 6, 6)
     Ke = mu * np.einsum("mq,mqie,mqje->mij", wdet, Gphys, Gphys)
@@ -484,29 +506,8 @@ def solve_psi(dual_mode: SingularMode, mesh: TriMesh, material: MaterialParams,
 
 def norms(field: MixedField) -> dict:
     """H1 (semi)norms of the velocity and L2 norms of both unknowns."""
-    space = field.space
-    pts, w = tri_quadrature(8)
-    N = p2_shape(pts)
-    L = p1_shape(pts)
-    Gref = p2_shape_grad(pts)
-    Gphys = np.einsum("qid,mde->mqie", Gref, space.invJ)
-    vd = space.tri_dofs
-    ux_e, uy_e = field.ux[vd], field.uy[vd]
-    wa = 2.0 * space.areas[:, None] * w[None, :] * 0.5
-    gux = np.einsum("mqie,mi->mqe", Gphys, ux_e)
-    guy = np.einsum("mqie,mi->mqe", Gphys, uy_e)
-    semi2 = float(np.sum(wa * (np.sum(gux ** 2, axis=-1) + np.sum(guy ** 2, axis=-1))))
-    vx = ux_e @ N.T
-    vy = uy_e @ N.T
-    l2v2 = float(np.sum(wa * (vx ** 2 + vy ** 2)))
-    pv = field.p[space.mesh.tris] @ L.T
-    l2p = math.sqrt(float(np.sum(wa * pv ** 2)))
-    return {
-        "h1_seminorm": math.sqrt(semi2),
-        "h1": math.sqrt(semi2 + l2v2),
-        "l2_velocity": math.sqrt(l2v2),
-        "l2_pressure": l2p,
-    }
+    zero = lambda x, y: 0.0
+    return error_norms(field, zero, zero, zero)
 
 
 def diff_norms(a: MixedField, b: MixedField) -> dict:
@@ -522,26 +523,21 @@ def error_norms(field: MixedField, velocity, velocity_grad=None, pressure=None) 
     """
     space = field.space
     pts, w = tri_quadrature(8)
-    xq = space.quad_points(pts)
+    x, y = np.moveaxis(space.quad_points(pts), -1, 0)
     wa = space.areas[:, None] * w[None, :]
-    N = p2_shape(pts)
-    vd = space.tri_dofs
-    vh = np.stack([field.ux[vd] @ N.T, field.uy[vd] @ N.T], axis=-1)
-    vex = np.asarray(velocity(xq[..., 0], xq[..., 1]), dtype=float)
+    vh, ph = field.values(pts)
+    vex = np.asarray(velocity(x, y), dtype=float)
     l2v2 = float(np.sum(wa * np.sum((vh - vex) ** 2, axis=-1)))
-    out = {"l2_velocity": math.sqrt(l2v2)}
+    out = {}
     if velocity_grad is not None:
-        Gphys = np.einsum("qid,mde->mqie", p2_shape_grad(pts), space.invJ)
-        gh = np.stack([np.einsum("mqie,mi->mqe", Gphys, field.ux[vd]),
-                       np.einsum("mqie,mi->mqe", Gphys, field.uy[vd])], axis=2)
-        gex = np.asarray(velocity_grad(xq[..., 0], xq[..., 1]), dtype=float)
-        semi2 = float(np.sum(wa * np.sum((gh - gex) ** 2, axis=(-1, -2))))
+        gex = np.asarray(velocity_grad(x, y), dtype=float)
+        d2 = np.sum((field.gradient(pts) - gex) ** 2, axis=-1)
+        semi2 = float(np.sum(wa * (d2[..., 0] + d2[..., 1])))
         out["h1_seminorm"] = math.sqrt(semi2)
         out["h1"] = math.sqrt(semi2 + l2v2)
+    out["l2_velocity"] = math.sqrt(l2v2)
     if pressure is not None:
-        L = p1_shape(pts)
-        ph = field.p[space.mesh.tris] @ L.T
-        pex = np.asarray(pressure(xq[..., 0], xq[..., 1]), dtype=float)
+        pex = np.asarray(pressure(x, y), dtype=float)
         out["l2_pressure"] = math.sqrt(float(np.sum(wa * (ph - pex) ** 2)))
     return out
 
@@ -549,17 +545,14 @@ def error_norms(field: MixedField, velocity, velocity_grad=None, pressure=None) 
 def second_equation_residual(field: MixedField) -> float:
     """Norm of (div u_h + eps p_h) tested against P1, relative to ||p_h||."""
     space = field.space
-    eps = field.material.eps
     pts, w = tri_quadrature(5)
     L = p1_shape(pts)
-    Gphys = np.einsum("qid,mde->mqie", p2_shape_grad(pts), space.invJ)
-    vd = space.tri_dofs
     wa = space.areas[:, None] * w[None, :]
-    div = np.einsum("mqi,mi->mq", Gphys[..., 0], field.ux[vd]) \
-        + np.einsum("mqi,mi->mq", Gphys[..., 1], field.uy[vd])
-    ph = field.p[space.mesh.tris] @ L.T
+    g = field.gradient(pts)
+    div = g[..., 0, 0] + g[..., 1, 1]
+    _, ph = field.values(pts)
     r = np.zeros(space.mesh.n_nodes)
-    contrib = np.einsum("mq,qk,mq->mk", wa, L, div + eps * ph)
+    contrib = np.einsum("mq,qk,mq->mk", wa, L, div + field.material.eps * ph)
     np.add.at(r, space.mesh.tris.ravel(), contrib.ravel())
     pn = norms(field)["l2_pressure"]
     return float(np.linalg.norm(r)) / max(pn, 1e-30)

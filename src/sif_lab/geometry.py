@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import CornerFrame
+from . import SifLabError
+from .modes import CornerFrame, map_theta
 
 __all__ = [
     "NotReentrant",
@@ -50,23 +51,23 @@ __all__ = [
 _TOL = 1e-12
 
 
-class NotReentrant(Exception):
+class NotReentrant(SifLabError):
     """The designated corner has interior angle <= pi."""
 
 
-class MultipleReentrant(Exception):
+class MultipleReentrant(SifLabError):
     """More than one vertex is re-entrant."""
 
 
-class DegenerateEdge(Exception):
+class DegenerateEdge(SifLabError):
     """Two consecutive vertices coincide."""
 
 
-class UnsupportedPolygon(Exception):
+class UnsupportedPolygon(SifLabError):
     """The built-in mesh generator only handles the axis-aligned L-shape family."""
 
 
-class MeshFormatError(Exception):
+class MeshFormatError(SifLabError):
     """Mesh file syntax error, with line number."""
 
     def __init__(self, line: int, message: str):
@@ -74,15 +75,15 @@ class MeshFormatError(Exception):
         self.line = line
 
 
-class NonConforming(Exception):
+class NonConforming(SifLabError):
     """An interior edge is shared by more than two triangles."""
 
 
-class NegativeArea(Exception):
+class NegativeArea(SifLabError):
     """A triangle has non-positive signed area."""
 
 
-class UntaggedBoundaryEdge(Exception):
+class UntaggedBoundaryEdge(SifLabError):
     """A mesh boundary edge carries no polygon-edge tag."""
 
 
@@ -397,9 +398,7 @@ def generate_lshape_mesh(polygon: CornerPolygon, h: float,
                          np.linspace(0.0, s, m + 1)])
 
     def keep(cx, cy):
-        theta = np.arctan2(cy, cx)
-        theta = np.where(theta < polygon.omega1, theta + 2.0 * math.pi, theta)
-        theta = np.where(theta > polygon.omega2, theta - 2.0 * math.pi, theta)
+        theta = map_theta(np.arctan2(cy, cx), polygon.frame)
         return (polygon.omega1 < theta) & (theta < polygon.omega2)
 
     nodes, tris, bedges = _tensor_mesh(xs, xs, verts, keep)

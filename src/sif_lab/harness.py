@@ -19,13 +19,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import SifLabError
 from .expr import parse as parse_expr
 from .extraction import (ProblemData, extract_sifs_penalized,
                          extract_sifs_stokes, regular_part)
 from .fem import MixedOperator, P2Space, diff_norms, dirichlet_values, load_vector
 from .geometry import BoundaryData, CornerPolygon, TriMesh, generate_lshape_mesh, lshape_polygon
 from .modes import make_mode
-from .spectral import MaterialParams, exponent_table, lame_exponents, stokes_exponents
+from .spectral import MaterialParams, lame_exponents, stokes_exponents
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +54,7 @@ SWEEP_COLUMNS = [
 ]
 
 
-class ConfigError(Exception):
+class ConfigError(SifLabError):
     """Missing/invalid section, key, or expression in a run config."""
 
 
@@ -309,25 +310,19 @@ def run_manufactured(cfg: RunConfig) -> dict:
 def _extract_with_regular_part(polygon: CornerPolygon, space: P2Space,
                                material: MaterialParams, g: BoundaryData, f,
                                zeta=None):
-    """(report, regular part, exponent table) of one (mesh, material).
+    """(report, regular part) of one (mesh, material).
 
     The extraction and the data solve share one factored operator, which is
     freed on return, before the caller builds the next one.  eps = 0 selects
     the Stokes family.
     """
-    frame = polygon.frame
     op = MixedOperator(space, material)
     data = ProblemData(polygon=polygon, mesh=space.mesh, material=material,
                        g=g, f=f, zeta=zeta, operator=op)
-    stokes = material.eps == 0.0
-    rep = (extract_sifs_stokes if stokes else extract_sifs_penalized)(data)
-    family = "stokes" if stokes else "lame"
-    table = exponent_table(family, frame.omega, material.C)
+    rep = (extract_sifs_stokes if material.eps == 0.0 else extract_sifs_penalized)(data)
     u = op.solve(load_vector(space, f, zeta), dirichlet_values(space, g.traces))
-    modes = [make_mode(family, "primal", i, frame, material, table)
-             for i in range(1, (2 if rep.c2 is not None else 1) + 1)]
-    w, _ = regular_part(u, rep, modes)
-    return rep, w, table
+    w, _ = regular_part(u, rep)
+    return rep, w
 
 
 def run_eps_sweep(cfg: RunConfig) -> dict:
@@ -352,17 +347,17 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     f, g, zeta = build_data(cfg, polygon)
     space = P2Space(mesh)
 
-    sref, ws, _ = _extract_with_regular_part(polygon, space, MaterialParams(mu, 0.0),
-                                             g, f, zeta)
+    sref, ws = _extract_with_regular_part(polygon, space, MaterialParams(mu, 0.0),
+                                          g, f, zeta)
     records = []
     for eps in eps_grid:
         t0 = time.perf_counter()
-        rep, we, table = _extract_with_regular_part(polygon, space,
-                                                    MaterialParams(mu, eps), g, f)
+        rep, we = _extract_with_regular_part(polygon, space, MaterialParams(mu, eps),
+                                             g, f)
         dn = diff_norms(we, ws)
         records.append(SweepRecord(
             eps=eps,
-            lambda1=table.exponents[0], lambda2=table.exponents[1],
+            lambda1=rep.modes[0].a, lambda2=rep.modes[1].a,
             gamma1=rep.gamma1, gamma2=rep.gamma2,
             c1=rep.c1, c2=rep.c2,
             c1_ref=sref.c1, c2_ref=sref.c2 if sref.c2 is not None else math.nan,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import SifLabError
 from .spectral import ExponentTable, MaterialParams
 
 __all__ = [
@@ -27,15 +28,16 @@ __all__ = [
 ]
 
 
-class IndexOutOfRange(Exception):
-    """Only the first two modes of either family exist in the expansion."""
+class IndexOutOfRange(SifLabError, IndexError):
+    """A mode the expansion does not have: only the first two of either family
+    exist, and only the first Stokes mode below the critical angle."""
 
 
-class FamilyMismatch(Exception):
+class FamilyMismatch(SifLabError):
     """Operation applied to a mode of the wrong family."""
 
 
-class NonpositiveRadius(Exception):
+class NonpositiveRadius(SifLabError):
     """Mode evaluation requested at r <= 0."""
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from . import SifLabError
+
 __all__ = [
     "MaterialParams",
     "ExponentTable",
@@ -29,15 +31,15 @@ __all__ = [
 _SCAN_SAMPLES = 2048
 
 
-class NoRootInBracket(Exception):
+class NoRootInBracket(SifLabError):
     """A bracket expected to contain exactly one root contained none."""
 
 
-class MultipleRootsInBracket(Exception):
+class MultipleRootsInBracket(SifLabError):
     """A bracket expected to contain exactly one root showed several sign changes."""
 
 
-class UnknownFamily(ValueError):
+class UnknownFamily(SifLabError, ValueError):
     """A mode family other than "lame" or "stokes"."""
 
 

@@ -54,6 +54,13 @@ def test_theta_uses_frame_branch():
     assert branched == pytest.approx(1.25 * math.pi)
 
 
+def test_theta_keeps_the_ray_angle_just_outside_a_corner_ray():
+    """A point a rounding error past the ray theta = omega2 keeps about omega2:
+    the branch is cut in the middle of the excluded sector, as in the modes."""
+    theta = evaluate(parse("theta"), 1e-12, -1.0, frame=FRAME)
+    assert theta == pytest.approx(1.5 * math.pi, abs=1e-11)
+
+
 def test_vectorized_evaluation_shape():
     x = np.linspace(0.1, 1.0, 7)
     y = np.linspace(0.2, 0.9, 7)

@@ -23,7 +23,8 @@ from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
                               lshape_vertices)
 from sif_lab.harness import manufactured_fields
 from sif_lab.modes import make_mode
-from sif_lab.spectral import MaterialParams, lame_exponents, stokes_exponents
+from sif_lab.spectral import (MaterialParams, exponent_table, lame_exponents,
+                              stokes_exponents)
 from test_fem import count_factorizations, mixed_solve
 
 POLY = lshape_polygon(1.0)
@@ -87,9 +88,7 @@ def test_regular_part_removes_singular_content():
     data, c_true = manufactured_data(mesh, "penalized", MAT)
     rep = extract_sifs_penalized(data)
     u = mixed_solve(mesh, MAT, data.g.traces, data.f)[-1]
-    table = lame_exponents(FRAME.omega, MAT.C)
-    modes = [make_mode("lame", "primal", i, FRAME, MAT, table) for i in (1, 2)]
-    w, sigma = regular_part(u, rep, modes)
+    w, sigma = regular_part(u, rep)
 
     def w_poly(x, y):
         x = np.asarray(x, float)
@@ -113,9 +112,7 @@ def test_regular_part_identity_for_zero_data(coarse_mesh):
     rep = extract_sifs_penalized(data)
     assert rep.c1 == 0.0 and rep.c2 == 0.0
     u = mixed_solve(coarse_mesh, MAT, data.g.traces)[-1]
-    table = lame_exponents(FRAME.omega, MAT.C)
-    modes = [make_mode("lame", "primal", i, FRAME, MAT, table) for i in (1, 2)]
-    w, sigma = regular_part(u, rep, modes)
+    w, sigma = regular_part(u, rep)
     assert np.array_equal(w.ux, u.ux) and np.array_equal(w.uy, u.uy)
     assert np.array_equal(sigma, u.p)
 
@@ -128,12 +125,22 @@ def test_regular_part_mesh_mismatch(coarse_mesh):
     nodes = coarse_mesh.nodes.copy()
     nodes[interior[len(interior) // 2]] += 1e-6
     moved = replace(coarse_mesh, nodes=nodes)
-    table = lame_exponents(FRAME.omega, MAT.C)
-    modes = [make_mode("lame", "primal", i, FRAME, MAT, table) for i in (1, 2)]
     for other in (generate_lshape_mesh(POLY, 0.2, levels=3), moved):
         u = mixed_solve(other, MAT, zero_g().traces)[-1]
         with pytest.raises(MeshMismatch):
-            regular_part(u, rep, modes)
+            regular_part(u, rep)
+
+
+@pytest.mark.parametrize("extract,family", [
+    (extract_sifs_penalized, "lame"), (extract_sifs_stokes, "stokes")],
+    ids=["penalized", "stokes"])
+def test_report_carries_its_primal_modes(coarse_mesh, extract, family):
+    data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
+    rep = extract(data)
+    assert [(m.family, m.kind, m.index) for m in rep.modes] == [
+        (family, "primal", 1), (family, "primal", 2)]
+    table = exponent_table(family, FRAME.omega, MAT.C)
+    assert [m.a for m in rep.modes] == list(table.exponents[:2])
 
 
 def flip_one_diagonal(mesh):
@@ -275,14 +282,14 @@ def _area(tri):
 
 # -- vectorized functionals against element-by-element references ------------
 
-def boundary_psi_per_edge(space, psi, polygon, traces, mu, tags=None):
+def boundary_psi_per_edge(space, psi, polygon, traces, mu):
     """The boundary corrector term, one mesh boundary edge at a time."""
     tq, wq = gauss_nodes(4, 0.0, 1.0)
     normals = {e.tag: e.normal for e in polygon.edges}
     out = {}
     for k, (i, j, tag) in enumerate(space.mesh.bedges):
         tag = int(tag)
-        if tag not in traces or (tags is not None and tag not in tags):
+        if tag not in traces:
             continue
         p0, p1 = space.mesh.nodes[i], space.mesh.nodes[j]
         phys = p0 + tq[:, None] * (p1 - p0)
@@ -304,10 +311,10 @@ def test_boundary_psi_matches_edge_by_edge_loop(coarse_mesh, index):
     _, traces, _, _ = manufactured_fields("penalized", MAT, POLY)
     primal = make_mode("lame", "primal", 1, FRAME, MAT, table)
     far = {e.tag for e in POLY.far_edges}
-    for trs, tags in ((traces, None), ({t: primal.eval_xy for t in far}, far)):
-        got = _boundary_psi(psi.space, psi, POLY, trs, MAT.mu, tags=tags)
-        want = boundary_psi_per_edge(psi.space, psi, POLY, trs, MAT.mu, tags=tags)
-        assert got.keys() == want.keys() == (tags or {e.tag for e in POLY.edges})
+    for trs in (traces, {t: primal.eval_xy for t in far}):
+        got = _boundary_psi(psi.space, psi, POLY, trs, MAT.mu)
+        want = boundary_psi_per_edge(psi.space, psi, POLY, trs, MAT.mu)
+        assert got.keys() == want.keys() == trs.keys()
         scale = max(abs(v) for v in want.values())
         for tag, v in want.items():
             assert abs(got[tag] - v) <= 1e-13 * max(abs(v), 1e-3 * scale)

@@ -10,9 +10,10 @@ import sympy as sp
 
 import sif_lab.fem
 from sif_lab.extraction import ProblemData, extract_sifs_penalized
-from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedOperator,
-                         P2Space, diff_norms, dirichlet_values, error_norms,
-                         load_vector, norms, second_equation_residual, solve_psi)
+from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedField,
+                         MixedOperator, P2Space, diff_norms, dirichlet_values,
+                         error_norms, load_vector, norms, p2_shape, p2_shape_grad,
+                         second_equation_residual, solve_psi, tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, generate_lshape_mesh,
                               generate_square_mesh, lshape_polygon)
 from sif_lab.modes import make_mode
@@ -180,6 +181,34 @@ def test_p2_numbering_matches_reference_loop(make):
     assert list(space.boundary_dofs) == list(boundary)
     for tag, dofs in boundary.items():
         assert space.boundary_dofs[tag].tolist() == dofs
+
+
+def test_basis_grad_matches_per_element_map():
+    space = P2Space(_shuffled(generate_lshape_mesh(lshape_polygon(1.0), 0.25, levels=3)))
+    pts = tri_quadrature(8)[0]
+    G = space.basis_grad(pts)
+    assert G.shape == (len(space.mesh.tris), len(pts), 6, 2)
+    for m in range(len(space.mesh.tris)):
+        assert np.allclose(G[m], p2_shape_grad(pts) @ space.invJ[m], rtol=0, atol=1e-13)
+
+
+def test_field_values_and_gradient_match_element_loops():
+    mesh = _shuffled(generate_lshape_mesh(lshape_polygon(1.0), 0.25, levels=3))
+    rng = np.random.default_rng(1)
+    space = P2Space(mesh)
+    ux, uy = rng.normal(size=(2, space.n_scalar))
+    field = MixedField(space=space, material=MaterialParams(1.0, 1e-3),
+                       ux=ux, uy=uy, p=rng.normal(size=mesh.n_nodes))
+    pts = tri_quadrature(5)[0]
+    u, p = field.values(pts)
+    g = field.gradient(pts)
+    N = p2_shape(pts)
+    for m in range(len(mesh.tris)):
+        dofs = space.tri_dofs[m]
+        want_u = np.stack([N @ field.ux[dofs], N @ field.uy[dofs]], axis=-1)
+        assert np.allclose(u[m], want_u, rtol=0, atol=1e-13)
+        assert np.allclose(p[m], field.pressure_at(m, pts), rtol=0, atol=1e-13)
+        assert np.allclose(g[m], field.grad_at(m, pts), rtol=0, atol=1e-13)
 
 
 def test_dirichlet_data_errors():

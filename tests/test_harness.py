@@ -1,6 +1,7 @@
 """Run configs, experiment drivers, report emission, CLI surface."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from sif_lab import SifLabError
 from sif_lab.cli import main
 from sif_lab.extraction import _mesh_id
 from sif_lab.fem import MixedOperator, P2Space, dirichlet_values, load_vector
@@ -288,12 +290,22 @@ def test_cli_reports_library_errors_in_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,config", [
-    (["extract", "--family", "penalized", "--eps", "0"], BASE),
-    (["eigen", "--family", "lame", "--omega", "1.0"], None),
-    (["solve", "--eps", "1e-3"], BASE.replace("h = 0.25", "h = -1")),
-], ids=["extract-eps-0", "eigen-convex-omega", "negative-h"])
-def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config):
+OMEGA = "4.71238898038469"
+
+
+@pytest.mark.parametrize("argv,config,error", [
+    (["extract", "--family", "penalized", "--eps", "0"], BASE, "ValueError"),
+    (["eigen", "--family", "lame", "--omega", "1.0"], None, "ValueError"),
+    (["solve", "--eps", "1e-3"], BASE.replace("h = 0.25", "h = -1"), "ValueError"),
+    (["mode", "--family", "lame", "--index", "3", "--omega", OMEGA, "--at", "1,0"],
+     None, "IndexOutOfRange"),
+    (["mode", "--family", "lame", "--omega", OMEGA, "--at", "0,0"],
+     None, "NonpositiveRadius"),
+    (["gamma", "--family", "stokes", "--index", "2", "--omega", "3.8"],
+     None, "IndexOutOfRange"),
+], ids=["extract-eps-0", "eigen-convex-omega", "negative-h", "mode-index-3",
+        "mode-at-corner", "gamma-stokes-2-below-critical"])
+def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config, error):
     if config is not None:
         cfg = tmp_path / "run.ini"
         cfg.write_text(config + "[data]\nf_x = 1\n")
@@ -301,8 +313,19 @@ def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config):
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc != 0
-    assert err.startswith("error: ValueError: ")
+    assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["angular", "expr", "extraction", "fem",
+                                    "geometry", "harness", "modes", "spectral"])
+def test_named_errors_share_the_package_base(module):
+    mod = importlib.import_module(f"sif_lab.{module}")
+    errors = [obj for obj in (getattr(mod, name) for name in mod.__all__)
+              if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert errors
+    for exc in errors:
+        assert issubclass(exc, SifLabError), exc
 
 
 def test_cli_solve_prints_flux_defect_at_eps_zero(tmp_path, capsys):
