@@ -7,10 +7,11 @@ The weak form solved is
 
 assembled as one symmetric indefinite sparse system, with the velocity
 prescribed on the whole boundary.  A MixedOperator is the one way to solve it:
-it assembles the matrix of one (mesh, material) and factors its free block
-once, by a deterministic direct LU; every solve on that mesh and material
-reuses the factorization.  A solve takes the load vector (load_vector) and
-the prescribed boundary values (dirichlet_values):
+it combines the material-free blocks its P2Space assembles once
+(P2Space.stokes_blocks) into the matrix of one (mesh, material) and factors
+its free block once, by a deterministic direct LU; every solve on that mesh
+and material reuses the factorization.  A solve takes the load vector
+(load_vector) and the prescribed boundary values (dirichlet_values):
 
     op = MixedOperator(space, material)
     field = op.solve(load_vector(space, f, zeta), dirichlet_values(space, traces))
@@ -34,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -240,6 +242,29 @@ class P2Space:
         G, invJ = p2_shape_grad(pts)[..., None], self.invJ[:, None, None]
         return G[..., 0, :] * invJ[..., 0, :] + G[..., 1, :] * invJ[..., 1, :]
 
+    @cached_property
+    def stokes_blocks(self):
+        """Material-free blocks (A, Bx, By, M) of the mixed matrix, built once:
+        the scalar P2 stiffness A (S x S), the divergence blocks Bx, By
+        (pressure test x velocity trial, N x S) and the P1 mass M (N x N)."""
+        pts, w = tri_quadrature(5)
+        L, G = p1_shape(pts), self.basis_grad(pts)           # (q, 3), (m, q, 6, 2)
+        wdet = w[None, :] * self.areas[:, None]
+        vd, pd = self.tri_dofs, self.mesh.tris
+        S, N = self.n_scalar, self.mesh.n_nodes
+        Ae = np.einsum("mq,mqie,mqje->mij", wdet, G, G, optimize=True)
+        Bxe, Bye = np.einsum("mq,qk,mqie->emki", wdet, L, G)
+        Me = np.einsum("mq,qk,ql->mkl", wdet, L, L)
+        return (_scatter(vd, vd, Ae, (S, S)), _scatter(pd, vd, Bxe, (N, S)),
+                _scatter(pd, vd, Bye, (N, S)), _scatter(pd, pd, Me, (N, N)))
+
+
+def _scatter(rows, cols, blocks, shape) -> sp.csr_matrix:
+    """Sum element blocks (m, r, c) into the global entries rows (m, r) x cols (m, c)."""
+    r = np.broadcast_to(rows[:, :, None], blocks.shape).ravel()
+    c = np.broadcast_to(cols[:, None, :], blocks.shape).ravel()
+    return sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
+
 
 @dataclass
 class MixedField:
@@ -298,45 +323,14 @@ class MixedField:
 
 
 def _mixed_matrix(space: P2Space, material: MaterialParams) -> sp.csr_matrix:
-    """Taylor-Hood matrix of the mixed weak form on space, for material."""
+    """Taylor-Hood matrix of the mixed weak form on space, for material.  At
+    eps = 0 the pressure block keeps M's pattern as explicit zeros, so every
+    material on one mesh has one sparsity pattern and one LU ordering."""
+    A, Bx, By, M = space.stokes_blocks
     mu, eps = material.mu, material.eps
-    pts, w = tri_quadrature(5)
-    Lsh = p1_shape(pts)                       # (q, 3)
-    S = space.n_scalar
-
-    Gphys = space.basis_grad(pts)                            # (m, q, 6, 2)
-    wdet = w[None, :] * space.areas[:, None]                 # quadrature x area
-    # Scalar stiffness mu * grad.grad per element: (m, 6, 6)
-    Ke = mu * np.einsum("mq,mqie,mqje->mij", wdet, Gphys, Gphys)
-    # Divergence coupling (pressure test k, velocity trial i), per component.
-    Bxe = np.einsum("mq,qk,mqi->mki", wdet, Lsh, Gphys[..., 0])
-    Bye = np.einsum("mq,qk,mqi->mki", wdet, Lsh, Gphys[..., 1])
-    Me = np.einsum("mq,qk,ql->mkl", wdet, Lsh, Lsh)
-
-    vd = space.tri_dofs                                      # (m, 6)
-    pd = space.mesh.tris                                     # (m, 3)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, block):
-        rows.append(np.broadcast_to(r[:, :, None], block.shape).ravel())
-        cols.append(np.broadcast_to(c[:, None, :], block.shape).ravel())
-        vals.append(block.ravel())
-
-    # Momentum rows: [mu A, 0, -Bx^T; 0, mu A, -By^T]
-    add(vd, vd, Ke)                                          # ux-ux
-    add(vd + S, vd + S, Ke)                                  # uy-uy
-    P0 = 2 * S
-    add(vd, pd + P0, -np.swapaxes(Bxe, 1, 2))
-    add(vd + S, pd + P0, -np.swapaxes(Bye, 1, 2))
-    # Constraint rows (negated for symmetry): [-Bx, -By, -eps M]
-    add(pd + P0, vd, -Bxe)
-    add(pd + P0, vd + S, -Bye)
-    add(pd + P0, pd + P0, -eps * Me)
-
-    ndof = space.n_dofs
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof)).tocsr()
+    return sp.bmat([[mu * A, None, -Bx.T],
+                    [None, mu * A, -By.T],
+                    [-Bx, -By, -eps * M]], format="csr")
 
 
 def load_vector(space: P2Space, f=None, zeta=None) -> np.ndarray:

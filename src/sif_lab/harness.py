@@ -15,7 +15,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -47,13 +47,6 @@ __all__ = [
 
 SCHEMA = "sif-lab/1"
 
-SWEEP_COLUMNS = [
-    "eps", "lambda1", "lambda2", "gamma1", "gamma2", "c1", "c2",
-    "c1_ref", "c2_ref", "dc1", "dc2", "w_diff_h1", "sigma_diff_l2",
-    "wall_time",
-]
-
-
 class ConfigError(SifLabError):
     """Missing/invalid section, key, or expression in a run config."""
 
@@ -76,6 +69,9 @@ class SweepRecord:
     w_diff_h1: float
     sigma_diff_l2: float
     wall_time: float
+
+
+SWEEP_COLUMNS = [f.name for f in fields(SweepRecord)]
 
 
 @dataclass
@@ -126,17 +122,21 @@ def load_config(source: str) -> RunConfig:
     return cfg
 
 
-def build_domain(cfg: RunConfig) -> tuple[CornerPolygon, TriMesh]:
+def _domain(cfg: RunConfig):
+    """The [domain] polygon, and its mesher h -> TriMesh with the [mesh] grading."""
     kind = cfg.domain.get("kind", "lshape")
     if kind != "lshape":
         raise ConfigError(f"unsupported domain kind {kind!r}")
-    size = float(cfg.domain.get("size", "1.0"))
-    polygon = lshape_polygon(size)
-    h = float(cfg.mesh.get("h", "0.1"))
+    polygon = lshape_polygon(float(cfg.domain.get("size", "1.0")))
     ratio = float(cfg.mesh.get("grading_ratio", "0.5"))
     levels = int(cfg.mesh.get("levels", "6"))
-    mesh = generate_lshape_mesh(polygon, h, grading_ratio=ratio, levels=levels)
-    return polygon, mesh
+    return polygon, lambda h: generate_lshape_mesh(polygon, h, grading_ratio=ratio,
+                                                   levels=levels)
+
+
+def build_domain(cfg: RunConfig) -> tuple[CornerPolygon, TriMesh]:
+    polygon, mesher = _domain(cfg)
+    return polygon, mesher(float(cfg.mesh.get("h", "0.1")))
 
 
 def _vector_callable(ex_x, ex_y, frame):
@@ -266,11 +266,8 @@ def run_manufactured(cfg: RunConfig) -> dict:
             raise ConfigError("penalized manufactured case needs eps > 0")
         material = MaterialParams(mu, eps)
 
-    size = float(cfg.domain.get("size", "1.0"))
-    polygon = lshape_polygon(size)
+    polygon, mesher = _domain(cfg)
     hs = _floats(cfg.mesh.get("h_levels", cfg.mesh.get("h", "0.1")))
-    ratio = float(cfg.mesh.get("grading_ratio", "0.5"))
-    levels = int(cfg.mesh.get("levels", "6"))
 
     f, traces, c_true, family = manufactured_fields(case, material, polygon)
     g = BoundaryData(traces=traces, zeta=None)
@@ -278,8 +275,7 @@ def run_manufactured(cfg: RunConfig) -> dict:
     rows = []
     for h in hs:
         t0 = time.perf_counter()
-        mesh = generate_lshape_mesh(polygon, h, grading_ratio=ratio, levels=levels)
-        data = ProblemData(polygon=polygon, mesh=mesh, material=material, g=g, f=f)
+        data = ProblemData(polygon=polygon, mesh=mesher(h), material=material, g=g, f=f)
         rep = (extract_sifs_stokes(data) if family == "stokes"
                else extract_sifs_penalized(data))
         err1 = abs(rep.c1 - c_true[0])

@@ -230,6 +230,10 @@ def make_mode(family: str, kind: str, index: int, frame: CornerFrame,
     if abs(table.omega - frame.omega) > 1e-12:
         raise FamilyMismatch(
             f"exponent table omega={table.omega} does not match frame omega={frame.omega}")
+    if index > table.mode_count:
+        raise IndexOutOfRange(
+            f"{family} mode {index} does not exist at omega={table.omega} "
+            f"(M={table.mode_count})")
     lam = table.exponents[index - 1]
     a = lam if kind == "primal" else -lam
     C = material.C if family == "lame" else 1.0

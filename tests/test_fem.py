@@ -12,8 +12,9 @@ import sif_lab.fem
 from sif_lab.extraction import ProblemData, extract_sifs_penalized
 from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedField,
                          MixedOperator, P2Space, diff_norms, dirichlet_values,
-                         error_norms, load_vector, norms, p2_shape, p2_shape_grad,
-                         second_equation_residual, solve_psi, tri_quadrature)
+                         error_norms, load_vector, norms, p1_shape, p2_shape,
+                         p2_shape_grad, second_equation_residual, solve_psi,
+                         tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, generate_lshape_mesh,
                               generate_square_mesh, lshape_polygon)
 from sif_lab.modes import make_mode
@@ -209,6 +210,46 @@ def test_field_values_and_gradient_match_element_loops():
         assert np.allclose(u[m], want_u, rtol=0, atol=1e-13)
         assert np.allclose(p[m], field.pressure_at(m, pts), rtol=0, atol=1e-13)
         assert np.allclose(g[m], field.grad_at(m, pts), rtol=0, atol=1e-13)
+
+
+def _reference_mixed_matrix(space, mu, eps):
+    """Element-by-element assembly of the mixed matrix into a dict of entries,
+    pressure-pressure entries kept even when eps = 0."""
+    pts, w = tri_quadrature(5)
+    L = p1_shape(pts)
+    S = space.n_scalar
+    entries = {}
+    for m in range(len(space.mesh.tris)):
+        G = p2_shape_grad(pts) @ space.invJ[m]
+        wq = w * space.areas[m]
+        A = sum(wq[q] * G[q] @ G[q].T for q in range(len(w)))
+        B = [sum(wq[q] * np.outer(L[q], G[q][:, d]) for q in range(len(w)))
+             for d in (0, 1)]
+        M = sum(wq[q] * np.outer(L[q], L[q]) for q in range(len(w)))
+        v, p = space.tri_dofs[m], space.mesh.tris[m] + 2 * S
+        for rows, cols, block in ((v, v, mu * A), (v + S, v + S, mu * A),
+                                  (v, p, -B[0].T), (v + S, p, -B[1].T),
+                                  (p, v, -B[0]), (p, v + S, -B[1]), (p, p, -eps * M)):
+            for i, r in enumerate(rows):
+                for j, c in enumerate(cols):
+                    entries[r, c] = entries.get((r, c), 0.0) + block[i, j]
+    keys = sorted(entries)
+    rows, cols = np.array(keys).T
+    return scipy.sparse.csr_matrix(([entries[k] for k in keys], (rows, cols)),
+                                   shape=(space.n_dofs, space.n_dofs))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_mixed_matrix_matches_element_loop(eps):
+    space = P2Space(_shuffled(generate_lshape_mesh(lshape_polygon(1.0), 0.25, levels=3)))
+    K = sif_lab.fem._mixed_matrix(space, MaterialParams(1.3, eps))
+    ref = _reference_mixed_matrix(space, 1.3, eps)
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.max(np.abs(K.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+    pressure = K[2 * space.n_scalar:, 2 * space.n_scalar:]
+    assert pressure.nnz == ref[2 * space.n_scalar:, 2 * space.n_scalar:].nnz > 0
+    assert (pressure.data == 0.0).all() == (eps == 0.0)
 
 
 def test_dirichlet_data_errors():

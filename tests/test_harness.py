@@ -1,6 +1,7 @@
 """Run configs, experiment drivers, report emission, CLI surface."""
 
 import csv
+import functools
 import importlib
 import io
 import json
@@ -174,13 +175,24 @@ def test_eps_sweep_deterministic_up_to_wall_time():
 
 
 def test_eps_sweep_factors_once_per_material(monkeypatch):
-    """Four penalized operators plus the Stokes reference: five LU in all."""
+    """Four penalized operators plus the Stokes reference: five LU in all, on
+    one space whose blocks are assembled once."""
+    builds, build = [], P2Space.stokes_blocks.func
+
+    def counting(space):
+        builds.append(space)
+        return build(space)
+
+    blocks = functools.cached_property(counting)
+    blocks.__set_name__(P2Space, "stokes_blocks")
+    monkeypatch.setattr(P2Space, "stokes_blocks", blocks)
     calls = count_factorizations(monkeypatch)
     cfg_text = SWEEP_CFG.replace(
         "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4")
     out = run_eps_sweep(load_config(cfg_text))
     assert len(out["records"]) == 4
     assert len(calls) == 5
+    assert len(builds) == 1
 
 
 def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
@@ -279,6 +291,15 @@ def test_cli_reports_config_errors(tmp_path):
     assert rc == 2
 
 
+def test_cli_manufactured_checks_the_domain_kind(tmp_path, capsys):
+    cfg = tmp_path / "square.ini"
+    cfg.write_text(BASE.replace("kind = lshape", "kind = square")
+                   + "[data]\ncase = smooth\n")
+    rc = main(["manufactured", "--config", str(cfg)])
+    assert rc == 2
+    assert "unsupported domain kind 'square'" in capsys.readouterr().err
+
+
 def test_cli_reports_library_errors_in_one_line(tmp_path, capsys):
     cfg = tmp_path / "corner.ini"
     cfg.write_text(BASE + "[data]\nf_x = 1\ng_x = 1\n")  # g(0, 0) != 0
@@ -301,10 +322,13 @@ OMEGA = "4.71238898038469"
      None, "IndexOutOfRange"),
     (["mode", "--family", "lame", "--omega", OMEGA, "--at", "0,0"],
      None, "NonpositiveRadius"),
+    (["mode", "--family", "stokes", "--index", "2", "--omega", "3.8", "--at", "1,1"],
+     None, "IndexOutOfRange"),
     (["gamma", "--family", "stokes", "--index", "2", "--omega", "3.8"],
      None, "IndexOutOfRange"),
 ], ids=["extract-eps-0", "eigen-convex-omega", "negative-h", "mode-index-3",
-        "mode-at-corner", "gamma-stokes-2-below-critical"])
+        "mode-at-corner", "mode-stokes-2-below-critical",
+        "gamma-stokes-2-below-critical"])
 def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config, error):
     if config is not None:
         cfg = tmp_path / "run.ini"

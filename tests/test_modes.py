@@ -175,6 +175,9 @@ def test_error_conditions():
         make_mode("lame", "primal", 3, FRAME, MAT, LAME)
     with pytest.raises(FamilyMismatch):
         make_mode("stokes", "primal", 1, FRAME, MAT, LAME)
+    below = CornerFrame(0.0, 3.8)  # one Stokes mode below the critical angle
+    with pytest.raises(IndexOutOfRange):
+        make_mode("stokes", "primal", 2, below, MAT, stokes_exponents(below.omega))
     mode = make_mode("lame", "primal", 1, FRAME, MAT, LAME)
     with pytest.raises(FamilyMismatch):
         mode.pressure_coeff(0.1)
