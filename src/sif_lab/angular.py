@@ -4,7 +4,8 @@ Everything here is 1D quadrature on [omega1, omega2]; no meshes or FEM are
 involved.  The penalized normalizer gamma_i is assembled from the closed-form
 integrand that has the 1/eps cancellation performed analytically — the raw
 eps-divided integrand exists only inside check_ij_identity, as a verification
-path.
+path.  The modes come from make_mode, which finds their exponents itself, so
+a normalizer is fixed by its index, frame and material alone.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import SifLabError
-from .modes import CornerFrame, IndexOutOfRange, SingularMode, make_mode
-from .spectral import MaterialParams, exponent_table, stokes_exponents
+from .modes import CornerFrame, SingularMode, make_mode
+from .spectral import MaterialParams
 
 __all__ = [
     "AngularIntegrals",
@@ -74,13 +75,10 @@ def gauss_nodes(n: int, a: float, b: float):
     return mid + half * x, half * w
 
 
-def _pair(family: str, frame: CornerFrame, material: MaterialParams, index: int,
-          table=None) -> tuple[SingularMode, SingularMode]:
-    if table is None:
-        table = exponent_table(family, frame.omega, material.C)
-    primal = make_mode(family, "primal", index, frame, material, table)
-    dual = make_mode(family, "dual", index, frame, material, table)
-    return primal, dual
+def _pair(family: str, frame: CornerFrame, material: MaterialParams,
+          index: int) -> tuple[SingularMode, SingularMode]:
+    return (make_mode(family, "primal", index, frame, material),
+            make_mode(family, "dual", index, frame, material))
 
 
 def kappa_closed(index: int, mu: float, C: float, lam: float, omega: float, that):
@@ -123,6 +121,17 @@ def _integrate(f, frame: CornerFrame, order: int):
     return float(np.dot(w, f(x - frame.omega_bar)))
 
 
+def _doubling_error(what: str, order: int, gamma: float, refined: float) -> float:
+    """|refined - gamma|, after the order-doubling and near-zero checks."""
+    err = abs(refined - gamma)
+    if err > 1e-11 * max(abs(gamma), 1e-30):
+        raise QuadratureNotConverged(
+            f"{what}: order {order} vs {2 * order} differ by {err}")
+    if abs(gamma) < _GAMMA_FLOOR:
+        raise GammaNearZero(f"{what} = {gamma}")
+    return err
+
+
 def gamma_lame(index: int, material: MaterialParams, frame: CornerFrame,
                modes: tuple[SingularMode, SingularMode] | None = None,
                order: int = DEFAULT_ORDER) -> AngularIntegrals:
@@ -151,37 +160,24 @@ def gamma_lame(index: int, material: MaterialParams, frame: CornerFrame,
     gamma = term_pair + term_kappa
     refined = material.mu * _integrate(pairing, frame, 2 * order) \
         + _integrate(kap, frame, 2 * order)
-    err = abs(refined - gamma)
-    if err > 1e-11 * max(abs(gamma), 1e-30):
-        raise QuadratureNotConverged(
-            f"gamma_lame(i={index}): order {order} vs {2 * order} differ by {err}")
-    if abs(gamma) < _GAMMA_FLOOR:
-        raise GammaNearZero(f"gamma_lame(i={index}) = {gamma}")
+    err = _doubling_error(f"gamma_lame(i={index})", order, gamma, refined)
     return AngularIntegrals(
         family="lame", index=index, eps=material.eps, gamma=gamma,
         parts={"pairing": term_pair, "kappa": term_kappa},
         order=order, quad_error=err)
 
 
-def gamma_stokes(index: int, omega_or_frame, modes=None,
-                 order: int = DEFAULT_ORDER, table=None) -> AngularIntegrals:
+def gamma_stokes(index: int, frame: CornerFrame, modes=None,
+                 order: int = DEFAULT_ORDER) -> AngularIntegrals:
     """Stokes normalizer gamma_i^s = int (2k T.Tdual - xi (Tdual.e_r) + (T.e_r) xidual).
 
     Built from the angular coefficient functions directly (the 1/mu velocity
     prefactors are not part of the normalizer), so the value depends on the
-    opening angle only.  table is the Stokes exponent table of the opening
-    angle, computed here when None.
+    opening angle only.  A mode the opening angle does not have raises
+    IndexOutOfRange from make_mode.
     """
-    frame = omega_or_frame if isinstance(omega_or_frame, CornerFrame) \
-        else CornerFrame(0.0, float(omega_or_frame))
-    if table is None:
-        table = stokes_exponents(frame.omega)
-    if index > table.mode_count:
-        raise IndexOutOfRange(
-            f"Stokes mode {index} does not exist at omega={frame.omega} "
-            f"(M={table.mode_count})")
     if modes is None:
-        modes = _pair("stokes", frame, MaterialParams(1.0, 0.0), index, table)
+        modes = _pair("stokes", frame, MaterialParams(1.0, 0.0), index)
     primal, dual = modes
     k = primal.a
 
@@ -194,12 +190,7 @@ def gamma_stokes(index: int, omega_or_frame, modes=None,
 
     gamma = _integrate(integrand, frame, order)
     refined = _integrate(integrand, frame, 2 * order)
-    err = abs(refined - gamma)
-    if err > 1e-11 * max(abs(gamma), 1e-30):
-        raise QuadratureNotConverged(
-            f"gamma_stokes(i={index}): order {order} vs {2 * order} differ by {err}")
-    if abs(gamma) < _GAMMA_FLOOR:
-        raise GammaNearZero(f"gamma_stokes(i={index}) = {gamma}")
+    err = _doubling_error(f"gamma_stokes(i={index})", order, gamma, refined)
     return AngularIntegrals(
         family="stokes", index=index, eps=None, gamma=gamma,
         parts={"integral": gamma}, order=order, quad_error=err)

@@ -51,8 +51,7 @@ def cmd_eigen(args) -> int:
 def cmd_mode(args) -> int:
     material = MaterialParams(args.mu, args.eps)
     frame = CornerFrame(0.0, args.omega)
-    table = exponent_table(args.family, args.omega, material.C)
-    mode = make_mode(args.family, args.kind, args.index, frame, material, table)
+    mode = make_mode(args.family, args.kind, args.index, frame, material)
     r, theta = (float(t) for t in args.at.split(","))
     v = mode.eval(r, theta)
     G = mode.eval_grad(r, theta)

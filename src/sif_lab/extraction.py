@@ -94,7 +94,7 @@ class _Family:
     """What differs between the penalized and the Stokes extraction.
 
     modes      : mode family of the exponent table and the modes
-    gamma      : (index, material, frame, (primal, dual), table) -> normalizer
+    gamma      : (index, material, frame, (primal, dual)) -> normalizer
     dual_scale : mu -> factor of the dual mode in the dual weight
     sigma      : (mode, r, theta) -> pressure-like part paired with g.n: the
                  scaled divergence, or minus the pressure
@@ -117,7 +117,7 @@ class _Family:
 _FAMILY = {
     "penalized": _Family(
         modes="lame",
-        gamma=lambda i, material, frame, modes, table: gamma_lame(
+        gamma=lambda i, material, frame, modes: gamma_lame(
             i, material, frame, modes=modes),
         dual_scale=lambda mu: 1.0,
         sigma=lambda mode, r, theta: mode.eval_div_scaled(r, theta),
@@ -126,8 +126,8 @@ _FAMILY = {
                "gamma_quad_errors")),
     "stokes": _Family(
         modes="stokes",
-        gamma=lambda i, material, frame, modes, table: gamma_stokes(
-            i, frame, modes=modes, table=table),
+        gamma=lambda i, material, frame, modes: gamma_stokes(
+            i, frame, modes=modes),
         dual_scale=lambda mu: mu,
         sigma=lambda mode, r, theta: -mode.eval_pressure(r, theta),
         zeta=True, eps=False,
@@ -520,12 +520,10 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
 
     fam = _FAMILY[family]
     frame = data.polygon.frame
-    table = exponent_table(fam.modes, frame.omega, material.C)
-    indices = range(1, table.mode_count + 1)
-    primals = tuple(make_mode(fam.modes, "primal", i, frame, material, table)
-                    for i in indices)
-    duals = tuple(make_mode(fam.modes, "dual", i, frame, material, table) for i in indices)
-    gammas = tuple(fam.gamma(i, material, frame, m, table)
+    indices = range(1, exponent_table(fam.modes, frame.omega, material.C).mode_count + 1)
+    primals = tuple(make_mode(fam.modes, "primal", i, frame, material) for i in indices)
+    duals = tuple(make_mode(fam.modes, "dual", i, frame, material) for i in indices)
+    gammas = tuple(fam.gamma(i, material, frame, m)
                    for i, m in enumerate(zip(primals, duals), 1))
     op = data.operator
     if op is None:

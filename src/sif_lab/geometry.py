@@ -385,6 +385,8 @@ def generate_lshape_mesh(polygon: CornerPolygon, h: float,
         raise ValueError("h must be positive")
     if not (0.0 < grading_ratio < 1.0):
         raise ValueError("grading ratio must be in (0, 1)")
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     verts = polygon.vertices
     s = float(np.max(np.abs(verts)))
     axis_aligned = len(verts) == 6 and all(

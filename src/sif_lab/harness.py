@@ -1,7 +1,7 @@
 """Experiment driver: manufactured recovery studies, penalty sweeps, reporting.
 
 Configs are INI files with sections [domain], [mesh], [material], [data],
-[solver], [output]; data fields are analytic expressions in x, y, r, theta.
+[output]; data fields are analytic expressions in x, y, r, theta.
 Reports are plain dicts (JSON) or row tables (CSV) with a versioned schema.
 """
 
@@ -26,7 +26,7 @@ from .extraction import (ProblemData, extract_sifs_penalized,
 from .fem import MixedOperator, P2Space, diff_norms, dirichlet_values, load_vector
 from .geometry import BoundaryData, CornerPolygon, TriMesh, generate_lshape_mesh, lshape_polygon
 from .modes import make_mode
-from .spectral import MaterialParams, lame_exponents, stokes_exponents
+from .spectral import MaterialParams
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +82,6 @@ class RunConfig:
     mesh: dict
     material: dict
     data: dict
-    solver: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
 
 
@@ -108,7 +107,7 @@ def load_config(source: str) -> RunConfig:
 
     cfg = RunConfig(domain=sec("domain"), mesh=sec("mesh"),
                     material=sec("material"), data=sec("data"),
-                    solver=sec("solver"), output=sec("output"))
+                    output=sec("output"))
     # Validate every expression-valued key up front.
     for key, val in cfg.data.items():
         if key in ("case",):
@@ -209,8 +208,7 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
 
     if case == "penalized":
         c_true = (0.7, -0.3)
-        table = lame_exponents(frame.omega, material.C)
-        phis = [make_mode("lame", "primal", i, frame, material, table) for i in (1, 2)]
+        phis = [make_mode("lame", "primal", i, frame, material) for i in (1, 2)]
 
         def f(x, y):
             x = np.asarray(x, dtype=float)
@@ -218,8 +216,7 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
             return np.stack([-4.0 * mu * y, 4.0 * mu * x], axis=-1)
     elif case == "stokes":
         c_true = (1.0, 0.4)
-        table = stokes_exponents(frame.omega)
-        phis = [make_mode("stokes", "primal", i, frame, material, table) for i in (1, 2)]
+        phis = [make_mode("stokes", "primal", i, frame, material) for i in (1, 2)]
 
         def f(x, y):
             x = np.asarray(x, dtype=float)
@@ -338,6 +335,8 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
         raise ConfigError("eps_grid needs at least 4 points")
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ConfigError("eps_grid must be strictly decreasing")
+    if min(eps_grid) <= 0.0:
+        raise ConfigError("eps_grid values must be positive")
 
     polygon, mesh = build_domain(cfg)
     f, g, zeta = build_data(cfg, polygon)

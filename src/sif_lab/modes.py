@@ -4,7 +4,9 @@ Each mode is a homogeneous field r^a * T(theta) built from trigonometric
 angular coefficients; the dual of a mode is the same formula with the exponent
 negated.  Values, Cartesian gradients, scaled divergences and (Stokes)
 pressures are all evaluated from hand-differentiated closed forms — no
-numerical differentiation and no cutoff functions anywhere.
+numerical differentiation and no cutoff functions anywhere.  A mode is fixed
+by (family, kind, index, frame, material): make_mode reads the exponent from
+spectral.exponent_table, which solves each (family, omega, C) once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import SifLabError
-from .spectral import ExponentTable, MaterialParams
+from .spectral import MaterialParams, exponent_table
 
 __all__ = [
     "CornerFrame",
@@ -209,27 +211,19 @@ def map_theta(theta, frame: CornerFrame):
 
 
 def make_mode(family: str, kind: str, index: int, frame: CornerFrame,
-              material: MaterialParams, table: ExponentTable) -> SingularMode:
-    """Build a singular or dual mode from an exponent table.
+              material: MaterialParams) -> SingularMode:
+    """Build a singular or dual mode of family "lame" or "stokes".
 
-    The dual is obtained by negating the exponent inside the same closed
-    forms; no separate formula set is needed.
+    The exponent comes from the family's table at the frame's opening angle
+    and the material's C, solved once per (family, omega, C).  The dual is
+    obtained by negating the exponent inside the same closed forms; no
+    separate formula set is needed.
     """
     if index not in (1, 2):
         raise IndexOutOfRange(f"mode index must be 1 or 2, got {index}")
-    if family not in ("lame", "stokes"):
-        raise ValueError(f"unknown family {family!r}")
     if kind not in ("primal", "dual"):
         raise ValueError(f"unknown kind {kind!r}")
-    if table.family != family:
-        raise FamilyMismatch(
-            f"exponent table is for {table.family!r}, mode requested for {family!r}")
-    if family == "lame" and abs(table.C - material.C) > 1e-12 * max(1.0, material.C):
-        raise FamilyMismatch(
-            f"exponent table C={table.C} does not match material C={material.C}")
-    if abs(table.omega - frame.omega) > 1e-12:
-        raise FamilyMismatch(
-            f"exponent table omega={table.omega} does not match frame omega={frame.omega}")
+    table = exponent_table(family, frame.omega, material.C)
     if index > table.mode_count:
         raise IndexOutOfRange(
             f"{family} mode {index} does not exist at omega={table.omega} "

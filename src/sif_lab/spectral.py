@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -236,8 +237,12 @@ def stokes_exponents(omega: float) -> ExponentTable:
         mode_count=mode_count, brackets=brackets, residuals=residuals)
 
 
+@lru_cache(maxsize=64)
 def exponent_table(family: str, omega: float, C: float) -> ExponentTable:
-    """The exponent table of mode family "lame" or "stokes"; Stokes ignores C."""
+    """The exponent table of mode family "lame" or "stokes"; Stokes ignores C.
+
+    Solved once per (family, omega, C) and shared: the table is frozen.
+    """
     if family == "lame":
         return lame_exponents(omega, C)
     if family == "stokes":

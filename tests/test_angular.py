@@ -9,7 +9,7 @@ from sif_lab.angular import (QuadratureNotConverged, check_ij_identity,
                              gamma_lame, gamma_limit_study, gamma_stokes,
                              gauss_nodes, kappa_closed, raw_ij)
 from sif_lab.modes import CornerFrame, make_mode
-from sif_lab.spectral import MaterialParams, lame_exponents, stokes_exponents
+from sif_lab.spectral import MaterialParams
 
 FRAME = CornerFrame(-math.pi / 2, math.pi)
 
@@ -23,9 +23,8 @@ def test_gauss_nodes_polynomial_exactness():
 
 def brute_gamma_lame(index, material, frame, panels=96, order=12):
     """Independent route: composite Gauss panels over the raw closed forms."""
-    table = lame_exponents(frame.omega, material.C)
-    primal = make_mode("lame", "primal", index, frame, material, table)
-    dual = make_mode("lame", "dual", index, frame, material, table)
+    primal = make_mode("lame", "primal", index, frame, material)
+    dual = make_mode("lame", "dual", index, frame, material)
     lam = primal.a
     edges = np.linspace(frame.omega1, frame.omega2, panels + 1)
     total = 0.0
@@ -51,11 +50,10 @@ def test_gamma_lame_against_composite_panels(index, eps):
 
 
 def test_gamma_stokes_against_composite_panels():
-    table = stokes_exponents(FRAME.omega)
     material = MaterialParams(1.0, 0.0)
     for index in (1, 2):
-        primal = make_mode("stokes", "primal", index, FRAME, material, table)
-        dual = make_mode("stokes", "dual", index, FRAME, material, table)
+        primal = make_mode("stokes", "primal", index, FRAME, material)
+        dual = make_mode("stokes", "dual", index, FRAME, material)
         k = primal.a
         edges = np.linspace(FRAME.omega1, FRAME.omega2, 97)
         total = 0.0
@@ -84,10 +82,9 @@ def test_raw_identity_pointwise():
     """Raw I+J equals eps times the closed-form integrand on a grid."""
     for eps in (1e-2, 1e-4, 1e-6):
         material = MaterialParams(1.0, eps)
-        table = lame_exponents(FRAME.omega, material.C)
         for index in (1, 2):
-            primal = make_mode("lame", "primal", index, FRAME, material, table)
-            dual = make_mode("lame", "dual", index, FRAME, material, table)
+            primal = make_mode("lame", "primal", index, FRAME, material)
+            dual = make_mode("lame", "dual", index, FRAME, material)
             that = np.linspace(-0.5 * FRAME.omega, 0.5 * FRAME.omega, 301)
             I, J = raw_ij(primal, dual, that)
             kap = kappa_closed(index, material.mu, material.C, primal.a,
@@ -119,6 +116,8 @@ def test_gamma_limit_study_slopes():
 def test_quadrature_convergence_guard():
     with pytest.raises(QuadratureNotConverged):
         gamma_lame(1, MaterialParams(1.0, 1e-3), FRAME, order=2)
+    with pytest.raises(QuadratureNotConverged):
+        gamma_stokes(1, FRAME, order=2)
 
 
 def test_stokes_second_mode_absent_below_critical_angle():

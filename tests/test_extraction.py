@@ -23,8 +23,7 @@ from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
                               lshape_vertices)
 from sif_lab.harness import manufactured_fields
 from sif_lab.modes import make_mode
-from sif_lab.spectral import (MaterialParams, exponent_table, lame_exponents,
-                              stokes_exponents)
+from sif_lab.spectral import MaterialParams, exponent_table
 from test_fem import count_factorizations, mixed_solve
 
 POLY = lshape_polygon(1.0)
@@ -185,16 +184,14 @@ def test_mesh_checks_compare_connectivity(coarse_mesh):
 # -- functional-level properties ---------------------------------------------
 
 def test_zero_data_gives_exact_zero(coarse_mesh):
-    table = lame_exponents(FRAME.omega, MAT.C)
-    dual = make_mode("lame", "dual", 1, FRAME, MAT, table)
+    dual = make_mode("lame", "dual", 1, FRAME, MAT)
     psi = solve_psi(dual, coarse_mesh, MAT, POLY)
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
     assert _ci_terms(data, dual, psi, psi.space)[0] == 0.0
 
 
 def test_ci_linearity_in_f(coarse_mesh):
-    table = lame_exponents(FRAME.omega, MAT.C)
-    dual = make_mode("lame", "dual", 2, FRAME, MAT, table)
+    dual = make_mode("lame", "dual", 2, FRAME, MAT)
     psi = solve_psi(dual, coarse_mesh, MAT, POLY)
 
     def f1(x, y):
@@ -217,9 +214,8 @@ def test_ci_linearity_in_f(coarse_mesh):
 
 def test_cstar_symmetric_domain_and_stub(coarse_mesh):
     """On the bisector-symmetric L-shape the cross coupling cancels."""
-    table = lame_exponents(FRAME.omega, MAT.C)
-    primal1 = make_mode("lame", "primal", 1, FRAME, MAT, table)
-    dual2 = make_mode("lame", "dual", 2, FRAME, MAT, table)
+    primal1 = make_mode("lame", "primal", 1, FRAME, MAT)
+    dual2 = make_mode("lame", "dual", 2, FRAME, MAT)
     psi2 = solve_psi(dual2, coarse_mesh, MAT, POLY)
     val = _cstar_terms(primal1, dual2, psi2, POLY, MAT.mu)[0]
     assert abs(val) < 1e-8
@@ -229,8 +225,7 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
 
 def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
     smat = MaterialParams(1.0, 0.0)
-    table = stokes_exponents(FRAME.omega)
-    dual = make_mode("stokes", "dual", 1, FRAME, smat, table)
+    dual = make_mode("stokes", "dual", 1, FRAME, smat)
     psi = solve_psi(dual, coarse_mesh, smat, POLY)
 
     def zeta(x, y):
@@ -305,11 +300,10 @@ def boundary_psi_per_edge(space, psi, polygon, traces, mu):
 
 @pytest.mark.parametrize("index", [1, 2])
 def test_boundary_psi_matches_edge_by_edge_loop(coarse_mesh, index):
-    table = lame_exponents(FRAME.omega, MAT.C)
-    dual = make_mode("lame", "dual", index, FRAME, MAT, table)
+    dual = make_mode("lame", "dual", index, FRAME, MAT)
     psi = solve_psi(dual, coarse_mesh, MAT, POLY)
     _, traces, _, _ = manufactured_fields("penalized", MAT, POLY)
-    primal = make_mode("lame", "primal", 1, FRAME, MAT, table)
+    primal = make_mode("lame", "primal", 1, FRAME, MAT)
     far = {e.tag for e in POLY.far_edges}
     for trs in (traces, {t: primal.eval_xy for t in far}):
         got = _boundary_psi(psi.space, psi, POLY, trs, MAT.mu)
@@ -327,8 +321,7 @@ def test_corner_edge_integrals_mirror_each_other(index):
     The first corner edge starts at the corner and the last one ends there;
     both must be integrated to the same precision near the corner.
     """
-    table = lame_exponents(FRAME.omega, MAT.C)
-    dual = make_mode("lame", "dual", index, FRAME, MAT, table)
+    dual = make_mode("lame", "dual", index, FRAME, MAT)
 
     def g(x, y):
         return np.stack([x * x - 0.5 * y + x * y, 0.3 * x + y * y], axis=-1)

@@ -18,7 +18,7 @@ from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedField,
 from sif_lab.geometry import (BoundaryData, TriMesh, generate_lshape_mesh,
                               generate_square_mesh, lshape_polygon)
 from sif_lab.modes import make_mode
-from sif_lab.spectral import MaterialParams, lame_exponents
+from sif_lab.spectral import MaterialParams
 
 
 def manufactured_square(mu, eps):
@@ -268,8 +268,7 @@ def test_solve_psi_traces():
     poly = lshape_polygon(1.0)
     mesh = generate_lshape_mesh(poly, 0.25, levels=3)
     material = MaterialParams(1.0, 1e-3)
-    table = lame_exponents(poly.omega, material.C)
-    dual = make_mode("lame", "dual", 1, poly.frame, material, table)
+    dual = make_mode("lame", "dual", 1, poly.frame, material)
     psi = solve_psi(dual, mesh, material, poly)
     space = psi.space
     far = {e.tag for e in poly.far_edges}
@@ -356,9 +355,8 @@ def test_penalized_solve_at_tiny_eps_meets_residual_gate():
     poly = lshape_polygon(1.0)
     mesh = generate_lshape_mesh(poly, 0.1, levels=5)
     material = MaterialParams(1.0, 1e-10)
-    table = lame_exponents(poly.omega, material.C)
     operator = MixedOperator(P2Space(mesh), material)
     for i in (1, 2):
-        dual = make_mode("lame", "dual", i, poly.frame, material, table)
+        dual = make_mode("lame", "dual", i, poly.frame, material)
         psi = solve_psi(dual, mesh, material, poly, operator=operator)
         assert psi.residual <= 1e-10

@@ -45,6 +45,8 @@ def test_load_config_from_text_and_file(tmp_path):
     path.write_text(text)
     cfg2 = load_config(str(path))
     assert cfg2.data == cfg.data
+    # sections the program does not read, such as a former [solver], are ignored
+    assert load_config(text + "[solver]\nkind = lu\n").data == cfg.data
 
 
 def test_load_config_path_with_equals_sign(tmp_path):
@@ -155,6 +157,11 @@ def test_eps_sweep_grid_validation():
         "mu = 1.0", "mu = 1.0\neps_grid = 1e-4 1e-3 1e-2 1e-1")
     with pytest.raises(ConfigError):
         run_eps_sweep(load_config(rising))
+    for tail in ("0", "-1e-4"):
+        nonpositive = SWEEP_CFG.replace(
+            "mu = 1.0", f"mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 {tail}")
+        with pytest.raises(ConfigError, match="positive"):
+            run_eps_sweep(load_config(nonpositive))
 
 
 def test_eps_sweep_deterministic_up_to_wall_time():
@@ -318,6 +325,7 @@ OMEGA = "4.71238898038469"
     (["extract", "--family", "penalized", "--eps", "0"], BASE, "ValueError"),
     (["eigen", "--family", "lame", "--omega", "1.0"], None, "ValueError"),
     (["solve", "--eps", "1e-3"], BASE.replace("h = 0.25", "h = -1"), "ValueError"),
+    (["solve", "--eps", "1e-3"], BASE.replace("levels = 4", "levels = -1"), "ValueError"),
     (["mode", "--family", "lame", "--index", "3", "--omega", OMEGA, "--at", "1,0"],
      None, "IndexOutOfRange"),
     (["mode", "--family", "lame", "--omega", OMEGA, "--at", "0,0"],
@@ -326,8 +334,8 @@ OMEGA = "4.71238898038469"
      None, "IndexOutOfRange"),
     (["gamma", "--family", "stokes", "--index", "2", "--omega", "3.8"],
      None, "IndexOutOfRange"),
-], ids=["extract-eps-0", "eigen-convex-omega", "negative-h", "mode-index-3",
-        "mode-at-corner", "mode-stokes-2-below-critical",
+], ids=["extract-eps-0", "eigen-convex-omega", "negative-h", "negative-levels",
+        "mode-index-3", "mode-at-corner", "mode-stokes-2-below-critical",
         "gamma-stokes-2-below-critical"])
 def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config, error):
     if config is not None:

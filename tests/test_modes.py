@@ -10,20 +10,18 @@ from sif_lab.geometry import lshape_polygon
 from sif_lab.modes import (CornerFrame, FamilyMismatch, IndexOutOfRange,
                            NonpositiveRadius, make_mode, map_theta,
                            trace_on_edge)
-from sif_lab.spectral import MaterialParams, lame_exponents, stokes_exponents
+from sif_lab.spectral import MaterialParams, exponent_table
 
 FRAME = CornerFrame(-math.pi / 2, math.pi)
 MAT = MaterialParams(1.0, 1e-3)
-LAME = lame_exponents(FRAME.omega, MAT.C)
-STOKES = stokes_exponents(FRAME.omega)
 
 
 def all_modes():
     out = []
     for kind in ("primal", "dual"):
         for i in (1, 2):
-            out.append(make_mode("lame", kind, i, FRAME, MAT, LAME))
-            out.append(make_mode("stokes", kind, i, FRAME, MAT, STOKES))
+            out.append(make_mode("lame", kind, i, FRAME, MAT))
+            out.append(make_mode("stokes", kind, i, FRAME, MAT))
     return out
 
 
@@ -66,7 +64,7 @@ def test_scaled_divergence_equals_grad_trace_over_eps():
     r, theta = sample_points()
     for i in (1, 2):
         for kind in ("primal", "dual"):
-            mode = make_mode("lame", kind, i, FRAME, MAT, LAME)
+            mode = make_mode("lame", kind, i, FRAME, MAT)
             G = mode.eval_grad(r, theta)
             trace = G[..., 0, 0] + G[..., 1, 1]
             ds = mode.eval_div_scaled(r, theta)
@@ -77,15 +75,14 @@ def test_stokes_modes_divergence_free():
     r, theta = sample_points()
     for i in (1, 2):
         for kind in ("primal", "dual"):
-            mode = make_mode("stokes", kind, i, FRAME, MAT, STOKES)
+            mode = make_mode("stokes", kind, i, FRAME, MAT)
             G = mode.eval_grad(r, theta)
             trace = G[..., 0, 0] + G[..., 1, 1]
             assert np.max(np.abs(trace)) < 1e-10 * np.max(np.abs(G))
 
 
 def test_scaled_divergence_vanishes_in_incompressible_limit():
-    table = lame_exponents(FRAME.omega, 1.0)
-    mode = make_mode("lame", "primal", 1, FRAME, MaterialParams(1.0, 0.0), table)
+    mode = make_mode("lame", "primal", 1, FRAME, MaterialParams(1.0, 0.0))
     r, theta = sample_points()
     G = mode.eval_grad(r, theta)
     assert np.max(np.abs(G[..., 0, 0] + G[..., 1, 1])) < 1e-12 * np.max(np.abs(G))
@@ -114,7 +111,7 @@ def test_closed_form_nearly_vanishes_on_corner_rays():
 
 def test_stokes_pressure_closed_form():
     r, theta = sample_points()
-    mode = make_mode("stokes", "primal", 1, FRAME, MAT, STOKES)
+    mode = make_mode("stokes", "primal", 1, FRAME, MAT)
     p = mode.eval_pressure(r, theta)
     that = theta - FRAME.omega_bar
     expected = r ** (mode.a - 1.0) * 4.0 * mode.a * np.sin((1 - mode.a) * that)
@@ -125,8 +122,8 @@ def test_stokes_pressure_closed_form():
 
 def test_dual_negates_exponent():
     for i in (1, 2):
-        p = make_mode("lame", "primal", i, FRAME, MAT, LAME)
-        d = make_mode("lame", "dual", i, FRAME, MAT, LAME)
+        p = make_mode("lame", "primal", i, FRAME, MAT)
+        d = make_mode("lame", "dual", i, FRAME, MAT)
         assert d.a == -p.a
 
 
@@ -134,7 +131,7 @@ def test_dual_negates_exponent():
 @given(scale=st.floats(0.1, 5.0), r=st.floats(0.05, 2.0),
        theta=st.floats(-1.4, 2.9))
 def test_homogeneity(scale, r, theta):
-    mode = make_mode("lame", "primal", 1, FRAME, MAT, LAME)
+    mode = make_mode("lame", "primal", 1, FRAME, MAT)
     v1 = mode.eval(scale * r, theta)
     v0 = mode.eval(r, theta)
     assert np.allclose(v1, scale ** mode.a * v0, rtol=1e-12, atol=1e-14)
@@ -146,8 +143,8 @@ def test_homogeneity(scale, r, theta):
 def test_rotation_consistency(phi, r, that):
     """Rotating the frame rotates the vector field with it."""
     frame2 = CornerFrame(FRAME.omega1 + phi, FRAME.omega2 + phi)
-    m1 = make_mode("lame", "primal", 2, FRAME, MAT, LAME)
-    m2 = make_mode("lame", "primal", 2, frame2, MAT, LAME)
+    m1 = make_mode("lame", "primal", 2, FRAME, MAT)
+    m2 = make_mode("lame", "primal", 2, frame2, MAT)
     t1 = FRAME.omega_bar + that
     t2 = frame2.omega_bar + that
     v1 = m1.eval(r, t1)
@@ -170,19 +167,35 @@ def test_map_theta_is_continuous_across_both_rays(rotation):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("family,omega,eps", [
+    ("lame", 1.5 * math.pi, 1e-3),         # C = 1.002
+    ("lame", 1.5 * math.pi, 1e-1),         # C = 1.2
+    ("stokes", 1.2 * math.pi, 0.0),        # one Stokes mode below the critical angle
+    ("stokes", 1.5 * math.pi, 0.0),
+])
+def test_mode_exponent_comes_from_its_family_table(family, omega, eps):
+    frame = CornerFrame(0.0, omega)
+    material = MaterialParams(1.0, eps)
+    table = exponent_table(family, frame.omega, material.C)
+    assert exponent_table(family, frame.omega, material.C) is table
+    assert table.mode_count == (1 if omega < 1.4 * math.pi else 2)
+    for i in range(1, table.mode_count + 1):
+        lam = table.exponents[i - 1]
+        assert make_mode(family, "primal", i, frame, material).a == lam
+        assert make_mode(family, "dual", i, frame, material).a == -lam
+
+
 def test_error_conditions():
     with pytest.raises(IndexOutOfRange):
-        make_mode("lame", "primal", 3, FRAME, MAT, LAME)
-    with pytest.raises(FamilyMismatch):
-        make_mode("stokes", "primal", 1, FRAME, MAT, LAME)
+        make_mode("lame", "primal", 3, FRAME, MAT)
     below = CornerFrame(0.0, 3.8)  # one Stokes mode below the critical angle
     with pytest.raises(IndexOutOfRange):
-        make_mode("stokes", "primal", 2, below, MAT, stokes_exponents(below.omega))
-    mode = make_mode("lame", "primal", 1, FRAME, MAT, LAME)
+        make_mode("stokes", "primal", 2, below, MAT)
+    mode = make_mode("lame", "primal", 1, FRAME, MAT)
     with pytest.raises(FamilyMismatch):
         mode.pressure_coeff(0.1)
     with pytest.raises(FamilyMismatch):
-        make_mode("stokes", "primal", 1, FRAME, MAT, STOKES).eval_div_scaled(0.5, 0.0)
+        make_mode("stokes", "primal", 1, FRAME, MAT).eval_div_scaled(0.5, 0.0)
     with pytest.raises(NonpositiveRadius):
         mode.eval(0.0, 0.0)
     with pytest.raises(NonpositiveRadius):
