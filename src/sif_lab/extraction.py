@@ -1,11 +1,15 @@
 """Coefficient extraction: the functionals that turn data into corner intensities.
 
 The coefficient of each singular mode is computed from volume and boundary
-integrals of the data against a dual weight (analytic dual mode + finite
-element corrector), divided by the angular normalizer.  No cutoff functions
-appear: the corrector field plays that role, and every 1/eps quantity enters
-through a cancellation-free closed form (the scaled divergence of the dual
-mode, or minus the mixed pressure of the corrector).
+integrals of the data against a dual weight s*Phi~ + Psi, divided by the
+angular normalizer.  Phi~ is the analytic dual mode, s the family's dual
+scale, and Psi its finite element corrector (solve_psi), whose Dirichlet data
+is -s*Phi~ on the far edges and zero on the corner edges.  No cutoff
+functions appear: the corrector field plays that role, and every 1/eps
+quantity enters through a cancellation-free closed form (the scaled
+divergence of the dual mode, or minus the mixed pressure of the corrector).
+One boundary functional (_boundary_terms) gives the boundary part of C1 and
+C2 with the data g, and C* with the first primal mode's far-edge trace.
 
 Quadrature policy:
   * boundary integrals against analytic duals on the two corner edges use
@@ -49,8 +53,8 @@ import numpy as np
 
 from . import SifLabError
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
-from .fem import (MeshMismatch, MixedField, MixedOperator, P2Space, p1_shape,
-                  p2_shape_grad, solve_psi, tri_quadrature)
+from .fem import (MeshMismatch, MixedField, MixedOperator, P2Space,
+                  dirichlet_values, p1_shape, p2_shape_grad, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh
 from .modes import SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, exponent_table
@@ -95,7 +99,8 @@ class _Family:
 
     modes      : mode family of the exponent table and the modes
     gamma      : (index, material, frame, (primal, dual)) -> normalizer
-    dual_scale : mu -> factor of the dual mode in the dual weight
+    dual_scale : mu -> factor s of the dual mode in the dual weight; the
+                 corrector's far-edge data is -s times the dual mode
     sigma      : (mode, r, theta) -> pressure-like part paired with g.n: the
                  scaled divergence, or minus the pressure
     zeta       : whether the divergence source enters
@@ -190,10 +195,6 @@ def _mesh_id(mesh: TriMesh) -> str:
     return f"{mesh.n_nodes}n-{len(mesh.tris)}t-h{mesh.h:g}-{digest.hexdigest()}"
 
 
-def _corner_point(polygon: CornerPolygon) -> np.ndarray:
-    return np.asarray(polygon.edges[0].p0, dtype=float)
-
-
 def _check_operator(data: ProblemData, material: MaterialParams) -> None:
     """Reject a data.operator built for another mesh or material."""
     op = data.operator
@@ -206,25 +207,21 @@ def _check_operator(data: ProblemData, material: MaterialParams) -> None:
                          f"the problem's {material}")
 
 
-def _check_corner_data(data: ProblemData) -> None:
-    corner = _corner_point(data.polygon)
-    tags = (data.polygon.edges[0].tag, data.polygon.edges[-1].tag)
-    for tag in tags:
-        gval = np.asarray(data.g.traces[tag](corner[0], corner[1]), dtype=float)
+def _check_corner(data: ProblemData, zeta: bool) -> None:
+    """Reject corner-edge traces, and when zeta the source, nonzero at the corner."""
+    edges = data.polygon.edges
+    x, y = np.asarray(edges[0].p0, dtype=float)
+    for tag in (edges[0].tag, edges[-1].tag):
+        gval = np.asarray(data.g.traces[tag](x, y), dtype=float)
         if np.max(np.abs(gval)) > _CORNER_ATOL:
             raise CornerDataNonzero(
                 f"boundary trace on edge {tag} is {gval} at the corner; "
                 "extraction requires it to vanish there")
-
-
-def _check_corner_zeta(data: ProblemData) -> None:
-    if data.zeta is None:
-        return
-    corner = _corner_point(data.polygon)
-    z = float(np.asarray(data.zeta(corner[0], corner[1])))
-    if abs(z) > _CORNER_ATOL:
-        raise ZetaCornerNonzero(
-            f"divergence source is {z} at the corner; it must vanish there")
+    if zeta and data.zeta is not None:
+        z = float(np.asarray(data.zeta(x, y)))
+        if abs(z) > _CORNER_ATOL:
+            raise ZetaCornerNonzero(
+                f"divergence source is {z} at the corner; it must vanish there")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +288,8 @@ def _boundary_analytic(edge, g, dual: SingularMode, mu: float) -> float:
     return float(edge.length * np.dot(w, vals))
 
 
-def _boundary_psi(space: P2Space, psi: MixedField, polygon: CornerPolygon,
-                  traces: dict, mu: float) -> dict:
+def _boundary_psi(psi: MixedField, polygon: CornerPolygon, traces: dict,
+                  mu: float) -> dict:
     """Per-tag integral of mu g . dn(Psi) - (g.n) psi over mesh boundary edges.
 
     The same expression serves both families: the penalized term
@@ -300,6 +297,7 @@ def _boundary_psi(space: P2Space, psi: MixedField, polygon: CornerPolygon,
     Only the tags in traces contribute; each trace is evaluated once, on the
     4 Gauss points of all its edges.
     """
+    space = psi.space
     mesh = space.mesh
     tq, wq = gauss_nodes(4, 0.0, 1.0)
     out: dict[int, float] = {}
@@ -328,6 +326,27 @@ def _boundary_psi(space: P2Space, psi: MixedField, polygon: CornerPolygon,
         per_edge = np.hypot(seg[:, 0], seg[:, 1]) * (vals[:, None, :] @ wq)[:, 0]
         out[tag] = float(sum(per_edge, 0.0))
     return out
+
+
+def _boundary_terms(polygon: CornerPolygon, traces: dict, dual: SingularMode,
+                    psi: MixedField, mu: float) -> tuple[float, dict]:
+    """Boundary part of the pairing of traces with the dual weight (dual, psi).
+
+    Walks the polygon edges whose tag is in traces, in polygon order; each
+    adds its analytic-dual and its corrector integral.  Returns the sum and
+    the value per tag.  With the data g this is the boundary part of C1 and
+    C2; with the first primal mode's trace on the far edges it is C*.
+    """
+    psi_parts = _boundary_psi(psi, polygon, traces, mu)
+    parts: dict = {}
+    total = 0.0
+    for edge in polygon.edges:
+        if edge.tag in traces:
+            val = _boundary_analytic(edge, traces[edge.tag], dual, mu) \
+                + psi_parts[edge.tag]
+            parts[edge.tag] = val
+            total += val
+    return total, parts
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +424,13 @@ def _volume_fem(space: P2Space, f, zeta, psi: MixedField) -> tuple[float, float]
 # coefficient functionals
 # ---------------------------------------------------------------------------
 
-def _ci_terms(data: ProblemData, dual: SingularMode, psi: MixedField,
-              space: P2Space) -> tuple[float, dict]:
+def _ci_terms(data: ProblemData, dual: SingularMode,
+              psi: MixedField) -> tuple[float, dict]:
     """Coefficient functional of data against the dual weight (dual, psi).
 
     Returns the value and its parts by term.  It does not check its input.
     """
+    space = psi.space
     mu = data.material.mu
     fam = _BY_MODES[dual.family]
     s = fam.dual_scale(mu)
@@ -439,36 +459,32 @@ def _ci_terms(data: ProblemData, dual: SingularMode, psi: MixedField,
         parts["volume_zeta_psi"] = -z_psi
         vol += parts["volume_zeta_dual"] + parts["volume_zeta_psi"]
 
-    psi_parts = _boundary_psi(space, psi, data.polygon, data.g.traces, mu)
-    bnd_total = 0.0
-    for edge in data.polygon.edges:
-        g = data.g.traces[edge.tag]
-        val = _boundary_analytic(edge, g, dual, mu) + psi_parts.get(edge.tag, 0.0)
-        parts[f"boundary_edge_{edge.tag}"] = val
-        bnd_total += val
+    # Every edge needs a trace: a missing one is a KeyError, not zero data.
+    traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}
+    bnd_total, bnd = _boundary_terms(data.polygon, traces, dual, psi, mu)
+    parts.update((f"boundary_edge_{tag}", val) for tag, val in bnd.items())
     return vol - bnd_total, parts
 
 
-def _cstar_terms(primal1: SingularMode, dual2: SingularMode, psi2: MixedField,
-                 polygon: CornerPolygon, mu: float) -> tuple[float, dict]:
-    """Cross coupling of the first primal mode with the second dual weight.
+def solve_psi(dual: SingularMode, operator: MixedOperator,
+              polygon: CornerPolygon) -> MixedField:
+    """Finite element corrector Psi of one dual mode, on operator's mesh and material.
 
-    Only the far edges contribute; the primal trace plays the role of the
-    boundary data in the same integrand as the coefficient functional.
+    Zero volume data; Dirichlet data -s Phi~ on the far edges, with s the
+    family's dual scale, so the dual weight s Phi~ + Psi vanishes there, and
+    exactly zero on the two corner edges.
     """
-    def primal_trace(x, y):
-        return primal1.eval_xy(x, y)
+    if dual.kind != "dual":
+        raise ValueError("solve_psi expects the dual mode")
+    s = _BY_MODES[dual.family].dual_scale(operator.material.mu)
 
-    traces = {e.tag: primal_trace for e in polygon.far_edges}
-    psi_parts = _boundary_psi(psi2.space, psi2, polygon, traces, mu)
-    parts: dict = {}
-    total = 0.0
-    for edge in polygon.far_edges:
-        val = _boundary_analytic(edge, primal_trace, dual2, mu) \
-            + psi_parts.get(edge.tag, 0.0)
-        parts[f"cross_edge_{edge.tag}"] = val
-        total += val
-    return total, parts
+    def far_trace(x, y):
+        return -s * dual.eval_xy(x, y)
+
+    zero = lambda x, y: np.zeros(np.shape(x) + (2,))
+    traces = {e.tag: zero if e.on_corner_ray else far_trace for e in polygon.edges}
+    space = operator.space
+    return operator.solve(np.zeros(space.n_dofs), dirichlet_values(space, traces))
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +544,14 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
     op = data.operator
     if op is None:
         op = MixedOperator(P2Space(data.mesh), material)
-    psi = tuple(solve_psi(d, data.mesh, material, data.polygon, operator=op)
-                for d in duals)
+    psi = tuple(solve_psi(d, op, data.polygon) for d in duals)
     del op  # the entry keeps the correctors, never the factorization
     Cstar = tstar = None
     if len(duals) >= 2:
-        Cstar, tstar = _cstar_terms(primals[0], duals[1], psi[1], data.polygon,
-                                    material.mu)
+        far = {e.tag: primals[0].eval_xy for e in data.polygon.far_edges}
+        Cstar, cross = _boundary_terms(data.polygon, far, duals[1], psi[1],
+                                       material.mu)
+        tstar = {f"cross_edge_{tag}": val for tag, val in cross.items()}
     w = _DualWeights(
         mesh=data.mesh, polygon=data.polygon, material=material, family=family,
         mesh_id=_mesh_id(data.mesh), primals=primals, duals=duals, gammas=gammas,
@@ -546,18 +563,15 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
     """Corner checks, the (reused) dual weights, then the data functionals."""
     fam = _FAMILY[family]
-    _check_corner_data(data)
-    if fam.zeta:
-        _check_corner_zeta(data)
+    _check_corner(data, fam.zeta)
     w = _dual_weights(data, material, family)
-    space = w.psi[0].space
-    C1, t1 = _ci_terms(data, w.duals[0], w.psi[0], space)
+    C1, t1 = _ci_terms(data, w.duals[0], w.psi[0])
     c1 = C1 / w.gammas[0].gamma
     gamma2 = C2 = c2 = None
     second: dict = {}
     if len(w.duals) >= 2:
         gamma2 = w.gammas[1].gamma
-        C2, t2 = _ci_terms(data, w.duals[1], w.psi[1], space)
+        C2, t2 = _ci_terms(data, w.duals[1], w.psi[1])
         c2 = (C2 + c1 * w.Cstar) / gamma2
         second = {"C2": t2, "Cstar": dict(w.cstar_terms)}
     parts = {"C1": t1, **second,

@@ -43,7 +43,6 @@ from scipy.sparse.linalg import splu
 
 from . import SifLabError
 from .geometry import TriMesh, _edge_table, _find_edges
-from .modes import SingularMode
 from .spectral import MaterialParams
 
 log = logging.getLogger(__name__)
@@ -60,7 +59,6 @@ __all__ = [
     "MixedOperator",
     "load_vector",
     "dirichlet_values",
-    "solve_psi",
     "norms",
     "diff_norms",
     "error_norms",
@@ -470,32 +468,6 @@ class MixedOperator:
         return MixedField(space=self.space, material=self.material,
                           ux=x[:S], uy=x[S:2 * S], p=p, gauge=gauge,
                           residual=resid, flux_defect=flux_defect)
-
-
-def solve_psi(dual_mode: SingularMode, mesh: TriMesh, material: MaterialParams,
-              polygon, operator: MixedOperator | None = None) -> MixedField:
-    """Auxiliary corrector solve for one dual mode.
-
-    Zero volume data; Dirichlet data on the far edges is the negated dual
-    trace (scaled so the penalized and Stokes data agree in the eps -> 0
-    limit), and exactly zero on the two corner edges.  operator is the
-    factored operator of (mesh, material), built here when None.
-    """
-    if dual_mode.kind != "dual":
-        raise ValueError("solve_psi expects the dual mode")
-    # The Stokes dual velocity carries a 1/mu prefactor; its corrector data is
-    # -mu * mode so the pair (mu*dual + psi) is what extraction integrates.
-    scale = -material.mu if dual_mode.family == "stokes" else -1.0
-
-    def far_trace(x, y):
-        return scale * dual_mode.eval_xy(x, y)
-
-    zero = lambda x, y: np.zeros(np.shape(x) + (2,))
-    traces = {e.tag: zero if e.on_corner_ray else far_trace for e in polygon.edges}
-    if operator is None:
-        operator = MixedOperator(P2Space(mesh), material)
-    space = operator.space
-    return operator.solve(np.zeros(space.n_dofs), dirichlet_values(space, traces))
 
 
 def norms(field: MixedField) -> dict:

@@ -154,12 +154,22 @@ def _scalar_callable(ex, frame):
     return func
 
 
+def _check_data_keys(cfg: RunConfig, allowed: list) -> None:
+    """Reject a [data] key that the run would not read, such as a typo."""
+    for key in cfg.data:
+        if key not in allowed:
+            raise ConfigError(f"[data] {key}: unknown key; expected one of "
+                              + ", ".join(allowed))
+
+
 def build_data(cfg: RunConfig, polygon: CornerPolygon):
     """(f, BoundaryData, zeta) callables from the [data] expressions.
 
     Boundary traces: per-edge keys g<j>_x/g<j>_y override the global g_x/g_y;
-    edges with neither get zero data.
+    edges with neither get zero data.  Any other key is a ConfigError.
     """
+    _check_data_keys(cfg, ["f_x", "f_y", "g_x", "g_y", "zeta"]
+                     + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
     frame = polygon.frame
     d = cfg.data
     f = None
@@ -253,6 +263,7 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
 
 def run_manufactured(cfg: RunConfig) -> dict:
     """Solve-free extraction of built-in manufactured data across mesh levels."""
+    _check_data_keys(cfg, ["case"])
     case = cfg.data.get("case", "penalized")
     mu = float(cfg.material["mu"])
     eps = float(cfg.material.get("eps", "1e-3"))

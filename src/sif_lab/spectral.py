@@ -57,10 +57,10 @@ class MaterialParams:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
 
     @property
     def nu(self) -> float:

@@ -4,7 +4,6 @@ import gc
 import math
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,12 +11,12 @@ import pytest
 from sif_lab.angular import gauss_nodes
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero,
-                                _boundary_analytic, _boundary_psi, _ci_terms,
-                                _cstar_terms, _volume_analytic,
+                                _boundary_analytic, _boundary_psi,
+                                _boundary_terms, _ci_terms, _volume_analytic,
                                 extract_sifs_penalized, extract_sifs_stokes,
-                                regular_part)
+                                regular_part, solve_psi)
 from sif_lab.fem import (MixedOperator, P2Space, diff_norms, error_norms, norms,
-                         solve_psi, tri_quadrature)
+                         tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
                               generate_lshape_mesh, lshape_polygon,
                               lshape_vertices)
@@ -66,6 +65,59 @@ def test_stokes_recovery_coarse(coarse_mesh):
     rep = extract_sifs_stokes(data)
     assert abs(rep.c1 - c_true[0]) < 0.01 * abs(c_true[0])
     assert abs(rep.c2 - c_true[1]) < 0.01 * abs(c_true[1])
+
+
+def _vec(fx, fy):
+    """(x, y) -> (..., 2) from two scalar expressions."""
+    def field(x, y):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        shape = np.broadcast(x, y).shape
+        return np.stack([np.broadcast_to(fx(x, y), shape),
+                         np.broadcast_to(fy(x, y), shape)], axis=-1)
+    return field
+
+
+# Added to a built-in case: (w, -lap(w), zeta = div w).  The exact c1, c2 stay.
+INHOMOGENEOUS = {
+    # Divergence-free and nonzero on both corner edges.
+    "penalized": (_vec(lambda x, y: 3.0 * y * y, lambda x, y: -3.0 * x * x),
+                  _vec(lambda x, y: -6.0, lambda x, y: 6.0), None),
+    # Vanishes on the corner edges; its divergence is the source.
+    "stokes": (_vec(lambda x, y: x * x * y, lambda x, y: 0.0),
+               _vec(lambda x, y: -2.0 * y, lambda x, y: 0.0),
+               lambda x, y: 2.0 * np.asarray(x, float) * np.asarray(y, float)),
+}
+
+
+@pytest.mark.parametrize("case", ["penalized", "stokes"])
+def test_inhomogeneous_terms_recover_known_coefficients(case):
+    """Corner-edge data (penalized) and a nonzero source zeta (Stokes).
+
+    The built-in case gains a polynomial w in g and -mu lap(w) in f, so the
+    graded corner-edge rules and the volume_zeta terms integrate nonzero
+    data in a problem with known c1, c2.  Criterion 07's bounds apply.
+    """
+    mu = 1.3
+    material = MaterialParams(mu, 1e-3 if case == "penalized" else 0.0)
+    f0, traces, c_true, _ = manufactured_fields(case, material, POLY)
+    w, minus_lap_w, zeta = INHOMOGENEOUS[case]
+
+    def f(x, y):
+        return np.asarray(f0(x, y), float) + mu * minus_lap_w(x, y)
+
+    g = BoundaryData(traces={tag: (lambda x, y, _t=tr: _t(x, y) + w(x, y))
+                             for tag, tr in traces.items()}, zeta=zeta)
+    extract = extract_sifs_penalized if case == "penalized" else extract_sifs_stokes
+    rel = []
+    for h in (0.1, 0.05):
+        rep = extract(ProblemData(polygon=POLY, mesh=generate_lshape_mesh(POLY, h, levels=6),
+                                  material=material, g=g, f=f, zeta=zeta))
+        rel.append([abs(rep.c1 - c_true[0]) / abs(c_true[0]),
+                    abs(rep.c2 - c_true[1]) / abs(c_true[1])])
+    assert max(rel[0]) < 0.02 and max(rel[1]) < 0.005, rel
+    assert rel[1][0] < rel[0][0] and rel[1][1] < rel[0][1], rel
+    if zeta is not None:
+        assert rep.terms["C1"]["volume_zeta_dual"] != 0.0
 
 
 def test_shared_operator_is_checked_and_changes_nothing(coarse_mesh):
@@ -185,14 +237,18 @@ def test_mesh_checks_compare_connectivity(coarse_mesh):
 
 def test_zero_data_gives_exact_zero(coarse_mesh):
     dual = make_mode("lame", "dual", 1, FRAME, MAT)
-    psi = solve_psi(dual, coarse_mesh, MAT, POLY)
+    psi = solve_psi(dual, MixedOperator(P2Space(coarse_mesh), MAT), POLY)
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
-    assert _ci_terms(data, dual, psi, psi.space)[0] == 0.0
+    assert _ci_terms(data, dual, psi)[0] == 0.0
+    # A far edge without a trace is an error, not zero data.
+    del data.g.traces[3]
+    with pytest.raises(KeyError, match="no boundary data for edge 3"):
+        _ci_terms(data, dual, psi)
 
 
 def test_ci_linearity_in_f(coarse_mesh):
     dual = make_mode("lame", "dual", 2, FRAME, MAT)
-    psi = solve_psi(dual, coarse_mesh, MAT, POLY)
+    psi = solve_psi(dual, MixedOperator(P2Space(coarse_mesh), MAT), POLY)
 
     def f1(x, y):
         return np.stack([np.asarray(y, float), np.asarray(x, float) ** 2], axis=-1)
@@ -208,7 +264,7 @@ def test_ci_linearity_in_f(coarse_mesh):
         return ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT,
                            g=zero_g(), f=f)
 
-    a, b, c = (_ci_terms(make(f), dual, psi, psi.space)[0] for f in (f1, f2, combo))
+    a, b, c = (_ci_terms(make(f), dual, psi)[0] for f in (f1, f2, combo))
     assert abs(c - (2.5 * a - 0.75 * b)) < 1e-12 * max(abs(a), abs(b), abs(c))
 
 
@@ -216,17 +272,18 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
     """On the bisector-symmetric L-shape the cross coupling cancels."""
     primal1 = make_mode("lame", "primal", 1, FRAME, MAT)
     dual2 = make_mode("lame", "dual", 2, FRAME, MAT)
-    psi2 = solve_psi(dual2, coarse_mesh, MAT, POLY)
-    val = _cstar_terms(primal1, dual2, psi2, POLY, MAT.mu)[0]
+    psi2 = solve_psi(dual2, MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    far = {e.tag: primal1.eval_xy for e in POLY.far_edges}
+    val = _boundary_terms(POLY, far, dual2, psi2, MAT.mu)[0]
     assert abs(val) < 1e-8
-    stub = SimpleNamespace(eval_xy=lambda x, y: np.zeros(np.shape(x) + (2,)))
-    assert _cstar_terms(stub, dual2, psi2, POLY, MAT.mu)[0] == 0.0
+    far = {e.tag: zero_g().traces[e.tag] for e in POLY.far_edges}
+    assert _boundary_terms(POLY, far, dual2, psi2, MAT.mu)[0] == 0.0
 
 
 def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
     smat = MaterialParams(1.0, 0.0)
     dual = make_mode("stokes", "dual", 1, FRAME, smat)
-    psi = solve_psi(dual, coarse_mesh, smat, POLY)
+    psi = solve_psi(dual, MixedOperator(P2Space(coarse_mesh), smat), POLY)
 
     def zeta(x, y):
         x = np.asarray(x, float)
@@ -235,7 +292,7 @@ def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
 
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=smat,
                        g=zero_g(), zeta=zeta)
-    got = _ci_terms(data, dual, psi, psi.space)[0]
+    got = _ci_terms(data, dual, psi)[0]
 
     # brute force: interior-point rule on a 4x uniform split of every element
     space = psi.space
@@ -301,12 +358,12 @@ def boundary_psi_per_edge(space, psi, polygon, traces, mu):
 @pytest.mark.parametrize("index", [1, 2])
 def test_boundary_psi_matches_edge_by_edge_loop(coarse_mesh, index):
     dual = make_mode("lame", "dual", index, FRAME, MAT)
-    psi = solve_psi(dual, coarse_mesh, MAT, POLY)
+    psi = solve_psi(dual, MixedOperator(P2Space(coarse_mesh), MAT), POLY)
     _, traces, _, _ = manufactured_fields("penalized", MAT, POLY)
     primal = make_mode("lame", "primal", 1, FRAME, MAT)
     far = {e.tag for e in POLY.far_edges}
     for trs in (traces, {t: primal.eval_xy for t in far}):
-        got = _boundary_psi(psi.space, psi, POLY, trs, MAT.mu)
+        got = _boundary_psi(psi, POLY, trs, MAT.mu)
         want = boundary_psi_per_edge(psi.space, psi, POLY, trs, MAT.mu)
         assert got.keys() == want.keys() == trs.keys()
         scale = max(abs(v) for v in want.values())

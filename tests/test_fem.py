@@ -9,11 +9,11 @@ import scipy.sparse.linalg
 import sympy as sp
 
 import sif_lab.fem
-from sif_lab.extraction import ProblemData, extract_sifs_penalized
+from sif_lab.extraction import ProblemData, extract_sifs_penalized, solve_psi
 from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedField,
                          MixedOperator, P2Space, diff_norms, dirichlet_values,
                          error_norms, load_vector, norms, p1_shape, p2_shape,
-                         p2_shape_grad, second_equation_residual, solve_psi,
+                         p2_shape_grad, second_equation_residual,
                          tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, generate_lshape_mesh,
                               generate_square_mesh, lshape_polygon)
@@ -264,23 +264,28 @@ def test_dirichlet_data_errors():
 
 
 def test_solve_psi_traces():
-    """The corrector equals the negated dual trace on far edges, zero on rays."""
+    """The corrector is -s times the dual trace on far edges, zero on rays.
+
+    s is the family's dual scale: 1 for the penalized (Lame) dual, mu for
+    the Stokes dual.
+    """
     poly = lshape_polygon(1.0)
     mesh = generate_lshape_mesh(poly, 0.25, levels=3)
-    material = MaterialParams(1.0, 1e-3)
-    dual = make_mode("lame", "dual", 1, poly.frame, material)
-    psi = solve_psi(dual, mesh, material, poly)
-    space = psi.space
+    space = P2Space(mesh)
     far = {e.tag for e in poly.far_edges}
-    for k, (i, j, tag) in enumerate(mesh.bedges):
-        for dof in space.bedge_dofs(k):
-            xx, yy = space.dof_coords[dof]
-            got = np.array([psi.ux[dof], psi.uy[dof]])
-            if int(tag) in far:
-                want = -dual.eval_xy(xx, yy)
-                assert np.allclose(got, want, atol=1e-10)
-            else:
-                assert np.allclose(got, 0.0, atol=1e-12)
+    for family, material, scale in (("lame", MaterialParams(1.0, 1e-3), 1.0),
+                                    ("stokes", MaterialParams(1.3, 0.0), 1.3)):
+        dual = make_mode(family, "dual", 1, poly.frame, material)
+        psi = solve_psi(dual, MixedOperator(space, material), poly)
+        for k, (i, j, tag) in enumerate(mesh.bedges):
+            for dof in space.bedge_dofs(k):
+                xx, yy = space.dof_coords[dof]
+                got = np.array([psi.ux[dof], psi.uy[dof]])
+                if int(tag) in far:
+                    want = -scale * dual.eval_xy(xx, yy)
+                    assert np.allclose(got, want, atol=1e-10)
+                else:
+                    assert np.allclose(got, 0.0, atol=1e-12)
 
 
 def test_pressure_zero_mean_at_stokes_gauge():
@@ -358,5 +363,5 @@ def test_penalized_solve_at_tiny_eps_meets_residual_gate():
     operator = MixedOperator(P2Space(mesh), material)
     for i in (1, 2):
         dual = make_mode("lame", "dual", i, poly.frame, material)
-        psi = solve_psi(dual, mesh, material, poly, operator=operator)
+        psi = solve_psi(dual, operator, poly)
         assert psi.residual <= 1e-10

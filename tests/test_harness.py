@@ -81,6 +81,16 @@ def test_build_data_per_edge_overrides():
         assert val[1] == 0.0
 
 
+@pytest.mark.parametrize("line", ["gg3_x = x*y", "fz = 3", "g7_x = x",
+                                  "case = penalized"])
+def test_build_data_rejects_unknown_keys(line):
+    """A key that build_data would not read is an error, not zero data."""
+    cfg = load_config(BASE + "[data]\nf_x = 1\n" + line + "\n")
+    polygon, _ = build_domain(cfg)
+    with pytest.raises(ConfigError, match=rf"^\[data\] {line.split()[0]}: unknown key"):
+        build_data(cfg, polygon)
+
+
 def test_build_data_defaults_to_zero_traces():
     cfg = load_config(BASE + "[data]\nf_x = 1\n")
     polygon, _ = build_domain(cfg)
@@ -138,6 +148,24 @@ def test_manufactured_unknown_case():
     cfg = load_config(BASE + "[data]\ncase = bogus\n")
     with pytest.raises(ConfigError):
         run_manufactured(cfg)
+    # case is the only [data] key a manufactured run reads.
+    cfg = load_config(BASE + "[data]\ncase = smooth\nf_x = 1\n")
+    with pytest.raises(ConfigError, match=r"^\[data\] f_x: unknown key"):
+        run_manufactured(cfg)
+
+
+@pytest.mark.parametrize("command,data", [
+    (["extract", "--family", "penalized"], "f_x = 1\ngg3_x = x*y\nfz = 3\n"),
+    (["extract", "--family", "stokes"], "f_x = 1\nzeta_x = x\n"),
+    (["manufactured"], "case = smooth\nzeta = x\n"),
+], ids=["extract-penalized", "extract-stokes", "manufactured"])
+def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, command, data):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(BASE + "[data]\n" + data)
+    rc = main(command + ["--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [data] ") and "unknown key" in err
 
 
 SWEEP_CFG = BASE + """
@@ -334,9 +362,13 @@ OMEGA = "4.71238898038469"
      None, "IndexOutOfRange"),
     (["gamma", "--family", "stokes", "--index", "2", "--omega", "3.8"],
      None, "IndexOutOfRange"),
+    (["eigen", "--family", "lame", "--omega", OMEGA, "--mu", "inf", "--eps", "1e-3"],
+     None, "ValueError"),
+    (["gamma", "--family", "lame", "--omega", OMEGA, "--eps", "inf"],
+     None, "ValueError"),
 ], ids=["extract-eps-0", "eigen-convex-omega", "negative-h", "negative-levels",
         "mode-index-3", "mode-at-corner", "mode-stokes-2-below-critical",
-        "gamma-stokes-2-below-critical"])
+        "gamma-stokes-2-below-critical", "eigen-mu-inf", "gamma-eps-inf"])
 def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config, error):
     if config is not None:
         cfg = tmp_path / "run.ini"

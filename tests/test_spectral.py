@@ -35,6 +35,16 @@ def test_material_params_relations():
     assert m.nu == 1.0 / m.eps - m.mu
 
 
+@pytest.mark.parametrize("mu,eps,name", [
+    (math.inf, 1e-3, "mu"), (math.nan, 1e-3, "mu"), (-math.inf, 1e-3, "mu"),
+    (0.0, 1e-3, "mu"), (1.0, math.inf, "eps"), (1.0, math.nan, "eps"),
+    (1.0, -1e-3, "eps"),
+])
+def test_material_params_reject_nonfinite_and_out_of_range(mu, eps, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        MaterialParams(mu, eps)
+
+
 @pytest.mark.parametrize("omega", OMEGAS)
 @pytest.mark.parametrize("C", [1.0, 1.02, 1.2])
 def test_lame_ordering_chain(omega, C):
