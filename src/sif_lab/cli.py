@@ -120,7 +120,7 @@ def cmd_extract(args) -> int:
     polygon, mesh = build_domain(cfg)
     mu = float(cfg.material["mu"])
     f, g, zeta = build_data(cfg, polygon)
-    # The penalized family ignores zeta; the Stokes one sets eps = 0 itself.
+    # The Stokes family sets eps = 0 itself.
     data = ProblemData(polygon=polygon, mesh=mesh, material=MaterialParams(mu, args.eps),
                        g=g, f=f, zeta=zeta)
     extract = {"penalized": extract_sifs_penalized, "stokes": extract_sifs_stokes}

@@ -23,9 +23,10 @@ Quadrature policy:
 
 Families: the penalized and the Stokes extraction run the same code.  What
 differs between them (the mode family, the normalizer, the scale of the dual
-weight, the pressure-like part of a mode, whether the divergence source
-enters, the reported eps and the order of the report's terms) is one entry of
-the _FAMILY table.
+weight, the pressure-like part of a mode and the order of the report's terms)
+is one entry of the _FAMILY table.  In both, the divergence source zeta
+pairs like the flux g.n: with s times the dual mode's pressure-like part, and
+with minus the corrector's pressure.
 
 Reuse: c1 = C1/gamma1 and c2 = (C2 + c1*Cstar)/gamma2 are fixed linear
 functionals of the data.  The exponent table, the primal and dual modes,
@@ -101,10 +102,8 @@ class _Family:
     gamma      : (index, material, frame, (primal, dual)) -> normalizer
     dual_scale : mu -> factor s of the dual mode in the dual weight; the
                  corrector's far-edge data is -s times the dual mode
-    sigma      : (mode, r, theta) -> pressure-like part paired with g.n: the
-                 scaled divergence, or minus the pressure
-    zeta       : whether the divergence source enters
-    eps        : whether the report carries eps
+    sigma      : (mode, r, theta) -> pressure-like part paired with g.n and
+                 zeta: the scaled divergence, or minus the pressure
     terms      : key order of SifReport.terms
     """
 
@@ -112,8 +111,6 @@ class _Family:
     gamma: Callable
     dual_scale: Callable
     sigma: Callable
-    zeta: bool
-    eps: bool
     terms: tuple
 
 
@@ -126,7 +123,6 @@ _FAMILY = {
             i, material, frame, modes=modes),
         dual_scale=lambda mu: 1.0,
         sigma=lambda mode, r, theta: mode.eval_div_scaled(r, theta),
-        zeta=False, eps=True,
         terms=("C1", "C2", "Cstar", "psi_residuals", "psi_flux_defects",
                "gamma_quad_errors")),
     "stokes": _Family(
@@ -135,7 +131,6 @@ _FAMILY = {
             i, frame, modes=modes),
         dual_scale=lambda mu: mu,
         sigma=lambda mode, r, theta: -mode.eval_pressure(r, theta),
-        zeta=True, eps=False,
         terms=("C1", "psi_residuals", "psi_flux_defects", "gamma_quad_errors",
                "mode_count", "C2", "Cstar")),
 }
@@ -171,7 +166,7 @@ class ProblemData:
 
     f        : callable (x, y) -> (..., 2) volume force, or None for zero
     g        : Dirichlet boundary data (per-edge traces)
-    zeta     : callable (x, y) -> (...) divergence source (Stokes only), or None
+    zeta     : callable (x, y) -> (...) divergence source, or None
     operator : MixedOperator(P2Space(mesh), material) to reuse, or None to
                have the extraction build its own; one built on other nodes,
                triangles or boundary edges raises MeshMismatch
@@ -207,8 +202,8 @@ def _check_operator(data: ProblemData, material: MaterialParams) -> None:
                          f"the problem's {material}")
 
 
-def _check_corner(data: ProblemData, zeta: bool) -> None:
-    """Reject corner-edge traces, and when zeta the source, nonzero at the corner."""
+def _check_corner(data: ProblemData) -> None:
+    """Reject corner-edge traces or a divergence source nonzero at the corner."""
     edges = data.polygon.edges
     x, y = np.asarray(edges[0].p0, dtype=float)
     for tag in (edges[0].tag, edges[-1].tag):
@@ -217,7 +212,7 @@ def _check_corner(data: ProblemData, zeta: bool) -> None:
             raise CornerDataNonzero(
                 f"boundary trace on edge {tag} is {gval} at the corner; "
                 "extraction requires it to vanish there")
-    if zeta and data.zeta is not None:
+    if data.zeta is not None:
         z = float(np.asarray(data.zeta(x, y)))
         if abs(z) > _CORNER_ATOL:
             raise ZetaCornerNonzero(
@@ -434,7 +429,6 @@ def _ci_terms(data: ProblemData, dual: SingularMode,
     mu = data.material.mu
     fam = _BY_MODES[dual.family]
     s = fam.dual_scale(mu)
-    zeta = data.zeta if fam.zeta else None
     parts: dict = {}
 
     vol = 0.0
@@ -445,17 +439,18 @@ def _ci_terms(data: ProblemData, dual: SingularMode,
             return np.einsum("...k,...k->...", fv, dv)
         parts["volume_f_dual"] = _volume_analytic(space, f_dot_dual)
         vol += parts["volume_f_dual"]
-    f_psi, z_psi = _volume_fem(space, data.f, zeta, psi)
+    f_psi, z_psi = _volume_fem(space, data.f, data.zeta, psi)
     if data.f is not None:
         parts["volume_f_psi"] = f_psi
         vol += f_psi
-    if zeta is not None:
-        def zeta_dual_p(x, y):
+    if data.zeta is not None:
+        # zeta pairs like g.n in _boundary_analytic (Green's formula).
+        def zeta_dual_sigma(x, y):
             zv = np.asarray(data.zeta(x, y), dtype=float)
             r, theta = _polar(np.stack([x, y], axis=-1), dual.frame)
-            return zv * mu * dual.eval_pressure(r, theta)
+            return zv * s * fam.sigma(dual, r, theta)
 
-        parts["volume_zeta_dual"] = -_volume_analytic(space, zeta_dual_p)
+        parts["volume_zeta_dual"] = _volume_analytic(space, zeta_dual_sigma)
         parts["volume_zeta_psi"] = -z_psi
         vol += parts["volume_zeta_dual"] + parts["volume_zeta_psi"]
 
@@ -562,8 +557,7 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
 
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
     """Corner checks, the (reused) dual weights, then the data functionals."""
-    fam = _FAMILY[family]
-    _check_corner(data, fam.zeta)
+    _check_corner(data)
     w = _dual_weights(data, material, family)
     C1, t1 = _ci_terms(data, w.duals[0], w.psi[0])
     c1 = C1 / w.gammas[0].gamma
@@ -579,10 +573,10 @@ def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifRep
              "psi_flux_defects": [p.flux_defect for p in w.psi],
              "gamma_quad_errors": [g.quad_error for g in w.gammas],
              "mode_count": len(w.duals)}
-    terms = {k: parts[k] for k in fam.terms if k in parts}
+    terms = {k: parts[k] for k in _FAMILY[family].terms if k in parts}
     log.info("%s extraction: c1=%.6g c2=%s (eps=%g)", family, c1, c2, material.eps)
     return SifReport(
-        family=family, eps=material.eps if fam.eps else None,
+        family=family, eps=material.eps if material.eps > 0.0 else None,
         gamma1=w.gammas[0].gamma, gamma2=gamma2, C1=C1, C2=C2, Cstar=w.Cstar,
         c1=c1, c2=c2, modes=w.primals, terms=terms, mesh_id=w.mesh_id)
 

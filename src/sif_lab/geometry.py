@@ -229,8 +229,6 @@ class TriMesh:
     nodes: np.ndarray
     tris: np.ndarray
     bedges: np.ndarray
-    grading_ratio: float = 0.5
-    grading_levels: int = 0
     h: float = 0.0
 
     @property
@@ -381,8 +379,8 @@ def generate_lshape_mesh(polygon: CornerPolygon, h: float,
     bisection closure for conformity).  The quadrisection count is chosen so
     the smallest corner elements have diameter ~ h * grading_ratio**levels.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and positive, got {h}")
     if not (0.0 < grading_ratio < 1.0):
         raise ValueError("grading ratio must be in (0, 1)")
     if levels < 0:
@@ -407,8 +405,7 @@ def generate_lshape_mesh(polygon: CornerPolygon, h: float,
     if levels > 0:
         n_ref = max(1, round(levels * math.log(1.0 / grading_ratio) / math.log(2.0)))
         nodes, tris, bedges = _refine_toward_corner(nodes, tris, bedges, n_ref)
-    return TriMesh(nodes=nodes, tris=tris, bedges=bedges,
-                   grading_ratio=grading_ratio, grading_levels=levels, h=h)
+    return TriMesh(nodes=nodes, tris=tris, bedges=bedges, h=h)
 
 
 def _refine_toward_corner(nodes, tris, bedges, n_ref: int):

@@ -93,11 +93,13 @@ def load_config(source: str) -> RunConfig:
     """Read an INI config from a path, or from literal text if it has a newline."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    comment_prefixes=("#",))
-    if "\n" in source:
-        cp.read_string(source)
-    else:
-        if not cp.read(source):
+    try:
+        if "\n" in source:
+            cp.read_string(source)
+        elif not cp.read(source):
             raise ConfigError(f"config file not found: {source}")
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc
     for section in ("domain", "mesh", "material", "data"):
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
@@ -312,8 +314,7 @@ def run_manufactured(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def _extract_with_regular_part(polygon: CornerPolygon, space: P2Space,
-                               material: MaterialParams, g: BoundaryData, f,
-                               zeta=None):
+                               material: MaterialParams, g: BoundaryData, f, zeta):
     """(report, regular part) of one (mesh, material).
 
     The extraction and the data solve share one factored operator, which is
@@ -359,7 +360,7 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     for eps in eps_grid:
         t0 = time.perf_counter()
         rep, we = _extract_with_regular_part(polygon, space, MaterialParams(mu, eps),
-                                             g, f)
+                                             g, f, zeta)
         dn = diff_norms(we, ws)
         records.append(SweepRecord(
             eps=eps,

@@ -77,30 +77,34 @@ def _vec(fx, fy):
     return field
 
 
-# Added to a built-in case: (w, -lap(w), zeta = div w).  The exact c1, c2 stay.
+# Vanishes on the corner edges; its divergence is the source.
+_ZETA_W = (_vec(lambda x, y: x * x * y, lambda x, y: 0.0),
+           _vec(lambda x, y: -2.0 * y, lambda x, y: 0.0),
+           lambda x, y: 2.0 * np.asarray(x, float) * np.asarray(y, float))
+
+# Added to a built-in case: (case, w, -lap(w), zeta = div w).  The exact c1,
+# c2 stay, and the pressure too, since div w = zeta.
 INHOMOGENEOUS = {
     # Divergence-free and nonzero on both corner edges.
-    "penalized": (_vec(lambda x, y: 3.0 * y * y, lambda x, y: -3.0 * x * x),
+    "penalized": ("penalized", _vec(lambda x, y: 3.0 * y * y, lambda x, y: -3.0 * x * x),
                   _vec(lambda x, y: -6.0, lambda x, y: 6.0), None),
-    # Vanishes on the corner edges; its divergence is the source.
-    "stokes": (_vec(lambda x, y: x * x * y, lambda x, y: 0.0),
-               _vec(lambda x, y: -2.0 * y, lambda x, y: 0.0),
-               lambda x, y: 2.0 * np.asarray(x, float) * np.asarray(y, float)),
+    "stokes": ("stokes", *_ZETA_W),
+    "penalized-zeta": ("penalized", *_ZETA_W),
 }
 
 
-@pytest.mark.parametrize("case", ["penalized", "stokes"])
-def test_inhomogeneous_terms_recover_known_coefficients(case):
-    """Corner-edge data (penalized) and a nonzero source zeta (Stokes).
+@pytest.mark.parametrize("key", list(INHOMOGENEOUS))
+def test_inhomogeneous_terms_recover_known_coefficients(key):
+    """Corner-edge data (penalized) and a nonzero source zeta (both families).
 
     The built-in case gains a polynomial w in g and -mu lap(w) in f, so the
     graded corner-edge rules and the volume_zeta terms integrate nonzero
     data in a problem with known c1, c2.  Criterion 07's bounds apply.
     """
     mu = 1.3
+    case, w, minus_lap_w, zeta = INHOMOGENEOUS[key]
     material = MaterialParams(mu, 1e-3 if case == "penalized" else 0.0)
     f0, traces, c_true, _ = manufactured_fields(case, material, POLY)
-    w, minus_lap_w, zeta = INHOMOGENEOUS[case]
 
     def f(x, y):
         return np.asarray(f0(x, y), float) + mu * minus_lap_w(x, y)
@@ -594,11 +598,11 @@ def test_corner_data_nonzero_rejected(coarse_mesh):
 
 
 def test_zeta_corner_nonzero_rejected(coarse_mesh):
-    data = ProblemData(polygon=POLY, mesh=coarse_mesh,
-                       material=MaterialParams(1.0, 0.0), g=zero_g(),
+    data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g(),
                        zeta=lambda x, y: np.ones(np.shape(x)))
-    with pytest.raises(ZetaCornerNonzero):
-        extract_sifs_stokes(data)
+    for extract in (extract_sifs_stokes, extract_sifs_penalized):
+        with pytest.raises(ZetaCornerNonzero):
+            extract(data)
 
 
 def test_penalized_requires_positive_eps(coarse_mesh):

@@ -231,6 +231,12 @@ def test_unsupported_polygon_for_mesher():
         generate_lshape_mesh(poly, 0.25)
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan])
+def test_mesher_rejects_nonfinite_h(h):
+    with pytest.raises(ValueError, match="^h must be finite and positive, got "):
+        generate_lshape_mesh(lshape_polygon(1.0), h)
+
+
 def test_boundary_data_validation_flags():
     poly = lshape_polygon(1.0)
     ok = BoundaryData.zero(poly)

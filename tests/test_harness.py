@@ -68,6 +68,21 @@ def test_load_config_errors(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
+@pytest.mark.parametrize("text", [
+    BASE.replace("h = 0.25", "h = 0.25\nh = 0.1") + "[data]\nf_x = 1\n",
+    "h = 0.25\n" + BASE + "[data]\nf_x = 1\n",
+], ids=["duplicate-key", "no-section-header"])
+def test_load_config_parser_errors_are_config_errors(tmp_path, capsys, text):
+    with pytest.raises(ConfigError):
+        load_config(text)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main(["extract", "--family", "penalized", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_build_data_per_edge_overrides():
     cfg = load_config(BASE + "[data]\ng_x = x\ng3_x = 2*x\n")
     polygon, _ = build_domain(cfg)
@@ -230,6 +245,21 @@ def test_eps_sweep_factors_once_per_material(monkeypatch):
     assert len(builds) == 1
 
 
+def test_eps_sweep_with_zeta_approaches_a_nontrivial_limit():
+    """Both sides of the sweep solve div u + eps p = zeta with the same zeta.
+
+    g = (x^2 y, 0) carries the flux of zeta = div g, and the rotational force
+    gives nonzero Stokes coefficients, so every gap falls like eps.
+    """
+    text = BASE.replace("h = 0.25", "h = 0.1").replace("levels = 4", "levels = 6") \
+        .replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-2 1e-3 1e-4 1e-5") \
+        + "[data]\nf_x = -y\nf_y = x\ng_x = x^2*y\ng_y = 0\nzeta = 2*x*y\n"
+    out = run_eps_sweep(load_config(text))
+    assert abs(out["records"][0].c2_ref) > 1e-3
+    for key, slope in out["slopes"].items():
+        assert slope >= 0.9, (key, slope)
+
+
 def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
     cfg = load_config(SWEEP_CFG.replace(
         "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4"))
@@ -366,9 +396,14 @@ OMEGA = "4.71238898038469"
      None, "ValueError"),
     (["gamma", "--family", "lame", "--omega", OMEGA, "--eps", "inf"],
      None, "ValueError"),
+    (["extract", "--family", "penalized"], BASE.replace("h = 0.25", "h = inf"),
+     "ValueError"),
+    (["extract", "--family", "penalized"], BASE.replace("h = 0.25", "h = nan"),
+     "ValueError"),
 ], ids=["extract-eps-0", "eigen-convex-omega", "negative-h", "negative-levels",
         "mode-index-3", "mode-at-corner", "mode-stokes-2-below-critical",
-        "gamma-stokes-2-below-critical", "eigen-mu-inf", "gamma-eps-inf"])
+        "gamma-stokes-2-below-critical", "eigen-mu-inf", "gamma-eps-inf",
+        "h-inf", "h-nan"])
 def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config, error):
     if config is not None:
         cfg = tmp_path / "run.ini"
@@ -376,7 +411,7 @@ def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config, error
         argv = argv + ["--config", str(cfg)]
     rc = main(argv)
     err = capsys.readouterr().err
-    assert rc != 0
+    assert rc == 1
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
