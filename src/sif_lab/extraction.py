@@ -21,6 +21,10 @@ Quadrature policy:
   * everything paired with the finite element corrector uses standard rules
     on the solve mesh.
 
+Input: one check (_check_data), before any solve, names an operator of
+another mesh or material, g or zeta nonzero at the corner, traces that differ
+at a vertex, and Stokes data whose flux of g is not the integral of zeta.
+
 Families: the penalized and the Stokes extraction run the same code.  What
 differs between them (the mode family, the normalizer, the scale of the dual
 weight, the pressure-like part of a mode and the order of the report's terms)
@@ -34,11 +38,11 @@ gamma1 and gamma2, the corrector fields and Cstar depend only on the mesh,
 the polygon, the material and the family; they are computed once and kept
 in a single-entry memo, reused while the next extraction has the same mesh
 and polygon objects, an equal material and the same family.  Each data set
-recomputes only C1 and C2, and still runs the corner checks and the check of
-data.operator.  The memo keeps the corrector fields but no operator or
-factorization, and is dropped before a new entry is computed.  Meshes are
-treated as immutable (TriMesh is frozen): changing the arrays of a mesh in
-place after an extraction is not detected.  The report carries the primal
+recomputes only C1 and C2, and still runs the input checks.  The memo keeps
+the corrector fields but no operator or factorization, and is dropped before
+a new entry is computed.  Meshes are treated as immutable (TriMesh is
+frozen): changing the arrays of a mesh in place after an extraction is not
+detected.  The report carries the primal
 modes (SifReport.modes), so regular_part(u, report) subtracts c1 and c2
 times them without building the modes again.
 """
@@ -54,7 +58,7 @@ import numpy as np
 
 from . import SifLabError
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
-from .fem import (MeshMismatch, MixedField, MixedOperator, P2Space,
+from .fem import (InconsistentEdgeData, MeshMismatch, MixedField, MixedOperator, P2Space,
                   dirichlet_values, p1_shape, p2_shape_grad, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh
 from .modes import SingularMode, make_mode, map_theta
@@ -67,6 +71,7 @@ __all__ = [
     "ProblemData",
     "CornerDataNonzero",
     "ZetaCornerNonzero",
+    "IncompatibleFlux",
     "GammaNearZero",
     "MeshMismatch",
     "extract_sifs_penalized",
@@ -84,6 +89,7 @@ FAR_PANELS = 16
 CORNER_DEPTH = 16
 
 _CORNER_ATOL = 1e-8
+_FLUX_RTOL = 1e-10
 
 
 class CornerDataNonzero(SifLabError):
@@ -92,6 +98,10 @@ class CornerDataNonzero(SifLabError):
 
 class ZetaCornerNonzero(SifLabError):
     """The divergence source does not vanish at the re-entrant corner."""
+
+
+class IncompatibleFlux(SifLabError):
+    """Stokes data whose boundary flux differs from the integral of zeta."""
 
 
 @dataclass(frozen=True)
@@ -166,7 +176,7 @@ class ProblemData:
 
     f        : callable (x, y) -> (..., 2) volume force, or None for zero
     g        : Dirichlet boundary data (per-edge traces)
-    zeta     : callable (x, y) -> (...) divergence source, or None
+    zeta     : callable (x, y) -> (...) divergence source, or None (g has none)
     operator : MixedOperator(P2Space(mesh), material) to reuse, or None to
                have the extraction build its own; one built on other nodes,
                triangles or boundary edges raises MeshMismatch
@@ -188,35 +198,6 @@ def _mesh_id(mesh: TriMesh) -> str:
                        (mesh.bedges, np.int64)):
         digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     return f"{mesh.n_nodes}n-{len(mesh.tris)}t-h{mesh.h:g}-{digest.hexdigest()}"
-
-
-def _check_operator(data: ProblemData, material: MaterialParams) -> None:
-    """Reject a data.operator built for another mesh or material."""
-    op = data.operator
-    if op is None:
-        return
-    if not data.mesh.same_as(op.space.mesh):
-        raise MeshMismatch("operator was built on a different mesh")
-    if op.material != material:
-        raise ValueError(f"operator material {op.material} does not match "
-                         f"the problem's {material}")
-
-
-def _check_corner(data: ProblemData) -> None:
-    """Reject corner-edge traces or a divergence source nonzero at the corner."""
-    edges = data.polygon.edges
-    x, y = np.asarray(edges[0].p0, dtype=float)
-    for tag in (edges[0].tag, edges[-1].tag):
-        gval = np.asarray(data.g.traces[tag](x, y), dtype=float)
-        if np.max(np.abs(gval)) > _CORNER_ATOL:
-            raise CornerDataNonzero(
-                f"boundary trace on edge {tag} is {gval} at the corner; "
-                "extraction requires it to vanish there")
-    if data.zeta is not None:
-        z = float(np.asarray(data.zeta(x, y)))
-        if abs(z) > _CORNER_ATOL:
-            raise ZetaCornerNonzero(
-                f"divergence source is {z} at the corner; it must vanish there")
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +503,6 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
     one is computed, so two entries never coexist.
     """
     global _last_weights
-    _check_operator(data, material)
     w = _last_weights
     if (w is not None and w.mesh is data.mesh and w.polygon is data.polygon
             and (w.material, w.family) == (material, family)):
@@ -555,9 +535,58 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
     return w
 
 
+def _check_data(data: ProblemData, material: MaterialParams) -> None:
+    """Every input check of an extraction, run before any corrector solve.
+
+    Vertex traces agree by the test of dirichlet_values.  Stokes data (eps = 0)
+    need |flux of g - integral of zeta| <= _FLUX_RTOL (|g.n| + |zeta|).
+    """
+    op = data.operator
+    if op is not None and not data.mesh.same_as(op.space.mesh):
+        raise MeshMismatch("operator was built on a different mesh")
+    if op is not None and op.material != material:
+        raise ValueError(f"operator material {op.material} does not match "
+                         f"the problem's {material}")
+    edges = data.polygon.edges
+    traces = [data.g.trace(e.tag) for e in edges]
+    ends = np.empty((len(edges), 2, 2))  # each trace at p0 and p1 of its edge
+    for k, (edge, trace) in enumerate(zip(edges, traces)):
+        ends[k] = np.asarray(trace(*np.transpose([edge.p0, edge.p1])), dtype=float)
+    for edge, gval in ((edges[0], ends[0, 0]), (edges[-1], ends[-1, 1])):
+        if np.max(np.abs(gval)) > _CORNER_ATOL:
+            raise CornerDataNonzero(
+                f"boundary trace on edge {edge.tag} is {gval} at the corner; "
+                "extraction requires it to vanish there")
+    if data.zeta is not None:
+        z = float(np.asarray(data.zeta(*edges[0].p0)))
+        if abs(z) > _CORNER_ATOL:
+            raise ZetaCornerNonzero(
+                f"divergence source is {z} at the corner; it must vanish there")
+    for a, b, va, vb in zip(edges, edges[1:], ends[:-1, 1], ends[1:, 0]):
+        if not np.isclose(va, vb, atol=1e-10).all():
+            raise InconsistentEdgeData(
+                f"traces of edges {a.tag} and {b.tag} differ at the vertex "
+                f"({a.p1[0]:g}, {a.p1[1]:g}): {va} vs {vb}")
+    if material.eps > 0.0:
+        return
+    flux = size = zint = 0.0
+    for edge, trace in zip(edges, traces):
+        pts, w = _edge_rule(edge)
+        gn = np.asarray(trace(pts[:, 0], pts[:, 1]), dtype=float) @ edge.normal
+        flux += edge.length * float(np.dot(w, gn))
+        size += edge.length * float(np.dot(w, np.abs(gn)))
+    if data.zeta is not None:
+        space = op.space if op is not None else P2Space(data.mesh)
+        zint = _volume_analytic(space, data.zeta)
+        size += _volume_analytic(space, lambda x, y: np.abs(data.zeta(x, y)))
+    if abs(flux - zint) > _FLUX_RTOL * size:
+        raise IncompatibleFlux(f"the flux of g is {flux:.6g} but zeta integrates to "
+                               f"{zint:.6g}; the Stokes problem needs them equal")
+
+
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
-    """Corner checks, the (reused) dual weights, then the data functionals."""
-    _check_corner(data)
+    """Input checks, the (reused) dual weights, then the data functionals."""
+    _check_data(data, material)
     w = _dual_weights(data, material, family)
     C1, t1 = _ci_terms(data, w.duals[0], w.psi[0])
     c1 = C1 / w.gammas[0].gamma

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "generate_square_mesh",
     "load_mesh",
     "serialize_mesh",
-    "validate_boundary_data",
 ]
 
 _TOL = 1e-12
@@ -126,10 +125,6 @@ class CornerPolygon:
     @property
     def frame(self) -> CornerFrame:
         return CornerFrame(self.omega1, self.omega2)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
     @property
     def far_edges(self) -> tuple[Edge, ...]:
@@ -543,56 +538,20 @@ def load_mesh(text: str, polygon: CornerPolygon | None = None) -> TriMesh:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Per-edge Dirichlet traces g_j plus an optional divergence source zeta.
+    """Per-edge Dirichlet traces g_j, callables (x, y) -> array(..., 2) on arrays.
 
-    Each trace is a callable (x, y) -> array(..., 2) accepting numpy arrays;
-    zeta, when present, is (x, y) -> array.
+    zeta belongs to extraction.ProblemData; the keyword here takes only None.
     """
 
     traces: dict
-    zeta: object = None
+    zeta: InitVar[None] = None
+
+    def __post_init__(self, zeta):
+        if zeta is not None:
+            raise ValueError("BoundaryData takes no zeta; pass the divergence "
+                             "source as ProblemData.zeta")
 
     def trace(self, tag: int):
         if tag not in self.traces:
             raise KeyError(f"no boundary data for edge {tag}")
         return self.traces[tag]
-
-    @staticmethod
-    def zero(polygon: CornerPolygon) -> "BoundaryData":
-        z = lambda x, y: np.zeros(np.shape(x) + (2,))
-        return BoundaryData(traces={e.tag: z for e in polygon.edges})
-
-
-def validate_boundary_data(polygon: CornerPolygon, data: BoundaryData,
-                           order: int = 16) -> dict:
-    """Report vertex continuity, flux compatibility and corner-vanishing flags."""
-    from .angular import gauss_nodes
-
-    J = polygon.n_edges
-    mismatch = 0.0
-    for e in polygon.edges:
-        nxt = polygon.edges[e.tag % J]
-        shared = e.p1
-        va = np.asarray(data.trace(e.tag)(shared[0], shared[1]), dtype=float)
-        vb = np.asarray(data.trace(nxt.tag)(shared[0], shared[1]), dtype=float)
-        mismatch = max(mismatch, float(np.max(np.abs(va - vb))))
-    flux = 0.0
-    for e in polygon.edges:
-        ts, ws = gauss_nodes(order, 0.0, 1.0)
-        pts = e.point_at(ts)
-        g = np.asarray(data.trace(e.tag)(pts[:, 0], pts[:, 1]), dtype=float)
-        flux += e.length * float(np.dot(ws, g @ e.normal))
-    corner = polygon.vertices[0]
-    g1 = np.asarray(data.trace(1)(corner[0], corner[1]), dtype=float)
-    gJ = np.asarray(data.trace(J)(corner[0], corner[1]), dtype=float)
-    corner_ok = float(max(np.max(np.abs(g1)), np.max(np.abs(gJ))))
-    report = {
-        "max_vertex_mismatch": mismatch,
-        "flux_defect": abs(flux),
-        "corner_value": corner_ok,
-        "corner_vanishing": corner_ok < 1e-10,
-        "vertex_continuity_ok": mismatch < 1e-10,
-    }
-    if data.zeta is not None:
-        report["zeta_corner"] = float(np.abs(data.zeta(corner[0], corner[1])))
-    return report

@@ -39,6 +39,7 @@ __all__ = [
     "load_config",
     "build_domain",
     "build_data",
+    "config_number",
     "manufactured_fields",
     "run_manufactured",
     "run_eps_sweep",
@@ -85,8 +86,20 @@ class RunConfig:
     output: dict = field(default_factory=dict)
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def config_number(cfg: RunConfig, section: str, key: str, default: str | None = None,
+                  kind=float, many: bool = False):
+    """[section] key (or default) as one kind, or floats if many; else a ConfigError."""
+    text = getattr(cfg, section).get(key, default)
+    if text is None:
+        raise ConfigError(f"[{section}] {key} is required")
+    try:
+        values = [kind(tok) for tok in text.replace(",", " ").split()]
+        if many or len(values) == 1:
+            return values if many else values[0]
+    except ValueError:
+        pass
+    raise ConfigError(f"[{section}] {key} = {text!r}: expected "
+                      + ("numbers" if many else f"one {kind.__name__}"))
 
 
 def load_config(source: str) -> RunConfig:
@@ -128,16 +141,16 @@ def _domain(cfg: RunConfig):
     kind = cfg.domain.get("kind", "lshape")
     if kind != "lshape":
         raise ConfigError(f"unsupported domain kind {kind!r}")
-    polygon = lshape_polygon(float(cfg.domain.get("size", "1.0")))
-    ratio = float(cfg.mesh.get("grading_ratio", "0.5"))
-    levels = int(cfg.mesh.get("levels", "6"))
+    polygon = lshape_polygon(config_number(cfg, "domain", "size", "1.0"))
+    ratio = config_number(cfg, "mesh", "grading_ratio", "0.5")
+    levels = config_number(cfg, "mesh", "levels", "6", kind=int)
     return polygon, lambda h: generate_lshape_mesh(polygon, h, grading_ratio=ratio,
                                                    levels=levels)
 
 
 def build_domain(cfg: RunConfig) -> tuple[CornerPolygon, TriMesh]:
     polygon, mesher = _domain(cfg)
-    return polygon, mesher(float(cfg.mesh.get("h", "0.1")))
+    return polygon, mesher(config_number(cfg, "mesh", "h", "0.1"))
 
 
 def _vector_callable(ex_x, ex_y, frame):
@@ -165,7 +178,7 @@ def _check_data_keys(cfg: RunConfig, allowed: list) -> None:
 
 
 def build_data(cfg: RunConfig, polygon: CornerPolygon):
-    """(f, BoundaryData, zeta) callables from the [data] expressions.
+    """(f, BoundaryData, zeta) from the [data] expressions; zeta is not in g.
 
     Boundary traces: per-edge keys g<j>_x/g<j>_y override the global g_x/g_y;
     edges with neither get zero data.  Any other key is a ConfigError.
@@ -191,7 +204,7 @@ def build_data(cfg: RunConfig, polygon: CornerPolygon):
         else:
             traces[edge.tag] = zero
     zeta = _scalar_callable(parse_expr(d["zeta"]), frame) if "zeta" in d else None
-    return f, BoundaryData(traces=traces, zeta=zeta), zeta
+    return f, BoundaryData(traces=traces), zeta
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +280,18 @@ def run_manufactured(cfg: RunConfig) -> dict:
     """Solve-free extraction of built-in manufactured data across mesh levels."""
     _check_data_keys(cfg, ["case"])
     case = cfg.data.get("case", "penalized")
-    mu = float(cfg.material["mu"])
-    eps = float(cfg.material.get("eps", "1e-3"))
-    if case == "stokes":
-        material = MaterialParams(mu, 0.0)
-    else:
-        if eps <= 0.0:
-            raise ConfigError("penalized manufactured case needs eps > 0")
-        material = MaterialParams(mu, eps)
+    mu = config_number(cfg, "material", "mu")
+    eps = config_number(cfg, "material", "eps", "1e-3")
+    if case != "stokes" and eps <= 0.0:
+        raise ConfigError("penalized manufactured case needs eps > 0")
+    material = MaterialParams(mu, 0.0 if case == "stokes" else eps)
 
     polygon, mesher = _domain(cfg)
-    hs = _floats(cfg.mesh.get("h_levels", cfg.mesh.get("h", "0.1")))
+    hs = config_number(cfg, "mesh", "h_levels" if "h_levels" in cfg.mesh else "h",
+                       "0.1", many=True)
 
     f, traces, c_true, family = manufactured_fields(case, material, polygon)
-    g = BoundaryData(traces=traces, zeta=None)
+    g = BoundaryData(traces=traces)
 
     rows = []
     for h in hs:
@@ -339,10 +350,8 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     meshes the discretization floor limits how far the differences can fall;
     the grid should stop around eps = 1e-5.
     """
-    mu = float(cfg.material["mu"])
-    if "eps_grid" not in cfg.material:
-        raise ConfigError("[material] eps_grid required for a sweep")
-    eps_grid = _floats(cfg.material["eps_grid"])
+    mu = config_number(cfg, "material", "mu")
+    eps_grid = config_number(cfg, "material", "eps_grid", many=True)
     if len(eps_grid) < 4:
         raise ConfigError("eps_grid needs at least 4 points")
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from sif_lab.angular import gauss_nodes
-from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero, MeshMismatch,
+from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
+                                IncompatibleFlux, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero,
                                 _boundary_analytic, _boundary_psi,
                                 _boundary_terms, _ci_terms, _volume_analytic,
                                 extract_sifs_penalized, extract_sifs_stokes,
                                 regular_part, solve_psi)
-from sif_lab.fem import (MixedOperator, P2Space, diff_norms, error_norms, norms,
+from sif_lab.fem import (InconsistentEdgeData, MixedOperator, P2Space,
+                         diff_norms, dirichlet_values, error_norms, norms,
                          tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
                               generate_lshape_mesh, lshape_polygon,
@@ -110,7 +112,7 @@ def test_inhomogeneous_terms_recover_known_coefficients(key):
         return np.asarray(f0(x, y), float) + mu * minus_lap_w(x, y)
 
     g = BoundaryData(traces={tag: (lambda x, y, _t=tr: _t(x, y) + w(x, y))
-                             for tag, tr in traces.items()}, zeta=zeta)
+                             for tag, tr in traces.items()})
     extract = extract_sifs_penalized if case == "penalized" else extract_sifs_stokes
     rel = []
     for h in (0.1, 0.05):
@@ -603,6 +605,41 @@ def test_zeta_corner_nonzero_rejected(coarse_mesh):
     for extract in (extract_sifs_stokes, extract_sifs_penalized):
         with pytest.raises(ZetaCornerNonzero):
             extract(data)
+
+
+def test_stokes_rejects_incompatible_flux_before_any_solve(coarse_mesh, monkeypatch):
+    """g = (x^2 + 3y^2, -2xy) has no net flux, but zeta = 2x + xy integrates to
+    0.75 over the L-shape: the Stokes problem has no solution."""
+    g = _vec(lambda x, y: x * x + 3.0 * y * y, lambda x, y: -2.0 * x * y)
+    data = ProblemData(polygon=POLY, mesh=fresh_copy(coarse_mesh), material=MAT,
+                       g=BoundaryData(traces={e.tag: g for e in POLY.edges}),
+                       zeta=lambda x, y: 2.0 * x + x * y)
+    calls = count_factorizations(monkeypatch)
+    with pytest.raises(IncompatibleFlux, match="zeta integrates to 0.75"):
+        extract_sifs_stokes(data)
+    assert calls == []
+    # The penalized problem is well posed with net flux.
+    assert np.isfinite(extract_sifs_penalized(data).c2)
+    assert len(calls) == 1
+
+
+def test_trace_jump_at_a_vertex_rejected(coarse_mesh, monkeypatch):
+    """Edge 4 starts at (1, 1) with the value (2, 0), edge 3 ends there with 0."""
+    zero = lambda x, y: np.zeros(np.shape(x) + (2,))
+    traces = {e.tag: zero for e in POLY.edges}
+    traces[4] = _vec(lambda x, y: x + 1.0, lambda x, y: 0.0)
+    mesh = fresh_copy(coarse_mesh)
+    data = ProblemData(polygon=POLY, mesh=mesh, material=MAT,
+                       g=BoundaryData(traces=traces))
+    calls = count_factorizations(monkeypatch)
+    for extract in (extract_sifs_penalized, extract_sifs_stokes):
+        with pytest.raises(InconsistentEdgeData,
+                           match=r"edges 3 and 4 differ at the vertex \(1, 1\)"):
+            extract(data)
+    assert calls == []
+    # A solve on the same data raises the same error.
+    with pytest.raises(InconsistentEdgeData):
+        dirichlet_values(P2Space(mesh), traces)
 
 
 def test_penalized_requires_positive_eps(coarse_mesh):

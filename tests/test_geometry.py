@@ -1,4 +1,4 @@
-"""Polygons, graded meshes, mesh IO, boundary data validation."""
+"""Polygons, graded meshes, mesh IO, boundary data."""
 
 import hashlib
 import math
@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sif_lab.extraction import CornerDataNonzero, ProblemData, _check_data
 from sif_lab.geometry import (BoundaryData, MeshFormatError, NonConforming,
                               NotReentrant, TriMesh, UnsupportedPolygon,
                               UntaggedBoundaryEdge, _edge_table, _find_edges,
                               build_polygon, generate_lshape_mesh,
                               generate_square_mesh, load_mesh, lshape_polygon,
-                              lshape_vertices, serialize_mesh,
-                              validate_boundary_data)
+                              lshape_vertices, serialize_mesh)
+from sif_lab.spectral import MaterialParams
 
 
 def test_lshape_polygon_angles_and_measures():
@@ -238,19 +239,24 @@ def test_mesher_rejects_nonfinite_h(h):
 
 
 def test_boundary_data_validation_flags():
+    """The findings of the old boundary-data report are now raises of the
+    extraction's input check; zeta belongs to ProblemData, not BoundaryData."""
     poly = lshape_polygon(1.0)
-    ok = BoundaryData.zero(poly)
-    rep = validate_boundary_data(poly, ok)
-    assert rep["corner_vanishing"] and rep["vertex_continuity_ok"]
-    assert rep["flux_defect"] == pytest.approx(0.0, abs=1e-12)
+    zero = lambda x, y: np.zeros(np.shape(x) + (2,))
+    ok = ProblemData(polygon=poly, mesh=generate_lshape_mesh(poly, 0.25, levels=3),
+                     material=MaterialParams(1.0, 1e-3),
+                     g=BoundaryData(traces={e.tag: zero for e in poly.edges}))
+    for eps in (1e-3, 0.0):  # corner values, continuity and flux all pass
+        _check_data(ok, MaterialParams(1.0, eps))
 
-    bad = BoundaryData(
-        traces={e.tag: (lambda x, y: np.stack(
-            [np.ones(np.shape(x)), np.zeros(np.shape(x))], axis=-1))
-            for e in poly.edges},
-        zeta=None)
-    rep = validate_boundary_data(poly, bad)
-    assert not rep["corner_vanishing"]
+    const = lambda x, y: np.stack([np.ones(np.shape(x)), np.zeros(np.shape(x))],
+                                  axis=-1)
+    bad = replace(ok, g=BoundaryData(traces={e.tag: const for e in poly.edges}))
+    with pytest.raises(CornerDataNonzero):
+        _check_data(bad, ok.material)
+
+    with pytest.raises(ValueError, match="ProblemData.zeta"):
+        BoundaryData(ok.g.traces, zeta=lambda x, y: 2.0 * x * y)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from sif_lab import SifLabError
+from sif_lab import SifLabError, harness
 from sif_lab.cli import main
-from sif_lab.extraction import _mesh_id
+from sif_lab.extraction import IncompatibleFlux, _mesh_id
 from sif_lab.fem import MixedOperator, P2Space, dirichlet_values, load_vector
 from sif_lab.spectral import MaterialParams
 from sif_lab.harness import (SCHEMA, SWEEP_COLUMNS, ConfigError, SweepRecord,
@@ -183,6 +183,22 @@ def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, command, data)
     assert err.startswith("config error: [data] ") and "unknown key" in err
 
 
+@pytest.mark.parametrize("command,old,new,key", [
+    (["extract", "--family", "stokes"], "mu = 1.0", "mu = abc", "[material] mu"),
+    (["solve", "--eps", "1e-3"], "levels = 4", "levels = 2.5", "[mesh] levels"),
+    (["extract", "--family", "penalized"], "size = 1.0", "size = big", "[domain] size"),
+    (["sweep"], "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 x 1e-3 1e-4",
+     "[material] eps_grid"),
+], ids=["mu-abc", "levels-2.5", "size-big", "eps-grid-x"])
+def test_cli_bad_number_is_a_config_error(tmp_path, capsys, command, old, new, key):
+    cfg = tmp_path / "number.ini"
+    cfg.write_text(BASE.replace(old, new) + "[data]\nf_x = 1\n")
+    rc = main(command + ["--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} = ") and err.count("\n") == 1
+
+
 SWEEP_CFG = BASE + """
 [data]
 f_x = 1
@@ -258,6 +274,17 @@ def test_eps_sweep_with_zeta_approaches_a_nontrivial_limit():
     assert abs(out["records"][0].c2_ref) > 1e-3
     for key, slope in out["slopes"].items():
         assert slope >= 0.9, (key, slope)
+
+
+def test_eps_sweep_rejects_incompatible_stokes_data(monkeypatch):
+    """The Stokes reference checks the flux before any penalized extraction."""
+    penalized = []
+    monkeypatch.setattr(harness, "extract_sifs_penalized", penalized.append)
+    text = SWEEP_CFG.replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4") \
+        + "g_x = x^2 + 3*y^2\ng_y = -2*x*y\nzeta = 2*x + x*y\n"
+    with pytest.raises(IncompatibleFlux):
+        run_eps_sweep(load_config(text))
+    assert penalized == []
 
 
 def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
@@ -400,14 +427,18 @@ OMEGA = "4.71238898038469"
      "ValueError"),
     (["extract", "--family", "penalized"], BASE.replace("h = 0.25", "h = nan"),
      "ValueError"),
+    # g = (xy, 0) carries flux 0.5 and there is no zeta.
+    (["extract", "--family", "stokes"],
+     BASE + "[data]\nf_x = 1 + y\nf_y = x*x\ng_x = x*y\n", "IncompatibleFlux"),
 ], ids=["extract-eps-0", "eigen-convex-omega", "negative-h", "negative-levels",
         "mode-index-3", "mode-at-corner", "mode-stokes-2-below-critical",
         "gamma-stokes-2-below-critical", "eigen-mu-inf", "gamma-eps-inf",
-        "h-inf", "h-nan"])
+        "h-inf", "h-nan", "stokes-flux"])
 def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config, error):
     if config is not None:
         cfg = tmp_path / "run.ini"
-        cfg.write_text(config + "[data]\nf_x = 1\n")
+        # A config without a [data] section gets the default one.
+        cfg.write_text(config if "[data]" in config else config + "[data]\nf_x = 1\n")
         argv = argv + ["--config", str(cfg)]
     rc = main(argv)
     err = capsys.readouterr().err
@@ -483,7 +514,7 @@ TERM_ORDER = {
 @pytest.mark.parametrize("family", ["penalized", "stokes"])
 def test_cli_extract_terms_order(tmp_path, family):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(BASE + "[data]\nf_x = 1 + y\nf_y = x*x\ng_x = x*y\n")
+    cfg.write_text(BASE + "[data]\nf_x = 1 + y\nf_y = x*x\ng_x = x*y\nzeta = y\n")
     out = tmp_path / "extract.json"
     assert main(["extract", "--config", str(cfg), "--family", family,
                  "--out", str(out)]) == 0
