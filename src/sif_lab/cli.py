@@ -104,6 +104,7 @@ def cmd_solve(args) -> int:
     for k, v in nm.items():
         print(f"{k} = {v:.12e}")
     print(f"solver_residual = {field.residual:.3e}")
+    print(f"solver_iterations = {field.iterations}")
     if material.eps == 0.0:
         print(f"flux_defect = {field.flux_defect:.12e}")
     coords = space.dof_coords

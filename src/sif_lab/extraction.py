@@ -39,8 +39,10 @@ the polygon, the material and the family; they are computed once and kept
 in a single-entry memo, reused while the next extraction has the same mesh
 and polygon objects, an equal material and the same family.  Each data set
 recomputes only C1 and C2, and still runs the input checks.  The memo keeps
-the corrector fields but no operator or factorization, and is dropped before
-a new entry is computed.  Meshes are treated as immutable (TriMesh is
+the corrector fields but no operator.  The fields hold their P2Space, and so
+its scalar stiffness and mass factorizations (fem.P2Space.stiffness_lu,
+mass_lu): an extraction of another material on the same mesh reuses them.
+The memo is dropped before a new entry is computed.  Meshes are treated as immutable (TriMesh is
 frozen): changing the arrays of a mesh in place after an extraction is not
 detected.  The report carries the primal
 modes (SifReport.modes), so regular_part(u, report) subtracts c1 and c2
@@ -52,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -442,25 +444,30 @@ def _ci_terms(data: ProblemData, dual: SingularMode,
     return vol - bnd_total, parts
 
 
-def solve_psi(dual: SingularMode, operator: MixedOperator,
-              polygon: CornerPolygon) -> MixedField:
-    """Finite element corrector Psi of one dual mode, on operator's mesh and material.
+def solve_psi(duals: Sequence[SingularMode], operator: MixedOperator,
+              polygon: CornerPolygon) -> tuple[MixedField, ...]:
+    """Finite element correctors Psi of the dual modes duals, on operator's
+    mesh and material, solved as one batch.
 
     Zero volume data; Dirichlet data -s Phi~ on the far edges, with s the
     family's dual scale, so the dual weight s Phi~ + Psi vanishes there, and
     exactly zero on the two corner edges.
     """
-    if dual.kind != "dual":
-        raise ValueError("solve_psi expects the dual mode")
-    s = _BY_MODES[dual.family].dual_scale(operator.material.mu)
-
-    def far_trace(x, y):
-        return -s * dual.eval_xy(x, y)
-
-    zero = lambda x, y: np.zeros(np.shape(x) + (2,))
-    traces = {e.tag: zero if e.on_corner_ray else far_trace for e in polygon.edges}
+    if any(d.kind != "dual" for d in duals):
+        raise ValueError("solve_psi expects dual modes")
     space = operator.space
-    return operator.solve(np.zeros(space.n_dofs), dirichlet_values(space, traces))
+    zero = lambda x, y: np.zeros(np.shape(x) + (2,))
+    values = []
+    for dual in duals:
+        s = _BY_MODES[dual.family].dual_scale(operator.material.mu)
+
+        def far_trace(x, y, dual=dual, s=s):
+            return -s * dual.eval_xy(x, y)
+
+        traces = {e.tag: zero if e.on_corner_ray else far_trace for e in polygon.edges}
+        values.append(dirichlet_values(space, traces))
+    return tuple(operator.solve_all(np.zeros((len(duals), space.n_dofs)),
+                                    np.array(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +501,8 @@ class _DualWeights:
 _last_weights: _DualWeights | None = None
 
 
-def _dual_weights(data: ProblemData, material: MaterialParams,
-                  family: str) -> _DualWeights:
+def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
+                  space: P2Space) -> _DualWeights:
     """The data-independent half for (data.mesh, data.polygon, material, family).
 
     Reused while the mesh and polygon are the same objects and the material
@@ -518,9 +525,9 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
                    for i, m in enumerate(zip(primals, duals), 1))
     op = data.operator
     if op is None:
-        op = MixedOperator(P2Space(data.mesh), material)
-    psi = tuple(solve_psi(d, op, data.polygon) for d in duals)
-    del op  # the entry keeps the correctors, never the factorization
+        op = MixedOperator(space, material)
+    psi = solve_psi(duals, op, data.polygon)
+    del op  # the entry keeps the correctors and their space, never the operator
     Cstar = tstar = None
     if len(duals) >= 2:
         far = {e.tag: primals[0].eval_xy for e in data.polygon.far_edges}
@@ -535,7 +542,18 @@ def _dual_weights(data: ProblemData, material: MaterialParams,
     return w
 
 
-def _check_data(data: ProblemData, material: MaterialParams) -> None:
+def _space(data: ProblemData) -> P2Space:
+    """The P2Space of data.mesh: the operator's, else the memo's, else a new one."""
+    if data.operator is not None:
+        return data.operator.space
+    w = _last_weights
+    if w is not None and w.mesh is data.mesh:
+        return w.psi[0].space
+    return P2Space(data.mesh)
+
+
+def _check_data(data: ProblemData, material: MaterialParams,
+                space: P2Space | None = None) -> None:
     """Every input check of an extraction, run before any corrector solve.
 
     Vertex traces agree by the test of dirichlet_values.  Stokes data (eps = 0)
@@ -576,7 +594,7 @@ def _check_data(data: ProblemData, material: MaterialParams) -> None:
         flux += edge.length * float(np.dot(w, gn))
         size += edge.length * float(np.dot(w, np.abs(gn)))
     if data.zeta is not None:
-        space = op.space if op is not None else P2Space(data.mesh)
+        space = space if space is not None else _space(data)
         zint = _volume_analytic(space, data.zeta)
         size += _volume_analytic(space, lambda x, y: np.abs(data.zeta(x, y)))
     if abs(flux - zint) > _FLUX_RTOL * size:
@@ -586,8 +604,9 @@ def _check_data(data: ProblemData, material: MaterialParams) -> None:
 
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
     """Input checks, the (reused) dual weights, then the data functionals."""
-    _check_data(data, material)
-    w = _dual_weights(data, material, family)
+    space = _space(data)
+    _check_data(data, material, space)
+    w = _dual_weights(data, material, family, space)
     C1, t1 = _ci_terms(data, w.duals[0], w.psi[0])
     c1 = C1 / w.gammas[0].gamma
     gamma2 = C2 = c2 = None

@@ -5,29 +5,35 @@ The weak form solved is
     mu (grad u, grad v) - (p, div v) = (f, v)
     (div u, q) + eps (p, q)          = (zeta, q)
 
-assembled as one symmetric indefinite sparse system, with the velocity
-prescribed on the whole boundary.  A MixedOperator is the one way to solve it:
-it combines the material-free blocks its P2Space assembles once
-(P2Space.stokes_blocks) into the matrix of one (mesh, material) and factors
-its free block once, by a deterministic direct LU; every solve on that mesh
-and material reuses the factorization.  A solve takes the load vector
-(load_vector) and the prescribed boundary values (dirichlet_values):
+with the velocity prescribed on the whole boundary.  A MixedOperator is the
+one way to solve it:
 
     op = MixedOperator(space, material)
     field = op.solve(load_vector(space, f, zeta), dirichlet_values(space, traces))
+
+It never factors the symmetric indefinite mixed matrix.  The velocity block
+is diag(mu A, mu A), with A the material-free scalar P2 stiffness, so the
+space factors the interior block of A once (P2Space.stiffness_lu; it is SPD)
+and every material on that mesh reuses it.  The pressure solves the Schur
+complement  B A^-1 B^T / mu + eps M  by conjugate gradients preconditioned
+with the P1 mass M (P2Space.mass_lu), which is spectrally equivalent to it
+uniformly in h and eps (Elman, Silvester & Wathen, Finite Elements and Fast
+Iterative Solvers, 2014), so the iteration count stays flat in both.  Both
+factorizations are built on first use.  solve_all runs several right-hand
+sides as one batch.  The iteration is fixed, so a run is deterministic.
+
+Summing the pressure rows eliminates the free velocity (a field vanishing on
+the boundary has no net flux), so the pressure mean follows from the data
+alone: eps |Omega| mean(p) = -|Omega| flux_defect.  The solve moves it out of
+the right-hand side and iterates in the zero-mean subspace, then adds the
+mean back (-flux_defect/eps) for eps > 0.  At eps = 0 the mean is free; the
+pressure keeps zero mean and the field reports the absorbed flux defect.
 
 A solved field is evaluated in one place: P2Space.basis_grad maps the
 reference basis gradients into every element, and MixedField.values and
 MixedField.gradient give velocity, pressure and velocity gradient at
 reference points of every element.  Assembly, the norms and the
 second-equation residual read them.
-
-At eps = 0 the pressure is only determined up to a constant.  Summing the
-pressure rows eliminates the free velocity (a field vanishing on the boundary
-has no net flux), so the zero-mean multiplier follows from the data alone.  It
-is moved to the right-hand side and reported as the absorbed flux defect; then
-one pressure dof far from the corner is pinned, and the computed pressure is
-shifted to zero mean.
 """
 
 from __future__ import annotations
@@ -90,12 +96,18 @@ class MeshMismatch(SifLabError):
     pass
 
 
-# One factorization policy for every system: a symmetric fill-reducing
-# ordering, with threshold pivoting kept on for the saddle point (without it
-# the residual gate fails at eps <= 1e-8 and at eps = 0).
-_LU_POLICY = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 1e-3,
+# One factorization policy for the two SPD matrices factored (the interior
+# block of A and the mass M): a symmetric fill-reducing ordering, diagonal
+# pivots only.
+_LU_POLICY = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
 _RESIDUAL_GATE = 1e-10
+# The Schur-complement PCG stops once its pressure residual is at most
+# _PCG_RTOL times the free right-hand side, 1000x inside the gate, and raises
+# SolverBreakdown if that takes more than _PCG_MAX_ITER iterations (20 to 36
+# on every mesh and eps tried).
+_PCG_RTOL = 1e-13
+_PCG_MAX_ITER = 200
 
 
 # Symmetric quadrature rules on the reference triangle (weights sum to 1;
@@ -256,6 +268,33 @@ class P2Space:
         return (_scatter(vd, vd, Ae, (S, S)), _scatter(pd, vd, Bxe, (N, S)),
                 _scatter(pd, vd, Bye, (N, S)), _scatter(pd, pd, Me, (N, N)))
 
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """Mask of the scalar dofs off the boundary: the free dofs of either
+        velocity component."""
+        mask = np.ones(self.n_scalar, dtype=bool)
+        mask[np.concatenate(list(self.boundary_dofs.values()))] = False
+        return mask
+
+    @cached_property
+    def stiffness_lu(self):
+        """LU of the interior block of A, built on first use; it serves both
+        velocity components of every material on this space."""
+        A = self.stokes_blocks[0]
+        return _factor(A[self.interior][:, self.interior])
+
+    @cached_property
+    def mass_lu(self):
+        """LU of the P1 mass M, the Schur-complement preconditioner."""
+        return _factor(self.stokes_blocks[3])
+
+
+def _factor(matrix):
+    try:
+        return splu(matrix.tocsc(), **_LU_POLICY)
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from None
+
 
 def _scatter(rows, cols, blocks, shape) -> sp.csr_matrix:
     """Sum element blocks (m, r, c) into the global entries rows (m, r) x cols (m, c)."""
@@ -268,9 +307,9 @@ def _scatter(rows, cols, blocks, shape) -> sp.csr_matrix:
 class MixedField:
     """P2 velocity + P1 pressure coefficients on one mesh.
 
-    At eps = 0, gauge is the constant removed to give the pressure zero mean
-    and flux_defect the zero-mean multiplier absorbed by the pressure rows;
-    both are 0 for eps > 0.
+    residual is the solve's relative residual and iterations its count of
+    Schur-complement PCG iterations.  At eps = 0, flux_defect is the
+    zero-mean multiplier absorbed by the pressure rows; it is 0 for eps > 0.
     """
 
     space: P2Space
@@ -278,9 +317,9 @@ class MixedField:
     ux: np.ndarray
     uy: np.ndarray
     p: np.ndarray
-    gauge: float = 0.0
     residual: float = 0.0
     flux_defect: float = 0.0
+    iterations: int = 0
 
     @property
     def mesh(self) -> TriMesh:
@@ -321,9 +360,10 @@ class MixedField:
 
 
 def _mixed_matrix(space: P2Space, material: MaterialParams) -> sp.csr_matrix:
-    """Taylor-Hood matrix of the mixed weak form on space, for material.  At
-    eps = 0 the pressure block keeps M's pattern as explicit zeros, so every
-    material on one mesh has one sparsity pattern and one LU ordering."""
+    """Taylor-Hood matrix of the mixed weak form on space, for material: the
+    system MixedOperator solves without assembling it, kept as the tests'
+    reference.  At eps = 0 the pressure block keeps M's pattern as explicit
+    zeros."""
     A, Bx, By, M = space.stokes_blocks
     mu, eps = material.mu, material.eps
     return sp.bmat([[mu * A, None, -Bx.T],
@@ -359,15 +399,6 @@ def load_vector(space: P2Space, f=None, zeta=None) -> np.ndarray:
     return rhs
 
 
-def _dirichlet_mask(space: P2Space) -> np.ndarray:
-    """Both velocity components of every boundary P2 node, over all dofs."""
-    dofs = np.concatenate(list(space.boundary_dofs.values()))
-    mask = np.zeros(space.n_dofs, dtype=bool)
-    mask[dofs] = True
-    mask[dofs + space.n_scalar] = True
-    return mask
-
-
 def dirichlet_values(space: P2Space, traces: dict) -> np.ndarray:
     """Prescribed velocity at every boundary P2 node, as a vector over all dofs.
 
@@ -398,41 +429,25 @@ def dirichlet_values(space: P2Space, traces: dict) -> np.ndarray:
 
 
 class MixedOperator:
-    """The mixed system of one (mesh, material), its free block factored once.
+    """The mixed system of one (mesh, material), solved through its pressure
+    Schur complement.
 
-    Both velocity components are prescribed at every boundary P2 node.  At
-    eps = 0 the pressure dof at the mesh node farthest from the corner is
-    pinned too, after the zero-mean multiplier has been moved to the
-    right-hand side.  solve() reuses the one factorization for any load
-    vector and any Dirichlet values.
+    Both velocity components are prescribed at every boundary P2 node.
+    Building an operator factors nothing: the first solve on its space
+    factors A's interior block and M (P2Space.stiffness_lu, mass_lu), and
+    every later solve on any material of that space reuses them.
     """
 
     def __init__(self, space: P2Space, material: MaterialParams):
         self.space = space
         self.material = material
-        self.K = _mixed_matrix(space, material)
-        self.constrained = _dirichlet_mask(space)
-        free = ~self.constrained
-        self.pressure_mass = None
-        if material.eps == 0.0:
-            mesh, P0 = space.mesh, 2 * space.n_scalar
-            self.pressure_mass = np.bincount(
-                mesh.tris.ravel(), weights=np.repeat(space.areas / 3.0, 3),
-                minlength=mesh.n_nodes)
-            # Summed pressure rows on the constrained columns: the discrete
-            # flux of the Dirichlet values (they vanish on the free velocity).
-            self._flux_row = np.asarray(
-                self.K[P0:].sum(axis=0)).ravel()[self.constrained]
-            far = np.argmax(np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]))
-            free[P0 + far] = False
-        self.free = free
-        rows = self.K[free]
-        self.Kff = rows[:, free].tocsc()
-        self.Kfc = rows[:, self.constrained]
-        try:
-            self.lu = splu(self.Kff, **_LU_POLICY)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc)) from None
+        free = space.interior
+        # Both velocity components of every boundary P2 node, over all dofs.
+        self.constrained = np.concatenate(
+            [~free, ~free, np.zeros(space.mesh.n_nodes, dtype=bool)])
+        _, Bx, By, M = space.stokes_blocks
+        self._B_free = (Bx[:, free].tocsr(), By[:, free].tocsr())
+        self._mass = np.asarray(M.sum(axis=1)).ravel()    # M applied to 1
 
     def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> MixedField:
         """Solution for load vector rhs with the constrained dofs prescribed.
@@ -440,34 +455,105 @@ class MixedOperator:
         Both vectors span all dofs; only the constrained entries of
         boundary_values are read (dirichlet_values builds it).
         """
-        S, m = self.space.n_scalar, self.pressure_mass
-        xc = boundary_values[self.constrained]
-        flux_defect = 0.0
-        if m is not None:
-            flux_defect = (float(rhs[2 * S:].sum())
-                           - float(self._flux_row @ xc)) / float(m.sum())
-            rhs = np.concatenate([rhs[:2 * S], rhs[2 * S:] - m * flux_defect])
-        rhs_f = rhs[self.free] - self.Kfc @ xc
-        xf = self.lu.solve(rhs_f)
-        if not np.all(np.isfinite(xf)):
-            raise SingularSystem("factorization produced non-finite values")
-        scale = max(float(np.linalg.norm(rhs_f)), 1e-30)
-        resid = float(np.linalg.norm(self.Kff @ xf - rhs_f)) / scale
-        if resid > _RESIDUAL_GATE:
+        return self.solve_all(rhs[None], boundary_values[None])[0]
+
+    def solve_all(self, rhs: np.ndarray, boundary_values: np.ndarray) -> list[MixedField]:
+        """solve() for each row of rhs and boundary_values (k, n_dofs), as one
+        batch: every triangular solve takes all k right-hand sides at once.
+
+        Raises SolverBreakdown when the PCG needs more than _PCG_MAX_ITER
+        iterations or a solution misses the residual gate: the relative
+        residual of the whole free system, velocity and pressure rows, against
+        its right-hand side.
+        """
+        space, mu, eps = self.space, self.material.mu, self.material.eps
+        A, Bx, By, M = space.stokes_blocks
+        S, free, m = space.n_scalar, space.interior, self._mass
+        x = np.where(self.constrained, boundary_values, 0.0).T    # (n_dofs, k)
+        ux, uy, f = x[:S], x[S:2 * S], rhs.T
+        bu = Bx @ ux + By @ uy    # the prescribed velocity's divergence rows
+        # The summed pressure rows hold no free velocity, so they fix the mean.
+        flux_defect = (f[2 * S:].sum(axis=0) + bu.sum(axis=0)) / m.sum()
+        fp = f[2 * S:] - np.outer(m, flux_defect)
+        gx = (f[:S] - mu * (A @ ux))[free]
+        gy = (f[S:2 * S] - mu * (A @ uy))[free]
+        h = fp + bu
+        scale = np.sqrt((gx ** 2).sum(axis=0) + (gy ** 2).sum(axis=0)
+                        + (h ** 2).sum(axis=0))
+        p, iterations = self._pcg(-h - self._div(self._stiffness_solve(gx, gy)) / mu,
+                                  _PCG_RTOL * scale)
+        Bfx, Bfy = self._B_free
+        ux[free], uy[free] = self._stiffness_solve(gx + Bfx.T @ p, gy + Bfy.T @ p) / mu
+        if eps > 0.0:
+            p = p - flux_defect / eps    # the mean; this pair solves the given rows
+            fp, flux_defect = f[2 * S:], np.zeros_like(flux_defect)
+        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
+            raise SingularSystem("solve produced non-finite values")
+        r2 = (((mu * (A @ ux) - Bx.T @ p - f[:S])[free] ** 2).sum(axis=0)
+              + ((mu * (A @ uy) - By.T @ p - f[S:2 * S])[free] ** 2).sum(axis=0)
+              + ((Bx @ ux + By @ uy + eps * (M @ p) + fp) ** 2).sum(axis=0))
+        resid = np.sqrt(r2) / np.maximum(scale, 1e-30)
+        if resid.max() > _RESIDUAL_GATE:
             raise SolverBreakdown(
-                f"relative residual {resid:.3e} exceeds {_RESIDUAL_GATE:g}")
-        x = np.zeros(self.space.n_dofs)
-        x[self.constrained] = xc
-        x[self.free] = xf
-        p = x[2 * S:]
-        gauge = 0.0
-        if m is not None:
-            # Exact zero-mean shift: the pin fixes the level arbitrarily.
-            gauge = float(m @ p) / float(m.sum())
-            p = p - gauge
-        return MixedField(space=self.space, material=self.material,
-                          ux=x[:S], uy=x[S:2 * S], p=p, gauge=gauge,
-                          residual=resid, flux_defect=flux_defect)
+                f"relative residual {resid.max():.3e} exceeds {_RESIDUAL_GATE:g}")
+        return [MixedField(space=space, material=self.material, ux=ux[:, j].copy(),
+                           uy=uy[:, j].copy(), p=p[:, j].copy(),
+                           residual=float(resid[j]), flux_defect=float(flux_defect[j]),
+                           iterations=int(iterations[j]))
+                for j in range(len(rhs))]
+
+    def _stiffness_solve(self, vx, vy):
+        """A^-1 on the interior of both velocity components, stacked on axis 0."""
+        k = vx.shape[1]
+        w = self.space.stiffness_lu.solve(np.hstack([vx, vy]))
+        return np.stack([w[:, :k], w[:, k:]])
+
+    def _div(self, w):
+        Bfx, Bfy = self._B_free
+        return Bfx @ w[0] + Bfy @ w[1]
+
+    def _schur(self, d):
+        Bfx, Bfy = self._B_free
+        w = self._stiffness_solve(Bfx.T @ d, Bfy.T @ d)
+        M = self.space.stokes_blocks[3]
+        return self._div(w) / self.material.mu + self.material.eps * (M @ d)
+
+    def _pcg(self, b, tol):
+        """Mass-preconditioned CG on the Schur complement, one column of b per
+        system, in the zero-mean subspace: b has zero sum, and every
+        preconditioned residual is projected to zero mean.
+
+        Returns the solutions and each column's iteration count.
+        """
+        m, lu_m = self._mass, self.space.mass_lu
+
+        def precondition(r):
+            z = lu_m.solve(r)
+            return z - (m @ z) / m.sum()
+
+        b = b - np.outer(m, b.sum(axis=0)) / m.sum()
+        p, r = np.zeros_like(b), b
+        iterations = np.zeros(b.shape[1], dtype=int)
+        active = np.flatnonzero(np.linalg.norm(r, axis=0) > tol)
+        d = np.zeros_like(b)
+        d[:, active] = precondition(r[:, active])
+        rz = np.einsum("ik,ik->k", r, d)
+        while len(active):
+            if iterations[active[0]] == _PCG_MAX_ITER:
+                raise SolverBreakdown(
+                    f"Schur-complement PCG did not converge in {_PCG_MAX_ITER} iterations")
+            da = d[:, active]
+            sd = self._schur(da)
+            alpha = rz[active] / np.einsum("ik,ik->k", da, sd)
+            p[:, active] += alpha * da
+            r[:, active] -= alpha * sd
+            iterations[active] += 1
+            active = active[np.linalg.norm(r[:, active], axis=0) > tol[active]]
+            z = precondition(r[:, active])
+            rz_new = np.einsum("ik,ik->k", r[:, active], z)
+            d[:, active] = z + (rz_new / rz[active]) * d[:, active]
+            rz[active] = rz_new
+        return p, iterations
 
 
 def norms(field: MixedField) -> dict:

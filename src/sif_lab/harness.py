@@ -328,9 +328,9 @@ def _extract_with_regular_part(polygon: CornerPolygon, space: P2Space,
                                material: MaterialParams, g: BoundaryData, f, zeta):
     """(report, regular part) of one (mesh, material).
 
-    The extraction and the data solve share one factored operator, which is
-    freed on return, before the caller builds the next one.  eps = 0 selects
-    the Stokes family.
+    The extraction and the data solve share one operator; every material on
+    space reuses the space's factorizations.  eps = 0 selects the Stokes
+    family.
     """
     op = MixedOperator(space, material)
     data = ProblemData(polygon=polygon, mesh=space.mesh, material=material,

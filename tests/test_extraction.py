@@ -25,7 +25,7 @@ from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
 from sif_lab.harness import manufactured_fields
 from sif_lab.modes import make_mode
 from sif_lab.spectral import MaterialParams, exponent_table
-from test_fem import count_factorizations, mixed_solve
+from test_fem import FACTORS_PER_SPACE, count_factorizations, mixed_solve
 
 POLY = lshape_polygon(1.0)
 FRAME = POLY.frame
@@ -243,7 +243,7 @@ def test_mesh_checks_compare_connectivity(coarse_mesh):
 
 def test_zero_data_gives_exact_zero(coarse_mesh):
     dual = make_mode("lame", "dual", 1, FRAME, MAT)
-    psi = solve_psi(dual, MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
     assert _ci_terms(data, dual, psi)[0] == 0.0
     # A far edge without a trace is an error, not zero data.
@@ -254,7 +254,7 @@ def test_zero_data_gives_exact_zero(coarse_mesh):
 
 def test_ci_linearity_in_f(coarse_mesh):
     dual = make_mode("lame", "dual", 2, FRAME, MAT)
-    psi = solve_psi(dual, MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
 
     def f1(x, y):
         return np.stack([np.asarray(y, float), np.asarray(x, float) ** 2], axis=-1)
@@ -278,7 +278,7 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
     """On the bisector-symmetric L-shape the cross coupling cancels."""
     primal1 = make_mode("lame", "primal", 1, FRAME, MAT)
     dual2 = make_mode("lame", "dual", 2, FRAME, MAT)
-    psi2 = solve_psi(dual2, MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi2,) = solve_psi([dual2], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
     far = {e.tag: primal1.eval_xy for e in POLY.far_edges}
     val = _boundary_terms(POLY, far, dual2, psi2, MAT.mu)[0]
     assert abs(val) < 1e-8
@@ -289,7 +289,7 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
 def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
     smat = MaterialParams(1.0, 0.0)
     dual = make_mode("stokes", "dual", 1, FRAME, smat)
-    psi = solve_psi(dual, MixedOperator(P2Space(coarse_mesh), smat), POLY)
+    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), smat), POLY)
 
     def zeta(x, y):
         x = np.asarray(x, float)
@@ -364,7 +364,7 @@ def boundary_psi_per_edge(space, psi, polygon, traces, mu):
 @pytest.mark.parametrize("index", [1, 2])
 def test_boundary_psi_matches_edge_by_edge_loop(coarse_mesh, index):
     dual = make_mode("lame", "dual", index, FRAME, MAT)
-    psi = solve_psi(dual, MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
     _, traces, _, _ = manufactured_fields("penalized", MAT, POLY)
     primal = make_mode("lame", "primal", 1, FRAME, MAT)
     far = {e.tag for e in POLY.far_edges}
@@ -536,9 +536,9 @@ def test_warm_extraction_is_bit_identical_to_cold(coarse_mesh, monkeypatch,
     calls = count_factorizations(monkeypatch)
     extract(replace(data, f=None, g=zero_g()))
     warm = extract(data)
-    assert len(calls) == 1
+    assert len(calls) == FACTORS_PER_SPACE
     cold = extract(replace(data, mesh=fresh_copy(coarse_mesh)))
-    assert len(calls) == 2
+    assert len(calls) == 2 * FACTORS_PER_SPACE
     assert report_hex(warm) == report_hex(cold)
 
 
@@ -548,11 +548,12 @@ def test_dual_weights_reused_per_mesh_and_material(coarse_mesh, monkeypatch):
     calls = count_factorizations(monkeypatch)
     for d in (data, replace(data, f=None), replace(data, g=zero_g())):
         extract_sifs_penalized(d)
-    assert len(calls) == 1
+    assert len(calls) == FACTORS_PER_SPACE
+    # Another material on the same mesh keeps the memo's space and its factors.
     extract_sifs_penalized(replace(data, material=MaterialParams(1.0, 1e-2)))
-    assert len(calls) == 2
+    assert len(calls) == FACTORS_PER_SPACE
     extract_sifs_penalized(replace(data, mesh=fresh_copy(mesh)))
-    assert len(calls) == 3
+    assert len(calls) == 2 * FACTORS_PER_SPACE
 
 
 def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):
@@ -620,7 +621,25 @@ def test_stokes_rejects_incompatible_flux_before_any_solve(coarse_mesh, monkeypa
     assert calls == []
     # The penalized problem is well posed with net flux.
     assert np.isfinite(extract_sifs_penalized(data).c2)
-    assert len(calls) == 1
+    assert len(calls) == FACTORS_PER_SPACE
+
+
+def test_cold_stokes_extraction_with_zeta_builds_one_space(coarse_mesh, monkeypatch):
+    """The flux check and the correctors share the space of the mesh."""
+    spaces, init = [], P2Space.__init__
+
+    def counting(self, mesh):
+        spaces.append(mesh)
+        init(self, mesh)
+
+    monkeypatch.setattr(P2Space, "__init__", counting)
+    g = _vec(lambda x, y: x * x * y, lambda x, y: 0.0)
+    data = ProblemData(polygon=POLY, mesh=fresh_copy(coarse_mesh),
+                       material=MaterialParams(1.0, 0.0),
+                       g=BoundaryData(traces={e.tag: g for e in POLY.edges}),
+                       zeta=lambda x, y: 2.0 * x * y)
+    assert np.isfinite(extract_sifs_stokes(data).c2)
+    assert len(spaces) == 1
 
 
 def test_trace_jump_at_a_vertex_rejected(coarse_mesh, monkeypatch):

@@ -11,8 +11,9 @@ import sympy as sp
 import sif_lab.fem
 from sif_lab.extraction import ProblemData, extract_sifs_penalized, solve_psi
 from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedField,
-                         MixedOperator, P2Space, diff_norms, dirichlet_values,
-                         error_norms, load_vector, norms, p1_shape, p2_shape,
+                         MixedOperator, P2Space, SolverBreakdown, diff_norms,
+                         dirichlet_values, error_norms, load_vector, norms,
+                         p1_shape, p2_shape,
                          p2_shape_grad, second_equation_residual,
                          tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, generate_lshape_mesh,
@@ -126,7 +127,8 @@ def test_galerkin_residual_probe():
         mesh, MaterialParams(1.0, 1e-3), {t: velocity for t in (1, 2, 3, 4)}, f, zeta)
     x = np.concatenate([field.ux, field.uy, field.p])
     free = ~op.constrained
-    resid = (op.K @ np.where(op.constrained, values, x) - rhs)[free]
+    K = sif_lab.fem._mixed_matrix(op.space, op.material)
+    resid = (K @ np.where(op.constrained, values, x) - rhs)[free]
     scale = max(np.linalg.norm(rhs), 1.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -276,7 +278,7 @@ def test_solve_psi_traces():
     for family, material, scale in (("lame", MaterialParams(1.0, 1e-3), 1.0),
                                     ("stokes", MaterialParams(1.3, 0.0), 1.3)):
         dual = make_mode(family, "dual", 1, poly.frame, material)
-        psi = solve_psi(dual, MixedOperator(space, material), poly)
+        (psi,) = solve_psi([dual], MixedOperator(space, material), poly)
         for k, (i, j, tag) in enumerate(mesh.bedges):
             for dof in space.bedge_dofs(k):
                 xx, yy = space.dof_coords[dof]
@@ -297,6 +299,11 @@ def test_pressure_zero_mean_at_stokes_gauge():
     pts_mean = np.einsum("m,mk->", field.space.areas / 3.0,
                          field.p[mesh.tris])
     assert abs(pts_mean) < 1e-10 * max(1.0, np.max(np.abs(field.p)))
+
+
+# A space factors two matrices on its first solve: the interior block of the
+# scalar stiffness A and the pressure mass M.
+FACTORS_PER_SPACE = 2
 
 
 def count_factorizations(monkeypatch):
@@ -321,19 +328,23 @@ def test_penalized_extraction_factors_once(monkeypatch):
                                       zeta=None))
     calls = count_factorizations(monkeypatch)
     rep = extract_sifs_penalized(data)
-    assert len(calls) == 1
+    assert len(calls) == FACTORS_PER_SPACE
     assert len(rep.terms["psi_residuals"]) == 2
 
 
-def test_pinned_stokes_solve_matches_dense_gauge():
-    """eps = 0: pinned pressure dof vs the zero-mean Lagrange multiplier row."""
+def _net_flux_g(x, y):
+    """Dirichlet data with nonzero net flux through the L-shape boundary."""
+    return np.stack([x * y * (1.0 - x), x * x * y], axis=-1)
+
+
+def test_zero_mean_stokes_solve_matches_bordered_system():
+    """eps = 0: the zero-mean Schur solve vs the zero-mean Lagrange multiplier row."""
     poly = lshape_polygon(1.0)
     mesh = generate_lshape_mesh(poly, 0.25, levels=3)
     f = lambda x, y: np.stack([np.ones_like(x), x * y], axis=-1)
     # Nonzero net flux, so the multiplier has something to absorb.
-    g = lambda x, y: np.stack([x * y * (1.0 - x), x * x * y], axis=-1)
     op, rhs, values, field = mixed_solve(mesh, MaterialParams(1.0, 0.0),
-                                         {e.tag: g for e in poly.edges}, f)
+                                         {e.tag: _net_flux_g for e in poly.edges}, f)
 
     # Reference: K bordered by the P1 mass vector in the pressure rows.
     space = field.space
@@ -341,7 +352,8 @@ def test_pinned_stokes_solve_matches_dense_gauge():
     mass = np.zeros(Np)
     np.add.at(mass, mesh.tris.ravel(), np.repeat(space.areas / 3.0, 3))
     border = np.concatenate([np.zeros(2 * S), mass])[:, None]
-    Kb = scipy.sparse.bmat([[op.K, border], [border.T, None]]).tocsc()
+    K = sif_lab.fem._mixed_matrix(space, op.material)
+    Kb = scipy.sparse.bmat([[K, border], [border.T, None]]).tocsc()
     con = np.append(op.constrained, False)
     xb = np.append(values, 0.0)
     rhs_b = np.append(rhs, 0.0) - Kb[:, con] @ xb[con]
@@ -356,12 +368,49 @@ def test_pinned_stokes_solve_matches_dense_gauge():
 
 
 def test_penalized_solve_at_tiny_eps_meets_residual_gate():
-    """Threshold pivoting keeps the corrector solves accurate as eps -> 0."""
+    """The corrector solves stay accurate as eps -> 0."""
     poly = lshape_polygon(1.0)
     mesh = generate_lshape_mesh(poly, 0.1, levels=5)
     material = MaterialParams(1.0, 1e-10)
     operator = MixedOperator(P2Space(mesh), material)
     for i in (1, 2):
         dual = make_mode("lame", "dual", i, poly.frame, material)
-        psi = solve_psi(dual, operator, poly)
+        (psi,) = solve_psi([dual], operator, poly)
         assert psi.residual <= 1e-10
+
+
+def _net_flux_solve(h, eps):
+    """mixed_solve on the L-shape with f = (1, 0) and the net-flux data."""
+    poly = lshape_polygon(1.0)
+    mesh = generate_lshape_mesh(poly, h, levels=3)
+    f = lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
+    return mixed_solve(mesh, MaterialParams(1.0, eps),
+                       {e.tag: _net_flux_g for e in poly.edges}, f)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-4])
+def test_penalized_solve_matches_direct_solve_of_free_system(eps):
+    op, rhs, values, field = _net_flux_solve(0.25, eps)
+    K = sif_lab.fem._mixed_matrix(op.space, op.material).tocsc()
+    con = op.constrained
+    x = values.copy()
+    x[~con] = scipy.sparse.linalg.spsolve(K[~con][:, ~con],
+                                          rhs[~con] - K[~con][:, con] @ values[con])
+    u_ref = x[:2 * op.space.n_scalar]
+    u = np.concatenate([field.ux, field.uy])
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert field.flux_defect == 0.0 and field.residual <= 1e-10
+
+
+def test_schur_iterations_stay_flat_in_h_and_eps():
+    counts = [_net_flux_solve(h, eps)[-1].iterations
+              for h in (0.25, 0.1, 0.05)
+              for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+    assert min(counts) > 0
+    assert max(counts) - min(counts) <= 10
+
+
+def test_schur_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(sif_lab.fem, "_PCG_MAX_ITER", 2)
+    with pytest.raises(SolverBreakdown, match="2 iterations"):
+        _net_flux_solve(0.25, 1e-3)

@@ -19,7 +19,7 @@ from sif_lab.harness import (SCHEMA, SWEEP_COLUMNS, ConfigError, SweepRecord,
                              build_data, build_domain, emit, load_config,
                              run_eps_sweep, run_manufactured)
 
-from test_fem import count_factorizations
+from test_fem import FACTORS_PER_SPACE, count_factorizations
 
 BASE = """
 [domain]
@@ -241,8 +241,8 @@ def test_eps_sweep_deterministic_up_to_wall_time():
 
 
 def test_eps_sweep_factors_once_per_material(monkeypatch):
-    """Four penalized operators plus the Stokes reference: five LU in all, on
-    one space whose blocks are assembled once."""
+    """Four penalized operators plus the Stokes reference share one space:
+    its blocks are assembled once and its two factorizations built once."""
     builds, build = [], P2Space.stokes_blocks.func
 
     def counting(space):
@@ -257,7 +257,7 @@ def test_eps_sweep_factors_once_per_material(monkeypatch):
         "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4")
     out = run_eps_sweep(load_config(cfg_text))
     assert len(out["records"]) == 4
-    assert len(calls) == 5
+    assert len(calls) == FACTORS_PER_SPACE
     assert len(builds) == 1
 
 
@@ -277,14 +277,17 @@ def test_eps_sweep_with_zeta_approaches_a_nontrivial_limit():
 
 
 def test_eps_sweep_rejects_incompatible_stokes_data(monkeypatch):
-    """The Stokes reference checks the flux before any penalized extraction."""
+    """The Stokes reference checks the flux before any penalized extraction
+    and before anything is factored."""
     penalized = []
     monkeypatch.setattr(harness, "extract_sifs_penalized", penalized.append)
+    calls = count_factorizations(monkeypatch)
     text = SWEEP_CFG.replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4") \
         + "g_x = x^2 + 3*y^2\ng_y = -2*x*y\nzeta = 2*x + x*y\n"
     with pytest.raises(IncompatibleFlux):
         run_eps_sweep(load_config(text))
     assert penalized == []
+    assert calls == []
 
 
 def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
@@ -495,6 +498,7 @@ def test_cli_solve_is_the_operator_solve(tmp_path, capsys, eps):
     Np = mesh.n_nodes
     assert np.array_equal([float(r[4]) for r in rows[:Np]], field.p)
     assert all(r[4] == "" for r in rows[Np:])
+    assert f"solver_iterations = {field.iterations}" in printed
     defect = [ln for ln in printed if ln.startswith("flux_defect = ")]
     if eps == 0.0:
         assert defect == [f"flux_defect = {field.flux_defect:.12e}"]
