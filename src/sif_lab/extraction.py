@@ -18,8 +18,11 @@ Quadrature policy:
   * volume integrals of data against analytic duals use a degree-8 rule;
     corner-incident elements use one graded reference rule, built once and
     mapped affinely: degree 8 on a 16-level subdivision stack toward the corner;
-  * everything paired with the finite element corrector uses standard rules
-    on the solve mesh.
+  * the finite element corrector takes no quadrature of its own: it pairs
+    with the data through the discrete system, x_psi . load_vector(f, zeta)
+    in the volume and R . g on the boundary nodes, with R the velocity rows
+    of K x_psi, Psi's consistent (residual) flux (Babuska & Miller, IJNME 20,
+    1984; Carey, Chow & Seager, CMAME 50, 1985).
 
 Input: one check (_check_data), before any solve, names an operator of
 another mesh or material, g or zeta nonzero at the corner, traces that differ
@@ -61,7 +64,7 @@ import numpy as np
 from . import SifLabError
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
 from .fem import (InconsistentEdgeData, MeshMismatch, MixedField, MixedOperator, P2Space,
-                  dirichlet_values, p1_shape, p2_shape_grad, tri_quadrature)
+                  dirichlet_values, load_vector, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh
 from .modes import SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, exponent_table
@@ -266,62 +269,34 @@ def _boundary_analytic(edge, g, dual: SingularMode, mu: float) -> float:
     return float(edge.length * np.dot(w, vals))
 
 
-def _boundary_psi(psi: MixedField, polygon: CornerPolygon, traces: dict,
-                  mu: float) -> dict:
-    """Per-tag integral of mu g . dn(Psi) - (g.n) psi over mesh boundary edges.
-
-    The same expression serves both families: the penalized term
-    (g.n) (div Psi)/eps equals -(g.n) psi through the mixed second equation.
-    Only the tags in traces contribute; each trace is evaluated once, on the
-    4 Gauss points of all its edges.
-    """
-    space = psi.space
-    mesh = space.mesh
-    tq, wq = gauss_nodes(4, 0.0, 1.0)
-    out: dict[int, float] = {}
-    for edge in polygon.edges:
-        tag, n = edge.tag, edge.normal
-        if tag not in traces:
-            continue
-        k = np.flatnonzero(mesh.bedges[:, 2] == tag)
-        p0 = mesh.nodes[mesh.bedges[k, 0]]
-        seg = mesh.nodes[mesh.bedges[k, 1]] - p0
-        phys = p0[:, None, :] + tq[None, :, None] * seg[:, None, :]   # (e, q, 2)
-        m, eq = space.bedge_tri[k], phys.shape[:2]
-        invJ = space.invJ[m]
-        ref = ((phys - space.tri_origin[m][:, None]) @ np.swapaxes(invJ, 1, 2)).reshape(-1, 2)
-        # Basis gradients (e, q, 6, 2) and pressure basis (e, q, 3) at the points.
-        G = p2_shape_grad(ref).reshape(*eq, 6, 2) @ invJ[:, None]
-        L = p1_shape(ref).reshape(*eq, 3)
-        dofs = space.tri_dofs[m]
-        grad = np.stack([np.einsum("eqid,ei->eqd", G, psi.ux[dofs]),
-                         np.einsum("eqid,ei->eqd", G, psi.uy[dofs])], axis=2)
-        dpsi = np.einsum("eqkl,l->eqk", grad, n)
-        psiv = (L @ psi.p[mesh.tris[m]][..., None])[..., 0]
-        gv = np.asarray(traces[tag](phys[..., 0], phys[..., 1]), dtype=float)
-        vals = mu * np.einsum("eqk,eqk->eq", gv, dpsi) - (gv @ n) * psiv
-        # One dot product per edge, the edges summed in mesh order.
-        per_edge = np.hypot(seg[:, 0], seg[:, 1]) * (vals[:, None, :] @ wq)[:, 0]
-        out[tag] = float(sum(per_edge, 0.0))
-    return out
-
-
 def _boundary_terms(polygon: CornerPolygon, traces: dict, dual: SingularMode,
                     psi: MixedField, mu: float) -> tuple[float, dict]:
     """Boundary part of the pairing of traces with the dual weight (dual, psi).
 
     Walks the polygon edges whose tag is in traces, in polygon order; each
-    adds its analytic-dual and its corrector integral.  Returns the sum and
+    adds its analytic-dual integral and its corrector part R . g, with R the
+    consistent boundary flux of Psi: the velocity rows of K x_psi, which
+    vanish at the interior dofs because Psi solves the system with zero
+    volume data.  g is the trace at the edge's boundary P2 nodes; a vertex
+    shared by two edges counts for the first of them.  Returns the sum and
     the value per tag.  With the data g this is the boundary part of C1 and
     C2; with the first primal mode's trace on the far edges it is C*.
     """
-    psi_parts = _boundary_psi(psi, polygon, traces, mu)
+    space = psi.space
+    A, Bx, By, _ = space.stokes_blocks
+    R = np.stack([mu * (A @ psi.ux) - Bx.T @ psi.p,
+                  mu * (A @ psi.uy) - By.T @ psi.p], axis=-1)
+    seen = np.zeros(space.n_scalar, dtype=bool)
     parts: dict = {}
     total = 0.0
     for edge in polygon.edges:
         if edge.tag in traces:
+            dofs = space.boundary_dofs[edge.tag]
+            dofs = dofs[~seen[dofs]]
+            seen[dofs] = True
+            gv = np.asarray(traces[edge.tag](*space.dof_coords[dofs].T), dtype=float)
             val = _boundary_analytic(edge, traces[edge.tag], dual, mu) \
-                + psi_parts[edge.tag]
+                + float(np.sum(R[dofs] * gv))
             parts[edge.tag] = val
             total += val
     return total, parts
@@ -382,22 +357,6 @@ def _volume_analytic(space: P2Space, func) -> float:
     return float(np.asarray(func(x[:, 0], x[:, 1]), dtype=float) @ weights)
 
 
-def _volume_fem(space: P2Space, f, zeta, psi: MixedField) -> tuple[float, float]:
-    """(integral of f . Psi, integral of zeta * psi) by degree-5 quadrature."""
-    pts, w = tri_quadrature(5)
-    x, y = np.moveaxis(space.quad_points(pts), -1, 0)
-    wa = space.areas[:, None] * w[None, :]
-    v, pv = psi.values(pts)
-    f_term = z_term = 0.0
-    if f is not None:
-        fv = np.asarray(f(x, y), dtype=float)
-        f_term = float(np.sum(wa * (fv[..., 0] * v[..., 0] + fv[..., 1] * v[..., 1])))
-    if zeta is not None:
-        zv = np.asarray(zeta(x, y), dtype=float)
-        z_term = float(np.sum(wa * zv * pv))
-    return f_term, z_term
-
-
 # ---------------------------------------------------------------------------
 # coefficient functionals
 # ---------------------------------------------------------------------------
@@ -422,10 +381,13 @@ def _ci_terms(data: ProblemData, dual: SingularMode,
             return np.einsum("...k,...k->...", fv, dv)
         parts["volume_f_dual"] = _volume_analytic(space, f_dot_dual)
         vol += parts["volume_f_dual"]
-    f_psi, z_psi = _volume_fem(space, data.f, data.zeta, psi)
+    # Psi against the load vector: the velocity rows hold the integral of
+    # f . Psi, the pressure rows minus that of zeta * psi.
+    S = space.n_scalar
+    load = load_vector(space, data.f, data.zeta)
     if data.f is not None:
-        parts["volume_f_psi"] = f_psi
-        vol += f_psi
+        parts["volume_f_psi"] = float(psi.ux @ load[:S] + psi.uy @ load[S:2 * S])
+        vol += parts["volume_f_psi"]
     if data.zeta is not None:
         # zeta pairs like g.n in _boundary_analytic (Green's formula).
         def zeta_dual_sigma(x, y):
@@ -434,7 +396,7 @@ def _ci_terms(data: ProblemData, dual: SingularMode,
             return zv * s * fam.sigma(dual, r, theta)
 
         parts["volume_zeta_dual"] = _volume_analytic(space, zeta_dual_sigma)
-        parts["volume_zeta_psi"] = -z_psi
+        parts["volume_zeta_psi"] = float(psi.p @ load[2 * S:])
         vol += parts["volume_zeta_dual"] + parts["volume_zeta_psi"]
 
     # Every edge needs a trace: a missing one is a KeyError, not zero data.

@@ -215,14 +215,9 @@ class P2Space:
         self.invJ = invJ / self.detJ[:, None, None]
         self.tri_origin = p[:, 0]
         self.areas = 0.5 * self.detJ
-        # Boundary edge -> (element, edge dof).  A boundary edge has one
-        # element, so the scatter below is unambiguous on it.
+        # Boundary edge -> its midpoint dof.
         i, j, tags = mesh.bedges.T
-        bedge_edge = _find_edges(edges, N, i, j)
-        owner = np.empty(len(edges), dtype=int)
-        owner[tri_edge.ravel()] = np.repeat(np.arange(len(mesh.tris)), 3)
-        self.bedge_tri = owner[bedge_edge]
-        self.bedge_mid = N + bedge_edge
+        self.bedge_mid = N + _find_edges(edges, N, i, j)
         # Scalar dofs on the boundary per edge tag, tags in order of first
         # appearance.
         dofs = np.stack([i, j, self.bedge_mid])

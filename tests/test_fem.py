@@ -138,15 +138,14 @@ def test_galerkin_residual_probe():
 
 def _reference_p2_numbering(mesh):
     """Element-by-element P2 numbering: vertices first, then edge midpoints in
-    order of first use; each edge's owner is the first triangle that has it."""
+    order of first use."""
     N = mesh.n_nodes
-    index, owner, tri_dofs = {}, {}, []
-    for m, (a, b, c) in enumerate(mesh.tris.tolist()):
+    index, tri_dofs = {}, []
+    for a, b, c in mesh.tris.tolist():
         row = [a, b, c]
         for u, v in ((a, b), (b, c), (c, a)):
             key = (min(u, v), max(u, v))
             index.setdefault(key, N + len(index))
-            owner.setdefault(key, m)
             row.append(index[key])
         tri_dofs.append(row)
     coords = list(mesh.nodes) + [0.5 * (mesh.nodes[u] + mesh.nodes[v]) for u, v in index]
@@ -154,7 +153,7 @@ def _reference_p2_numbering(mesh):
     by_tag = {}
     for (i, j), tag in zip(keys, mesh.bedges[:, 2].tolist()):
         by_tag.setdefault(tag, set()).update((i, j, index[(i, j)]))
-    return (np.array(tri_dofs), np.array(coords), [owner[k] for k in keys],
+    return (np.array(tri_dofs), np.array(coords),
             {tag: sorted(d) for tag, d in by_tag.items()})
 
 
@@ -176,11 +175,10 @@ def test_p2_numbering_matches_reference_loop(make):
     mesh = make()
     mesh.validate()
     space = P2Space(mesh)
-    tri_dofs, coords, bedge_tri, boundary = _reference_p2_numbering(mesh)
+    tri_dofs, coords, boundary = _reference_p2_numbering(mesh)
     assert np.array_equal(space.tri_dofs, tri_dofs)
     assert np.array_equal(space.dof_coords, coords)
     assert space.n_scalar == len(coords)
-    assert space.bedge_tri.tolist() == bedge_tri
     assert list(space.boundary_dofs) == list(boundary)
     for tag, dofs in boundary.items():
         assert space.boundary_dofs[tag].tolist() == dofs

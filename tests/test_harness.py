@@ -264,12 +264,14 @@ def test_eps_sweep_factors_once_per_material(monkeypatch):
 def test_eps_sweep_with_zeta_approaches_a_nontrivial_limit():
     """Both sides of the sweep solve div u + eps p = zeta with the same zeta.
 
-    g = (x^2 y, 0) carries the flux of zeta = div g, and the rotational force
-    gives nonzero Stokes coefficients, so every gap falls like eps.
+    The force is (y^2 - y, x), whose Stokes coefficients are nonzero, plus
+    the force of the exact pair u = (x^2 y, 0), p = x y: g = u carries the
+    flux of zeta = div u without changing the coefficients.  Every gap falls
+    like eps.
     """
     text = BASE.replace("h = 0.25", "h = 0.1").replace("levels = 4", "levels = 6") \
         .replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-2 1e-3 1e-4 1e-5") \
-        + "[data]\nf_x = -y\nf_y = x\ng_x = x^2*y\ng_y = 0\nzeta = 2*x*y\n"
+        + "[data]\nf_x = y^2 - 2*y\nf_y = 2*x\ng_x = x^2*y\ng_y = 0\nzeta = 2*x*y\n"
     out = run_eps_sweep(load_config(text))
     assert abs(out["records"][0].c2_ref) > 1e-3
     for key, slope in out["slopes"].items():
