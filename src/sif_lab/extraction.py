@@ -8,25 +8,30 @@ is -s*Phi~ on the far edges and zero on the corner edges.  No cutoff
 functions appear: the corrector field plays that role, and every 1/eps
 quantity enters through a cancellation-free closed form (the scaled
 divergence of the dual mode, or minus the mixed pressure of the corrector).
-One boundary functional (_boundary_terms) gives the boundary part of C1 and
-C2 with the data g, and C* with the first primal mode's far-edge trace.
 
-Quadrature policy:
-  * boundary integrals against analytic duals on the two corner edges use
-    composite Gauss panels geometrically graded toward the corner
-    (ratio 0.5, 30 levels, 8 points per panel), measured from the corner;
-  * volume integrals of data against analytic duals use a degree-8 rule;
-    corner-incident elements use one graded reference rule, built once and
-    mapped affinely: degree 8 on a 16-level subdivision stack toward the corner;
+Each term is one pairing (_ci_terms): the dot product of a sample, a data
+set evaluated once (_sample), and a dual weight of the same keys and shapes
+(_weight).  C1 and C2 pair the data with the two dual weights; C*
+pairs the first primal mode's far-edge trace with the second.
+
+Quadrature policy, fixed by the points a sample is taken at:
+  * on each edge, the trace at composite Gauss points, 8 per panel: panels
+    graded toward the corner on the two corner edges (ratio 0.5, 30 levels,
+    measured from the corner), uniform ones on the far edges;
+  * in the volume, f and zeta on one rule (_volume_rule): degree 8 on every
+    element, and on corner-incident elements one graded reference rule,
+    built once and mapped affinely: degree 8 on a 16-level subdivision
+    stack toward the corner;
   * the finite element corrector takes no quadrature of its own: it pairs
     with the data through the discrete system, x_psi . load_vector(f, zeta)
     in the volume and R . g on the boundary nodes, with R the velocity rows
     of K x_psi, Psi's consistent (residual) flux (Babuska & Miller, IJNME 20,
     1984; Carey, Chow & Seager, CMAME 50, 1985).
 
-Input: one check (_check_data), before any solve, names an operator of
-another mesh or material, g or zeta nonzero at the corner, traces that differ
-at a vertex, and Stokes data whose flux of g is not the integral of zeta.
+Input: before any solve, _space names an operator of another mesh or
+material, and _check_data g or zeta nonzero at the corner, traces that
+differ at a vertex, and Stokes data whose flux of g is not the integral of
+zeta.
 
 Families: the penalized and the Stokes extraction run the same code.  What
 differs between them (the mode family, the normalizer, the scale of the dual
@@ -36,20 +41,21 @@ pairs like the flux g.n: with s times the dual mode's pressure-like part, and
 with minus the corrector's pressure.
 
 Reuse: c1 = C1/gamma1 and c2 = (C2 + c1*Cstar)/gamma2 are fixed linear
-functionals of the data.  The exponent table, the primal and dual modes,
-gamma1 and gamma2, the corrector fields and Cstar depend only on the mesh,
-the polygon, the material and the family; they are computed once and kept
-in a single-entry memo, reused while the next extraction has the same mesh
-and polygon objects, an equal material and the same family.  Each data set
-recomputes only C1 and C2, and still runs the input checks.  The memo keeps
-the corrector fields but no operator.  The fields hold their P2Space, and so
-its scalar stiffness and mass factorizations (fem.P2Space.stiffness_lu,
-mass_lu): an extraction of another material on the same mesh reuses them.
-The memo is dropped before a new entry is computed.  Meshes are treated as immutable (TriMesh is
+functionals of the data.  The exponent table, the primal modes, gamma1 and
+gamma2, the dual weights and Cstar depend only on the mesh, the polygon, the
+material and the family; they are computed once and kept in a single-entry
+memo, reused while the next extraction has the same mesh and polygon
+objects, an equal material and the same family.  Each data set is sampled
+once and paired with the kept weights, so it evaluates no mode; it still
+runs the input checks.  The memo keeps the weights, no quadrature point, no
+corrector field and no operator, and the P2Space with its scalar stiffness
+and mass factorizations (fem.P2Space.stiffness_lu, mass_lu): an extraction
+of another material on the same mesh reuses them.  The memo is dropped
+before a new entry is computed.  Meshes are treated as immutable (TriMesh is
 frozen): changing the arrays of a mesh in place after an extraction is not
-detected.  The report carries the primal
-modes (SifReport.modes), so regular_part(u, report) subtracts c1 and c2
-times them without building the modes again.
+detected.  The report carries the primal modes (SifReport.modes), so
+regular_part(u, report) subtracts c1 and c2 times them without building the
+modes again.
 """
 
 from __future__ import annotations
@@ -247,59 +253,15 @@ def _polar(pts, frame):
     return r, theta
 
 
-def _boundary_analytic(edge, g, dual: SingularMode, mu: float) -> float:
-    """Integral of the analytic-dual boundary integrand over one polygon edge.
-
-    Penalized:  mu g . dn(Phi~)  + (g.n) (div Phi~)/eps    (closed form)
-    Stokes:     mu g . dn(mu Phi~) - (g.n) (mu phi~)
-    """
-    fam = _BY_MODES[dual.family]
-    s = fam.dual_scale(mu)
-    pts, w = _edge_rule(edge)
-    gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-    n = edge.normal
-    r, theta = _polar(pts, dual.frame)
-    G = dual.eval_grad(r, theta)
-    dn = np.einsum("...kl,l->...k", G, n)
-    gdotn = gv @ n
-    # s = 1.0 and the sign inside sigma multiply exactly, so each family keeps
-    # its own floating point expression.
-    vals = mu * s * np.einsum("...k,...k->...", gv, dn) \
-        + gdotn * s * fam.sigma(dual, r, theta)
-    return float(edge.length * np.dot(w, vals))
-
-
-def _boundary_terms(polygon: CornerPolygon, traces: dict, dual: SingularMode,
-                    psi: MixedField, mu: float) -> tuple[float, dict]:
-    """Boundary part of the pairing of traces with the dual weight (dual, psi).
-
-    Walks the polygon edges whose tag is in traces, in polygon order; each
-    adds its analytic-dual integral and its corrector part R . g, with R the
-    consistent boundary flux of Psi: the velocity rows of K x_psi, which
-    vanish at the interior dofs because Psi solves the system with zero
-    volume data.  g is the trace at the edge's boundary P2 nodes; a vertex
-    shared by two edges counts for the first of them.  Returns the sum and
-    the value per tag.  With the data g this is the boundary part of C1 and
-    C2; with the first primal mode's trace on the far edges it is C*.
-    """
-    space = psi.space
-    A, Bx, By, _ = space.stokes_blocks
-    R = np.stack([mu * (A @ psi.ux) - Bx.T @ psi.p,
-                  mu * (A @ psi.uy) - By.T @ psi.p], axis=-1)
+def _edge_dofs(space: P2Space, polygon: CornerPolygon):
+    """Each polygon edge with its boundary P2 dofs, in polygon order; a vertex
+    shared by two edges belongs to the first of them."""
     seen = np.zeros(space.n_scalar, dtype=bool)
-    parts: dict = {}
-    total = 0.0
     for edge in polygon.edges:
-        if edge.tag in traces:
-            dofs = space.boundary_dofs[edge.tag]
-            dofs = dofs[~seen[dofs]]
-            seen[dofs] = True
-            gv = np.asarray(traces[edge.tag](*space.dof_coords[dofs].T), dtype=float)
-            val = _boundary_analytic(edge, traces[edge.tag], dual, mu) \
-                + float(np.sum(R[dofs] * gv))
-            parts[edge.tag] = val
-            total += val
-    return total, parts
+        dofs = space.boundary_dofs[edge.tag]
+        dofs = dofs[~seen[dofs]]
+        seen[dofs] = True
+        yield edge, dofs
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +295,12 @@ def _graded_reference_rule(depth: int):
 _GRADED_TRI_RULE = _graded_reference_rule(CORNER_DEPTH)
 
 
-def _volume_analytic(space: P2Space, func) -> float:
-    """Integral of a scalar integrand that is smooth away from the corner.
+def _volume_rule(space: P2Space):
+    """Points (n, 2) and weights (n,) for integrands smooth away from the corner.
 
     Degree-8 on every element; elements touching the corner vertex use the
     graded reference rule instead, mapped with the corner as its (0, 0), so
-    the r^(a-1) growth of the dual weight is resolved.  func is called once.
+    the r^(a-1) growth of the dual weight is resolved.
     """
     mesh = space.mesh
     rnode = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
@@ -354,56 +316,73 @@ def _volume_analytic(space: P2Space, func) -> float:
     x = np.concatenate([smooth, graded.reshape(-1, 2)])
     weights = np.concatenate([np.outer(space.areas[~corner], w).ravel(),
                               np.outer(space.areas[corner], wt).ravel()])
-    return float(np.asarray(func(x[:, 0], x[:, 1]), dtype=float) @ weights)
+    return x, weights
 
 
 # ---------------------------------------------------------------------------
 # coefficient functionals
 # ---------------------------------------------------------------------------
 
-def _ci_terms(data: ProblemData, dual: SingularMode,
-              psi: MixedField) -> tuple[float, dict]:
-    """Coefficient functional of data against the dual weight (dual, psi).
+def _sample(space: P2Space, polygon: CornerPolygon, traces: dict,
+            f=None, zeta=None, x=None) -> dict:
+    """One data set, each callable called once, keyed by the term it enters:
+    f and zeta at the volume rule's points x (volume_*_dual), the rows of
+    load_vector(f, zeta) (volume_*_psi), and the trace of each edge in
+    traces at its edge rule's points, then at its boundary P2 dofs
+    (boundary_edge_<tag>).  A term whose data is absent has no key."""
+    sample: dict = {}
+    load, S = load_vector(space, f, zeta), space.n_scalar
+    if f is not None:
+        sample["volume_f_dual"] = np.asarray(f(x[:, 0], x[:, 1]), dtype=float)
+        sample["volume_f_psi"] = load[:2 * S]
+    if zeta is not None:
+        sample["volume_zeta_dual"] = np.asarray(zeta(x[:, 0], x[:, 1]), dtype=float)
+        sample["volume_zeta_psi"] = load[2 * S:]
+    for edge, dofs in _edge_dofs(space, polygon):
+        if edge.tag in traces:
+            pts = np.concatenate([_edge_rule(edge)[0], space.dof_coords[dofs]])
+            val = np.asarray(traces[edge.tag](pts[:, 0], pts[:, 1]), dtype=float)
+            sample[f"boundary_edge_{edge.tag}"] = np.broadcast_to(val, pts.shape)
+    return sample
 
-    Returns the value and its parts by term.  It does not check its input.
+
+def _weight(polygon: CornerPolygon, dual: SingularMode, psi: MixedField,
+            mu: float, volume) -> dict:
+    """The dual weight (dual, psi) with the keys and shapes of a _sample.
+
+    volume = (r, theta, w) is the volume rule in polar coordinates.  In the
+    volume: s Phi~ w, s sigma(Phi~) w and the corrector's coefficients
+    x_psi; on an edge: s w (mu dn(Phi~) + sigma(Phi~) n), w the edge rule's
+    weights times the length, then R at the edge's dofs.  R, the velocity
+    rows of K x_psi, is Psi's consistent boundary flux: it vanishes at the
+    interior dofs, as Psi solves the system with zero volume data.
     """
-    space = psi.space
-    mu = data.material.mu
     fam = _BY_MODES[dual.family]
     s = fam.dual_scale(mu)
-    parts: dict = {}
+    r, theta, w = volume
+    weight = {"volume_f_dual": (s * w)[:, None] * dual.eval(r, theta),
+              "volume_f_psi": np.concatenate([psi.ux, psi.uy]),
+              "volume_zeta_dual": s * w * fam.sigma(dual, r, theta),
+              "volume_zeta_psi": psi.p}
+    A, Bx, By, _ = psi.space.stokes_blocks
+    R = np.stack([mu * (A @ psi.ux) - Bx.T @ psi.p,
+                  mu * (A @ psi.uy) - By.T @ psi.p], axis=-1)
+    for edge, dofs in _edge_dofs(psi.space, polygon):
+        pts, we = _edge_rule(edge)
+        rb, tb = _polar(pts, dual.frame)
+        flux = mu * (dual.eval_grad(rb, tb) @ edge.normal) \
+            + fam.sigma(dual, rb, tb)[:, None] * edge.normal
+        weight[f"boundary_edge_{edge.tag}"] = np.concatenate(
+            [(s * edge.length * we)[:, None] * flux, R[dofs]])
+    return weight
 
-    vol = 0.0
-    if data.f is not None:
-        def f_dot_dual(x, y):
-            fv = np.asarray(data.f(x, y), dtype=float)
-            dv = s * dual.eval_xy(x, y)
-            return np.einsum("...k,...k->...", fv, dv)
-        parts["volume_f_dual"] = _volume_analytic(space, f_dot_dual)
-        vol += parts["volume_f_dual"]
-    # Psi against the load vector: the velocity rows hold the integral of
-    # f . Psi, the pressure rows minus that of zeta * psi.
-    S = space.n_scalar
-    load = load_vector(space, data.f, data.zeta)
-    if data.f is not None:
-        parts["volume_f_psi"] = float(psi.ux @ load[:S] + psi.uy @ load[S:2 * S])
-        vol += parts["volume_f_psi"]
-    if data.zeta is not None:
-        # zeta pairs like g.n in _boundary_analytic (Green's formula).
-        def zeta_dual_sigma(x, y):
-            zv = np.asarray(data.zeta(x, y), dtype=float)
-            r, theta = _polar(np.stack([x, y], axis=-1), dual.frame)
-            return zv * s * fam.sigma(dual, r, theta)
 
-        parts["volume_zeta_dual"] = _volume_analytic(space, zeta_dual_sigma)
-        parts["volume_zeta_psi"] = float(psi.p @ load[2 * S:])
-        vol += parts["volume_zeta_dual"] + parts["volume_zeta_psi"]
-
-    # Every edge needs a trace: a missing one is a KeyError, not zero data.
-    traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}
-    bnd_total, bnd = _boundary_terms(data.polygon, traces, dual, psi, mu)
-    parts.update((f"boundary_edge_{tag}", val) for tag, val in bnd.items())
-    return vol - bnd_total, parts
+def _ci_terms(weight: dict, sample: dict) -> tuple[float, dict]:
+    """Coefficient functional of a sample against a dual weight, and its terms:
+    the dot product of weight and sample per key, the volume ones minus the
+    boundary ones (Green's formula).  It does not check its input."""
+    parts = {k: float(np.vdot(weight[k], v)) for k, v in sample.items()}
+    return sum(v if k.startswith("volume") else -v for k, v in parts.items()), parts
 
 
 def solve_psi(duals: Sequence[SingularMode], operator: MixedOperator,
@@ -440,9 +419,10 @@ def solve_psi(duals: Sequence[SingularMode], operator: MixedOperator,
 class _DualWeights:
     """The data-independent half of an extraction on one (mesh, material).
 
-    The primal and dual modes, normalizers and correctors of every mode
-    index, and the cross coupling C* when the second mode exists.  The
-    factored operator that solved the correctors is not kept.
+    The primal modes and normalizers of every mode index, the dual weight of
+    each (_weight) with its corrector's residual and flux defect, and the
+    cross coupling C* when the second mode exists.  The space is kept; the
+    corrector fields and the factored operator that solved them are not.
     """
 
     mesh: TriMesh
@@ -450,10 +430,12 @@ class _DualWeights:
     material: MaterialParams
     family: str
     mesh_id: str
+    space: P2Space
     primals: tuple
-    duals: tuple
     gammas: tuple
-    psi: tuple
+    weights: tuple
+    psi_residuals: tuple
+    psi_flux_defects: tuple
     Cstar: float | None
     cstar_terms: dict | None
 
@@ -464,12 +446,13 @@ _last_weights: _DualWeights | None = None
 
 
 def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
-                  space: P2Space) -> _DualWeights:
+                  space: P2Space, volume) -> _DualWeights:
     """The data-independent half for (data.mesh, data.polygon, material, family).
 
-    Reused while the mesh and polygon are the same objects and the material
-    and family are equal.  Otherwise the old entry is dropped before the new
-    one is computed, so two entries never coexist.
+    volume = (x, w) is the volume rule of space.  Reused while the mesh and
+    polygon are the same objects and the material and family are equal.
+    Otherwise the old entry is dropped before the new one is computed, so
+    two entries never coexist.
     """
     global _last_weights
     w = _last_weights
@@ -489,49 +472,55 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     if op is None:
         op = MixedOperator(space, material)
     psi = solve_psi(duals, op, data.polygon)
-    del op  # the entry keeps the correctors and their space, never the operator
+    del op  # the entry keeps the weights and the space, never the operator
+    polar = (*_polar(volume[0], frame), volume[1])
+    weights = tuple(_weight(data.polygon, dual, p, material.mu, polar)
+                    for dual, p in zip(duals, psi))
     Cstar = tstar = None
     if len(duals) >= 2:
         far = {e.tag: primals[0].eval_xy for e in data.polygon.far_edges}
-        Cstar, cross = _boundary_terms(data.polygon, far, duals[1], psi[1],
-                                       material.mu)
-        tstar = {f"cross_edge_{tag}": val for tag, val in cross.items()}
+        C, cross = _ci_terms(weights[1], _sample(space, data.polygon, far))
+        Cstar = -C  # C* is the boundary pairing, which _ci_terms subtracts
+        tstar = {k.replace("boundary", "cross"): v for k, v in cross.items()}
     w = _DualWeights(
         mesh=data.mesh, polygon=data.polygon, material=material, family=family,
-        mesh_id=_mesh_id(data.mesh), primals=primals, duals=duals, gammas=gammas,
-        psi=psi, Cstar=Cstar, cstar_terms=tstar)
+        mesh_id=_mesh_id(data.mesh), space=space, primals=primals, gammas=gammas,
+        weights=weights, psi_residuals=tuple(p.residual for p in psi),
+        psi_flux_defects=tuple(p.flux_defect for p in psi), Cstar=Cstar,
+        cstar_terms=tstar)
     _last_weights = w
     return w
 
 
-def _space(data: ProblemData) -> P2Space:
-    """The P2Space of data.mesh: the operator's, else the memo's, else a new one."""
-    if data.operator is not None:
-        return data.operator.space
+def _space(data: ProblemData, material: MaterialParams) -> P2Space:
+    """The P2Space of data.mesh: the operator's, once it is checked against
+    the mesh and the material, else the memo's, else a new one."""
+    op = data.operator
+    if op is not None:
+        if not data.mesh.same_as(op.space.mesh):
+            raise MeshMismatch("operator was built on a different mesh")
+        if op.material != material:
+            raise ValueError(f"operator material {op.material} does not match "
+                             f"the problem's {material}")
+        return op.space
     w = _last_weights
     if w is not None and w.mesh is data.mesh:
-        return w.psi[0].space
+        return w.space
     return P2Space(data.mesh)
 
 
-def _check_data(data: ProblemData, material: MaterialParams,
-                space: P2Space | None = None) -> None:
-    """Every input check of an extraction, run before any corrector solve.
+def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
+                volume_weights) -> None:
+    """Every check of the data of an extraction, run before any corrector solve.
 
+    sample is data's _sample, taken on the volume rule of volume_weights.
     Vertex traces agree by the test of dirichlet_values.  Stokes data (eps = 0)
     need |flux of g - integral of zeta| <= _FLUX_RTOL (|g.n| + |zeta|).
     """
-    op = data.operator
-    if op is not None and not data.mesh.same_as(op.space.mesh):
-        raise MeshMismatch("operator was built on a different mesh")
-    if op is not None and op.material != material:
-        raise ValueError(f"operator material {op.material} does not match "
-                         f"the problem's {material}")
     edges = data.polygon.edges
-    traces = [data.g.trace(e.tag) for e in edges]
     ends = np.empty((len(edges), 2, 2))  # each trace at p0 and p1 of its edge
-    for k, (edge, trace) in enumerate(zip(edges, traces)):
-        ends[k] = np.asarray(trace(*np.transpose([edge.p0, edge.p1])), dtype=float)
+    for k, edge in enumerate(edges):
+        ends[k] = data.g.trace(edge.tag)(*np.transpose([edge.p0, edge.p1]))
     for edge, gval in ((edges[0], ends[0, 0]), (edges[-1], ends[-1, 1])):
         if np.max(np.abs(gval)) > _CORNER_ATOL:
             raise CornerDataNonzero(
@@ -550,39 +539,44 @@ def _check_data(data: ProblemData, material: MaterialParams,
     if material.eps > 0.0:
         return
     flux = size = zint = 0.0
-    for edge, trace in zip(edges, traces):
-        pts, w = _edge_rule(edge)
-        gn = np.asarray(trace(pts[:, 0], pts[:, 1]), dtype=float) @ edge.normal
+    for edge in edges:
+        w = _edge_rule(edge)[1]
+        gn = sample[f"boundary_edge_{edge.tag}"][:len(w)] @ edge.normal
         flux += edge.length * float(np.dot(w, gn))
         size += edge.length * float(np.dot(w, np.abs(gn)))
     if data.zeta is not None:
-        space = space if space is not None else _space(data)
-        zint = _volume_analytic(space, data.zeta)
-        size += _volume_analytic(space, lambda x, y: np.abs(data.zeta(x, y)))
+        zeta = sample["volume_zeta_dual"]
+        zint = float(zeta @ volume_weights)
+        size += float(np.abs(zeta) @ volume_weights)
     if abs(flux - zint) > _FLUX_RTOL * size:
         raise IncompatibleFlux(f"the flux of g is {flux:.6g} but zeta integrates to "
                                f"{zint:.6g}; the Stokes problem needs them equal")
 
 
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
-    """Input checks, the (reused) dual weights, then the data functionals."""
-    space = _space(data)
-    _check_data(data, material, space)
-    w = _dual_weights(data, material, family, space)
-    C1, t1 = _ci_terms(data, w.duals[0], w.psi[0])
+    """The data sampled once and checked, the (reused) dual weights, then the
+    functionals."""
+    space = _space(data, material)
+    x, wq = _volume_rule(space)
+    # Every edge needs a trace: a missing one is a KeyError, not zero data.
+    traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}
+    sample = _sample(space, data.polygon, traces, data.f, data.zeta, x)
+    _check_data(data, material, sample, wq)
+    w = _dual_weights(data, material, family, space, (x, wq))
+    C1, t1 = _ci_terms(w.weights[0], sample)
     c1 = C1 / w.gammas[0].gamma
     gamma2 = C2 = c2 = None
     second: dict = {}
-    if len(w.duals) >= 2:
+    if len(w.weights) >= 2:
         gamma2 = w.gammas[1].gamma
-        C2, t2 = _ci_terms(data, w.duals[1], w.psi[1])
+        C2, t2 = _ci_terms(w.weights[1], sample)
         c2 = (C2 + c1 * w.Cstar) / gamma2
         second = {"C2": t2, "Cstar": dict(w.cstar_terms)}
     parts = {"C1": t1, **second,
-             "psi_residuals": [p.residual for p in w.psi],
-             "psi_flux_defects": [p.flux_defect for p in w.psi],
+             "psi_residuals": list(w.psi_residuals),
+             "psi_flux_defects": list(w.psi_flux_defects),
              "gamma_quad_errors": [g.quad_error for g in w.gammas],
-             "mode_count": len(w.duals)}
+             "mode_count": len(w.weights)}
     terms = {k: parts[k] for k in _FAMILY[family].terms if k in parts}
     log.info("%s extraction: c1=%.6g c2=%s (eps=%g)", family, c1, c2, material.eps)
     return SifReport(

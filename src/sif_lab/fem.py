@@ -215,12 +215,10 @@ class P2Space:
         self.invJ = invJ / self.detJ[:, None, None]
         self.tri_origin = p[:, 0]
         self.areas = 0.5 * self.detJ
-        # Boundary edge -> its midpoint dof.
+        # Scalar dofs on the boundary per edge tag (each boundary edge's two
+        # vertices and its midpoint), tags in order of first appearance.
         i, j, tags = mesh.bedges.T
-        self.bedge_mid = N + _find_edges(edges, N, i, j)
-        # Scalar dofs on the boundary per edge tag, tags in order of first
-        # appearance.
-        dofs = np.stack([i, j, self.bedge_mid])
+        dofs = np.stack([i, j, N + _find_edges(edges, N, i, j)])
         first = np.sort(np.unique(tags, return_index=True)[1])
         self.boundary_dofs = {int(t): np.unique(dofs[:, tags == t]) for t in tags[first]}
 
@@ -228,10 +226,6 @@ class P2Space:
     def n_dofs(self) -> int:
         """Velocity (two P2 components) plus P1 pressure dofs."""
         return 2 * self.n_scalar + self.mesh.n_nodes
-
-    def bedge_dofs(self, k: int) -> tuple[int, int, int]:
-        i, j, _tag = self.mesh.bedges[k]
-        return int(i), int(j), int(self.bedge_mid[k])
 
     def to_reference(self, m: int, pts):
         """Map physical points into reference coordinates of element m."""

@@ -10,11 +10,10 @@ import pytest
 
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
                                 IncompatibleFlux, MeshMismatch,
-                                ProblemData, ZetaCornerNonzero,
-                                _boundary_analytic, _boundary_terms,
-                                _ci_terms, _volume_analytic,
-                                extract_sifs_penalized, extract_sifs_stokes,
-                                regular_part, solve_psi)
+                                ProblemData, ZetaCornerNonzero, _ci_terms,
+                                _edge_rule, _polar, _sample, _volume_rule,
+                                _weight, extract_sifs_penalized,
+                                extract_sifs_stokes, regular_part, solve_psi)
 from sif_lab.fem import (InconsistentEdgeData, MixedOperator, P2Space,
                          diff_norms, dirichlet_values, error_norms, norms,
                          tri_quadrature)
@@ -22,7 +21,7 @@ from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
                               generate_lshape_mesh, lshape_polygon,
                               lshape_vertices)
 from sif_lab.harness import manufactured_fields
-from sif_lab.modes import make_mode
+from sif_lab.modes import SingularMode, make_mode
 from sif_lab.spectral import MaterialParams, exponent_table
 from test_fem import FACTORS_PER_SPACE, count_factorizations, mixed_solve
 
@@ -94,6 +93,20 @@ INHOMOGENEOUS = {
 }
 
 
+def inhomogeneous_case(key, mu=1.3):
+    """(extract, material, f, traces, zeta, c_true) of an INHOMOGENEOUS case."""
+    case, w, minus_lap_w, zeta = INHOMOGENEOUS[key]
+    material = MaterialParams(mu, 1e-3 if case == "penalized" else 0.0)
+    f0, traces, c_true, _ = manufactured_fields(case, material, POLY)
+
+    def f(x, y):
+        return np.asarray(f0(x, y), float) + mu * minus_lap_w(x, y)
+
+    traces = {tag: (lambda x, y, _t=tr: _t(x, y) + w(x, y)) for tag, tr in traces.items()}
+    extract = extract_sifs_penalized if case == "penalized" else extract_sifs_stokes
+    return extract, material, f, traces, zeta, c_true
+
+
 @pytest.mark.parametrize("key", list(INHOMOGENEOUS))
 def test_inhomogeneous_terms_recover_known_coefficients(key):
     """Corner-edge data (penalized) and a nonzero source zeta (both families).
@@ -102,21 +115,11 @@ def test_inhomogeneous_terms_recover_known_coefficients(key):
     graded corner-edge rules and the volume_zeta terms integrate nonzero
     data in a problem with known c1, c2.  Criterion 07's bounds apply.
     """
-    mu = 1.3
-    case, w, minus_lap_w, zeta = INHOMOGENEOUS[key]
-    material = MaterialParams(mu, 1e-3 if case == "penalized" else 0.0)
-    f0, traces, c_true, _ = manufactured_fields(case, material, POLY)
-
-    def f(x, y):
-        return np.asarray(f0(x, y), float) + mu * minus_lap_w(x, y)
-
-    g = BoundaryData(traces={tag: (lambda x, y, _t=tr: _t(x, y) + w(x, y))
-                             for tag, tr in traces.items()})
-    extract = extract_sifs_penalized if case == "penalized" else extract_sifs_stokes
+    extract, material, f, traces, zeta, c_true = inhomogeneous_case(key)
     rel = []
     for h in (0.1, 0.05):
         rep = extract(ProblemData(polygon=POLY, mesh=generate_lshape_mesh(POLY, h, levels=6),
-                                  material=material, g=g, f=f, zeta=zeta))
+                                  material=material, g=BoundaryData(traces), f=f, zeta=zeta))
         rel.append([abs(rep.c1 - c_true[0]) / abs(c_true[0]),
                     abs(rep.c2 - c_true[1]) / abs(c_true[1])])
     assert max(rel[0]) < 0.02 and max(rel[1]) < 0.005, rel
@@ -124,7 +127,9 @@ def test_inhomogeneous_terms_recover_known_coefficients(key):
     assert rel[1][0] < 5e-4 and rel[1][1] < 2e-5, rel
     assert rel[1][0] < rel[0][0] and rel[1][1] < rel[0][1], rel
     if zeta is not None:
-        assert rep.terms["C1"]["volume_zeta_dual"] != 0.0
+        # zeta = 2xy is even about the L-shape's bisector and the first dual
+        # mode's pressure-like part odd, so C1's zeta term is zero; C2's is not.
+        assert 7.9 < rep.terms["C2"]["volume_zeta_dual"] < 8.0, rep.terms["C2"]
 
 
 def test_shared_operator_is_checked_and_changes_nothing(coarse_mesh):
@@ -242,15 +247,29 @@ def test_mesh_checks_compare_connectivity(coarse_mesh):
 
 # -- functional-level properties ---------------------------------------------
 
+def dual_weight(dual, psi):
+    """_weight of (dual, psi) on the volume rule of psi's space."""
+    x, w = _volume_rule(psi.space)
+    return _weight(POLY, dual, psi, psi.material.mu, (*_polar(x, FRAME), w))
+
+
+def pair(data, dual, psi):
+    """The functional of data against the dual weight (dual, psi), and its terms."""
+    x, _ = _volume_rule(psi.space)
+    sample = _sample(psi.space, POLY, data.g.traces, data.f, data.zeta, x)
+    return _ci_terms(dual_weight(dual, psi), sample)
+
+
 def test_zero_data_gives_exact_zero(coarse_mesh):
     dual = make_mode("lame", "dual", 1, FRAME, MAT)
     (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
-    assert _ci_terms(data, dual, psi)[0] == 0.0
+    assert pair(data, dual, psi)[0] == 0.0
+    assert extract_sifs_penalized(data).C1 == 0.0
     # A far edge without a trace is an error, not zero data.
     del data.g.traces[3]
     with pytest.raises(KeyError, match="no boundary data for edge 3"):
-        _ci_terms(data, dual, psi)
+        extract_sifs_penalized(data)
 
 
 def test_ci_linearity_in_f(coarse_mesh):
@@ -271,7 +290,7 @@ def test_ci_linearity_in_f(coarse_mesh):
         return ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT,
                            g=zero_g(), f=f)
 
-    a, b, c = (_ci_terms(make(f), dual, psi)[0] for f in (f1, f2, combo))
+    a, b, c = (pair(make(f), dual, psi)[0] for f in (f1, f2, combo))
     assert abs(c - (2.5 * a - 0.75 * b)) < 1e-12 * max(abs(a), abs(b), abs(c))
 
 
@@ -280,11 +299,12 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
     primal1 = make_mode("lame", "primal", 1, FRAME, MAT)
     dual2 = make_mode("lame", "dual", 2, FRAME, MAT)
     (psi2,) = solve_psi([dual2], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    weight = dual_weight(dual2, psi2)
     far = {e.tag: primal1.eval_xy for e in POLY.far_edges}
-    val = _boundary_terms(POLY, far, dual2, psi2, MAT.mu)[0]
+    val = _ci_terms(weight, _sample(psi2.space, POLY, far))[0]
     assert abs(val) < 1e-8
     far = {e.tag: zero_g().traces[e.tag] for e in POLY.far_edges}
-    assert _boundary_terms(POLY, far, dual2, psi2, MAT.mu)[0] == 0.0
+    assert _ci_terms(weight, _sample(psi2.space, POLY, far))[0] == 0.0
 
 
 def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
@@ -299,7 +319,7 @@ def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
 
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=smat,
                        g=zero_g(), zeta=zeta)
-    got = _ci_terms(data, dual, psi)[0]
+    got = pair(data, dual, psi)[0]
 
     # brute force: interior-point rule on a 4x uniform split of every element
     space = psi.space
@@ -346,8 +366,9 @@ def test_boundary_flux_is_the_galerkin_residual(coarse_mesh, index):
     """The corrector's boundary flux is its residual R, paired once per node.
 
     R (the velocity rows of K x_psi) vanishes off the boundary, and the
-    per-tag corrector parts of _boundary_terms add up to R . g over all
-    boundary nodes, so a vertex shared by two edges is not counted twice.
+    corrector rows of the boundary terms, after each edge rule's points, add
+    up to R . g over all boundary nodes, so a vertex shared by two edges is
+    not counted twice.
     """
     dual = make_mode("lame", "dual", index, FRAME, MAT)
     (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
@@ -362,24 +383,32 @@ def test_boundary_flux_is_the_galerkin_residual(coarse_mesh, index):
     primal = make_mode("lame", "primal", 1, FRAME, MAT)
     zero = zero_g().traces
     far = {e.tag: primal.eval_xy for e in POLY.far_edges}
+    weight = dual_weight(dual, psi)
     for trs, full in ((traces, traces), (far, {**zero, **far})):
-        _, parts = _boundary_terms(POLY, trs, dual, psi, MAT.mu)
-        assert list(parts) == [e.tag for e in POLY.edges if e.tag in trs]
-        psi_parts = [parts[e.tag] - _boundary_analytic(e, trs[e.tag], dual, MAT.mu)
-                     for e in POLY.edges if e.tag in trs]
+        sample = _sample(space, POLY, trs)
+        _, parts = _ci_terms(weight, sample)
+        edges = [e for e in POLY.edges if e.tag in trs]
+        assert list(parts) == [f"boundary_edge_{e.tag}" for e in edges]
+        psi_parts = []
+        for e in edges:
+            key = f"boundary_edge_{e.tag}"
+            psi_parts.append(np.sum((weight[key] * sample[key])[len(_edge_rule(e)[1]):]))
         want = R @ dirichlet_values(space, full)[:2 * space.n_scalar]
         scale = max(abs(want), *(abs(v) for v in parts.values()))
         assert abs(sum(psi_parts) - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("index", [1, 2])
-def test_corner_edge_integrals_mirror_each_other(index):
+def test_corner_edge_integrals_mirror_each_other(coarse_mesh, index):
     """The L-shape is symmetric about theta = pi/4, and so are the two corner edges.
 
     The first corner edge starts at the corner and the last one ends there;
-    both must be integrated to the same precision near the corner.
+    both must be integrated to the same precision near the corner.  The
+    analytic dual's part is the pairing on the edge rule's points.
     """
     dual = make_mode("lame", "dual", index, FRAME, MAT)
+    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    weight = dual_weight(dual, psi)
 
     def g(x, y):
         return np.stack([x * x - 0.5 * y + x * y, 0.3 * x + y * y], axis=-1)
@@ -387,8 +416,11 @@ def test_corner_edge_integrals_mirror_each_other(index):
     def g_mirror(x, y):
         return g(y, x)[..., ::-1]
 
-    first = _boundary_analytic(POLY.edges[0], g, dual, MAT.mu)
-    last = _boundary_analytic(POLY.edges[-1], g_mirror, dual, MAT.mu)
+    edges = (POLY.edges[0], POLY.edges[-1])
+    sample = _sample(psi.space, POLY, {edges[0].tag: g, edges[1].tag: g_mirror})
+    first, last = (
+        np.sum((weight[k] * sample[k])[:len(_edge_rule(e)[1])])
+        for e in edges for k in [f"boundary_edge_{e.tag}"])
     # The first mode is odd about the bisector, the second even.
     assert abs(last - (-1) ** index * first) <= 1e-13 * abs(first)
 
@@ -411,6 +443,12 @@ def graded_tri_recursion(a, b, c, func, depth=CORNER_DEPTH):
     return total + deg8(a, b, c)
 
 
+def integrate(space, func):
+    """func integrated on the volume rule of space."""
+    x, w = _volume_rule(space)
+    return float(func(x[:, 0], x[:, 1]) @ w)
+
+
 def corner_elements(mesh):
     """Each element at the corner as a one-element space, corner node first."""
     for tri in mesh.tris:
@@ -431,7 +469,7 @@ def test_graded_rule_matches_subdivision_recursion(coarse_mesh, lam):
     assert len(spaces) >= 4
     for space, (a, b, c) in spaces:
         want = graded_tri_recursion(a, b, c, func)
-        assert abs(_volume_analytic(space, func) - want) <= 1e-13 * abs(want)
+        assert abs(integrate(space, func) - want) <= 1e-13 * abs(want)
 
 
 def test_graded_rule_is_exact_for_degree_8(coarse_mesh):
@@ -452,7 +490,7 @@ def test_graded_rule_is_exact_for_degree_8(coarse_mesh):
         exact = sum(c * 2.0 * area * math.factorial(i) * math.factorial(j)
                     * math.factorial(k) / math.factorial(10)
                     for c, (i, j, k) in zip(coef, powers))
-        assert abs(_volume_analytic(space, poly) - exact) <= 1e-14 * exact
+        assert abs(integrate(space, poly) - exact) <= 1e-14 * exact
 
 
 # -- invariance ----------------------------------------------------------------
@@ -493,6 +531,47 @@ def test_coefficients_invariant_under_rotation(coarse_mesh, case, extract,
     for key in ("c1", "c2"):
         want = getattr(rep, key)
         assert abs(getattr(turned, key) - want) <= 1e-9 * abs(want)
+
+
+def extract_on_lshape(extract, size, material, f, traces, zeta):
+    """extract on lshape_polygon(size), meshed at h = 0.1 size, so every size
+    gets the same mesh scaled."""
+    poly = lshape_polygon(size)
+    return extract(ProblemData(
+        polygon=poly, mesh=generate_lshape_mesh(poly, 0.1 * size, levels=6),
+        material=material, g=BoundaryData(traces), f=f, zeta=zeta))
+
+
+@pytest.mark.parametrize("key", list(INHOMOGENEOUS))
+def test_coefficients_scale_with_the_domain(key):
+    """Domain and mesh scaled by s, data f(x/s)/s^2, g(x/s), zeta(x/s)/s: the
+    solution is u(x/s), so c_i s^lambda_i does not change."""
+    extract, material, f, traces, zeta, _ = inhomogeneous_case(key)
+    s = 2.0
+    rep = extract_on_lshape(extract, 1.0, material, f, traces, zeta)
+    scaled = extract_on_lshape(
+        extract, s, material, lambda x, y: f(x / s, y / s) / s ** 2,
+        {t: (lambda x, y, _g=g: _g(x / s, y / s)) for t, g in traces.items()},
+        None if zeta is None else (lambda x, y: zeta(x / s, y / s) / s))
+    for c, c_s, mode in zip((rep.c1, rep.c2), (scaled.c1, scaled.c2), scaled.modes):
+        assert abs(c_s * s ** mode.a - c) <= 1e-10 * abs(c)
+
+
+@pytest.mark.parametrize("key", list(INHOMOGENEOUS))
+def test_coefficients_under_scaled_viscosity(key):
+    """mu -> t mu and f -> t f keep the velocity and multiply the pressure by
+    t.  Penalized, eps -> eps/t keeps C = 1 + 2 mu eps and c; Stokes modes
+    carry 1/mu, so c is multiplied by t, as the sweep's dc = c - c_ref/mu
+    assumes."""
+    extract, material, f, traces, zeta, _ = inhomogeneous_case(key)
+    t = 3.0
+    rep = extract_on_lshape(extract, 1.0, material, f, traces, zeta)
+    stiff = MaterialParams(t * material.mu, material.eps / t)
+    other = extract_on_lshape(extract, 1.0, stiff, lambda x, y: t * f(x, y), traces, zeta)
+    factor = t if material.eps == 0.0 else 1.0
+    for name in ("c1", "c2"):
+        want = factor * getattr(rep, name)
+        assert abs(getattr(other, name) - want) <= 1e-10 * abs(want)
 
 
 # -- reuse of the data-independent half --------------------------------------
@@ -570,6 +649,46 @@ def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):
         extract_sifs_penalized(replace(data, operator=stiffer))
     extract_sifs_penalized(replace(data, operator=op))
     assert calls == []
+
+
+@pytest.mark.parametrize("key", ["penalized-zeta", "stokes"])
+def test_warm_extraction_evaluates_no_mode(coarse_mesh, monkeypatch, key):
+    """A warm extraction pairs one sample of the data with the kept weights.
+
+    It evaluates no mode, calls f twice (the volume rule and load_vector)
+    and each trace twice: on its edge rule's points and boundary nodes, and
+    at its end vertices for the input check.
+    """
+    mesh = fresh_copy(coarse_mesh)
+    _, w, minus_lap_w, zeta = INHOMOGENEOUS[key]
+    material = MaterialParams(1.0, 1e-3 if key.startswith("penalized") else 0.0)
+    data = ProblemData(polygon=POLY, mesh=mesh, material=material, zeta=zeta,
+                       g=BoundaryData({e.tag: w for e in POLY.edges}), f=minus_lap_w)
+    extract = extract_sifs_stokes if key == "stokes" else extract_sifs_penalized
+    cold = extract(data)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, np.size(args[-1])))
+            return fn(*args)
+        return wrapper
+
+    for name in ("eval", "eval_xy", "eval_grad", "eval_div_scaled", "eval_pressure"):
+        monkeypatch.setattr(SingularMode, name, counted("mode", getattr(SingularMode, name)))
+    traces = {e.tag: counted(e.tag, w) for e in POLY.edges}
+    warm = extract(replace(data, f=counted("f", minus_lap_w),
+                           g=BoundaryData(traces)))
+    assert report_hex(warm) == report_hex(cold)
+    names = [name for name, _ in calls]
+    assert "mode" not in names
+    assert names.count("f") == 2
+    for e in POLY.edges:
+        sizes = sorted(n for name, n in calls if name == e.tag)
+        assert len(sizes) == 2 and sizes[0] == 2 < sizes[1]
+    # The count is live: a cold extraction evaluates the modes.
+    extract(replace(data, mesh=fresh_copy(coarse_mesh)))
+    assert "mode" in [name for name, _ in calls]
 
 
 def test_extraction_keeps_no_operator(coarse_mesh):

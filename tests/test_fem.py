@@ -277,11 +277,11 @@ def test_solve_psi_traces():
                                     ("stokes", MaterialParams(1.3, 0.0), 1.3)):
         dual = make_mode(family, "dual", 1, poly.frame, material)
         (psi,) = solve_psi([dual], MixedOperator(space, material), poly)
-        for k, (i, j, tag) in enumerate(mesh.bedges):
-            for dof in space.bedge_dofs(k):
+        for tag, dofs in space.boundary_dofs.items():
+            for dof in dofs:
                 xx, yy = space.dof_coords[dof]
                 got = np.array([psi.ux[dof], psi.uy[dof]])
-                if int(tag) in far:
+                if tag in far:
                     want = -scale * dual.eval_xy(xx, yy)
                     assert np.allclose(got, want, atol=1e-10)
                 else:

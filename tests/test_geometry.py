@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sif_lab.extraction import CornerDataNonzero, ProblemData, _check_data
+from sif_lab.extraction import (CornerDataNonzero, ProblemData, _check_data,
+                                _sample, _volume_rule)
+from sif_lab.fem import P2Space
 from sif_lab.geometry import (BoundaryData, MeshFormatError, NonConforming,
                               NotReentrant, TriMesh, UnsupportedPolygon,
                               UntaggedBoundaryEdge, _edge_table, _find_edges,
@@ -238,6 +240,14 @@ def test_mesher_rejects_nonfinite_h(h):
         generate_lshape_mesh(lshape_polygon(1.0), h)
 
 
+def check_data(data, material):
+    """The extraction's input check of data, on the sample an extraction takes."""
+    space = P2Space(data.mesh)
+    x, w = _volume_rule(space)
+    sample = _sample(space, data.polygon, data.g.traces, data.f, data.zeta, x)
+    _check_data(data, material, sample, w)
+
+
 def test_boundary_data_validation_flags():
     """The findings of the old boundary-data report are now raises of the
     extraction's input check; zeta belongs to ProblemData, not BoundaryData."""
@@ -247,13 +257,13 @@ def test_boundary_data_validation_flags():
                      material=MaterialParams(1.0, 1e-3),
                      g=BoundaryData(traces={e.tag: zero for e in poly.edges}))
     for eps in (1e-3, 0.0):  # corner values, continuity and flux all pass
-        _check_data(ok, MaterialParams(1.0, eps))
+        check_data(ok, MaterialParams(1.0, eps))
 
     const = lambda x, y: np.stack([np.ones(np.shape(x)), np.zeros(np.shape(x))],
                                   axis=-1)
     bad = replace(ok, g=BoundaryData(traces={e.tag: const for e in poly.edges}))
     with pytest.raises(CornerDataNonzero):
-        _check_data(bad, ok.material)
+        check_data(bad, ok.material)
 
     with pytest.raises(ValueError, match="ProblemData.zeta"):
         BoundaryData(ok.g.traces, zeta=lambda x, y: 2.0 * x * y)
