@@ -28,10 +28,9 @@ Quadrature policy, fixed by the points a sample is taken at:
     of K x_psi, Psi's consistent (residual) flux (Babuska & Miller, IJNME 20,
     1984; Carey, Chow & Seager, CMAME 50, 1985).
 
-Input: before any solve, _space names an operator of another mesh or
-material, and _check_data g or zeta nonzero at the corner, traces that
-differ at a vertex, and Stokes data whose flux of g is not the integral of
-zeta.
+Input: before any solve, _space names a space of another mesh, and
+_check_data g or zeta nonzero at the corner, traces that differ at a vertex,
+and Stokes data whose flux of g is not the integral of zeta.
 
 Families: the penalized and the Stokes extraction run the same code.  What
 differs between them (the mode family, the normalizer, the scale of the dual
@@ -185,12 +184,12 @@ class SifReport:
 class ProblemData:
     """One extraction problem: domain, mesh, material and data.
 
-    f        : callable (x, y) -> (..., 2) volume force, or None for zero
-    g        : Dirichlet boundary data (per-edge traces)
-    zeta     : callable (x, y) -> (...) divergence source, or None (g has none)
-    operator : MixedOperator(P2Space(mesh), material) to reuse, or None to
-               have the extraction build its own; one built on other nodes,
-               triangles or boundary edges raises MeshMismatch
+    f     : callable (x, y) -> (..., 2) volume force, or None for zero
+    g     : Dirichlet boundary data (per-edge traces)
+    zeta  : callable (x, y) -> (...) divergence source, or None (g has none)
+    space : P2Space(mesh) to reuse with its factorizations, or None to have
+            the extraction take the memo's or build its own; one built on
+            other nodes, triangles or boundary edges raises MeshMismatch
     """
 
     polygon: CornerPolygon
@@ -199,7 +198,7 @@ class ProblemData:
     g: BoundaryData
     f: object = None
     zeta: object = None
-    operator: MixedOperator | None = None
+    space: P2Space | None = None
 
 
 def _mesh_id(mesh: TriMesh) -> str:
@@ -422,7 +421,7 @@ class _DualWeights:
     The primal modes and normalizers of every mode index, the dual weight of
     each (_weight) with its corrector's residual and flux defect, and the
     cross coupling C* when the second mode exists.  The space is kept; the
-    corrector fields and the factored operator that solved them are not.
+    corrector fields and the operator that solved them are not.
     """
 
     mesh: TriMesh
@@ -468,11 +467,7 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     duals = tuple(make_mode(fam.modes, "dual", i, frame, material) for i in indices)
     gammas = tuple(fam.gamma(i, material, frame, m)
                    for i, m in enumerate(zip(primals, duals), 1))
-    op = data.operator
-    if op is None:
-        op = MixedOperator(space, material)
-    psi = solve_psi(duals, op, data.polygon)
-    del op  # the entry keeps the weights and the space, never the operator
+    psi = solve_psi(duals, MixedOperator(space, material), data.polygon)
     polar = (*_polar(volume[0], frame), volume[1])
     weights = tuple(_weight(data.polygon, dual, p, material.mu, polar)
                     for dual, p in zip(duals, psi))
@@ -492,17 +487,13 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     return w
 
 
-def _space(data: ProblemData, material: MaterialParams) -> P2Space:
-    """The P2Space of data.mesh: the operator's, once it is checked against
-    the mesh and the material, else the memo's, else a new one."""
-    op = data.operator
-    if op is not None:
-        if not data.mesh.same_as(op.space.mesh):
-            raise MeshMismatch("operator was built on a different mesh")
-        if op.material != material:
-            raise ValueError(f"operator material {op.material} does not match "
-                             f"the problem's {material}")
-        return op.space
+def _space(data: ProblemData) -> P2Space:
+    """The P2Space of data.mesh: data.space, once it is checked against the
+    mesh, else the memo's, else a new one."""
+    if data.space is not None:
+        if not data.mesh.same_as(data.space.mesh):
+            raise MeshMismatch("space was built on a different mesh")
+        return data.space
     w = _last_weights
     if w is not None and w.mesh is data.mesh:
         return w.space
@@ -556,7 +547,7 @@ def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
     """The data sampled once and checked, the (reused) dual weights, then the
     functionals."""
-    space = _space(data, material)
+    space = _space(data)
     x, wq = _volume_rule(space)
     # Every edge needs a trace: a missing one is a KeyError, not zero data.
     traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}

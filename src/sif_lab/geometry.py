@@ -3,8 +3,7 @@
 The corner sits at the origin; the two edges meeting there lie on the rays
 theta = omega1 and theta = omega2 with opening omega2 - omega1 in (pi, 2*pi).
 Meshing is provided for the built-in axis-aligned L-shape family (structured
-base grid plus geometric refinement toward the corner); anything else comes
-in through the text mesh format.
+base grid plus geometric refinement toward the corner).
 
 Meshing, boundary tagging, refinement and mesh validation are array code on
 one edge table (_edge_table): the sides of every triangle as (min, max) node
@@ -16,7 +15,6 @@ from the same table.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import InitVar, dataclass
 
@@ -30,7 +28,6 @@ __all__ = [
     "MultipleReentrant",
     "DegenerateEdge",
     "UnsupportedPolygon",
-    "MeshFormatError",
     "NonConforming",
     "NegativeArea",
     "UntaggedBoundaryEdge",
@@ -43,8 +40,6 @@ __all__ = [
     "lshape_polygon",
     "generate_lshape_mesh",
     "generate_square_mesh",
-    "load_mesh",
-    "serialize_mesh",
 ]
 
 _TOL = 1e-12
@@ -64,14 +59,6 @@ class DegenerateEdge(SifLabError):
 
 class UnsupportedPolygon(SifLabError):
     """The built-in mesh generator only handles the axis-aligned L-shape family."""
-
-
-class MeshFormatError(SifLabError):
-    """Mesh file syntax error, with line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class NonConforming(SifLabError):
@@ -117,10 +104,6 @@ class CornerPolygon:
     @property
     def omega(self) -> float:
         return self.omega2 - self.omega1
-
-    @property
-    def omega_bar(self) -> float:
-        return 0.5 * (self.omega1 + self.omega2)
 
     @property
     def frame(self) -> CornerFrame:
@@ -364,20 +347,16 @@ def _tensor_mesh(xs, ys, outline, keep=None):
     return nodes, tris, _tag_boundary(nodes, tris, outline)
 
 
-def generate_lshape_mesh(polygon: CornerPolygon, h: float,
-                         grading_ratio: float = 0.5,
-                         levels: int = 6) -> TriMesh:
+def generate_lshape_mesh(polygon: CornerPolygon, h: float, levels: int = 6) -> TriMesh:
     """Graded triangulation of the axis-aligned L-shape family.
 
     A structured base grid at spacing ~h is refined toward the corner by
-    repeatedly quadrisecting the triangles that touch the origin (with a
-    bisection closure for conformity).  The quadrisection count is chosen so
-    the smallest corner elements have diameter ~ h * grading_ratio**levels.
+    quadrisecting the triangles that touch the origin levels times (with a
+    bisection closure for conformity), so the smallest corner elements have
+    diameter ~ h / 2**levels.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be finite and positive, got {h}")
-    if not (0.0 < grading_ratio < 1.0):
-        raise ValueError("grading ratio must be in (0, 1)")
     if levels < 0:
         raise ValueError("levels must be >= 0")
     verts = polygon.vertices
@@ -386,8 +365,7 @@ def generate_lshape_mesh(polygon: CornerPolygon, h: float,
         abs(abs(c) - s) < 1e-9 or abs(c) < 1e-9 for c in verts.ravel())
     if not axis_aligned:
         raise UnsupportedPolygon(
-            "built-in generator handles the axis-aligned L-shape only; "
-            "use load_mesh for general domains")
+            "built-in generator handles the axis-aligned L-shape only")
     m = max(1, round(s / h))
     xs = np.concatenate([-np.linspace(0.0, s, m + 1)[::-1][:-1],
                          np.linspace(0.0, s, m + 1)])
@@ -397,9 +375,7 @@ def generate_lshape_mesh(polygon: CornerPolygon, h: float,
         return (polygon.omega1 < theta) & (theta < polygon.omega2)
 
     nodes, tris, bedges = _tensor_mesh(xs, xs, verts, keep)
-    if levels > 0:
-        n_ref = max(1, round(levels * math.log(1.0 / grading_ratio) / math.log(2.0)))
-        nodes, tris, bedges = _refine_toward_corner(nodes, tris, bedges, n_ref)
+    nodes, tris, bedges = _refine_toward_corner(nodes, tris, bedges, levels)
     return TriMesh(nodes=nodes, tris=tris, bedges=bedges, h=h)
 
 
@@ -455,82 +431,6 @@ def _refine_toward_corner(nodes, tris, bedges, n_ref: int):
         bedges = np.concatenate([bedges[~cut], np.column_stack([i, bmid[cut], tag]),
                                  np.column_stack([j, bmid[cut], tag])])
     return nodes, tris, _sorted_bedges(bedges)
-
-
-# -- mesh file format ---------------------------------------------------------
-
-
-def serialize_mesh(mesh: TriMesh) -> str:
-    out = io.StringIO()
-    out.write(f"nodes {mesh.n_nodes}\n")
-    for x, y in mesh.nodes:
-        out.write(f"{float(x)!r} {float(y)!r}\n")
-    out.write(f"tris {len(mesh.tris)}\n")
-    for a, b, c in mesh.tris:
-        out.write(f"{a} {b} {c}\n")
-    out.write(f"bedges {len(mesh.bedges)}\n")
-    for i, j, tag in mesh.bedges:
-        out.write(f"{i} {j} {tag}\n")
-    return out.getvalue()
-
-
-def load_mesh(text: str, polygon: CornerPolygon | None = None) -> TriMesh:
-    """Parse the line-oriented mesh format and validate all mesh invariants."""
-    lines = text.splitlines()
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            raw = lines[pos]
-            pos += 1
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                return pos, stripped
-        return pos, None
-
-    def section(name, width):
-        ln, header = next_line()
-        if header is None:
-            raise MeshFormatError(ln, f"expected '{name} N', got end of file")
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != name:
-            raise MeshFormatError(ln, f"expected '{name} N', got {header!r}")
-        try:
-            count = int(parts[1])
-        except ValueError:
-            raise MeshFormatError(ln, f"bad count {parts[1]!r}") from None
-        rows = []
-        for _ in range(count):
-            ln, line = next_line()
-            if line is None:
-                raise MeshFormatError(ln, f"unexpected end of {name} section")
-            cells = line.split()
-            if len(cells) != width:
-                raise MeshFormatError(ln, f"expected {width} fields, got {len(cells)}")
-            rows.append(cells)
-        return rows
-
-    try:
-        node_rows = [[float(c) for c in row] for row in section("nodes", 2)]
-        tri_rows = [[int(c) for c in row] for row in section("tris", 3)]
-        bed_rows = [[int(c) for c in row] for row in section("bedges", 3)]
-    except ValueError as exc:
-        raise MeshFormatError(pos, str(exc)) from None
-
-    mesh = TriMesh(nodes=np.array(node_rows, dtype=float),
-                   tris=np.array(tri_rows, dtype=int),
-                   bedges=np.array(bed_rows, dtype=int).reshape(-1, 3))
-    mesh.validate()
-    if polygon is not None:
-        i, j, tag = mesh.bedges.T
-        want = _segment_tags(mesh.nodes[i], mesh.nodes[j], polygon.vertices)
-        bad = np.flatnonzero(want != tag)
-        if len(bad):
-            k = bad[0]
-            raise UntaggedBoundaryEdge(f"edge ({i[k]},{j[k]}) tagged {tag[k]} "
-                                       f"but lies on polygon edge {want[k] or None}")
-    return mesh
 
 
 # -- boundary data ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Experiment driver: manufactured recovery studies, penalty sweeps, reporting.
 
 Configs are INI files with sections [domain], [mesh], [material], [data],
-[output]; data fields are analytic expressions in x, y, r, theta.
+[output] and no others; data fields are analytic expressions in x, y, r, theta.
 Reports are plain dicts (JSON) or row tables (CSV) with a versioned schema.
 """
 
@@ -50,6 +50,11 @@ SCHEMA = "sif-lab/1"
 
 class ConfigError(SifLabError):
     """Missing/invalid section, key, or expression in a run config."""
+
+
+# The keys some run reads, by section; [data] keys depend on the command.
+_KEYS = {"domain": ["kind", "size"], "mesh": ["h", "h_levels", "levels"],
+         "material": ["mu", "eps", "eps_grid"], "output": ["path", "format"]}
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,10 @@ def load_config(source: str) -> RunConfig:
             raise ConfigError(f"config file not found: {source}")
     except configparser.Error as exc:
         raise ConfigError(" ".join(str(exc).split())) from exc
+    for section in cp.sections():
+        if section not in _KEYS and section != "data":
+            raise ConfigError(f"[{section}]: unknown section; expected one of "
+                              + ", ".join([*_KEYS, "data"]))
     for section in ("domain", "mesh", "material", "data"):
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
@@ -123,6 +132,8 @@ def load_config(source: str) -> RunConfig:
     cfg = RunConfig(domain=sec("domain"), mesh=sec("mesh"),
                     material=sec("material"), data=sec("data"),
                     output=sec("output"))
+    for section, allowed in _KEYS.items():
+        _check_keys(cfg, section, allowed)
     # Validate every expression-valued key up front.
     for key, val in cfg.data.items():
         if key in ("case",):
@@ -137,15 +148,14 @@ def load_config(source: str) -> RunConfig:
 
 
 def _domain(cfg: RunConfig):
-    """The [domain] polygon, and its mesher h -> TriMesh with the [mesh] grading."""
+    """The [domain] polygon, and its mesher h -> TriMesh with the [mesh] levels
+    of corner refinement."""
     kind = cfg.domain.get("kind", "lshape")
     if kind != "lshape":
         raise ConfigError(f"unsupported domain kind {kind!r}")
     polygon = lshape_polygon(config_number(cfg, "domain", "size", "1.0"))
-    ratio = config_number(cfg, "mesh", "grading_ratio", "0.5")
     levels = config_number(cfg, "mesh", "levels", "6", kind=int)
-    return polygon, lambda h: generate_lshape_mesh(polygon, h, grading_ratio=ratio,
-                                                   levels=levels)
+    return polygon, lambda h: generate_lshape_mesh(polygon, h, levels=levels)
 
 
 def build_domain(cfg: RunConfig) -> tuple[CornerPolygon, TriMesh]:
@@ -169,11 +179,11 @@ def _scalar_callable(ex, frame):
     return func
 
 
-def _check_data_keys(cfg: RunConfig, allowed: list) -> None:
-    """Reject a [data] key that the run would not read, such as a typo."""
-    for key in cfg.data:
+def _check_keys(cfg: RunConfig, section: str, allowed: list) -> None:
+    """Reject a [section] key that the run would not read, such as a typo."""
+    for key in getattr(cfg, section):
         if key not in allowed:
-            raise ConfigError(f"[data] {key}: unknown key; expected one of "
+            raise ConfigError(f"[{section}] {key}: unknown key; expected one of "
                               + ", ".join(allowed))
 
 
@@ -183,8 +193,8 @@ def build_data(cfg: RunConfig, polygon: CornerPolygon):
     Boundary traces: per-edge keys g<j>_x/g<j>_y override the global g_x/g_y;
     edges with neither get zero data.  Any other key is a ConfigError.
     """
-    _check_data_keys(cfg, ["f_x", "f_y", "g_x", "g_y", "zeta"]
-                     + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
+    _check_keys(cfg, "data", ["f_x", "f_y", "g_x", "g_y", "zeta"]
+                + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
     frame = polygon.frame
     d = cfg.data
     f = None
@@ -278,7 +288,7 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
 
 def run_manufactured(cfg: RunConfig) -> dict:
     """Solve-free extraction of built-in manufactured data across mesh levels."""
-    _check_data_keys(cfg, ["case"])
+    _check_keys(cfg, "data", ["case"])
     case = cfg.data.get("case", "penalized")
     mu = config_number(cfg, "material", "mu")
     eps = config_number(cfg, "material", "eps", "1e-3")
@@ -328,15 +338,14 @@ def _extract_with_regular_part(polygon: CornerPolygon, space: P2Space,
                                material: MaterialParams, g: BoundaryData, f, zeta):
     """(report, regular part) of one (mesh, material).
 
-    The extraction and the data solve share one operator; every material on
-    space reuses the space's factorizations.  eps = 0 selects the Stokes
-    family.
+    The extraction and the data solve share space, so every material reuses
+    its factorizations.  eps = 0 selects the Stokes family.
     """
-    op = MixedOperator(space, material)
     data = ProblemData(polygon=polygon, mesh=space.mesh, material=material,
-                       g=g, f=f, zeta=zeta, operator=op)
+                       g=g, f=f, zeta=zeta, space=space)
     rep = (extract_sifs_stokes if material.eps == 0.0 else extract_sifs_penalized)(data)
-    u = op.solve(load_vector(space, f, zeta), dirichlet_values(space, g.traces))
+    u = MixedOperator(space, material).solve(load_vector(space, f, zeta),
+                                             dirichlet_values(space, g.traces))
     w, _ = regular_part(u, rep)
     return rep, w
 

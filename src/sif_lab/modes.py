@@ -26,7 +26,6 @@ __all__ = [
     "FamilyMismatch",
     "NonpositiveRadius",
     "make_mode",
-    "trace_on_edge",
 ]
 
 
@@ -234,16 +233,3 @@ def make_mode(family: str, kind: str, index: int, frame: CornerFrame,
     return SingularMode(family=family, kind=kind, index=index, a=a,
                         frame=frame, mu=material.mu, C=C)
 
-
-def trace_on_edge(mode: SingularMode, edge, ts):
-    """Mode values at points edge(t), t in [0, 1].
-
-    Edges lying on the two corner rays return exact zeros: the modes vanish
-    there by construction and evaluating the closed form would only produce
-    cancellation noise (or hit r = 0 at the corner itself).
-    """
-    ts = np.asarray(ts, dtype=float)
-    if edge.on_corner_ray:
-        return np.zeros(ts.shape + (2,))
-    pts = edge.point_at(ts)
-    return mode.eval_xy(pts[..., 0], pts[..., 1])

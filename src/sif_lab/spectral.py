@@ -85,7 +85,6 @@ class ExponentTable:
     C: float                     # 1.0 for the Stokes family
     exponents: tuple[float, float, float]
     mode_count: int              # N=2 for lame, M in {1,2} for stokes
-    brackets: tuple[tuple[float, float], ...]
     residuals: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0))
 
     def __post_init__(self) -> None:
@@ -180,17 +179,17 @@ def lame_exponents(omega: float, C: float) -> ExponentTable:
         st = stokes_exponents(omega)
         return ExponentTable(
             family="lame", omega=omega, C=1.0, exponents=st.exponents,
-            mode_count=2, brackets=st.brackets, residuals=st.residuals)
+            mode_count=2, residuals=st.residuals)
 
-    brackets = ((0.5, math.pi / omega), (math.pi / omega, 1.0), (1.0, 2.0 * math.pi / omega))
     roots = tuple(
-        _scan_and_bisect(_lame_eq, (omega, C), a, b, f"lame exponent {k + 1}")
-        for k, (a, b) in enumerate(brackets)
+        _scan_and_bisect(_lame_eq, (omega, C), a, b, f"lame exponent {k}")
+        for k, (a, b) in enumerate(((0.5, math.pi / omega), (math.pi / omega, 1.0),
+                                    (1.0, 2.0 * math.pi / omega)), 1)
     )
     residuals = tuple(abs(_lame_eq(x, omega, C)) for x in roots)
     table = ExponentTable(
         family="lame", omega=omega, C=C, exponents=roots,
-        mode_count=2, brackets=brackets, residuals=residuals)
+        mode_count=2, residuals=residuals)
     _check_lame_ordering(table)
     return table
 
@@ -217,24 +216,20 @@ def stokes_exponents(omega: float) -> ExponentTable:
 
     args = (omega, 1.0)  # C = 1: sin^2(k*omega) - k^2 sin^2(omega)
     om_star = critical_angle()
-    b1 = (0.5, math.pi / omega)
-    k1 = _scan_and_bisect(_lame_eq, args, *b1, "stokes exponent 1")
+    k1 = _scan_and_bisect(_lame_eq, args, 0.5, math.pi / omega, "stokes exponent 1")
     if omega <= om_star:
-        b3 = (1.0, 2.0 * math.pi / omega)
-        k3 = _scan_and_bisect(_lame_eq, args, *b3, "stokes exponent 3")
+        k3 = _scan_and_bisect(_lame_eq, args, 1.0, 2.0 * math.pi / omega,
+                              "stokes exponent 3")
         exponents = (k1, 1.0, k3)
-        brackets = (b1, (1.0, 1.0), b3)
         mode_count = 1
     else:
-        b2 = (math.pi / omega, 1.0)
-        k2 = _scan_and_bisect(_lame_eq, args, *b2, "stokes exponent 2")
+        k2 = _scan_and_bisect(_lame_eq, args, math.pi / omega, 1.0, "stokes exponent 2")
         exponents = (k1, k2, 1.0)
-        brackets = (b1, b2, (1.0, 1.0))
         mode_count = 2
     residuals = tuple(abs(_lame_eq(x, *args)) for x in exponents)
     return ExponentTable(
         family="stokes", omega=omega, C=1.0, exponents=exponents,
-        mode_count=mode_count, brackets=brackets, residuals=residuals)
+        mode_count=mode_count, residuals=residuals)
 
 
 @lru_cache(maxsize=64)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sif_lab.extraction
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
                                 IncompatibleFlux, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero, _ci_terms,
@@ -133,17 +134,14 @@ def test_inhomogeneous_terms_recover_known_coefficients(key):
 
 
 def test_shared_operator_is_checked_and_changes_nothing(coarse_mesh):
+    """A shared space gives the same bits; one of another mesh is refused."""
     data, _ = manufactured_data(coarse_mesh, "penalized", MAT)
-    op = MixedOperator(P2Space(coarse_mesh), MAT)
     own = extract_sifs_penalized(data)
-    shared = extract_sifs_penalized(replace(data, operator=op))
+    shared = extract_sifs_penalized(replace(data, space=P2Space(coarse_mesh)))
     assert (shared.c1, shared.c2) == (own.c1, own.c2)
-    other = MixedOperator(P2Space(generate_lshape_mesh(POLY, 0.2, levels=3)), MAT)
+    other = P2Space(generate_lshape_mesh(POLY, 0.2, levels=3))
     with pytest.raises(MeshMismatch):
-        extract_sifs_penalized(replace(data, operator=other))
-    stiffer = MixedOperator(op.space, MaterialParams(1.0, 1e-2))
-    with pytest.raises(ValueError):
-        extract_sifs_penalized(replace(data, operator=stiffer))
+        extract_sifs_penalized(replace(data, space=other))
 
 
 def test_regular_part_removes_singular_content():
@@ -237,7 +235,7 @@ def test_mesh_checks_compare_connectivity(coarse_mesh):
     assert np.array_equal(flipped.bedges, coarse_mesh.bedges)
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
     with pytest.raises(MeshMismatch):
-        extract_sifs_penalized(replace(data, operator=MixedOperator(P2Space(flipped), MAT)))
+        extract_sifs_penalized(replace(data, space=P2Space(flipped)))
     u = mixed_solve(coarse_mesh, MAT, zero_g().traces)[-1]
     v = mixed_solve(flipped, MAT, zero_g().traces)[-1]
     with pytest.raises(MeshMismatch):
@@ -633,9 +631,8 @@ def test_dual_weights_reused_per_mesh_and_material(coarse_mesh, monkeypatch):
 def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):
     mesh = fresh_copy(coarse_mesh)
     data, _ = manufactured_data(mesh, "penalized", MAT)
-    op = MixedOperator(P2Space(mesh), MAT)
-    other = MixedOperator(P2Space(generate_lshape_mesh(POLY, 0.2, levels=3)), MAT)
-    stiffer = MixedOperator(op.space, MaterialParams(1.0, 1e-2))
+    space = P2Space(mesh)
+    other = P2Space(generate_lshape_mesh(POLY, 0.2, levels=3))
     extract_sifs_penalized(data)
     calls = count_factorizations(monkeypatch)
     const = lambda x, y: np.stack([np.ones(np.shape(x)), np.zeros(np.shape(x))],
@@ -644,10 +641,8 @@ def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):
         extract_sifs_penalized(replace(data, g=BoundaryData(
             traces={e.tag: const for e in POLY.edges}, zeta=None)))
     with pytest.raises(MeshMismatch):
-        extract_sifs_penalized(replace(data, operator=other))
-    with pytest.raises(ValueError):
-        extract_sifs_penalized(replace(data, operator=stiffer))
-    extract_sifs_penalized(replace(data, operator=op))
+        extract_sifs_penalized(replace(data, space=other))
+    extract_sifs_penalized(replace(data, space=space))
     assert calls == []
 
 
@@ -691,16 +686,26 @@ def test_warm_extraction_evaluates_no_mode(coarse_mesh, monkeypatch, key):
     assert "mode" in [name for name, _ in calls]
 
 
-def test_extraction_keeps_no_operator(coarse_mesh):
+def test_extraction_keeps_no_operator(coarse_mesh, monkeypatch):
+    """A cold extraction given a factored space factors nothing, and no
+    operator it builds outlives it."""
     mesh = fresh_copy(coarse_mesh)
-    op = MixedOperator(P2Space(mesh), MAT)
-    ref = weakref.ref(op)
+    space = P2Space(mesh)
+    space.stiffness_lu, space.mass_lu  # factored before the extraction
+    made = []
+
+    def tracked(*args):
+        op = MixedOperator(*args)
+        made.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(sif_lab.extraction, "MixedOperator", tracked)
+    calls = count_factorizations(monkeypatch)
     rep = extract_sifs_penalized(
-        ProblemData(polygon=POLY, mesh=mesh, material=MAT, g=zero_g(), operator=op))
-    assert rep.c1 == 0.0
-    del op
+        ProblemData(polygon=POLY, mesh=mesh, material=MAT, g=zero_g(), space=space))
+    assert rep.c1 == 0.0 and calls == [] and made
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in made)
 
 
 # -- guards ------------------------------------------------------------------

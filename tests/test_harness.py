@@ -45,8 +45,9 @@ def test_load_config_from_text_and_file(tmp_path):
     path.write_text(text)
     cfg2 = load_config(str(path))
     assert cfg2.data == cfg.data
-    # sections the program does not read, such as a former [solver], are ignored
-    assert load_config(text + "[solver]\nkind = lu\n").data == cfg.data
+    # a section the program does not read, such as a former [solver], is an error
+    with pytest.raises(ConfigError, match=r"^\[solver\]: unknown section"):
+        load_config(text + "[solver]\nkind = lu\n")
 
 
 def test_load_config_path_with_equals_sign(tmp_path):
@@ -169,18 +170,33 @@ def test_manufactured_unknown_case():
         run_manufactured(cfg)
 
 
-@pytest.mark.parametrize("command,data", [
-    (["extract", "--family", "penalized"], "f_x = 1\ngg3_x = x*y\nfz = 3\n"),
-    (["extract", "--family", "stokes"], "f_x = 1\nzeta_x = x\n"),
-    (["manufactured"], "case = smooth\nzeta = x\n"),
-], ids=["extract-penalized", "extract-stokes", "manufactured"])
-def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, command, data):
+@pytest.mark.parametrize("command,edit,data,error", [
+    (["extract", "--family", "penalized"], None, "f_x = 1\ngg3_x = x*y\nfz = 3\n",
+     "[data] gg3_x: unknown key"),
+    (["extract", "--family", "stokes"], None, "f_x = 1\nzeta_x = x\n",
+     "[data] zeta_x: unknown key"),
+    (["manufactured"], None, "case = smooth\nzeta = x\n", "[data] zeta: unknown key"),
+    (["extract", "--family", "penalized"], ("levels = 4", "levles = 3"), "f_x = 1\n",
+     "[mesh] levles: unknown key"),
+    (["solve", "--eps", "1e-3"], ("levels = 4", "levels = 4\ngrading_ratio = 0.3"),
+     "f_x = 1\n", "[mesh] grading_ratio: unknown key"),
+    (["sweep"], ("mu = 1.0", "mu = 1.0\nmuu = 7\neps_grid = 1e-1 1e-2 1e-3 1e-4"),
+     "f_x = 1\n", "[material] muu: unknown key"),
+    (["manufactured"], ("size = 1.0", "sise = 2"), "case = smooth\n",
+     "[domain] sise: unknown key"),
+    (["extract", "--family", "stokes"], ("[material]", "[meshh]\nlevels = 3\n[material]"),
+     "f_x = 1\n", "[meshh]: unknown section"),
+], ids=["extract-penalized", "extract-stokes", "manufactured", "mesh-levles",
+        "mesh-grading-ratio", "material-muu", "domain-sise", "section-meshh"])
+def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, command, edit, data,
+                                                error):
+    """A key or section that no run reads is a config error, before any mesh."""
     cfg = tmp_path / "typo.ini"
-    cfg.write_text(BASE + "[data]\n" + data)
+    cfg.write_text((BASE if edit is None else BASE.replace(*edit)) + "[data]\n" + data)
     rc = main(command + ["--config", str(cfg)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: [data] ") and "unknown key" in err
+    assert err.startswith(f"config error: {error}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command,old,new,key", [

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sif_lab.geometry import lshape_polygon
 from sif_lab.modes import (CornerFrame, FamilyMismatch, IndexOutOfRange,
-                           NonpositiveRadius, make_mode, map_theta,
-                           trace_on_edge)
+                           NonpositiveRadius, make_mode, map_theta)
 from sif_lab.spectral import MaterialParams, exponent_table
 
 FRAME = CornerFrame(-math.pi / 2, math.pi)
@@ -89,16 +87,6 @@ def test_scaled_divergence_vanishes_in_incompressible_limit():
 
 
 # -- traces ------------------------------------------------------------------
-
-def test_corner_ray_traces_are_exact_zero():
-    poly = lshape_polygon(1.0)
-    ts = np.linspace(0.0, 1.0, 17)
-    for mode in all_modes():
-        for edge in poly.edges:
-            vals = trace_on_edge(mode, edge, ts)
-            if edge.on_corner_ray:
-                assert np.all(vals == 0.0)
-
 
 def test_closed_form_nearly_vanishes_on_corner_rays():
     # evaluating just inside the rays must approach zero smoothly
