@@ -46,10 +46,10 @@ material and the family; they are computed once and kept in a single-entry
 memo, reused while the next extraction has the same mesh and polygon
 objects, an equal material and the same family.  Each data set is sampled
 once and paired with the kept weights, so it evaluates no mode; it still
-runs the input checks.  The memo keeps the weights, no quadrature point, no
-corrector field and no operator, and the P2Space with its scalar stiffness
-and mass factorizations (fem.P2Space.stiffness_lu, mass_lu): an extraction
-of another material on the same mesh reuses them.  The memo is dropped
+runs the input checks.  The memo keeps the weights, no quadrature point and
+no corrector field, and the P2Space, which solves for every material: its
+scalar stiffness and mass factorizations (fem.P2Space.stiffness_lu, mass_lu)
+serve an extraction of another material on the same mesh.  The memo is dropped
 before a new entry is computed.  Meshes are treated as immutable (TriMesh is
 frozen): changing the arrays of a mesh in place after an extraction is not
 detected.  The report carries the primal modes (SifReport.modes), so
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import SifLabError
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
-from .fem import (InconsistentEdgeData, MeshMismatch, MixedField, MixedOperator, P2Space,
+from .fem import (InconsistentEdgeData, MeshMismatch, MixedField, P2Space,
                   dirichlet_values, load_vector, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh
 from .modes import SingularMode, make_mode, map_theta
@@ -384,10 +384,10 @@ def _ci_terms(weight: dict, sample: dict) -> tuple[float, dict]:
     return sum(v if k.startswith("volume") else -v for k, v in parts.items()), parts
 
 
-def solve_psi(duals: Sequence[SingularMode], operator: MixedOperator,
+def solve_psi(duals: Sequence[SingularMode], space: P2Space, material: MaterialParams,
               polygon: CornerPolygon) -> tuple[MixedField, ...]:
-    """Finite element correctors Psi of the dual modes duals, on operator's
-    mesh and material, solved as one batch.
+    """Finite element correctors Psi of the dual modes duals, on space for
+    material, solved as one batch.
 
     Zero volume data; Dirichlet data -s Phi~ on the far edges, with s the
     family's dual scale, so the dual weight s Phi~ + Psi vanishes there, and
@@ -395,19 +395,18 @@ def solve_psi(duals: Sequence[SingularMode], operator: MixedOperator,
     """
     if any(d.kind != "dual" for d in duals):
         raise ValueError("solve_psi expects dual modes")
-    space = operator.space
     zero = lambda x, y: np.zeros(np.shape(x) + (2,))
     values = []
     for dual in duals:
-        s = _BY_MODES[dual.family].dual_scale(operator.material.mu)
+        s = _BY_MODES[dual.family].dual_scale(material.mu)
 
         def far_trace(x, y, dual=dual, s=s):
             return -s * dual.eval_xy(x, y)
 
         traces = {e.tag: zero if e.on_corner_ray else far_trace for e in polygon.edges}
         values.append(dirichlet_values(space, traces))
-    return tuple(operator.solve_all(np.zeros((len(duals), space.n_dofs)),
-                                    np.array(values)))
+    return tuple(space.solve_all(material, np.zeros((len(duals), space.n_dofs)),
+                                 np.array(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +420,7 @@ class _DualWeights:
     The primal modes and normalizers of every mode index, the dual weight of
     each (_weight) with its corrector's residual and flux defect, and the
     cross coupling C* when the second mode exists.  The space is kept; the
-    corrector fields and the operator that solved them are not.
+    corrector fields are not.
     """
 
     mesh: TriMesh
@@ -467,7 +466,7 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     duals = tuple(make_mode(fam.modes, "dual", i, frame, material) for i in indices)
     gammas = tuple(fam.gamma(i, material, frame, m)
                    for i, m in enumerate(zip(primals, duals), 1))
-    psi = solve_psi(duals, MixedOperator(space, material), data.polygon)
+    psi = solve_psi(duals, space, material, data.polygon)
     polar = (*_polar(volume[0], frame), volume[1])
     weights = tuple(_weight(data.polygon, dual, p, material.mu, polar)
                     for dual, p in zip(duals, psi))

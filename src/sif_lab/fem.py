@@ -5,11 +5,12 @@ The weak form solved is
     mu (grad u, grad v) - (p, div v) = (f, v)
     (div u, q) + eps (p, q)          = (zeta, q)
 
-with the velocity prescribed on the whole boundary.  A MixedOperator is the
-one way to solve it:
+with the velocity prescribed on the whole boundary.  The mesh's P2Space
+solves it for any material:
 
-    op = MixedOperator(space, material)
-    field = op.solve(load_vector(space, f, zeta), dirichlet_values(space, traces))
+    space = P2Space(mesh)
+    field = space.solve(material, load_vector(space, f, zeta),
+                        dirichlet_values(space, traces))
 
 It never factors the symmetric indefinite mixed matrix.  The velocity block
 is diag(mu A, mu A), with A the material-free scalar P2 stiffness, so the
@@ -62,7 +63,6 @@ __all__ = [
     "MeshMismatch",
     "P2Space",
     "MixedField",
-    "MixedOperator",
     "load_vector",
     "dirichlet_values",
     "norms",
@@ -190,7 +190,8 @@ def p1_shape(pts):
 
 class P2Space:
     """Scalar P2 dof numbering: mesh vertices first, then edge midpoints in
-    order of first occurrence in mesh.tris."""
+    order of first occurrence in mesh.tris.  Nothing a solve caches here
+    depends on the material, so solve and solve_all serve every material."""
 
     def __init__(self, mesh: TriMesh):
         if len(mesh.tris) == 0:
@@ -277,6 +278,127 @@ class P2Space:
         """LU of the P1 mass M, the Schur-complement preconditioner."""
         return _factor(self.stokes_blocks[3])
 
+    @cached_property
+    def _free_div(self):
+        """Bx and By restricted to the free velocity columns."""
+        _, Bx, By, _ = self.stokes_blocks
+        return Bx[:, self.interior].tocsr(), By[:, self.interior].tocsr()
+
+    @cached_property
+    def _mass_one(self) -> np.ndarray:    # M applied to 1
+        return np.asarray(self.stokes_blocks[3].sum(axis=1)).ravel()
+
+    def solve(self, material: MaterialParams, rhs: np.ndarray,
+              boundary_values: np.ndarray) -> MixedField:
+        """The mixed system of material on this space, for load vector rhs with
+        both velocity components prescribed at every boundary P2 node.
+
+        Both vectors span all dofs; only the boundary velocity entries of
+        boundary_values are read (dirichlet_values builds it).
+        """
+        return self.solve_all(material, rhs[None], boundary_values[None])[0]
+
+    def solve_all(self, material: MaterialParams, rhs: np.ndarray,
+                  boundary_values: np.ndarray) -> list[MixedField]:
+        """solve() for each row of rhs and boundary_values (k, n_dofs), as one
+        batch: every triangular solve takes all k right-hand sides at once.
+
+        Raises SolverBreakdown when the PCG needs more than _PCG_MAX_ITER
+        iterations or a solution misses the residual gate: the relative
+        residual of the whole free system, velocity and pressure rows, against
+        its right-hand side.
+        """
+        mu, eps = material.mu, material.eps
+        A, Bx, By, M = self.stokes_blocks
+        S, free, m = self.n_scalar, self.interior, self._mass_one
+        # Both velocity components of every boundary P2 node, over all dofs.
+        constrained = np.concatenate([~free, ~free, np.zeros(self.mesh.n_nodes, bool)])
+        x = np.where(constrained, boundary_values, 0.0).T    # (n_dofs, k)
+        ux, uy, f = x[:S], x[S:2 * S], rhs.T
+        bu = Bx @ ux + By @ uy    # the prescribed velocity's divergence rows
+        # The summed pressure rows hold no free velocity, so they fix the mean.
+        flux_defect = (f[2 * S:].sum(axis=0) + bu.sum(axis=0)) / m.sum()
+        fp = f[2 * S:] - np.outer(m, flux_defect)
+        gx = (f[:S] - mu * (A @ ux))[free]
+        gy = (f[S:2 * S] - mu * (A @ uy))[free]
+        h = fp + bu
+        scale = np.sqrt((gx ** 2).sum(axis=0) + (gy ** 2).sum(axis=0)
+                        + (h ** 2).sum(axis=0))
+        p, iterations = self._pcg(material,
+                                  -h - self._div(self._stiffness_solve(gx, gy)) / mu,
+                                  _PCG_RTOL * scale)
+        Bfx, Bfy = self._free_div
+        ux[free], uy[free] = self._stiffness_solve(gx + Bfx.T @ p, gy + Bfy.T @ p) / mu
+        if eps > 0.0:
+            p = p - flux_defect / eps    # the mean; this pair solves the given rows
+            fp, flux_defect = f[2 * S:], np.zeros_like(flux_defect)
+        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
+            raise SingularSystem("solve produced non-finite values")
+        r2 = (((mu * (A @ ux) - Bx.T @ p - f[:S])[free] ** 2).sum(axis=0)
+              + ((mu * (A @ uy) - By.T @ p - f[S:2 * S])[free] ** 2).sum(axis=0)
+              + ((Bx @ ux + By @ uy + eps * (M @ p) + fp) ** 2).sum(axis=0))
+        resid = np.sqrt(r2) / np.maximum(scale, 1e-30)
+        if resid.max() > _RESIDUAL_GATE:
+            raise SolverBreakdown(
+                f"relative residual {resid.max():.3e} exceeds {_RESIDUAL_GATE:g}")
+        return [MixedField(space=self, material=material, ux=ux[:, j].copy(),
+                           uy=uy[:, j].copy(), p=p[:, j].copy(),
+                           residual=float(resid[j]), flux_defect=float(flux_defect[j]),
+                           iterations=int(iterations[j]))
+                for j in range(len(rhs))]
+
+    def _stiffness_solve(self, vx, vy):
+        """A^-1 on the interior of both velocity components, stacked on axis 0."""
+        k = vx.shape[1]
+        w = self.stiffness_lu.solve(np.hstack([vx, vy]))
+        return np.stack([w[:, :k], w[:, k:]])
+
+    def _div(self, w):
+        Bfx, Bfy = self._free_div
+        return Bfx @ w[0] + Bfy @ w[1]
+
+    def _schur(self, material, d):
+        Bfx, Bfy = self._free_div
+        w = self._stiffness_solve(Bfx.T @ d, Bfy.T @ d)
+        return self._div(w) / material.mu + material.eps * (self.stokes_blocks[3] @ d)
+
+    def _pcg(self, material, b, tol):
+        """Mass-preconditioned CG on the Schur complement, one column of b per
+        system, in the zero-mean subspace: b has zero sum, and every
+        preconditioned residual is projected to zero mean.
+
+        Returns the solutions and each column's iteration count.
+        """
+        m, lu_m = self._mass_one, self.mass_lu
+
+        def precondition(r):
+            z = lu_m.solve(r)
+            return z - (m @ z) / m.sum()
+
+        b = b - np.outer(m, b.sum(axis=0)) / m.sum()
+        p, r = np.zeros_like(b), b
+        iterations = np.zeros(b.shape[1], dtype=int)
+        active = np.flatnonzero(np.linalg.norm(r, axis=0) > tol)
+        d = np.zeros_like(b)
+        d[:, active] = precondition(r[:, active])
+        rz = np.einsum("ik,ik->k", r, d)
+        while len(active):
+            if iterations[active[0]] == _PCG_MAX_ITER:
+                raise SolverBreakdown(
+                    f"Schur-complement PCG did not converge in {_PCG_MAX_ITER} iterations")
+            da = d[:, active]
+            sd = self._schur(material, da)
+            alpha = rz[active] / np.einsum("ik,ik->k", da, sd)
+            p[:, active] += alpha * da
+            r[:, active] -= alpha * sd
+            iterations[active] += 1
+            active = active[np.linalg.norm(r[:, active], axis=0) > tol[active]]
+            z = precondition(r[:, active])
+            rz_new = np.einsum("ik,ik->k", r[:, active], z)
+            d[:, active] = z + (rz_new / rz[active]) * d[:, active]
+            rz[active] = rz_new
+        return p, iterations
+
 
 def _factor(matrix):
     try:
@@ -350,7 +472,7 @@ class MixedField:
 
 def _mixed_matrix(space: P2Space, material: MaterialParams) -> sp.csr_matrix:
     """Taylor-Hood matrix of the mixed weak form on space, for material: the
-    system MixedOperator solves without assembling it, kept as the tests'
+    system P2Space.solve solves without assembling it, kept as the tests'
     reference.  At eps = 0 the pressure block keeps M's pattern as explicit
     zeros."""
     A, Bx, By, M = space.stokes_blocks
@@ -415,134 +537,6 @@ def dirichlet_values(space: P2Space, traces: dict) -> np.ndarray:
     out = np.zeros(space.n_dofs)
     out[:S], out[S:2 * S] = vals[:, 0], vals[:, 1]
     return out
-
-
-class MixedOperator:
-    """The mixed system of one (mesh, material), solved through its pressure
-    Schur complement.
-
-    Both velocity components are prescribed at every boundary P2 node.
-    Building an operator factors nothing: the first solve on its space
-    factors A's interior block and M (P2Space.stiffness_lu, mass_lu), and
-    every later solve on any material of that space reuses them.
-    """
-
-    def __init__(self, space: P2Space, material: MaterialParams):
-        self.space = space
-        self.material = material
-        free = space.interior
-        # Both velocity components of every boundary P2 node, over all dofs.
-        self.constrained = np.concatenate(
-            [~free, ~free, np.zeros(space.mesh.n_nodes, dtype=bool)])
-        _, Bx, By, M = space.stokes_blocks
-        self._B_free = (Bx[:, free].tocsr(), By[:, free].tocsr())
-        self._mass = np.asarray(M.sum(axis=1)).ravel()    # M applied to 1
-
-    def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> MixedField:
-        """Solution for load vector rhs with the constrained dofs prescribed.
-
-        Both vectors span all dofs; only the constrained entries of
-        boundary_values are read (dirichlet_values builds it).
-        """
-        return self.solve_all(rhs[None], boundary_values[None])[0]
-
-    def solve_all(self, rhs: np.ndarray, boundary_values: np.ndarray) -> list[MixedField]:
-        """solve() for each row of rhs and boundary_values (k, n_dofs), as one
-        batch: every triangular solve takes all k right-hand sides at once.
-
-        Raises SolverBreakdown when the PCG needs more than _PCG_MAX_ITER
-        iterations or a solution misses the residual gate: the relative
-        residual of the whole free system, velocity and pressure rows, against
-        its right-hand side.
-        """
-        space, mu, eps = self.space, self.material.mu, self.material.eps
-        A, Bx, By, M = space.stokes_blocks
-        S, free, m = space.n_scalar, space.interior, self._mass
-        x = np.where(self.constrained, boundary_values, 0.0).T    # (n_dofs, k)
-        ux, uy, f = x[:S], x[S:2 * S], rhs.T
-        bu = Bx @ ux + By @ uy    # the prescribed velocity's divergence rows
-        # The summed pressure rows hold no free velocity, so they fix the mean.
-        flux_defect = (f[2 * S:].sum(axis=0) + bu.sum(axis=0)) / m.sum()
-        fp = f[2 * S:] - np.outer(m, flux_defect)
-        gx = (f[:S] - mu * (A @ ux))[free]
-        gy = (f[S:2 * S] - mu * (A @ uy))[free]
-        h = fp + bu
-        scale = np.sqrt((gx ** 2).sum(axis=0) + (gy ** 2).sum(axis=0)
-                        + (h ** 2).sum(axis=0))
-        p, iterations = self._pcg(-h - self._div(self._stiffness_solve(gx, gy)) / mu,
-                                  _PCG_RTOL * scale)
-        Bfx, Bfy = self._B_free
-        ux[free], uy[free] = self._stiffness_solve(gx + Bfx.T @ p, gy + Bfy.T @ p) / mu
-        if eps > 0.0:
-            p = p - flux_defect / eps    # the mean; this pair solves the given rows
-            fp, flux_defect = f[2 * S:], np.zeros_like(flux_defect)
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
-            raise SingularSystem("solve produced non-finite values")
-        r2 = (((mu * (A @ ux) - Bx.T @ p - f[:S])[free] ** 2).sum(axis=0)
-              + ((mu * (A @ uy) - By.T @ p - f[S:2 * S])[free] ** 2).sum(axis=0)
-              + ((Bx @ ux + By @ uy + eps * (M @ p) + fp) ** 2).sum(axis=0))
-        resid = np.sqrt(r2) / np.maximum(scale, 1e-30)
-        if resid.max() > _RESIDUAL_GATE:
-            raise SolverBreakdown(
-                f"relative residual {resid.max():.3e} exceeds {_RESIDUAL_GATE:g}")
-        return [MixedField(space=space, material=self.material, ux=ux[:, j].copy(),
-                           uy=uy[:, j].copy(), p=p[:, j].copy(),
-                           residual=float(resid[j]), flux_defect=float(flux_defect[j]),
-                           iterations=int(iterations[j]))
-                for j in range(len(rhs))]
-
-    def _stiffness_solve(self, vx, vy):
-        """A^-1 on the interior of both velocity components, stacked on axis 0."""
-        k = vx.shape[1]
-        w = self.space.stiffness_lu.solve(np.hstack([vx, vy]))
-        return np.stack([w[:, :k], w[:, k:]])
-
-    def _div(self, w):
-        Bfx, Bfy = self._B_free
-        return Bfx @ w[0] + Bfy @ w[1]
-
-    def _schur(self, d):
-        Bfx, Bfy = self._B_free
-        w = self._stiffness_solve(Bfx.T @ d, Bfy.T @ d)
-        M = self.space.stokes_blocks[3]
-        return self._div(w) / self.material.mu + self.material.eps * (M @ d)
-
-    def _pcg(self, b, tol):
-        """Mass-preconditioned CG on the Schur complement, one column of b per
-        system, in the zero-mean subspace: b has zero sum, and every
-        preconditioned residual is projected to zero mean.
-
-        Returns the solutions and each column's iteration count.
-        """
-        m, lu_m = self._mass, self.space.mass_lu
-
-        def precondition(r):
-            z = lu_m.solve(r)
-            return z - (m @ z) / m.sum()
-
-        b = b - np.outer(m, b.sum(axis=0)) / m.sum()
-        p, r = np.zeros_like(b), b
-        iterations = np.zeros(b.shape[1], dtype=int)
-        active = np.flatnonzero(np.linalg.norm(r, axis=0) > tol)
-        d = np.zeros_like(b)
-        d[:, active] = precondition(r[:, active])
-        rz = np.einsum("ik,ik->k", r, d)
-        while len(active):
-            if iterations[active[0]] == _PCG_MAX_ITER:
-                raise SolverBreakdown(
-                    f"Schur-complement PCG did not converge in {_PCG_MAX_ITER} iterations")
-            da = d[:, active]
-            sd = self._schur(da)
-            alpha = rz[active] / np.einsum("ik,ik->k", da, sd)
-            p[:, active] += alpha * da
-            r[:, active] -= alpha * sd
-            iterations[active] += 1
-            active = active[np.linalg.norm(r[:, active], axis=0) > tol[active]]
-            z = precondition(r[:, active])
-            rz_new = np.einsum("ik,ik->k", r[:, active], z)
-            d[:, active] = z + (rz_new / rz[active]) * d[:, active]
-            rz[active] = rz_new
-        return p, iterations
 
 
 def norms(field: MixedField) -> dict:

@@ -23,7 +23,7 @@ from . import SifLabError
 from .expr import parse as parse_expr
 from .extraction import (ProblemData, extract_sifs_penalized,
                          extract_sifs_stokes, regular_part)
-from .fem import MixedOperator, P2Space, diff_norms, dirichlet_values, load_vector
+from .fem import P2Space, diff_norms, dirichlet_values, load_vector
 from .geometry import BoundaryData, CornerPolygon, TriMesh, generate_lshape_mesh, lshape_polygon
 from .modes import make_mode
 from .spectral import MaterialParams
@@ -52,7 +52,8 @@ class ConfigError(SifLabError):
     """Missing/invalid section, key, or expression in a run config."""
 
 
-# The keys some run reads, by section; [data] keys depend on the command.
+# The keys some run reads, by section.  Each command reads a subset of
+# [mesh] and [material] and checks it; [data] keys depend on the command.
 _KEYS = {"domain": ["kind", "size"], "mesh": ["h", "h_levels", "levels"],
          "material": ["mu", "eps", "eps_grid"], "output": ["path", "format"]}
 
@@ -99,7 +100,7 @@ def config_number(cfg: RunConfig, section: str, key: str, default: str | None = 
         raise ConfigError(f"[{section}] {key} is required")
     try:
         values = [kind(tok) for tok in text.replace(",", " ").split()]
-        if many or len(values) == 1:
+        if values and (many or len(values) == 1):
             return values if many else values[0]
     except ValueError:
         pass
@@ -159,6 +160,8 @@ def _domain(cfg: RunConfig):
 
 
 def build_domain(cfg: RunConfig) -> tuple[CornerPolygon, TriMesh]:
+    """The [domain] polygon and its mesh at the one [mesh] h."""
+    _check_keys(cfg, "mesh", ["h", "levels"])
     polygon, mesher = _domain(cfg)
     return polygon, mesher(config_number(cfg, "mesh", "h", "0.1"))
 
@@ -180,10 +183,13 @@ def _scalar_callable(ex, frame):
 
 
 def _check_keys(cfg: RunConfig, section: str, allowed: list) -> None:
-    """Reject a [section] key that the run would not read, such as a typo."""
+    """Reject a [section] key that the run would not read: a typo, or a key
+    that only another command reads."""
     for key in getattr(cfg, section):
         if key not in allowed:
-            raise ConfigError(f"[{section}] {key}: unknown key; expected one of "
+            known = key in _KEYS.get(section, ())
+            why = "not read by this command" if known else "unknown key"
+            raise ConfigError(f"[{section}] {key}: {why}; expected one of "
                               + ", ".join(allowed))
 
 
@@ -244,30 +250,23 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
     if case == "penalized":
         c_true = (0.7, -0.3)
         phis = [make_mode("lame", "primal", i, frame, material) for i in (1, 2)]
-
-        def f(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            return np.stack([-4.0 * mu * y, 4.0 * mu * x], axis=-1)
     elif case == "stokes":
         c_true = (1.0, 0.4)
         phis = [make_mode("stokes", "primal", i, frame, material) for i in (1, 2)]
-
-        def f(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            return np.stack([-4.0 * mu * y + 3.0 * x * x,
-                             4.0 * mu * x - 3.0 * y * y], axis=-1)
     elif case == "smooth":
         c_true = (0.0, 0.0)
         phis = []
-
-        def f(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            return np.stack([-4.0 * mu * y, 4.0 * mu * x], axis=-1)
     else:
         raise ConfigError(f"unknown manufactured case {case!r}")
+
+    def f(x, y):
+        """-mu lap(w), plus grad(x^3 - y^3) in the Stokes case."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        fx, fy = -4.0 * mu * y, 4.0 * mu * x
+        if case == "stokes":
+            fx, fy = fx + 3.0 * x * x, fy - 3.0 * y * y
+        return np.stack([fx, fy], axis=-1)
 
     def u_exact(x, y):
         x = np.asarray(x, dtype=float)
@@ -289,6 +288,10 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
 def run_manufactured(cfg: RunConfig) -> dict:
     """Solve-free extraction of built-in manufactured data across mesh levels."""
     _check_keys(cfg, "data", ["case"])
+    _check_keys(cfg, "material", ["mu", "eps"])
+    # h_levels or h, not both.
+    h_key = "h_levels" if "h_levels" in cfg.mesh else "h"
+    _check_keys(cfg, "mesh", [h_key, "levels"])
     case = cfg.data.get("case", "penalized")
     mu = config_number(cfg, "material", "mu")
     eps = config_number(cfg, "material", "eps", "1e-3")
@@ -297,8 +300,7 @@ def run_manufactured(cfg: RunConfig) -> dict:
     material = MaterialParams(mu, 0.0 if case == "stokes" else eps)
 
     polygon, mesher = _domain(cfg)
-    hs = config_number(cfg, "mesh", "h_levels" if "h_levels" in cfg.mesh else "h",
-                       "0.1", many=True)
+    hs = config_number(cfg, "mesh", h_key, "0.1", many=True)
 
     f, traces, c_true, family = manufactured_fields(case, material, polygon)
     g = BoundaryData(traces=traces)
@@ -344,8 +346,8 @@ def _extract_with_regular_part(polygon: CornerPolygon, space: P2Space,
     data = ProblemData(polygon=polygon, mesh=space.mesh, material=material,
                        g=g, f=f, zeta=zeta, space=space)
     rep = (extract_sifs_stokes if material.eps == 0.0 else extract_sifs_penalized)(data)
-    u = MixedOperator(space, material).solve(load_vector(space, f, zeta),
-                                             dirichlet_values(space, g.traces))
+    u = space.solve(material, load_vector(space, f, zeta),
+                    dirichlet_values(space, g.traces))
     w, _ = regular_part(u, rep)
     return rep, w
 
@@ -359,6 +361,7 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     meshes the discretization floor limits how far the differences can fall;
     the grid should stop around eps = 1e-5.
     """
+    _check_keys(cfg, "material", ["mu", "eps_grid"])
     mu = config_number(cfg, "material", "mu")
     eps_grid = config_number(cfg, "material", "eps_grid", many=True)
     if len(eps_grid) < 4:

@@ -1,21 +1,18 @@
 """Coefficient functionals: manufactured recovery, linearity, reuse, guards."""
 
-import gc
 import math
-import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import sif_lab.extraction
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
                                 IncompatibleFlux, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero, _ci_terms,
                                 _edge_rule, _polar, _sample, _volume_rule,
                                 _weight, extract_sifs_penalized,
                                 extract_sifs_stokes, regular_part, solve_psi)
-from sif_lab.fem import (InconsistentEdgeData, MixedOperator, P2Space,
+from sif_lab.fem import (InconsistentEdgeData, P2Space,
                          diff_norms, dirichlet_values, error_norms, norms,
                          tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
@@ -260,7 +257,7 @@ def pair(data, dual, psi):
 
 def test_zero_data_gives_exact_zero(coarse_mesh):
     dual = make_mode("lame", "dual", 1, FRAME, MAT)
-    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi,) = solve_psi([dual], P2Space(coarse_mesh), MAT, POLY)
     data = ProblemData(polygon=POLY, mesh=coarse_mesh, material=MAT, g=zero_g())
     assert pair(data, dual, psi)[0] == 0.0
     assert extract_sifs_penalized(data).C1 == 0.0
@@ -272,7 +269,7 @@ def test_zero_data_gives_exact_zero(coarse_mesh):
 
 def test_ci_linearity_in_f(coarse_mesh):
     dual = make_mode("lame", "dual", 2, FRAME, MAT)
-    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi,) = solve_psi([dual], P2Space(coarse_mesh), MAT, POLY)
 
     def f1(x, y):
         return np.stack([np.asarray(y, float), np.asarray(x, float) ** 2], axis=-1)
@@ -296,7 +293,7 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
     """On the bisector-symmetric L-shape the cross coupling cancels."""
     primal1 = make_mode("lame", "primal", 1, FRAME, MAT)
     dual2 = make_mode("lame", "dual", 2, FRAME, MAT)
-    (psi2,) = solve_psi([dual2], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi2,) = solve_psi([dual2], P2Space(coarse_mesh), MAT, POLY)
     weight = dual_weight(dual2, psi2)
     far = {e.tag: primal1.eval_xy for e in POLY.far_edges}
     val = _ci_terms(weight, _sample(psi2.space, POLY, far))[0]
@@ -308,7 +305,7 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
 def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
     smat = MaterialParams(1.0, 0.0)
     dual = make_mode("stokes", "dual", 1, FRAME, smat)
-    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), smat), POLY)
+    (psi,) = solve_psi([dual], P2Space(coarse_mesh), smat, POLY)
 
     def zeta(x, y):
         x = np.asarray(x, float)
@@ -369,7 +366,7 @@ def test_boundary_flux_is_the_galerkin_residual(coarse_mesh, index):
     not counted twice.
     """
     dual = make_mode("lame", "dual", index, FRAME, MAT)
-    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi,) = solve_psi([dual], P2Space(coarse_mesh), MAT, POLY)
     space = psi.space
     A, Bx, By, _ = space.stokes_blocks
     R = np.concatenate([MAT.mu * (A @ psi.ux) - Bx.T @ psi.p,
@@ -405,7 +402,7 @@ def test_corner_edge_integrals_mirror_each_other(coarse_mesh, index):
     analytic dual's part is the pairing on the edge rule's points.
     """
     dual = make_mode("lame", "dual", index, FRAME, MAT)
-    (psi,) = solve_psi([dual], MixedOperator(P2Space(coarse_mesh), MAT), POLY)
+    (psi,) = solve_psi([dual], P2Space(coarse_mesh), MAT, POLY)
     weight = dual_weight(dual, psi)
 
     def g(x, y):
@@ -687,25 +684,14 @@ def test_warm_extraction_evaluates_no_mode(coarse_mesh, monkeypatch, key):
 
 
 def test_extraction_keeps_no_operator(coarse_mesh, monkeypatch):
-    """A cold extraction given a factored space factors nothing, and no
-    operator it builds outlives it."""
+    """A cold extraction given a factored space factors nothing."""
     mesh = fresh_copy(coarse_mesh)
     space = P2Space(mesh)
     space.stiffness_lu, space.mass_lu  # factored before the extraction
-    made = []
-
-    def tracked(*args):
-        op = MixedOperator(*args)
-        made.append(weakref.ref(op))
-        return op
-
-    monkeypatch.setattr(sif_lab.extraction, "MixedOperator", tracked)
     calls = count_factorizations(monkeypatch)
     rep = extract_sifs_penalized(
         ProblemData(polygon=POLY, mesh=mesh, material=MAT, g=zero_g(), space=space))
-    assert rep.c1 == 0.0 and calls == [] and made
-    gc.collect()
-    assert all(ref() is None for ref in made)
+    assert rep.c1 == 0.0 and calls == []
 
 
 # -- guards ------------------------------------------------------------------

@@ -11,7 +11,7 @@ import sympy as sp
 import sif_lab.fem
 from sif_lab.extraction import ProblemData, extract_sifs_penalized, solve_psi
 from sif_lab.fem import (InconsistentEdgeData, MissingEdgeData, MixedField,
-                         MixedOperator, P2Space, SolverBreakdown, diff_norms,
+                         P2Space, SolverBreakdown, diff_norms,
                          dirichlet_values, error_norms, load_vector, norms,
                          p1_shape, p2_shape,
                          p2_shape_grad, second_equation_residual,
@@ -62,12 +62,18 @@ def manufactured_square(mu, eps):
     return velocity, velocity_grad, pressure, f, zeta
 
 
+def constrained_dofs(space):
+    """Mask of the dofs a solve prescribes: both velocity components of every
+    boundary P2 node."""
+    free = space.interior
+    return np.concatenate([~free, ~free, np.zeros(space.mesh.n_nodes, dtype=bool)])
+
+
 def mixed_solve(mesh, material, traces, f=None, zeta=None):
-    """One solve through a MixedOperator: (operator, rhs, boundary values, field)."""
+    """One solve on a new P2Space: (constrained dofs, rhs, boundary values, field)."""
     space = P2Space(mesh)
-    op = MixedOperator(space, material)
     rhs, values = load_vector(space, f, zeta), dirichlet_values(space, traces)
-    return op, rhs, values, op.solve(rhs, values)
+    return constrained_dofs(space), rhs, values, space.solve(material, rhs, values)
 
 
 def solve_square(n, mu, eps):
@@ -123,12 +129,11 @@ def test_discrete_second_equation_residual_is_machine_zero():
 def test_galerkin_residual_probe():
     velocity, _, _, f, zeta = manufactured_square(1.0, 1e-3)
     mesh = generate_square_mesh(8, 1.0)
-    op, rhs, values, field = mixed_solve(
+    con, rhs, values, field = mixed_solve(
         mesh, MaterialParams(1.0, 1e-3), {t: velocity for t in (1, 2, 3, 4)}, f, zeta)
     x = np.concatenate([field.ux, field.uy, field.p])
-    free = ~op.constrained
-    K = sif_lab.fem._mixed_matrix(op.space, op.material)
-    resid = (K @ np.where(op.constrained, values, x) - rhs)[free]
+    K = sif_lab.fem._mixed_matrix(field.space, field.material)
+    resid = (K @ np.where(con, values, x) - rhs)[~con]
     scale = max(np.linalg.norm(rhs), 1.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -276,7 +281,7 @@ def test_solve_psi_traces():
     for family, material, scale in (("lame", MaterialParams(1.0, 1e-3), 1.0),
                                     ("stokes", MaterialParams(1.3, 0.0), 1.3)):
         dual = make_mode(family, "dual", 1, poly.frame, material)
-        (psi,) = solve_psi([dual], MixedOperator(space, material), poly)
+        (psi,) = solve_psi([dual], space, material, poly)
         for tag, dofs in space.boundary_dofs.items():
             for dof in dofs:
                 xx, yy = space.dof_coords[dof]
@@ -341,8 +346,8 @@ def test_zero_mean_stokes_solve_matches_bordered_system():
     mesh = generate_lshape_mesh(poly, 0.25, levels=3)
     f = lambda x, y: np.stack([np.ones_like(x), x * y], axis=-1)
     # Nonzero net flux, so the multiplier has something to absorb.
-    op, rhs, values, field = mixed_solve(mesh, MaterialParams(1.0, 0.0),
-                                         {e.tag: _net_flux_g for e in poly.edges}, f)
+    constrained, rhs, values, field = mixed_solve(
+        mesh, MaterialParams(1.0, 0.0), {e.tag: _net_flux_g for e in poly.edges}, f)
 
     # Reference: K bordered by the P1 mass vector in the pressure rows.
     space = field.space
@@ -350,9 +355,9 @@ def test_zero_mean_stokes_solve_matches_bordered_system():
     mass = np.zeros(Np)
     np.add.at(mass, mesh.tris.ravel(), np.repeat(space.areas / 3.0, 3))
     border = np.concatenate([np.zeros(2 * S), mass])[:, None]
-    K = sif_lab.fem._mixed_matrix(space, op.material)
+    K = sif_lab.fem._mixed_matrix(space, field.material)
     Kb = scipy.sparse.bmat([[K, border], [border.T, None]]).tocsc()
-    con = np.append(op.constrained, False)
+    con = np.append(constrained, False)
     xb = np.append(values, 0.0)
     rhs_b = np.append(rhs, 0.0) - Kb[:, con] @ xb[con]
     xb[~con] = scipy.sparse.linalg.spsolve(Kb[~con][:, ~con], rhs_b[~con])
@@ -370,11 +375,34 @@ def test_penalized_solve_at_tiny_eps_meets_residual_gate():
     poly = lshape_polygon(1.0)
     mesh = generate_lshape_mesh(poly, 0.1, levels=5)
     material = MaterialParams(1.0, 1e-10)
-    operator = MixedOperator(P2Space(mesh), material)
+    space = P2Space(mesh)
     for i in (1, 2):
         dual = make_mode("lame", "dual", i, poly.frame, material)
-        (psi,) = solve_psi([dual], operator, poly)
+        (psi,) = solve_psi([dual], space, material, poly)
         assert psi.residual <= 1e-10
+
+
+def test_space_shared_by_two_materials_holds_no_material_state(monkeypatch):
+    """The correctors and a data solve of a second material, on a space that
+    solved them for a first, are bit-identical to those on a fresh space."""
+    poly = lshape_polygon(1.0)
+    mesh = generate_lshape_mesh(poly, 0.25, levels=3)
+    f = lambda x, y: np.stack([np.ones_like(x), x * y], axis=-1)
+    traces = {e.tag: _net_flux_g for e in poly.edges}
+    calls = count_factorizations(monkeypatch)
+
+    def run(space, material):
+        duals = [make_mode("lame", "dual", i, poly.frame, material) for i in (1, 2)]
+        data = space.solve(material, load_vector(space, f),
+                           dirichlet_values(space, traces))
+        return [*solve_psi(duals, space, material, poly), data]
+
+    shared, second = P2Space(mesh), MaterialParams(1.0, 1e-4)
+    run(shared, MaterialParams(1.3, 1e-1))
+    for got, want in zip(run(shared, second), run(P2Space(mesh), second), strict=True):
+        for name in ("ux", "uy", "p", "residual", "flux_defect", "iterations"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert len(calls) == 2 * FACTORS_PER_SPACE
 
 
 def _net_flux_solve(h, eps):
@@ -388,13 +416,12 @@ def _net_flux_solve(h, eps):
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-4])
 def test_penalized_solve_matches_direct_solve_of_free_system(eps):
-    op, rhs, values, field = _net_flux_solve(0.25, eps)
-    K = sif_lab.fem._mixed_matrix(op.space, op.material).tocsc()
-    con = op.constrained
+    con, rhs, values, field = _net_flux_solve(0.25, eps)
+    K = sif_lab.fem._mixed_matrix(field.space, field.material).tocsc()
     x = values.copy()
     x[~con] = scipy.sparse.linalg.spsolve(K[~con][:, ~con],
                                           rhs[~con] - K[~con][:, con] @ values[con])
-    u_ref = x[:2 * op.space.n_scalar]
+    u_ref = x[:2 * field.space.n_scalar]
     u = np.concatenate([field.ux, field.uy])
     assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
     assert field.flux_defect == 0.0 and field.residual <= 1e-10

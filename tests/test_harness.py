@@ -13,7 +13,7 @@ import pytest
 from sif_lab import SifLabError, harness
 from sif_lab.cli import main
 from sif_lab.extraction import IncompatibleFlux, _mesh_id
-from sif_lab.fem import MixedOperator, P2Space, dirichlet_values, load_vector
+from sif_lab.fem import P2Space, dirichlet_values, load_vector
 from sif_lab.spectral import MaterialParams
 from sif_lab.harness import (SCHEMA, SWEEP_COLUMNS, ConfigError, SweepRecord,
                              build_data, build_domain, emit, load_config,
@@ -186,29 +186,61 @@ def test_manufactured_unknown_case():
      "[domain] sise: unknown key"),
     (["extract", "--family", "stokes"], ("[material]", "[meshh]\nlevels = 3\n[material]"),
      "f_x = 1\n", "[meshh]: unknown section"),
+    # Keys that another command reads.
+    (["extract", "--family", "penalized"], ("h = 0.25", "h_levels = 0.5"), "f_x = 1\n",
+     "[mesh] h_levels: not read by this command"),
+    (["extract", "--family", "penalized"], ("mu = 1.0", "mu = 1.0\neps = 0.5"),
+     "f_x = 1\n", "[material] eps: not read by this command"),
+    (["extract", "--family", "stokes"], ("mu = 1.0", "mu = 1.0\neps_grid = 1 2"),
+     "f_x = 1\n", "[material] eps_grid: not read by this command"),
+    (["solve", "--eps", "1e-3"], ("h = 0.25", "h = 0.25\nh_levels = 0.5"), "f_x = 1\n",
+     "[mesh] h_levels: not read by this command"),
+    (["solve", "--eps", "1e-3"], ("mu = 1.0", "mu = 1.0\neps = 0.5"), "f_x = 1\n",
+     "[material] eps: not read by this command"),
+    (["solve", "--eps", "0"], ("mu = 1.0", "mu = 1.0\neps_grid = 1 2"), "f_x = 1\n",
+     "[material] eps_grid: not read by this command"),
+    (["sweep"], ("[material]\nmu = 1.0",
+                 "h_levels = 0.5\n[material]\nmu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4"),
+     "f_x = 1\n", "[mesh] h_levels: not read by this command"),
+    (["sweep"], ("mu = 1.0", "mu = 1.0\neps = 0.5\neps_grid = 1e-1 1e-2 1e-3 1e-4"),
+     "f_x = 1\n", "[material] eps: not read by this command"),
+    (["manufactured"], ("mu = 1.0", "mu = 1.0\neps_grid = 1 2"), "case = smooth\n",
+     "[material] eps_grid: not read by this command"),
+    (["manufactured"], ("h = 0.25", "h = 0.25\nh_levels = 0.5"), "case = smooth\n",
+     "[mesh] h: not read by this command"),
 ], ids=["extract-penalized", "extract-stokes", "manufactured", "mesh-levles",
-        "mesh-grading-ratio", "material-muu", "domain-sise", "section-meshh"])
-def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, command, edit, data,
-                                                error):
-    """A key or section that no run reads is a config error, before any mesh."""
+        "mesh-grading-ratio", "material-muu", "domain-sise", "section-meshh",
+        "extract-h-levels", "extract-eps", "extract-eps-grid", "solve-h-levels",
+        "solve-eps", "solve-eps-grid", "sweep-h-levels", "sweep-eps",
+        "manufactured-eps-grid", "manufactured-h-and-h-levels"])
+def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                                edit, data, error):
+    """A key or section that the command does not read is a config error."""
+    meshed, mesher = [], harness.generate_lshape_mesh
+    monkeypatch.setattr(harness, "generate_lshape_mesh",
+                        lambda *a, **k: meshed.append(a) or mesher(*a, **k))
     cfg = tmp_path / "typo.ini"
     cfg.write_text((BASE if edit is None else BASE.replace(*edit)) + "[data]\n" + data)
     rc = main(command + ["--config", str(cfg)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {error}") and err.count("\n") == 1
+    # extract checks [data] keys against the polygon's edges once it has meshed.
+    assert meshed == [] or error.startswith("[data]")
 
 
-@pytest.mark.parametrize("command,old,new,key", [
-    (["extract", "--family", "stokes"], "mu = 1.0", "mu = abc", "[material] mu"),
-    (["solve", "--eps", "1e-3"], "levels = 4", "levels = 2.5", "[mesh] levels"),
-    (["extract", "--family", "penalized"], "size = 1.0", "size = big", "[domain] size"),
+@pytest.mark.parametrize("command,old,new,key,data", [
+    (["extract", "--family", "stokes"], "mu = 1.0", "mu = abc", "[material] mu", "f_x = 1"),
+    (["solve", "--eps", "1e-3"], "levels = 4", "levels = 2.5", "[mesh] levels", "f_x = 1"),
+    (["extract", "--family", "penalized"], "size = 1.0", "size = big", "[domain] size",
+     "f_x = 1"),
     (["sweep"], "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 x 1e-3 1e-4",
-     "[material] eps_grid"),
-], ids=["mu-abc", "levels-2.5", "size-big", "eps-grid-x"])
-def test_cli_bad_number_is_a_config_error(tmp_path, capsys, command, old, new, key):
+     "[material] eps_grid", "f_x = 1"),
+    (["manufactured"], "h = 0.25", "h_levels =", "[mesh] h_levels", "case = smooth"),
+], ids=["mu-abc", "levels-2.5", "size-big", "eps-grid-x", "h-levels-empty"])
+def test_cli_bad_number_is_a_config_error(tmp_path, capsys, command, old, new, key, data):
     cfg = tmp_path / "number.ini"
-    cfg.write_text(BASE.replace(old, new) + "[data]\nf_x = 1\n")
+    cfg.write_text(BASE.replace(old, new) + f"[data]\n{data}\n")
     rc = main(command + ["--config", str(cfg)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -505,8 +537,8 @@ def test_cli_solve_is_the_operator_solve(tmp_path, capsys, eps):
     polygon, mesh = build_domain(config)
     f, g, zeta = build_data(config, polygon)
     space = P2Space(mesh)
-    field = MixedOperator(space, MaterialParams(1.0, eps)).solve(
-        load_vector(space, f, zeta), dirichlet_values(space, g.traces))
+    field = space.solve(MaterialParams(1.0, eps), load_vector(space, f, zeta),
+                        dirichlet_values(space, g.traces))
 
     rows = _read_csv(out)[1:]
     assert len(rows) == space.n_scalar
