@@ -196,9 +196,8 @@ def gamma_stokes(index: int, frame: CornerFrame, modes=None,
         parts={"integral": gamma}, order=order, quad_error=err)
 
 
-def check_ij_identity(index: int, material: MaterialParams, frame: CornerFrame,
-                      n_grid: int = 720) -> dict:
-    """Compare raw I+J against eps * closed-form kappa on a theta grid.
+def check_ij_identity(index: int, material: MaterialParams, frame: CornerFrame) -> dict:
+    """Compare raw I+J against eps * closed-form kappa on a 720-point theta grid.
 
     Returns the max absolute deviation, the scale of the raw terms it should
     be judged against, and sup |kappa| (the uniform-boundedness quantity).
@@ -206,7 +205,7 @@ def check_ij_identity(index: int, material: MaterialParams, frame: CornerFrame,
     if not (0.0 < material.eps <= 0.1):
         raise ValueError("identity check expects eps in (0, 0.1]")
     primal, dual = _pair("lame", frame, material, index)
-    that = np.linspace(-0.5 * frame.omega, 0.5 * frame.omega, n_grid)
+    that = np.linspace(-0.5 * frame.omega, 0.5 * frame.omega, 720)
     I, J = raw_ij(primal, dual, that)
     kap = kappa_closed(index, material.mu, material.C, primal.a, frame.omega, that)
     deviation = np.abs((I + J) - material.eps * kap)
@@ -220,20 +219,19 @@ def check_ij_identity(index: int, material: MaterialParams, frame: CornerFrame,
     }
 
 
-def gamma_limit_study(index: int, mu: float, eps_grid, frame: CornerFrame,
-                      order: int = DEFAULT_ORDER) -> list[dict]:
+def gamma_limit_study(index: int, mu: float, eps_grid, frame: CornerFrame) -> list[dict]:
     """Table of gamma_i^eps against its incompressible limit mu * gamma_i^s."""
     eps_grid = [float(e) for e in eps_grid]
     if len(eps_grid) < 4:
         raise ValueError("gamma_limit_study needs at least 4 grid points")
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps grid must be strictly decreasing")
-    gs = gamma_stokes(index, frame, order=order).gamma
+    gs = gamma_stokes(index, frame).gamma
     rows = []
     prev = None
     for eps in eps_grid:
         mat = MaterialParams(mu, eps)
-        g = gamma_lame(index, mat, frame, order=order).gamma
+        g = gamma_lame(index, mat, frame).gamma
         diff = abs(g - mu * gs)
         slope = None
         if prev is not None:

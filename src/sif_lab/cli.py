@@ -18,8 +18,8 @@ from . import SifLabError
 from .angular import check_ij_identity, gamma_lame, gamma_stokes
 from .extraction import ProblemData, extract_sifs_penalized, extract_sifs_stokes
 from .fem import P2Space, dirichlet_values, load_vector, norms
-from .harness import (ConfigError, _check_keys, build_data, build_domain, config_number,
-                      emit, load_config, run_eps_sweep, run_manufactured)
+from .harness import (ConfigError, build_data, build_domain, config_number, emit,
+                      load_config, run_eps_sweep, run_manufactured)
 from .modes import CornerFrame, make_mode
 from .spectral import MaterialParams, exponent_table
 
@@ -93,8 +93,7 @@ def cmd_identity_check(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    _check_keys(cfg, "material", ["mu"])    # eps is --eps
-    polygon, mesh = build_domain(cfg)
+    polygon, mesh = build_domain(cfg, ["mu"])    # eps is --eps
     mu = config_number(cfg, "material", "mu")
     material = MaterialParams(mu, args.eps)
     f, g, zeta = build_data(cfg, polygon)
@@ -119,8 +118,7 @@ def cmd_solve(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
-    _check_keys(cfg, "material", ["mu"])    # eps is --eps
-    polygon, mesh = build_domain(cfg)
+    polygon, mesh = build_domain(cfg, ["mu"])    # eps is --eps
     mu = config_number(cfg, "material", "mu")
     f, g, zeta = build_data(cfg, polygon)
     # The Stokes family sets eps = 0 itself.

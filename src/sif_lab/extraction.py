@@ -591,15 +591,15 @@ def extract_sifs_stokes(data: ProblemData) -> SifReport:
 # regular part
 # ---------------------------------------------------------------------------
 
-def regular_part(u: MixedField, report: SifReport) -> tuple[MixedField, np.ndarray]:
+def regular_part(u: MixedField, report: SifReport) -> MixedField:
     """Subtract the singular content that report found from a solved field.
 
     The coefficients c1 (and c2) of the report multiply its primal modes.
-    Returns (w, sigma): w is a velocity field whose pressure slot holds sigma,
-    the regular pressure-like scalar, and sigma is also returned directly as
-    the P1 nodal array.  For the penalized family sigma adds the closed-form
-    scaled divergence of each primal mode (the eps cancels analytically); for
-    Stokes it subtracts the singular pressures.  At the corner node itself the
+    Returns the regular part w: a velocity field whose pressure slot w.p
+    holds sigma, the regular pressure-like scalar, as a P1 nodal array.  For
+    the penalized family sigma adds the closed-form scaled divergence of each
+    primal mode (the eps cancels analytically); for Stokes it subtracts the
+    singular pressures.  At the corner node itself the
     modes' pressure-like parts are unbounded, so the evaluation radius is
     floored at half the closest node distance.
     """
@@ -630,5 +630,4 @@ def regular_part(u: MixedField, report: SifReport) -> tuple[MixedField, np.ndarr
     sigma = u.p.copy()
     for c, mode in pairs:
         sigma += c * _BY_MODES[mode.family].sigma(mode, rc, theta)
-    w = MixedField(space=space, material=u.material, ux=ux, uy=uy, p=sigma)
-    return w, sigma
+    return MixedField(space=space, material=u.material, ux=ux, uy=uy, p=sigma)

@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import SifLabError
-from .expr import parse as parse_expr
+from . import SifLabError, expr
 from .extraction import (ProblemData, extract_sifs_penalized,
                          extract_sifs_stokes, regular_part)
 from .fem import P2Space, diff_norms, dirichlet_values, load_vector
@@ -140,7 +139,7 @@ def load_config(source: str) -> RunConfig:
         if key in ("case",):
             continue
         try:
-            parse_expr(val)
+            expr.parse(val)
         except Exception as exc:
             raise ConfigError(f"[data] {key} = {val!r}: {exc}") from exc
     if "mu" not in cfg.material:
@@ -159,18 +158,27 @@ def _domain(cfg: RunConfig):
     return polygon, lambda h: generate_lshape_mesh(polygon, h, levels=levels)
 
 
-def build_domain(cfg: RunConfig) -> tuple[CornerPolygon, TriMesh]:
-    """The [domain] polygon and its mesh at the one [mesh] h."""
+def build_domain(cfg: RunConfig,
+                 material_keys: list | None = None) -> tuple[CornerPolygon, TriMesh]:
+    """The [domain] polygon and its mesh at the one [mesh] h.
+
+    A [mesh] key other than h and levels is a ConfigError.  Given the
+    [material] keys that the run reads, a [material] or [data] key that it
+    does not read is one too.  All of these are found before meshing.
+    """
     _check_keys(cfg, "mesh", ["h", "levels"])
     polygon, mesher = _domain(cfg)
+    if material_keys is not None:
+        _check_keys(cfg, "material", material_keys)
+        _check_keys(cfg, "data", _data_keys(polygon))
     return polygon, mesher(config_number(cfg, "mesh", "h", "0.1"))
 
 
 def _vector_callable(ex_x, ex_y, frame):
     def func(x, y):
         shape = np.shape(np.asarray(x, dtype=float))
-        vx = np.broadcast_to(np.asarray(ex_x.evaluate(x, y, frame), dtype=float), shape)
-        vy = np.broadcast_to(np.asarray(ex_y.evaluate(x, y, frame), dtype=float), shape)
+        vx = np.broadcast_to(np.asarray(expr.evaluate(ex_x, x, y, frame), dtype=float), shape)
+        vy = np.broadcast_to(np.asarray(expr.evaluate(ex_y, x, y, frame), dtype=float), shape)
         return np.stack([vx, vy], axis=-1)
     return func
 
@@ -178,7 +186,7 @@ def _vector_callable(ex_x, ex_y, frame):
 def _scalar_callable(ex, frame):
     def func(x, y):
         shape = np.shape(np.asarray(x, dtype=float))
-        return np.broadcast_to(np.asarray(ex.evaluate(x, y, frame), dtype=float), shape)
+        return np.broadcast_to(np.asarray(expr.evaluate(ex, x, y, frame), dtype=float), shape)
     return func
 
 
@@ -193,33 +201,37 @@ def _check_keys(cfg: RunConfig, section: str, allowed: list) -> None:
                               + ", ".join(allowed))
 
 
+def _data_keys(polygon: CornerPolygon) -> list:
+    return (["f_x", "f_y", "g_x", "g_y", "zeta"]
+            + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
+
+
 def build_data(cfg: RunConfig, polygon: CornerPolygon):
     """(f, BoundaryData, zeta) from the [data] expressions; zeta is not in g.
 
     Boundary traces: per-edge keys g<j>_x/g<j>_y override the global g_x/g_y;
     edges with neither get zero data.  Any other key is a ConfigError.
     """
-    _check_keys(cfg, "data", ["f_x", "f_y", "g_x", "g_y", "zeta"]
-                + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
+    _check_keys(cfg, "data", _data_keys(polygon))
     frame = polygon.frame
     d = cfg.data
     f = None
     if "f_x" in d or "f_y" in d:
-        f = _vector_callable(parse_expr(d.get("f_x", "0")),
-                             parse_expr(d.get("f_y", "0")), frame)
-    zero = _vector_callable(parse_expr("0"), parse_expr("0"), frame)
+        f = _vector_callable(expr.parse(d.get("f_x", "0")),
+                             expr.parse(d.get("f_y", "0")), frame)
+    zero = _vector_callable(expr.parse("0"), expr.parse("0"), frame)
     traces = {}
     for edge in polygon.edges:
         kx, ky = f"g{edge.tag}_x", f"g{edge.tag}_y"
         if kx in d or ky in d:
-            traces[edge.tag] = _vector_callable(parse_expr(d.get(kx, "0")),
-                                                parse_expr(d.get(ky, "0")), frame)
+            traces[edge.tag] = _vector_callable(expr.parse(d.get(kx, "0")),
+                                                expr.parse(d.get(ky, "0")), frame)
         elif "g_x" in d or "g_y" in d:
-            traces[edge.tag] = _vector_callable(parse_expr(d.get("g_x", "0")),
-                                                parse_expr(d.get("g_y", "0")), frame)
+            traces[edge.tag] = _vector_callable(expr.parse(d.get("g_x", "0")),
+                                                expr.parse(d.get("g_y", "0")), frame)
         else:
             traces[edge.tag] = zero
-    zeta = _scalar_callable(parse_expr(d["zeta"]), frame) if "zeta" in d else None
+    zeta = _scalar_callable(expr.parse(d["zeta"]), frame) if "zeta" in d else None
     return f, BoundaryData(traces=traces), zeta
 
 
@@ -348,8 +360,7 @@ def _extract_with_regular_part(polygon: CornerPolygon, space: P2Space,
     rep = (extract_sifs_stokes if material.eps == 0.0 else extract_sifs_penalized)(data)
     u = space.solve(material, load_vector(space, f, zeta),
                     dirichlet_values(space, g.traces))
-    w, _ = regular_part(u, rep)
-    return rep, w
+    return rep, regular_part(u, rep)
 
 
 def run_eps_sweep(cfg: RunConfig) -> dict:
@@ -361,7 +372,6 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     meshes the discretization floor limits how far the differences can fall;
     the grid should stop around eps = 1e-5.
     """
-    _check_keys(cfg, "material", ["mu", "eps_grid"])
     mu = config_number(cfg, "material", "mu")
     eps_grid = config_number(cfg, "material", "eps_grid", many=True)
     if len(eps_grid) < 4:
@@ -371,7 +381,7 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     if min(eps_grid) <= 0.0:
         raise ConfigError("eps_grid values must be positive")
 
-    polygon, mesh = build_domain(cfg)
+    polygon, mesh = build_domain(cfg, ["mu", "eps_grid"])
     f, g, zeta = build_data(cfg, polygon)
     space = P2Space(mesh)
 

@@ -146,7 +146,7 @@ def test_regular_part_removes_singular_content():
     data, c_true = manufactured_data(mesh, "penalized", MAT)
     rep = extract_sifs_penalized(data)
     u = mixed_solve(mesh, MAT, data.g.traces, data.f)[-1]
-    w, sigma = regular_part(u, rep)
+    w = regular_part(u, rep)
 
     def w_poly(x, y):
         x = np.asarray(x, float)
@@ -170,9 +170,9 @@ def test_regular_part_identity_for_zero_data(coarse_mesh):
     rep = extract_sifs_penalized(data)
     assert rep.c1 == 0.0 and rep.c2 == 0.0
     u = mixed_solve(coarse_mesh, MAT, data.g.traces)[-1]
-    w, sigma = regular_part(u, rep)
+    w = regular_part(u, rep)
     assert np.array_equal(w.ux, u.ux) and np.array_equal(w.uy, u.uy)
-    assert np.array_equal(sigma, u.p)
+    assert np.array_equal(w.p, u.p)
 
 
 def test_regular_part_mesh_mismatch(coarse_mesh):
