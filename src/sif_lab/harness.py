@@ -158,19 +158,18 @@ def _domain(cfg: RunConfig):
     return polygon, lambda h: generate_lshape_mesh(polygon, h, levels=levels)
 
 
-def build_domain(cfg: RunConfig,
-                 material_keys: list | None = None) -> tuple[CornerPolygon, TriMesh]:
+def build_domain(cfg: RunConfig, material_keys: list) -> tuple[CornerPolygon, TriMesh]:
     """The [domain] polygon and its mesh at the one [mesh] h.
 
-    A [mesh] key other than h and levels is a ConfigError.  Given the
-    [material] keys that the run reads, a [material] or [data] key that it
-    does not read is one too.  All of these are found before meshing.
+    A [mesh] key other than h and levels, a [material] key not in
+    `material_keys` or a [data] key that `build_data` would not read is a
+    ConfigError, found before meshing.
     """
     _check_keys(cfg, "mesh", ["h", "levels"])
     polygon, mesher = _domain(cfg)
-    if material_keys is not None:
-        _check_keys(cfg, "material", material_keys)
-        _check_keys(cfg, "data", _data_keys(polygon))
+    _check_keys(cfg, "material", material_keys)
+    _check_keys(cfg, "data", ["f_x", "f_y", "g_x", "g_y", "zeta"]
+                + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
     return polygon, mesher(config_number(cfg, "mesh", "h", "0.1"))
 
 
@@ -201,18 +200,12 @@ def _check_keys(cfg: RunConfig, section: str, allowed: list) -> None:
                               + ", ".join(allowed))
 
 
-def _data_keys(polygon: CornerPolygon) -> list:
-    return (["f_x", "f_y", "g_x", "g_y", "zeta"]
-            + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
-
-
 def build_data(cfg: RunConfig, polygon: CornerPolygon):
     """(f, BoundaryData, zeta) from the [data] expressions; zeta is not in g.
 
     Boundary traces: per-edge keys g<j>_x/g<j>_y override the global g_x/g_y;
-    edges with neither get zero data.  Any other key is a ConfigError.
+    edges with neither get zero data.  `build_domain` has checked the keys.
     """
-    _check_keys(cfg, "data", _data_keys(polygon))
     frame = polygon.frame
     d = cfg.data
     f = None

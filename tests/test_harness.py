@@ -86,7 +86,7 @@ def test_load_config_parser_errors_are_config_errors(tmp_path, capsys, text):
 
 def test_build_data_per_edge_overrides():
     cfg = load_config(BASE + "[data]\ng_x = x\ng3_x = 2*x\n")
-    polygon, _ = build_domain(cfg)
+    polygon, _ = build_domain(cfg, ["mu"])
     f, g, zeta = build_data(cfg, polygon)
     assert f is None and zeta is None
     pt = (0.5, 1.0)
@@ -102,14 +102,13 @@ def test_build_data_per_edge_overrides():
 def test_build_data_rejects_unknown_keys(line):
     """A key that build_data would not read is an error, not zero data."""
     cfg = load_config(BASE + "[data]\nf_x = 1\n" + line + "\n")
-    polygon, _ = build_domain(cfg)
     with pytest.raises(ConfigError, match=rf"^\[data\] {line.split()[0]}: unknown key"):
-        build_data(cfg, polygon)
+        build_domain(cfg, ["mu"])
 
 
 def test_build_data_defaults_to_zero_traces():
     cfg = load_config(BASE + "[data]\nf_x = 1\n")
-    polygon, _ = build_domain(cfg)
+    polygon, _ = build_domain(cfg, ["mu"])
     _, g, _ = build_data(cfg, polygon)
     x = np.array([0.1, 0.5])
     for edge in polygon.edges:
@@ -343,7 +342,7 @@ def test_eps_sweep_rejects_incompatible_stokes_data(monkeypatch):
 def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
     cfg = load_config(SWEEP_CFG.replace(
         "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4"))
-    _, mesh = build_domain(cfg)
+    _, mesh = build_domain(cfg, ["mu", "eps_grid"])
     assert run_eps_sweep(cfg)["mesh_id"] == _mesh_id(mesh)
 
 
@@ -534,7 +533,7 @@ def test_cli_solve_is_the_operator_solve(tmp_path, capsys, eps):
     printed = capsys.readouterr().out.splitlines()
 
     config = load_config(str(cfg))
-    polygon, mesh = build_domain(config)
+    polygon, mesh = build_domain(config, ["mu"])
     f, g, zeta = build_data(config, polygon)
     space = P2Space(mesh)
     field = space.solve(MaterialParams(1.0, eps), load_vector(space, f, zeta),
