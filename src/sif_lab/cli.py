@@ -18,8 +18,8 @@ from . import SifLabError
 from .angular import check_ij_identity, gamma_lame, gamma_stokes
 from .extraction import ProblemData, extract_sifs_penalized, extract_sifs_stokes
 from .fem import P2Space, dirichlet_values, load_vector, norms
-from .harness import (ConfigError, build_data, build_domain, config_number, emit,
-                      load_config, run_eps_sweep, run_manufactured)
+from .harness import (ConfigError, build_problem, emit, load_config, run_eps_sweep,
+                      run_manufactured)
 from .modes import CornerFrame, make_mode
 from .spectral import MaterialParams, exponent_table
 
@@ -93,10 +93,8 @@ def cmd_identity_check(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    polygon, mesh = build_domain(cfg, ["mu"])    # eps is --eps
-    mu = config_number(cfg, "material", "mu")
+    _, mesh, mu, f, g, zeta = build_problem(cfg, ["mu"])    # eps is --eps
     material = MaterialParams(mu, args.eps)
-    f, g, zeta = build_data(cfg, polygon)
     space = P2Space(mesh)
     field = space.solve(material, load_vector(space, f, zeta),
                         dirichlet_values(space, g.traces))
@@ -112,15 +110,13 @@ def cmd_solve(args) -> int:
     rows = [{"x": coords[i, 0], "y": coords[i, 1], "ux": field.ux[i],
              "uy": field.uy[i], "p": field.p[i] if i < Np else ""}
             for i in range(space.n_scalar)]
-    emit(rows, format="csv", path=args.out or cfg.output.get("path"))
+    emit(rows, format="csv", path=args.out)
     return 0
 
 
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
-    polygon, mesh = build_domain(cfg, ["mu"])    # eps is --eps
-    mu = config_number(cfg, "material", "mu")
-    f, g, zeta = build_data(cfg, polygon)
+    polygon, mesh, mu, f, g, zeta = build_problem(cfg, ["mu"])    # eps is --eps
     # The Stokes family sets eps = 0 itself.
     data = ProblemData(polygon=polygon, mesh=mesh, material=MaterialParams(mu, args.eps),
                        g=g, f=f, zeta=zeta)
@@ -138,18 +134,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    report = run_eps_sweep(cfg)
-    emit(report, format=args.format or cfg.output.get("format", "csv"),
-         path=args.out or cfg.output.get("path"))
+    emit(run_eps_sweep(load_config(args.config)), format=args.format, path=args.out)
     return 0
 
 
 def cmd_manufactured(args) -> int:
-    cfg = load_config(args.config)
-    report = run_manufactured(cfg)
-    emit(report, format=args.format or cfg.output.get("format", "json"),
-         path=args.out or cfg.output.get("path"))
+    emit(run_manufactured(load_config(args.config)), format=args.format, path=args.out)
     return 0
 
 
@@ -157,7 +147,6 @@ def _add_common(p, config=False):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     if config:
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,10 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("sweep", help="eps sweep against the Stokes reference")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p, config=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("manufactured", help="manufactured recovery study")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     _add_common(p, config=True)
     p.set_defaults(func=cmd_manufactured)
     return ap

@@ -4,16 +4,20 @@ A recursive-descent parser over the variables x, y, r, theta, the constants
 pi, omega1, omega2, the binary operators + - * / ^ (with ^ right-associative)
 and a fixed set of real functions.  parse returns a closure over an
 environment of point values, and evaluate builds that environment and calls
-it.  Evaluation is numpy-vectorized; given a corner frame, the polar angle
-takes the frame's branch (modes.map_theta, cut in the middle of the excluded
-sector), so expressions are continuous across the domain interior and up to
-its corner rays.
+it.  A chain of + - (or of * /) becomes one closure that applies its
+operators left to right, so its length costs no recursion; nesting
+(parentheses, function arguments, unary minus, ^) deeper than 50 levels is
+a syntax error.  Evaluation is numpy-vectorized; given a corner frame, the
+polar angle takes the frame's branch (modes.map_theta, cut in the middle of
+the excluded sector), so expressions are continuous across the domain
+interior and up to its corner rays.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -86,14 +90,13 @@ _FUNCTIONS = {
     "abs": (np.abs, 1),
 }
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": _divide, "^": _power}
+           "/": _divide}
 # The variables, then the constants; omega1/omega2 need a corner frame.
 _NAMES = ("x", "y", "r", "theta", "pi", "omega1", "omega2")
-
-
-def _binary(op: str, lhs, rhs):
-    func = _BINARY[op]
-    return lambda env: func(lhs(env), rhs(env))
+# Parsing takes up to eight stack frames per nesting level (a function
+# argument) and evaluating up to two, so 50 levels stay far inside Python's
+# default recursion limit of 1000.
+_MAX_DEPTH = 50
 
 
 def _name(name: str):
@@ -108,6 +111,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _linecol(self, pos: int) -> tuple[int, int]:
         head = self.text[:pos]
@@ -133,6 +137,16 @@ class _Parser:
             return True
         return False
 
+    @contextmanager
+    def _nested(self):
+        """One level deeper, from the current position; past _MAX_DEPTH
+        levels it is a syntax error there."""
+        if self.depth == _MAX_DEPTH:
+            self._fail(f"at most {_MAX_DEPTH} levels of nesting")
+        self.depth += 1
+        yield
+        self.depth -= 1
+
     def parse(self):
         node = self._expr()
         if self._peek():
@@ -140,47 +154,55 @@ class _Parser:
         return node
 
     def _expr(self):
-        node = self._term()
-        while True:
-            c = self._peek()
-            if c and c in "+-":
-                self.pos += 1
-                node = _binary(c, node, self._term())
-            else:
-                return node
+        return self._chain(self._term, "+-")
 
     def _term(self):
-        node = self._unary()
-        while True:
-            c = self._peek()
-            if c and c in "*/":
-                self.pos += 1
-                node = _binary(c, node, self._unary())
-            else:
-                return node
+        return self._chain(self._unary, "*/")
+
+    def _chain(self, operand, ops: str):
+        """operand (op operand)*, left-associative, as one closure."""
+        first, rest = operand(), []
+        while (c := self._peek()) and c in ops:
+            self.pos += 1
+            rest.append((_BINARY[c], operand()))
+        if not rest:
+            return first
+
+        def value(env):
+            acc = first(env)
+            for func, arg in rest:
+                acc = func(acc, arg(env))
+            return acc
+        return value
 
     def _unary(self):
-        if self._accept("-"):
+        if self._peek() != "-":
+            return self._power()
+        with self._nested():
+            self.pos += 1
             arg = self._unary()
-            return lambda env: -arg(env)
-        return self._power()
+        return lambda env: -arg(env)
 
     def _power(self):
         base = self._atom()
-        if self._accept("^"):
-            # right-associative; exponent may carry its own unary minus
-            return _binary("^", base, self._unary())
-        return base
+        if self._peek() != "^":
+            return base
+        # right-associative; exponent may carry its own unary minus
+        with self._nested():
+            self.pos += 1
+            exponent = self._unary()
+        return lambda env: _power(base(env), exponent(env))
 
     def _atom(self):
         c = self._peek()
         if not c:
             self._fail("a value")
         if c == "(":
-            self.pos += 1
-            node = self._expr()
-            if not self._accept(")"):
-                self._fail("')'")
+            with self._nested():
+                self.pos += 1
+                node = self._expr()
+                if not self._accept(")"):
+                    self._fail("')'")
             return node
         if c.isdigit() or c == ".":
             return self._number()
@@ -219,12 +241,13 @@ class _Parser:
         if self._peek() == "(":
             if name not in _FUNCTIONS:
                 raise UnknownIdentifier(f"unknown function {name!r}")
-            self.pos += 1
-            args = [self._expr()]
-            while self._accept(","):
-                args.append(self._expr())
-            if not self._accept(")"):
-                self._fail("')' or ','")
+            with self._nested():
+                self.pos += 1
+                args = [self._expr()]
+                while self._accept(","):
+                    args.append(self._expr())
+                if not self._accept(")"):
+                    self._fail("')' or ','")
             func, arity = _FUNCTIONS[name]
             if len(args) != arity:
                 self._fail(f"{arity} argument(s) to {name}", pos=start)

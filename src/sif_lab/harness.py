@@ -1,8 +1,11 @@
 """Experiment driver: manufactured recovery studies, penalty sweeps, reporting.
 
-Configs are INI files with sections [domain], [mesh], [material], [data],
-[output] and no others; data fields are analytic expressions in x, y, r, theta.
-Reports are plain dicts (JSON) or row tables (CSV) with a versioned schema.
+Configs are INI files with sections [domain], [mesh], [material], [data]
+and no others; data fields are analytic expressions in x, y, r, theta.
+load_config only reads the file; each command checks the keys it reads, and
+build_problem reads everything solve, extract and sweep need before it
+meshes.  Reports are plain dicts (JSON) or row tables (CSV) with a versioned
+schema.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -23,9 +26,9 @@ from . import SifLabError, expr
 from .extraction import (ProblemData, extract_sifs_penalized,
                          extract_sifs_stokes, regular_part)
 from .fem import P2Space, diff_norms, dirichlet_values, load_vector
-from .geometry import BoundaryData, CornerPolygon, TriMesh, generate_lshape_mesh, lshape_polygon
+from .geometry import BoundaryData, CornerPolygon, generate_lshape_mesh, lshape_polygon
 from .modes import make_mode
-from .spectral import MaterialParams
+from .spectral import MaterialParams, exponent_table
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +39,7 @@ __all__ = [
     "SCHEMA",
     "SWEEP_COLUMNS",
     "load_config",
-    "build_domain",
-    "build_data",
+    "build_problem",
     "config_number",
     "manufactured_fields",
     "run_manufactured",
@@ -54,7 +56,7 @@ class ConfigError(SifLabError):
 # The keys some run reads, by section.  Each command reads a subset of
 # [mesh] and [material] and checks it; [data] keys depend on the command.
 _KEYS = {"domain": ["kind", "size"], "mesh": ["h", "h_levels", "levels"],
-         "material": ["mu", "eps", "eps_grid"], "output": ["path", "format"]}
+         "material": ["mu", "eps", "eps_grid"]}
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,13 @@ SWEEP_COLUMNS = [f.name for f in fields(SweepRecord)]
 
 @dataclass
 class RunConfig:
-    """Parsed and validated run configuration."""
+    """The sections of a run config, as text; each command checks the keys
+    it reads."""
 
     domain: dict
     mesh: dict
     material: dict
     data: dict
-    output: dict = field(default_factory=dict)
 
 
 def config_number(cfg: RunConfig, section: str, key: str, default: str | None = None,
@@ -108,7 +110,11 @@ def config_number(cfg: RunConfig, section: str, key: str, default: str | None = 
 
 
 def load_config(source: str) -> RunConfig:
-    """Read an INI config from a path, or from literal text if it has a newline."""
+    """Read an INI config from a path, or from literal text if it has a newline.
+
+    Checks the sections and that [material] defines mu; the keys and values
+    are checked by the command that reads them.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    comment_prefixes=("#",))
     try:
@@ -126,22 +132,8 @@ def load_config(source: str) -> RunConfig:
         if section not in cp:
             raise ConfigError(f"missing [{section}] section")
 
-    def sec(name):
-        return {k: v.strip().strip('"') for k, v in cp[name].items()} if name in cp else {}
-
-    cfg = RunConfig(domain=sec("domain"), mesh=sec("mesh"),
-                    material=sec("material"), data=sec("data"),
-                    output=sec("output"))
-    for section, allowed in _KEYS.items():
-        _check_keys(cfg, section, allowed)
-    # Validate every expression-valued key up front.
-    for key, val in cfg.data.items():
-        if key in ("case",):
-            continue
-        try:
-            expr.parse(val)
-        except Exception as exc:
-            raise ConfigError(f"[data] {key} = {val!r}: {exc}") from exc
+    cfg = RunConfig(*({k: v.strip().strip('"') for k, v in cp[name].items()}
+                      for name in ("domain", "mesh", "material", "data")))
     if "mu" not in cfg.material:
         raise ConfigError("[material] must define mu")
     return cfg
@@ -150,6 +142,7 @@ def load_config(source: str) -> RunConfig:
 def _domain(cfg: RunConfig):
     """The [domain] polygon, and its mesher h -> TriMesh with the [mesh] levels
     of corner refinement."""
+    _check_keys(cfg, "domain", _KEYS["domain"])
     kind = cfg.domain.get("kind", "lshape")
     if kind != "lshape":
         raise ConfigError(f"unsupported domain kind {kind!r}")
@@ -158,34 +151,56 @@ def _domain(cfg: RunConfig):
     return polygon, lambda h: generate_lshape_mesh(polygon, h, levels=levels)
 
 
-def build_domain(cfg: RunConfig, material_keys: list) -> tuple[CornerPolygon, TriMesh]:
-    """The [domain] polygon and its mesh at the one [mesh] h.
+def build_problem(cfg: RunConfig, material_keys: list):
+    """(polygon, mesh, mu, f, g, zeta): the [domain] polygon, its mesh at the
+    one [mesh] h, the [material] mu and the [data] fields.
 
-    A [mesh] key other than h and levels, a [material] key not in
-    `material_keys` or a [data] key that `build_data` would not read is a
+    f is None without f_x and f_y, and zeta None without zeta; g is a
+    BoundaryData whose per-edge keys g<j>_x/g<j>_y override the global
+    g_x/g_y, and whose edges with neither get zero data.  A [mesh] key other
+    than h and levels, a [material] key not in `material_keys`, any other
+    [data] key, a bad number or an expression that does not parse is a
     ConfigError, found before meshing.
     """
     _check_keys(cfg, "mesh", ["h", "levels"])
     polygon, mesher = _domain(cfg)
     _check_keys(cfg, "material", material_keys)
+    mu = config_number(cfg, "material", "mu")
+    h = config_number(cfg, "mesh", "h", "0.1")
     _check_keys(cfg, "data", ["f_x", "f_y", "g_x", "g_y", "zeta"]
                 + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
-    return polygon, mesher(config_number(cfg, "mesh", "h", "0.1"))
+    parsed = {}
+    for key, text in cfg.data.items():
+        try:
+            parsed[key] = expr.parse(text)
+        except SifLabError as exc:
+            raise ConfigError(f"[data] {key} = {text!r}: {exc}") from exc
+
+    zero = expr.parse("0")
+
+    def data(*keys):
+        return _field(polygon.frame, *(parsed.get(k, zero) for k in keys))
+
+    def given(*keys):
+        return any(k in parsed for k in keys)
+
+    f = data("f_x", "f_y") if given("f_x", "f_y") else None
+    traces = {}
+    for edge in polygon.edges:
+        keys = (f"g{edge.tag}_x", f"g{edge.tag}_y")
+        traces[edge.tag] = data(*(keys if given(*keys) else ("g_x", "g_y")))
+    zeta = data("zeta") if given("zeta") else None
+    return polygon, mesher(h), mu, f, BoundaryData(traces=traces), zeta
 
 
-def _vector_callable(ex_x, ex_y, frame):
+def _field(frame, *exprs):
+    """(x, y) -> the expressions' values, each broadcast to the shape of x;
+    two or more are stacked as the components of a vector."""
     def func(x, y):
         shape = np.shape(np.asarray(x, dtype=float))
-        vx = np.broadcast_to(np.asarray(expr.evaluate(ex_x, x, y, frame), dtype=float), shape)
-        vy = np.broadcast_to(np.asarray(expr.evaluate(ex_y, x, y, frame), dtype=float), shape)
-        return np.stack([vx, vy], axis=-1)
-    return func
-
-
-def _scalar_callable(ex, frame):
-    def func(x, y):
-        shape = np.shape(np.asarray(x, dtype=float))
-        return np.broadcast_to(np.asarray(expr.evaluate(ex, x, y, frame), dtype=float), shape)
+        values = [np.broadcast_to(np.asarray(expr.evaluate(ex, x, y, frame), dtype=float),
+                                  shape) for ex in exprs]
+        return values[0] if len(values) == 1 else np.stack(values, axis=-1)
     return func
 
 
@@ -198,34 +213,6 @@ def _check_keys(cfg: RunConfig, section: str, allowed: list) -> None:
             why = "not read by this command" if known else "unknown key"
             raise ConfigError(f"[{section}] {key}: {why}; expected one of "
                               + ", ".join(allowed))
-
-
-def build_data(cfg: RunConfig, polygon: CornerPolygon):
-    """(f, BoundaryData, zeta) from the [data] expressions; zeta is not in g.
-
-    Boundary traces: per-edge keys g<j>_x/g<j>_y override the global g_x/g_y;
-    edges with neither get zero data.  `build_domain` has checked the keys.
-    """
-    frame = polygon.frame
-    d = cfg.data
-    f = None
-    if "f_x" in d or "f_y" in d:
-        f = _vector_callable(expr.parse(d.get("f_x", "0")),
-                             expr.parse(d.get("f_y", "0")), frame)
-    zero = _vector_callable(expr.parse("0"), expr.parse("0"), frame)
-    traces = {}
-    for edge in polygon.edges:
-        kx, ky = f"g{edge.tag}_x", f"g{edge.tag}_y"
-        if kx in d or ky in d:
-            traces[edge.tag] = _vector_callable(expr.parse(d.get(kx, "0")),
-                                                expr.parse(d.get(ky, "0")), frame)
-        elif "g_x" in d or "g_y" in d:
-            traces[edge.tag] = _vector_callable(expr.parse(d.get("g_x", "0")),
-                                                expr.parse(d.get("g_y", "0")), frame)
-        else:
-            traces[edge.tag] = zero
-    zeta = _scalar_callable(expr.parse(d["zeta"]), frame) if "zeta" in d else None
-    return f, BoundaryData(traces=traces), zeta
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +229,8 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
       stokes    : u = w + 1.0 Phi1 + 0.4 Phi2,  p adds x^3 - y^3, zeta = 0
       smooth    : u = w (no singular content),  c_true = (0, 0)
 
+    The singular part keeps the modes that the corner has: below the
+    critical angle the Stokes case is u = w + 1.0 Phi1, c_true = (1.0,).
     Returns (f, traces, c_true, family).
     """
     frame = polygon.frame
@@ -252,12 +241,12 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
         y = np.asarray(y, dtype=float)
         return np.stack([2.0 * x * x * y, -2.0 * x * y * y], axis=-1)
 
-    if case == "penalized":
-        c_true = (0.7, -0.3)
-        phis = [make_mode("lame", "primal", i, frame, material) for i in (1, 2)]
-    elif case == "stokes":
-        c_true = (1.0, 0.4)
-        phis = [make_mode("stokes", "primal", i, frame, material) for i in (1, 2)]
+    singular = {"penalized": ("lame", (0.7, -0.3)), "stokes": ("stokes", (1.0, 0.4))}
+    if case in singular:
+        mode_family, c_true = singular[case]
+        c_true = c_true[:exponent_table(mode_family, frame.omega, material.C).mode_count]
+        phis = [make_mode(mode_family, "primal", i, frame, material)
+                for i in range(1, len(c_true) + 1)]
     elif case == "smooth":
         c_true = (0.0, 0.0)
         phis = []
@@ -365,7 +354,6 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     meshes the discretization floor limits how far the differences can fall;
     the grid should stop around eps = 1e-5.
     """
-    mu = config_number(cfg, "material", "mu")
     eps_grid = config_number(cfg, "material", "eps_grid", many=True)
     if len(eps_grid) < 4:
         raise ConfigError("eps_grid needs at least 4 points")
@@ -374,8 +362,7 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     if min(eps_grid) <= 0.0:
         raise ConfigError("eps_grid values must be positive")
 
-    polygon, mesh = build_domain(cfg, ["mu", "eps_grid"])
-    f, g, zeta = build_data(cfg, polygon)
+    polygon, mesh, mu, f, g, zeta = build_problem(cfg, ["mu", "eps_grid"])
     space = P2Space(mesh)
 
     sref, ws = _extract_with_regular_part(polygon, space, MaterialParams(mu, 0.0),

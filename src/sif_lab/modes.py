@@ -91,46 +91,41 @@ class SingularMode:
 
     # -- angular closed forms -------------------------------------------------
 
+    def _trig(self, x):
+        """(S(x), S'(x)): (sin, cos) for index 1, the odd branch, and
+        (cos, -sin) for index 2, the even one."""
+        if self.index == 1:
+            return np.sin(x), np.cos(x)
+        return np.cos(x), -np.sin(x)
+
     def _constants(self) -> tuple[float, float, float]:
         a, C, om = self.a, self.C, self.frame.omega
-        if self.index == 1:
-            K = C * math.cos(a * om) + a * math.cos(om)
-        else:
-            K = C * math.cos(a * om) - a * math.cos(om)
+        K = C * math.cos(a * om) + (-1) ** (self.index - 1) * a * math.cos(om)
         return C - a, C + a, K
 
     def angular(self, that):
         """Radial/tangential coefficients (A, B) at that = theta - omega_bar."""
         cm, cp, K = self._constants()
         a = self.a
-        s1, c1 = np.sin((1 - a) * that), np.cos((1 - a) * that)
-        s2, c2 = np.sin((1 + a) * that), np.cos((1 + a) * that)
-        if self.index == 1:
-            return -cm * s1 + K * s2, -cp * c1 + K * c2
-        return -cm * c1 + K * c2, cp * s1 - K * s2
+        S1, dS1 = self._trig((1 - a) * that)
+        S2, dS2 = self._trig((1 + a) * that)
+        return -cm * S1 + K * S2, -cp * dS1 + K * dS2
 
     def angular_derivative(self, that):
         """d/dtheta of the angular coefficients, in closed form."""
         cm, cp, K = self._constants()
         a = self.a
-        s1, c1 = np.sin((1 - a) * that), np.cos((1 - a) * that)
-        s2, c2 = np.sin((1 + a) * that), np.cos((1 + a) * that)
-        if self.index == 1:
-            dA = -cm * (1 - a) * c1 + K * (1 + a) * c2
-            dB = cp * (1 - a) * s1 - K * (1 + a) * s2
-        else:
-            dA = cm * (1 - a) * s1 - K * (1 + a) * s2
-            dB = cp * (1 - a) * c1 - K * (1 + a) * c2
-        return dA, dB
+        S1, dS1 = self._trig((1 - a) * that)
+        S2, dS2 = self._trig((1 + a) * that)
+        return (-cm * (1 - a) * dS1 + K * (1 + a) * dS2,
+                cp * (1 - a) * S1 - K * (1 + a) * S2)
 
     def pressure_coeff(self, that):
         """Angular coefficient of the Stokes pressure, xi(theta - omega_bar)."""
         if self.family != "stokes":
             raise FamilyMismatch("pressure is defined for Stokes modes only")
         a = self.a
-        if self.index == 1:
-            return 4.0 * a * np.sin((1 - a) * that)
-        return 4.0 * a * np.cos((1 - a) * that)
+        return 4.0 * a * self._trig((1 - a) * that)[0]
 
     # -- point evaluation -----------------------------------------------------
 
@@ -184,8 +179,7 @@ class SingularMode:
         r = np.asarray(r, dtype=float)
         that = np.asarray(theta, dtype=float) - self.frame.omega_bar
         a = self.a
-        trig = np.sin((1 - a) * that) if self.index == 1 else np.cos((1 - a) * that)
-        return -4.0 * self.mu * a * r ** (a - 1.0) * trig
+        return -4.0 * self.mu * a * r ** (a - 1.0) * self._trig((1 - a) * that)[0]
 
     def eval_xy(self, x, y):
         """Velocity at Cartesian points, with theta mapped into the corner frame."""

@@ -196,3 +196,38 @@ def test_domain_errors():
         evaluate(parse("x^0.5"), -1.0, 0.0)
     with pytest.raises(EvalDomainError):
         evaluate(parse("omega1"), 1.0, 1.0)  # needs a frame
+
+
+# -- long and deep expressions ----------------------------------------------
+
+def test_long_chains_evaluate_left_to_right():
+    """A 1,200-term sum or product is one loop, not 1,200 nested calls, and
+    keeps the left-to-right rounding of the written order."""
+    x = np.array([-0.7, 0.1, 0.3, 1.9])
+    total, product = x.copy(), x.copy()
+    for _ in range(1199):
+        total = total + x
+    for _ in range(1200):
+        product = product * 1.001
+    assert np.array_equal(evaluate(parse("+".join(["x"] * 1200)), x, x), total)
+    assert np.allclose(total, 1200 * x, rtol=1e-13)
+    assert np.array_equal(evaluate(parse("*".join(["x"] + ["1.001"] * 1200)), x, x),
+                          product)
+    assert evaluate(parse("-".join(["x"] * 1200)), 2.0, 0.0) == -2396.0
+
+
+@pytest.mark.parametrize("open_, close, col", [
+    ("(", ")", 51),
+    ("-", "", 51),
+    ("sin(", ")", 204),
+    ("1^", "", 102),
+], ids=["parentheses", "unary-minus", "function", "power"])
+def test_nesting_past_the_limit_is_a_positioned_syntax_error(open_, close, col):
+    """50 levels of nesting parse and evaluate; the 51st is refused at its
+    position, before the parser or the closure could exhaust the stack."""
+    assert np.isfinite(evaluate(parse(open_ * 50 + "x" + close * 50), 0.5, 0.5))
+    for depth in (51, 400):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(open_ * depth + "x" + close * depth)
+        assert (info.value.line, info.value.col) == (1, col)
+        assert info.value.expected == "at most 50 levels of nesting"

@@ -14,9 +14,11 @@ from sif_lab import SifLabError, harness
 from sif_lab.cli import main
 from sif_lab.extraction import IncompatibleFlux, _mesh_id
 from sif_lab.fem import P2Space, dirichlet_values, load_vector
+from sif_lab.geometry import build_polygon
+from sif_lab.modes import make_mode
 from sif_lab.spectral import MaterialParams
 from sif_lab.harness import (SCHEMA, SWEEP_COLUMNS, ConfigError, SweepRecord,
-                             build_data, build_domain, emit, load_config,
+                             build_problem, emit, load_config,
                              run_eps_sweep, run_manufactured)
 
 from test_fem import FACTORS_PER_SPACE, count_factorizations
@@ -60,8 +62,6 @@ def test_load_config_path_with_equals_sign(tmp_path):
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config("[domain]\nkind = lshape\n")  # missing sections
-    with pytest.raises(ConfigError):
-        load_config(BASE + "[data]\nf_x = 1 +\n")  # bad expression
     bad_mu = BASE.replace("mu = 1.0", "nu = 1.0")
     with pytest.raises(ConfigError):
         load_config(bad_mu + "[data]\nf_x = 1\n")
@@ -84,11 +84,22 @@ def test_load_config_parser_errors_are_config_errors(tmp_path, capsys, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,error", [
+    ("1 +", "line 1, col 4: expected a value"),
+    ("z", "unknown identifier 'z'"),
+    ("(" * 400 + "x" + ")" * 400, "line 1, col 51: expected at most 50 levels of nesting"),
+])
+def test_build_problem_reports_bad_expressions(text, error):
+    cfg = load_config(BASE + f"[data]\ng_x = 0\nf_x = {text}\n")
+    with pytest.raises(ConfigError) as info:
+        build_problem(cfg, ["mu"])
+    assert str(info.value) == f"[data] f_x = {text!r}: {error}"
+
+
 def test_build_data_per_edge_overrides():
     cfg = load_config(BASE + "[data]\ng_x = x\ng3_x = 2*x\n")
-    polygon, _ = build_domain(cfg, ["mu"])
-    f, g, zeta = build_data(cfg, polygon)
-    assert f is None and zeta is None
+    polygon, _, mu, f, g, zeta = build_problem(cfg, ["mu"])
+    assert mu == 1.0 and f is None and zeta is None
     pt = (0.5, 1.0)
     for edge in polygon.edges:
         val = g.traces[edge.tag](*pt)
@@ -103,13 +114,12 @@ def test_build_data_rejects_unknown_keys(line):
     """A key that build_data would not read is an error, not zero data."""
     cfg = load_config(BASE + "[data]\nf_x = 1\n" + line + "\n")
     with pytest.raises(ConfigError, match=rf"^\[data\] {line.split()[0]}: unknown key"):
-        build_domain(cfg, ["mu"])
+        build_problem(cfg, ["mu"])
 
 
 def test_build_data_defaults_to_zero_traces():
     cfg = load_config(BASE + "[data]\nf_x = 1\n")
-    polygon, _ = build_domain(cfg, ["mu"])
-    _, g, _ = build_data(cfg, polygon)
+    polygon, _, _, _, g, _ = build_problem(cfg, ["mu"])
     x = np.array([0.1, 0.5])
     for edge in polygon.edges:
         assert np.all(g.traces[edge.tag](x, x) == 0.0)
@@ -159,6 +169,24 @@ def test_manufactured_smooth_case_recovers_zero():
     assert abs(row["c2"]) < 5e-3
 
 
+def test_manufactured_stokes_case_below_the_critical_angle():
+    """At omega = 1.2 pi the Stokes corner has one mode: the case is
+    u = w + Phi1 with c_true = (1.0,)."""
+    omega = 1.2 * math.pi
+    polygon = build_polygon([(0.0, 0.0)] + [(math.cos(t), math.sin(t))
+                                             for t in np.linspace(0.0, omega, 5)])
+    assert polygon.omega == pytest.approx(omega, abs=1e-14)
+    material = MaterialParams(1.3, 0.0)
+    f, traces, c_true, family = harness.manufactured_fields("stokes", material, polygon)
+    assert c_true == (1.0,) and family == "stokes"
+    phi1 = make_mode("stokes", "primal", 1, polygon.frame, material)
+    edge = polygon.far_edges[0]
+    x, y = 0.5 * (edge.p0 + edge.p1)
+    w = np.array([2.0 * x * x * y, -2.0 * x * y * y])
+    assert np.array_equal(traces[edge.tag](np.array([x]), np.array([y]))[0],
+                          w + phi1.eval_xy(np.array([x]), np.array([y]))[0])
+
+
 def test_manufactured_unknown_case():
     cfg = load_config(BASE + "[data]\ncase = bogus\n")
     with pytest.raises(ConfigError):
@@ -185,6 +213,13 @@ def test_manufactured_unknown_case():
      "[domain] sise: unknown key"),
     (["extract", "--family", "stokes"], ("[material]", "[meshh]\nlevels = 3\n[material]"),
      "f_x = 1\n", "[meshh]: unknown section"),
+    (["sweep"], ("[material]", "[output]\nformat = json\n[material]"), "f_x = 1\n",
+     "[output]: unknown section"),
+    # A bad expression or number, found before meshing too.
+    (["extract", "--family", "penalized"], None, "f_x = 1 +\n",
+     "[data] f_x = '1 +': line 1, col 4: expected a value"),
+    (["extract", "--family", "stokes"], ("mu = 1.0", "mu = abc"), "f_x = 1\n",
+     "[material] mu = 'abc': expected one float"),
     # Keys that another command reads.
     (["extract", "--family", "penalized"], ("h = 0.25", "h_levels = 0.5"), "f_x = 1\n",
      "[mesh] h_levels: not read by this command"),
@@ -209,12 +244,13 @@ def test_manufactured_unknown_case():
      "[mesh] h: not read by this command"),
 ], ids=["extract-penalized", "extract-stokes", "manufactured", "mesh-levles",
         "mesh-grading-ratio", "material-muu", "domain-sise", "section-meshh",
-        "extract-h-levels", "extract-eps", "extract-eps-grid", "solve-h-levels",
+        "section-output", "expression-f-x", "mu-abc", "extract-h-levels", "extract-eps", "extract-eps-grid", "solve-h-levels",
         "solve-eps", "solve-eps-grid", "sweep-h-levels", "sweep-eps",
         "manufactured-eps-grid", "manufactured-h-and-h-levels"])
 def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, monkeypatch, command,
                                                 edit, data, error):
-    """A key or section that the command does not read is a config error."""
+    """A key or section that the command does not read, a bad expression and
+    a bad number are config errors."""
     meshed, mesher = [], harness.generate_lshape_mesh
     monkeypatch.setattr(harness, "generate_lshape_mesh",
                         lambda *a, **k: meshed.append(a) or mesher(*a, **k))
@@ -342,7 +378,7 @@ def test_eps_sweep_rejects_incompatible_stokes_data(monkeypatch):
 def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
     cfg = load_config(SWEEP_CFG.replace(
         "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4"))
-    _, mesh = build_domain(cfg, ["mu", "eps_grid"])
+    mesh = build_problem(cfg, ["mu", "eps_grid"])[1]
     assert run_eps_sweep(cfg)["mesh_id"] == _mesh_id(mesh)
 
 
@@ -426,6 +462,20 @@ def test_cli_manufactured(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["kind"] == "manufactured"
     assert abs(payload["rows"][0]["c1"]) < 1e-2
+
+
+@pytest.mark.parametrize("command", [
+    ["extract", "--family", "penalized", "--format", "csv"],
+    ["solve", "--eps", "1e-3", "--format", "json"],
+], ids=["extract", "solve"])
+def test_cli_format_is_a_usage_error_for_solve_and_extract(tmp_path, capsys, command):
+    """extract writes JSON and solve CSV: a --format they would ignore is refused."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE + "[data]\nf_x = 1\n")
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--config", str(cfg)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_cli_reports_config_errors(tmp_path):
@@ -532,9 +582,7 @@ def test_cli_solve_is_the_operator_solve(tmp_path, capsys, eps):
     assert main(["solve", "--config", str(cfg), "--eps", repr(eps), "--out", str(out)]) == 0
     printed = capsys.readouterr().out.splitlines()
 
-    config = load_config(str(cfg))
-    polygon, mesh = build_domain(config, ["mu"])
-    f, g, zeta = build_data(config, polygon)
+    _, mesh, _, f, g, zeta = build_problem(load_config(str(cfg)), ["mu"])
     space = P2Space(mesh)
     field = space.solve(MaterialParams(1.0, eps), load_vector(space, f, zeta),
                         dirichlet_values(space, g.traces))
