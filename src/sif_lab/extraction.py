@@ -46,15 +46,17 @@ material and the family; they are computed once and kept in a single-entry
 memo, reused while the next extraction has the same mesh and polygon
 objects, an equal material and the same family.  Each data set is sampled
 once and paired with the kept weights, so it evaluates no mode; it still
-runs the input checks.  The memo keeps the weights, no quadrature point and
-no corrector field, and the P2Space, which solves for every material: its
-scalar stiffness and mass factorizations (fem.P2Space.stiffness_lu, mass_lu)
-serve an extraction of another material on the same mesh.  The memo is dropped
-before a new entry is computed.  Meshes are treated as immutable (TriMesh is
-frozen): changing the arrays of a mesh in place after an extraction is not
-detected.  The report carries the primal modes (SifReport.modes), so
-regular_part(u, report) subtracts c1 and c2 times them without building the
-modes again.
+runs the input checks.  The memo keeps the weights, no corrector field, and
+two things that serve every material on its mesh: the volume rule
+(_volume_rule, read-only) and the P2Space, whose scalar stiffness and mass
+factorizations (fem.P2Space.stiffness_lu, mass_lu) serve an extraction of
+another material.  The memo is dropped before a new entry is computed, and
+as soon as an extraction on another mesh starts; on the same mesh the volume
+rule and the space pass on to the new entry.  Meshes are treated as
+immutable (TriMesh is frozen): changing the arrays of a mesh in place after
+an extraction is not detected.  The report carries the primal modes
+(SifReport.modes), so regular_part(u, report) subtracts c1 and c2 times them
+without building the modes again.
 """
 
 from __future__ import annotations
@@ -315,6 +317,7 @@ def _volume_rule(space: P2Space):
     x = np.concatenate([smooth, graded.reshape(-1, 2)])
     weights = np.concatenate([np.outer(space.areas[~corner], w).ravel(),
                               np.outer(space.areas[corner], wt).ravel()])
+    x.flags.writeable = weights.flags.writeable = False
     return x, weights
 
 
@@ -405,8 +408,8 @@ def solve_psi(duals: Sequence[SingularMode], space: P2Space, material: MaterialP
 
         traces = {e.tag: zero if e.on_corner_ray else far_trace for e in polygon.edges}
         values.append(dirichlet_values(space, traces))
-    return tuple(space.solve_all(material, np.zeros((len(duals), space.n_dofs)),
-                                 np.array(values)))
+    return tuple(space.solve_all([material], np.zeros((len(duals), space.n_dofs)),
+                                 np.array(values))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +422,8 @@ class _DualWeights:
 
     The primal modes and normalizers of every mode index, the dual weight of
     each (_weight) with its corrector's residual and flux defect, and the
-    cross coupling C* when the second mode exists.  The space is kept; the
-    corrector fields are not.
+    cross coupling C* when the second mode exists.  The space and its volume
+    rule (x, w) are kept; the corrector fields are not.
     """
 
     mesh: TriMesh
@@ -429,6 +432,7 @@ class _DualWeights:
     family: str
     mesh_id: str
     space: P2Space
+    volume: tuple
     primals: tuple
     gammas: tuple
     weights: tuple
@@ -478,8 +482,8 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
         tstar = {k.replace("boundary", "cross"): v for k, v in cross.items()}
     w = _DualWeights(
         mesh=data.mesh, polygon=data.polygon, material=material, family=family,
-        mesh_id=_mesh_id(data.mesh), space=space, primals=primals, gammas=gammas,
-        weights=weights, psi_residuals=tuple(p.residual for p in psi),
+        mesh_id=_mesh_id(data.mesh), space=space, volume=volume, primals=primals,
+        gammas=gammas, weights=weights, psi_residuals=tuple(p.residual for p in psi),
         psi_flux_defects=tuple(p.flux_defect for p in psi), Cstar=Cstar,
         cstar_terms=tstar)
     _last_weights = w
@@ -546,8 +550,14 @@ def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
     """The data sampled once and checked, the (reused) dual weights, then the
     functionals."""
+    global _last_weights
+    if _last_weights is not None and _last_weights.mesh is not data.mesh:
+        # Nothing in it serves this mesh: free it before this mesh's arrays
+        # are allocated, so the two never coexist.
+        _last_weights = None
     space = _space(data)
-    x, wq = _volume_rule(space)
+    w = _last_weights    # the volume rule depends on the mesh alone
+    x, wq = w.volume if w is not None else _volume_rule(space)
     # Every edge needs a trace: a missing one is a KeyError, not zero data.
     traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}
     sample = _sample(space, data.polygon, traces, data.f, data.zeta, x)

@@ -21,7 +21,12 @@ with the P1 mass M (P2Space.mass_lu), which is spectrally equivalent to it
 uniformly in h and eps (Elman, Silvester & Wathen, Finite Elements and Fast
 Iterative Solvers, 2014), so the iteration count stays flat in both.  Both
 factorizations are built on first use.  solve_all runs several right-hand
-sides as one batch.  The iteration is fixed, so a run is deterministic.
+sides, and several materials of one mu, as one batch.  Preconditioned by M,
+the Schur complements of every eps form the shifted family
+M^-1 B A^-1 B^T / mu + eps I, so one multi-shift PCG solves all of them,
+applying the operator of the smallest eps only (Jegerlehner, hep-lat/9612014,
+1996; Frommer, Computing 70, 2003); with one eps it is plain PCG.  The
+iteration is fixed, so a run is deterministic.
 
 Summing the pressure rows eliminates the free velocity (a field vanishing on
 the boundary has no net flux), so the pressure mean follows from the data
@@ -43,6 +48,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -296,19 +302,26 @@ class P2Space:
         Both vectors span all dofs; only the boundary velocity entries of
         boundary_values are read (dirichlet_values builds it).
         """
-        return self.solve_all(material, rhs[None], boundary_values[None])[0]
+        return self.solve_all([material], rhs[None], boundary_values[None])[0][0]
 
-    def solve_all(self, material: MaterialParams, rhs: np.ndarray,
-                  boundary_values: np.ndarray) -> list[MixedField]:
-        """solve() for each row of rhs and boundary_values (k, n_dofs), as one
-        batch: every triangular solve takes all k right-hand sides at once.
+    def solve_all(self, materials: Sequence[MaterialParams], rhs: np.ndarray,
+                  boundary_values: np.ndarray) -> list[list[MixedField]]:
+        """solve() for every material and each row of rhs and boundary_values
+        (k, n_dofs), as one batch: fields[i][j] solves row j for materials[i].
 
-        Raises SolverBreakdown when the PCG needs more than _PCG_MAX_ITER
-        iterations or a solution misses the residual gate: the relative
-        residual of the whole free system, velocity and pressure rows, against
-        its right-hand side.
+        The materials share mu, and their eps are the shifts of one multi-shift
+        PCG (_pcg); every triangular solve takes all right-hand sides at once.
+
+        Raises ValueError for materials of different mu, and SolverBreakdown
+        when the PCG needs more than _PCG_MAX_ITER iterations or a solution
+        misses the residual gate: the relative residual of the whole free
+        system, velocity and pressure rows, against its right-hand side.
         """
-        mu, eps = material.mu, material.eps
+        mu = materials[0].mu
+        if any(material.mu != mu for material in materials):
+            raise ValueError("solve_all needs materials of one mu; got mu = "
+                             + ", ".join(f"{material.mu:g}" for material in materials))
+        shifts = np.array([material.eps for material in materials])
         A, Bx, By, M = self.stokes_blocks
         S, free, m = self.n_scalar, self.interior, self._mass_one
         # Both velocity components of every boundary P2 node, over all dofs.
@@ -324,15 +337,27 @@ class P2Space:
         h = fp + bu
         scale = np.sqrt((gx ** 2).sum(axis=0) + (gy ** 2).sum(axis=0)
                         + (h ** 2).sum(axis=0))
-        p, iterations = self._pcg(material,
+        p, iterations = self._pcg(mu, shifts,
                                   -h - self._div(self._stiffness_solve(gx, gy)) / mu,
                                   _PCG_RTOL * scale)
+        # From here on, column i * k + j is row j for materials[i].
+        s, k = iterations.shape
+        p, iterations = np.hstack(p), iterations.ravel()
+        eps = np.repeat(shifts, k)
+
+        def per_material(a):
+            return np.concatenate([a] * s, axis=-1)
+
         Bfx, Bfy = self._free_div
-        ux[free], uy[free] = self._stiffness_solve(gx + Bfx.T @ p, gy + Bfy.T @ p) / mu
-        if eps > 0.0:
-            p = p - flux_defect / eps    # the mean; this pair solves the given rows
-            fp, flux_defect = f[2 * S:], np.zeros_like(flux_defect)
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
+        ux, uy, f, fp, flux_defect, scale = map(per_material,
+                                                (ux, uy, f, fp, flux_defect, scale))
+        ux[free], uy[free] = self._stiffness_solve(per_material(gx) + Bfx.T @ p,
+                                                   per_material(gy) + Bfy.T @ p) / mu
+        penalized = eps > 0.0
+        # The mean; these pairs solve the given rows.
+        p[:, penalized] -= flux_defect[penalized] / eps[penalized]
+        fp[:, penalized], flux_defect[penalized] = f[2 * S:, penalized], 0.0
+        if not all(np.all(np.isfinite(v)) for v in (ux, uy, p)):
             raise SingularSystem("solve produced non-finite values")
         r2 = (((mu * (A @ ux) - Bx.T @ p - f[:S])[free] ** 2).sum(axis=0)
               + ((mu * (A @ uy) - By.T @ p - f[S:2 * S])[free] ** 2).sum(axis=0)
@@ -341,11 +366,12 @@ class P2Space:
         if resid.max() > _RESIDUAL_GATE:
             raise SolverBreakdown(
                 f"relative residual {resid.max():.3e} exceeds {_RESIDUAL_GATE:g}")
-        return [MixedField(space=self, material=material, ux=ux[:, j].copy(),
-                           uy=uy[:, j].copy(), p=p[:, j].copy(),
-                           residual=float(resid[j]), flux_defect=float(flux_defect[j]),
-                           iterations=int(iterations[j]))
-                for j in range(len(rhs))]
+        fields = [MixedField(space=self, material=materials[c // k], ux=ux[:, c].copy(),
+                             uy=uy[:, c].copy(), p=p[:, c].copy(),
+                             residual=float(resid[c]), flux_defect=float(flux_defect[c]),
+                             iterations=int(iterations[c]))
+                  for c in range(k * s)]
+        return [fields[i * k:(i + 1) * k] for i in range(s)]
 
     def _stiffness_solve(self, vx, vy):
         """A^-1 on the interior of both velocity components, stacked on axis 0."""
@@ -357,17 +383,28 @@ class P2Space:
         Bfx, Bfy = self._free_div
         return Bfx @ w[0] + Bfy @ w[1]
 
-    def _schur(self, material, d):
+    def _schur(self, mu, eps, d):
         Bfx, Bfy = self._free_div
         w = self._stiffness_solve(Bfx.T @ d, Bfy.T @ d)
-        return self._div(w) / material.mu + material.eps * (self.stokes_blocks[3] @ d)
+        return self._div(w) / mu + eps * (self.stokes_blocks[3] @ d)
 
-    def _pcg(self, material, b, tol):
-        """Mass-preconditioned CG on the Schur complement, one column of b per
-        system, in the zero-mean subspace: b has zero sum, and every
+    def _pcg(self, mu, shifts, b, tol):
+        """Mass-preconditioned CG on the Schur complements S0/mu + eps M of
+        every shift eps in shifts, for each column of b, as one multi-shift
+        run (Jegerlehner, hep-lat/9612014, 1996; Frommer, Computing 70, 2003).
+
+        Preconditioned by M, the operators are the shifted family
+        M^-1 S0/mu + eps I, which shares one Krylov space.  So only the seed,
+        the smallest shift, applies its Schur complement; every other shift's
+        residual is the seed's times a scalar zeta, and its iterate follows the
+        zeta recurrences.  A column runs until each of its shifts has residual
+        norm at most its tol; a converged shift stops updating, the seed runs
+        to the end.  With one shift zeta stays exactly 1 and this is plain PCG.
+        All of it is in the zero-mean subspace: b has zero sum, and every
         preconditioned residual is projected to zero mean.
 
-        Returns the solutions and each column's iteration count.
+        Returns the solutions (s, n, k) and the iteration counts (s, k) of the
+        s shifts and the k columns of b.
         """
         m, lu_m = self._mass_one, self.mass_lu
 
@@ -375,29 +412,49 @@ class P2Space:
             z = lu_m.solve(r)
             return z - (m @ z) / m.sum()
 
+        seed = int(np.argmin(shifts))
+        delta = (shifts - shifts[seed])[:, None]
         b = b - np.outer(m, b.sum(axis=0)) / m.sum()
-        p, r = np.zeros_like(b), b
-        iterations = np.zeros(b.shape[1], dtype=int)
-        active = np.flatnonzero(np.linalg.norm(r, axis=0) > tol)
-        d = np.zeros_like(b)
-        d[:, active] = precondition(r[:, active])
-        rz = np.einsum("ik,ik->k", r, d)
+        x, r = np.zeros((len(shifts),) + b.shape), b
+        iterations = np.zeros((len(shifts), b.shape[1]), dtype=int)
+        # Per (shift, column): zeta now and one step back, and whether it runs.
+        zeta, zeta_old = np.ones(iterations.shape), np.ones(iterations.shape)
+        live = np.repeat((np.linalg.norm(r, axis=0) > tol)[None], len(shifts), axis=0)
+        # The seed's alpha and beta one step back, per column.
+        alpha_old, beta_old = np.ones(b.shape[1]), np.zeros(b.shape[1])
+        active = np.flatnonzero(live[seed])
+        d = np.zeros_like(x)
+        d[:, :, active] = precondition(r[:, active])
+        rz = np.einsum("ik,ik->k", r, d[seed])
         while len(active):
-            if iterations[active[0]] == _PCG_MAX_ITER:
+            if iterations[seed, active[0]] == _PCG_MAX_ITER:
                 raise SolverBreakdown(
                     f"Schur-complement PCG did not converge in {_PCG_MAX_ITER} iterations")
-            da = d[:, active]
-            sd = self._schur(material, da)
+            da = d[seed][:, active]
+            sd = self._schur(mu, shifts[seed], da)
             alpha = rz[active] / np.einsum("ik,ik->k", da, sd)
-            p[:, active] += alpha * da
+            # z0, z1, z2: zeta at steps n - 1, n and n + 1.
+            z0, z1, run = zeta_old[:, active], zeta[:, active], live[:, active]
+            ao, bo = alpha_old[active], beta_old[active]
+            z2 = np.where(run, z0 * z1 * ao / (alpha * bo * (z0 - z1)
+                                               + z0 * ao * (1.0 + delta * alpha)), z1)
+            x[:, :, active] += np.where(run, alpha * z2 / z1, 0.0)[:, None] * d[:, :, active]
             r[:, active] -= alpha * sd
-            iterations[active] += 1
-            active = active[np.linalg.norm(r[:, active], axis=0) > tol[active]]
+            iterations[:, active] += run
+            run &= np.abs(z2) * np.linalg.norm(r[:, active], axis=0) > tol[active]
+            run[seed] = run.any(axis=0)
+            live[:, active] = run
+            going = run[seed]
+            active, z1, z2, run = active[going], z1[:, going], z2[:, going], run[:, going]
             z = precondition(r[:, active])
             rz_new = np.einsum("ik,ik->k", r[:, active], z)
-            d[:, active] = z + (rz_new / rz[active]) * d[:, active]
+            beta = rz_new / rz[active]
+            step = z2[:, None] * z + (beta * (z2 / z1) ** 2)[:, None] * d[:, :, active]
+            d[:, :, active] = np.where(run[:, None], step, d[:, :, active])
+            zeta_old[:, active], zeta[:, active] = z1, z2
+            alpha_old[active], beta_old[active] = alpha[going], beta
             rz[active] = rz_new
-        return p, iterations
+        return x, iterations
 
 
 def _factor(matrix):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sif_lab.extraction
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
                                 IncompatibleFlux, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero, _ci_terms,
@@ -623,6 +624,32 @@ def test_dual_weights_reused_per_mesh_and_material(coarse_mesh, monkeypatch):
     assert len(calls) == FACTORS_PER_SPACE
     extract_sifs_penalized(replace(data, mesh=fresh_copy(mesh)))
     assert len(calls) == 2 * FACTORS_PER_SPACE
+
+
+def test_warm_extraction_reuses_the_volume_rule(coarse_mesh, monkeypatch):
+    """The memo keeps the volume rule, read-only: a warm extraction builds
+    none, and its report is bit-identical to the cold one.  The rule depends
+    on the mesh alone, so another material on the mesh builds none either."""
+    mesh = fresh_copy(coarse_mesh)
+    data, _ = manufactured_data(mesh, "penalized", MAT)
+    rules = []
+
+    def counting(space):
+        rules.append(_volume_rule(space))
+        return rules[-1]
+
+    monkeypatch.setattr(sif_lab.extraction, "_volume_rule", counting)
+    cold = extract_sifs_penalized(data)
+    assert len(rules) == 1
+    assert not any(a.flags.writeable for a in rules[0])
+    extract_sifs_penalized(replace(data, g=zero_g()))
+    warm = extract_sifs_penalized(data)
+    assert len(rules) == 1
+    assert report_hex(warm) == report_hex(cold)
+    extract_sifs_penalized(replace(data, material=MaterialParams(1.3, 1e-2)))
+    assert len(rules) == 1
+    extract_sifs_penalized(replace(data, mesh=fresh_copy(mesh)))
+    assert len(rules) == 2
 
 
 def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):

@@ -405,6 +405,64 @@ def test_space_shared_by_two_materials_holds_no_material_state(monkeypatch):
     assert len(calls) == 2 * FACTORS_PER_SPACE
 
 
+# The eps of an eps sweep: the Stokes reference and the default grid.
+SWEEP_EPS = (0.0, 1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def _two_rows(h):
+    """A space on the L-shape at h and two data rows (rhs, values): f = (1, xy)
+    with the net-flux data, and f = (y, -x) with zero data."""
+    poly = lshape_polygon(1.0)
+    space = P2Space(generate_lshape_mesh(poly, h, levels=6))
+    fs = (lambda x, y: np.stack([np.ones_like(x), x * y], axis=-1),
+          lambda x, y: np.stack([y, -x], axis=-1))
+    zero = lambda x, y: np.zeros(np.shape(x) + (2,))
+    rhs = np.array([load_vector(space, f) for f in fs])
+    values = np.array([dirichlet_values(space, {e.tag: g for e in poly.edges})
+                       for g in (_net_flux_g, zero)])
+    return space, rhs, values
+
+
+def test_shifted_solve_matches_separate_solves():
+    """One solve_all over the sweep's eps, as shifts of one PCG, against a
+    solve per (row, eps): the per-eps mean -flux_defect/eps included."""
+    space, rhs, values = _two_rows(0.1)
+    materials = [MaterialParams(1.0, eps) for eps in SWEEP_EPS]
+    shifted = space.solve_all(materials, rhs, values)
+    assert len(shifted) == len(materials)
+    for material, fields in zip(materials, shifted):
+        assert len(fields) == len(rhs)
+        for j, got in enumerate(fields):
+            want = space.solve(material, rhs[j], values[j])
+            assert got.material is material and got.residual <= 1e-10
+            for name in ("p", "ux", "uy"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (material, j, name)
+            assert got.flux_defect == pytest.approx(want.flux_defect, rel=1e-12, abs=0.0)
+            assert abs(got.iterations - want.iterations) <= 1
+    assert shifted[0][0].flux_defect != 0.0
+
+
+def test_shifted_solve_needs_one_mu():
+    space, rhs, values = _two_rows(0.25)
+    with pytest.raises(ValueError, match="one mu"):
+        space.solve_all([MaterialParams(1.0, 1e-2), MaterialParams(1.3, 1e-3)],
+                        rhs, values)
+
+
+def test_one_material_solve_is_unchanged_by_a_shifted_solve():
+    """A shifted solve leaves nothing on the space: a one-material solve_all
+    after it is bit-identical to the same solve before it."""
+    space, rhs, values = _two_rows(0.1)
+    material = MaterialParams(1.0, 1e-3)
+    before = space.solve_all([material], rhs, values)
+    space.solve_all([MaterialParams(1.0, eps) for eps in SWEEP_EPS], rhs, values)
+    after = space.solve_all([material], rhs, values)
+    for got, want in zip(after[0], before[0], strict=True):
+        for name in ("ux", "uy", "p", "residual", "flux_defect", "iterations"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def _net_flux_solve(h, eps):
     """mixed_solve on the L-shape with f = (1, 0) and the net-flux data."""
     poly = lshape_polygon(1.0)

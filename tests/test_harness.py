@@ -344,6 +344,23 @@ def test_eps_sweep_factors_once_per_material(monkeypatch):
     assert len(builds) == 1
 
 
+def test_eps_sweep_runs_one_shifted_data_solve(monkeypatch):
+    """Six PCG runs: the corrector pair of the Stokes reference and of each
+    of the four eps, and one data solve whose shifts are all five eps."""
+    runs, pcg = [], P2Space._pcg
+
+    def counting(space, mu, shifts, b, tol):
+        runs.append((len(shifts), b.shape[1]))
+        return pcg(space, mu, shifts, b, tol)
+
+    monkeypatch.setattr(P2Space, "_pcg", counting)
+    cfg_text = SWEEP_CFG.replace(
+        "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4")
+    run_eps_sweep(load_config(cfg_text))
+    assert len(runs) == 6
+    assert sorted(runs) == [(1, 2)] * 5 + [(5, 1)]
+
+
 def test_eps_sweep_with_zeta_approaches_a_nontrivial_limit():
     """Both sides of the sweep solve div u + eps p = zeta with the same zeta.
 
