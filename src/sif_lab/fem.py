@@ -15,7 +15,10 @@ solves it for any material:
 It never factors the symmetric indefinite mixed matrix.  The velocity block
 is diag(mu A, mu A), with A the material-free scalar P2 stiffness, so the
 space factors the interior block of A once (P2Space.stiffness_lu; it is SPD)
-and every material on that mesh reuses it.  The pressure solves the Schur
+and every material on that mesh reuses it.  The block's free dofs are
+numbered by reverse Cuthill-McKee (P2Space._free; Cuthill & McKee 1969;
+George & Liu 1981) before SuperLU orders them by minimum degree, which leaves
+about 25% less fill than the P2 numbering.  The pressure solves the Schur
 complement  B A^-1 B^T / mu + eps M  by conjugate gradients preconditioned
 with the P1 mass M (P2Space.mass_lu), which is spectrally equivalent to it
 uniformly in h and eps (Elman, Silvester & Wathen, Finite Elements and Fast
@@ -52,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import SifLabError
@@ -104,7 +108,9 @@ class MeshMismatch(SifLabError):
 
 # One factorization policy for the two SPD matrices factored (the interior
 # block of A and the mass M): a symmetric fill-reducing ordering, diagonal
-# pivots only.
+# pivots only.  MMD breaks ties by the input numbering, so the block of A
+# comes in reverse Cuthill-McKee order (P2Space._free); M keeps the vertex
+# numbering, where RCM cut its fill by 2-4% and did not speed its solve.
 _LU_POLICY = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
 _RESIDUAL_GATE = 1e-10
@@ -114,6 +120,9 @@ _RESIDUAL_GATE = 1e-10
 # on every mesh and eps tried).
 _PCG_RTOL = 1e-13
 _PCG_MAX_ITER = 200
+# MixedField.gradient maps basis gradients this many elements at a time: 1.5 MB
+# for the 16-point rule of the norms.
+_GRADIENT_BLOCK = 1024
 
 
 # Symmetric quadrature rules on the reference triangle (weights sum to 1;
@@ -243,9 +252,10 @@ class P2Space:
         """Physical images (m, q, 2) of reference points pts (q, 2) in every element."""
         return self.tri_origin[:, None] + np.swapaxes(self.J @ pts.T, 1, 2)
 
-    def basis_grad(self, pts):
-        """Physical P2 basis gradients (m, q, 6, 2) at reference points pts (q, 2)."""
-        G, invJ = p2_shape_grad(pts)[..., None], self.invJ[:, None, None]
+    def basis_grad(self, pts, elements=slice(None)):
+        """Physical P2 basis gradients (m, q, 6, 2) at reference points pts (q, 2)
+        of every element, or of the elements in a slice."""
+        G, invJ = p2_shape_grad(pts)[..., None], self.invJ[elements, None, None]
         return G[..., 0, :] * invJ[..., 0, :] + G[..., 1, :] * invJ[..., 1, :]
 
     @cached_property
@@ -273,11 +283,20 @@ class P2Space:
         return mask
 
     @cached_property
+    def _free(self) -> np.ndarray:
+        """The interior scalar dofs in reverse Cuthill-McKee order of A's
+        interior block: the numbering of every free velocity vector a solve
+        gathers, factors and scatters."""
+        free, A = np.flatnonzero(self.interior), self.stokes_blocks[0]
+        return free[reverse_cuthill_mckee(A[free][:, free], symmetric_mode=True)]
+
+    @cached_property
     def stiffness_lu(self):
-        """LU of the interior block of A, built on first use; it serves both
-        velocity components of every material on this space."""
+        """LU of the interior block of A in the _free numbering, built on first
+        use; it serves both velocity components of every material on this
+        space."""
         A = self.stokes_blocks[0]
-        return _factor(A[self.interior][:, self.interior])
+        return _factor(A[self._free][:, self._free])
 
     @cached_property
     def mass_lu(self):
@@ -286,9 +305,9 @@ class P2Space:
 
     @cached_property
     def _free_div(self):
-        """Bx and By restricted to the free velocity columns."""
+        """Bx and By restricted to the free velocity columns, in _free order."""
         _, Bx, By, _ = self.stokes_blocks
-        return Bx[:, self.interior].tocsr(), By[:, self.interior].tocsr()
+        return Bx[:, self._free].tocsr(), By[:, self._free].tocsr()
 
     @cached_property
     def _mass_one(self) -> np.ndarray:    # M applied to 1
@@ -323,9 +342,10 @@ class P2Space:
                              + ", ".join(f"{material.mu:g}" for material in materials))
         shifts = np.array([material.eps for material in materials])
         A, Bx, By, M = self.stokes_blocks
-        S, free, m = self.n_scalar, self.interior, self._mass_one
+        S, free, m = self.n_scalar, self._free, self._mass_one
         # Both velocity components of every boundary P2 node, over all dofs.
-        constrained = np.concatenate([~free, ~free, np.zeros(self.mesh.n_nodes, bool)])
+        fixed = ~self.interior
+        constrained = np.concatenate([fixed, fixed, np.zeros(self.mesh.n_nodes, bool)])
         x = np.where(constrained, boundary_values, 0.0).T    # (n_dofs, k)
         ux, uy, f = x[:S], x[S:2 * S], rhs.T
         bu = Bx @ ux + By @ uy    # the prescribed velocity's divergence rows
@@ -374,7 +394,11 @@ class P2Space:
         return [fields[i * k:(i + 1) * k] for i in range(s)]
 
     def _stiffness_solve(self, vx, vy):
-        """A^-1 on the interior of both velocity components, stacked on axis 0."""
+        """A^-1 on the interior of both velocity components, stacked on axis 0.
+
+        The columns of vx and vy are one SuperLU.solve, which rounds each
+        column differently depending on the batch it is in: a column's bits
+        are reproducible only for the same batch of columns."""
         k = vx.shape[1]
         w = self.stiffness_lu.solve(np.hstack([vx, vy]))
         return np.stack([w[:, :k], w[:, k:]])
@@ -502,10 +526,16 @@ class MixedField:
 
     def gradient(self, pts):
         """Velocity gradients (m, q, 2, 2), [k, l] = d(u_k)/d(x_l), at reference
-        points pts (q, 2) of every element."""
-        G, vd = self.space.basis_grad(pts), self.space.tri_dofs
-        return np.stack([np.einsum("mqie,mi->mqe", G, self.ux[vd]),
-                         np.einsum("mqie,mi->mqe", G, self.uy[vd])], axis=2)
+        points pts (q, 2) of every element.  The basis gradients are built
+        _GRADIENT_BLOCK elements at a time, never for the whole mesh at once."""
+        vd = self.space.tri_dofs
+        out = np.empty((len(vd), len(pts), 2, 2))
+        for start in range(0, len(vd), _GRADIENT_BLOCK):
+            block = slice(start, start + _GRADIENT_BLOCK)
+            G = self.space.basis_grad(pts, block)
+            out[block, :, 0] = np.einsum("mqie,mi->mqe", G, self.ux[vd[block]])
+            out[block, :, 1] = np.einsum("mqie,mi->mqe", G, self.uy[vd[block]])
+        return out
 
     def grad_at(self, m, ref_pts):
         """Velocity gradient tensors d(u_k)/d(x_l) inside element m."""
