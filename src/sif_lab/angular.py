@@ -133,15 +133,15 @@ def _doubling_error(what: str, order: int, gamma: float, refined: float) -> floa
 
 
 def gamma_lame(index: int, material: MaterialParams, frame: CornerFrame,
-               modes: tuple[SingularMode, SingularMode] | None = None,
-               order: int = DEFAULT_ORDER) -> AngularIntegrals:
+               modes: tuple[SingularMode, SingularMode] | None = None) -> AngularIntegrals:
     """Penalized normalizer gamma_i = mu*int 2*lam*T.Tdual + int kappa_i.
 
     The second term uses the closed-form integrand, never the raw difference
-    divided by eps.
+    divided by eps.  Gauss order DEFAULT_ORDER, checked against twice it.
     """
     if material.eps <= 0.0:
         raise ValueError("gamma_lame requires eps > 0")
+    order = DEFAULT_ORDER
     if modes is None:
         modes = _pair("lame", frame, material, index)
     primal, dual = modes
@@ -167,15 +167,16 @@ def gamma_lame(index: int, material: MaterialParams, frame: CornerFrame,
         order=order, quad_error=err)
 
 
-def gamma_stokes(index: int, frame: CornerFrame, modes=None,
-                 order: int = DEFAULT_ORDER) -> AngularIntegrals:
+def gamma_stokes(index: int, frame: CornerFrame, modes=None) -> AngularIntegrals:
     """Stokes normalizer gamma_i^s = int (2k T.Tdual - xi (Tdual.e_r) + (T.e_r) xidual).
 
     Built from the angular coefficient functions directly (the 1/mu velocity
     prefactors are not part of the normalizer), so the value depends on the
     opening angle only.  A mode the opening angle does not have raises
-    IndexOutOfRange from make_mode.
+    IndexOutOfRange from make_mode.  Gauss order DEFAULT_ORDER, checked against
+    twice it.
     """
+    order = DEFAULT_ORDER
     if modes is None:
         modes = _pair("stokes", frame, MaterialParams(1.0, 0.0), index)
     primal, dual = modes

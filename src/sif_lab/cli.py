@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 import numpy as np
@@ -30,11 +31,26 @@ log = logging.getLogger(__name__)
 _RUN_ERRORS = (SifLabError, ValueError)
 
 
+def _eps_grid(text: str) -> list[float]:
+    """--eps-grid lo,hi,n: n >= 1 values from lo to hi, geometrically spaced;
+    anything else is a usage error."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected lo,hi,n, got {text!r}")
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two numbers and a count lo,hi,n, got {text!r}") from None
+    if not all(0.0 < e < math.inf for e in (lo, hi)):
+        raise argparse.ArgumentTypeError(f"lo and hi must be positive and finite, got {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"n must be at least 1, got {n}")
+    return [float(e) for e in np.geomspace(lo, hi, n)]
+
+
 def _eps_values(args) -> list[float]:
-    if getattr(args, "eps_grid", None):
-        lo, hi, n = args.eps_grid.split(",")
-        return [float(e) for e in np.geomspace(float(lo), float(hi), int(n))]
-    return [args.eps]
+    return args.eps_grid or [args.eps]
 
 
 def cmd_eigen(args) -> int:
@@ -180,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--eps-grid", default=None, metavar="lo,hi,n")
+    p.add_argument("--eps-grid", type=_eps_grid, default=None, metavar="lo,hi,n")
     _add_common(p)
     p.set_defaults(func=cmd_gamma)
 
@@ -190,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--eps-grid", default=None, metavar="lo,hi,n")
+    p.add_argument("--eps-grid", type=_eps_grid, default=None, metavar="lo,hi,n")
     _add_common(p)
     p.set_defaults(func=cmd_identity_check)
 

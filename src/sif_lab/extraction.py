@@ -72,7 +72,7 @@ from . import SifLabError
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
 from .fem import (InconsistentEdgeData, MeshMismatch, MixedField, P2Space,
                   dirichlet_values, load_vector, tri_quadrature)
-from .geometry import BoundaryData, CornerPolygon, TriMesh
+from .geometry import BoundaryData, CornerPolygon, TriMesh, _affine, _images
 from .modes import SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, exponent_table
 
@@ -283,12 +283,9 @@ def _graded_reference_rule(depth: int):
         tris += [(mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
         b, c = mab, mca
     tris.append((a, b, c))
-    v = np.array(tris)                                   # (n, 3, 2)
-    e = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+    origin, J, det = _affine(np.array(tris))
     pts, w = tri_quadrature(8)
-    st = v[:, None, 0] + np.einsum("nde,qe->nqd", e, pts)
-    area = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-    st, wt = st.reshape(-1, 2), np.outer(area, w).ravel()
+    st, wt = _images(origin, J, pts).reshape(-1, 2), (np.abs(det)[:, None] * w).ravel()
     st.flags.writeable = wt.flags.writeable = False
     return st, wt
 
@@ -307,16 +304,14 @@ def _volume_rule(space: P2Space):
     rnode = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
     corner = np.isin(mesh.tris, np.flatnonzero(rnode < 1e-12)).any(axis=1)
 
-    pts, w = tri_quadrature(8)
-    smooth = space.quad_points(pts)[~corner].reshape(-1, 2)
+    _, xq, wq = space.rule(8)
     # Corner elements with their vertices ordered by distance to the corner.
     tris = mesh.tris[corner]
-    v = mesh.nodes[np.take_along_axis(tris, np.argsort(rnode[tris], axis=1), axis=1)]
+    origin, J, _ = _affine(
+        mesh.nodes[np.take_along_axis(tris, np.argsort(rnode[tris], axis=1), axis=1)])
     st, wt = _GRADED_TRI_RULE
-    graded = v[:, None, 0] + np.einsum("mkd,qk->mqd", v[:, 1:] - v[:, :1], st)
-    x = np.concatenate([smooth, graded.reshape(-1, 2)])
-    weights = np.concatenate([np.outer(space.areas[~corner], w).ravel(),
-                              np.outer(space.areas[corner], wt).ravel()])
+    x = np.concatenate([xq[~corner].reshape(-1, 2), _images(origin, J, st).reshape(-1, 2)])
+    weights = np.concatenate([wq[~corner].ravel(), (space.areas[corner, None] * wt).ravel()])
     x.flags.writeable = weights.flags.writeable = False
     return x, weights
 

@@ -38,11 +38,12 @@ the right-hand side and iterates in the zero-mean subspace, then adds the
 mean back (-flux_defect/eps) for eps > 0.  At eps = 0 the mean is free; the
 pressure keeps zero mean and the field reports the absorbed flux defect.
 
-A solved field is evaluated in one place: P2Space.basis_grad maps the
-reference basis gradients into every element, and MixedField.values and
-MixedField.gradient give velocity, pressure and velocity gradient at
-reference points of every element.  Assembly, the norms and the
-second-equation residual read them.
+A solved field is evaluated in one place: P2Space.rule gives a reference
+rule's points, their images in every element and their weights,
+P2Space.basis_grad maps the reference basis gradients into every element,
+and MixedField.values and MixedField.gradient give velocity, pressure and
+velocity gradient at reference points of every element.  Assembly, the load
+vector, the norms and the second-equation residual read them.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import SifLabError
-from .geometry import TriMesh, _edge_table, _find_edges
+from .geometry import TriMesh, _affine, _edge_table, _find_edges, _images
 from .spectral import MaterialParams
 
 log = logging.getLogger(__name__)
@@ -175,27 +176,16 @@ def p2_shape(pts):
         4 * L1 * L2, 4 * L2 * L3, 4 * L3 * L1], axis=-1)
 
 
+# The reference gradients of the barycentric coordinates L1, L2, L3.
+_GRAD_L = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
 def p2_shape_grad(pts):
-    """Reference gradients, shape (npts, 6, 2)."""
-    xi, eta = pts[:, 0], pts[:, 1]
-    L1 = 1.0 - xi - eta
-    z = np.zeros_like(xi)
-    dL = {
-        1: (-np.ones_like(xi), -np.ones_like(xi)),
-        2: (np.ones_like(xi), z),
-        3: (z, np.ones_like(xi)),
-    }
-    Ls = {1: L1, 2: xi, 3: eta}
-    grads = []
-    for i in (1, 2, 3):
-        gx, gy = dL[i]
-        grads.append(((4 * Ls[i] - 1) * gx, (4 * Ls[i] - 1) * gy))
-    for i, j in ((1, 2), (2, 3), (3, 1)):
-        gxi, gyi = dL[i]
-        gxj, gyj = dL[j]
-        grads.append((4 * (Ls[i] * gxj + Ls[j] * gxi),
-                      4 * (Ls[i] * gyj + Ls[j] * gyi)))
-    return np.stack([np.stack(g, axis=-1) for g in grads], axis=1)
+    """Reference gradients, shape (npts, 6, 2): (4 L_i - 1) grad L_i at the
+    vertices, 4 (L_i grad L_j + L_j grad L_i) at the midpoints."""
+    L, j = p1_shape(pts)[:, :, None], [1, 2, 0]
+    return np.concatenate([(4 * L - 1) * _GRAD_L,
+                           4 * (L * _GRAD_L[j] + L[:, j] * _GRAD_L)], axis=1)
 
 
 def p1_shape(pts):
@@ -218,18 +208,12 @@ class P2Space:
         self.n_scalar = N + len(edges)
         self.dof_coords = np.concatenate(
             [mesh.nodes, 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])])
-        # Geometry caches for assembly and evaluation.
-        p = mesh.nodes[mesh.tris]
-        # Forward affine maps (m, 2, 2): columns are the two edge vectors.
-        self.J = J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        self.detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        invJ = np.empty_like(J)
-        invJ[:, 0, 0] = J[:, 1, 1]
-        invJ[:, 0, 1] = -J[:, 0, 1]
-        invJ[:, 1, 0] = -J[:, 1, 0]
-        invJ[:, 1, 1] = J[:, 0, 0]
-        self.invJ = invJ / self.detJ[:, None, None]
-        self.tri_origin = p[:, 0]
+        # The element maps, kept for assembly and evaluation: origins, forward
+        # Jacobians (columns the two edge vectors), determinants and inverses
+        # (the adjugate over the determinant).
+        self.tri_origin, self.J, self.detJ = _affine(mesh.nodes[mesh.tris])
+        adjugate = np.swapaxes(self.J[:, ::-1, ::-1], 1, 2) * [[1.0, -1.0], [-1.0, 1.0]]
+        self.invJ = adjugate / self.detJ[:, None, None]
         self.areas = 0.5 * self.detJ
         # Scalar dofs on the boundary per edge tag (each boundary edge's two
         # vertices and its midpoint), tags in order of first appearance.
@@ -248,9 +232,12 @@ class P2Space:
         rel = np.asarray(pts, dtype=float) - self.tri_origin[m]
         return rel @ self.invJ[m].T
 
-    def quad_points(self, pts):
-        """Physical images (m, q, 2) of reference points pts (q, 2) in every element."""
-        return self.tri_origin[:, None] + np.swapaxes(self.J @ pts.T, 1, 2)
+    def rule(self, degree: int):
+        """The reference rule of degree (tri_quadrature) on every element: its
+        points pts (q, 2), their images (m, q, 2) and their weights (m, q),
+        which sum to each element's area."""
+        pts, w = tri_quadrature(degree)
+        return pts, _images(self.tri_origin, self.J, pts), self.areas[:, None] * w
 
     def basis_grad(self, pts, elements=slice(None)):
         """Physical P2 basis gradients (m, q, 6, 2) at reference points pts (q, 2)
@@ -263,9 +250,8 @@ class P2Space:
         """Material-free blocks (A, Bx, By, M) of the mixed matrix, built once:
         the scalar P2 stiffness A (S x S), the divergence blocks Bx, By
         (pressure test x velocity trial, N x S) and the P1 mass M (N x N)."""
-        pts, w = tri_quadrature(5)
+        pts, _, wdet = self.rule(5)
         L, G = p1_shape(pts), self.basis_grad(pts)           # (q, 3), (m, q, 6, 2)
-        wdet = w[None, :] * self.areas[:, None]
         vd, pd = self.tri_dofs, self.mesh.tris
         S, N = self.n_scalar, self.mesh.n_nodes
         Ae = np.einsum("mq,mqie,mqje->mij", wdet, G, G, optimize=True)
@@ -578,9 +564,7 @@ def load_vector(space: P2Space, f=None, zeta=None) -> np.ndarray:
     rhs = np.zeros(space.n_dofs)
     if f is None and zeta is None:
         return rhs
-    pts, w = tri_quadrature(5)
-    wdet = w[None, :] * space.areas[:, None]
-    xq = space.quad_points(pts)
+    pts, xq, wdet = space.rule(5)
     S = space.n_scalar
     if f is not None:
         Nsh = p2_shape(pts)
@@ -644,9 +628,8 @@ def error_norms(field: MixedField, velocity, velocity_grad=None, pressure=None) 
     pressure      : (x, y) -> (...), optional
     """
     space = field.space
-    pts, w = tri_quadrature(8)
-    x, y = np.moveaxis(space.quad_points(pts), -1, 0)
-    wa = space.areas[:, None] * w[None, :]
+    pts, xq, wa = space.rule(8)
+    x, y = np.moveaxis(xq, -1, 0)
     vh, ph = field.values(pts)
     vex = np.asarray(velocity(x, y), dtype=float)
     l2v2 = float(np.sum(wa * np.sum((vh - vex) ** 2, axis=-1)))
@@ -667,9 +650,8 @@ def error_norms(field: MixedField, velocity, velocity_grad=None, pressure=None) 
 def second_equation_residual(field: MixedField) -> float:
     """Norm of (div u_h + eps p_h) tested against P1, relative to ||p_h||."""
     space = field.space
-    pts, w = tri_quadrature(5)
+    pts, _, wa = space.rule(5)
     L = p1_shape(pts)
-    wa = space.areas[:, None] * w[None, :]
     g = field.gradient(pts)
     div = g[..., 0, 0] + g[..., 1, 1]
     _, ph = field.values(pts)

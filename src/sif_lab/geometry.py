@@ -133,17 +133,17 @@ def _interior_angle(prev_v, v, next_v) -> float:
     return ang
 
 
-def build_polygon(vertices, corner_index: int = 0) -> CornerPolygon:
-    """Build a CornerPolygon from CCW vertices with the corner at the origin.
+def build_polygon(vertices) -> CornerPolygon:
+    """Build a CornerPolygon from CCW vertices, the first of them the corner,
+    at the origin.
 
-    The vertex list is rotated so the corner comes first; omega1 is the
-    direction of the first edge out of the corner and omega2 = omega1 + the
-    interior angle there, so the last edge lies on the ray theta = omega2.
+    omega1 is the direction of the first edge out of the corner and
+    omega2 = omega1 + the interior angle there, so the last edge lies on the
+    ray theta = omega2.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise ValueError("need at least 3 planar vertices")
-    verts = np.roll(verts, -corner_index, axis=0)
     if np.linalg.norm(verts[0]) > _TOL:
         raise ValueError("the corner vertex must sit at the origin")
     J = len(verts)
@@ -189,7 +189,7 @@ def lshape_vertices(size: float = 1.0) -> np.ndarray:
 
 
 def lshape_polygon(size: float = 1.0) -> CornerPolygon:
-    return build_polygon(lshape_vertices(size), 0)
+    return build_polygon(lshape_vertices(size))
 
 
 # -- meshes -------------------------------------------------------------------
@@ -220,9 +220,7 @@ class TriMesh:
             for k in ("nodes", "tris", "bedges"))
 
     def areas(self) -> np.ndarray:
-        p = self.nodes[self.tris]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        return 0.5 * _affine(self.nodes[self.tris])[2]
 
     def validate(self) -> None:
         """Check orientation, conformity and boundary tagging; raise on failure."""
@@ -245,6 +243,20 @@ class TriMesh:
         if spurious:
             raise NonConforming(
                 f"{spurious} tagged edges are not mesh boundary edges")
+
+
+def _affine(v):
+    """The affine maps of triangles v (m, 3, 2) from the reference triangle
+    (0, 0), (1, 0), (0, 1): origins v[:, 0] (m, 2), Jacobians (m, 2, 2) whose
+    columns are the edge vectors v1 - v0 and v2 - v0, and their determinants
+    (m,), twice the signed areas."""
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+    return v[:, 0], J, J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+
+
+def _images(origin, J, pts):
+    """Images (m, q, 2) of reference points pts (q, 2) under the maps (origin, J)."""
+    return origin[:, None] + np.swapaxes(J @ pts.T, 1, 2)
 
 
 def _first_use(keys):

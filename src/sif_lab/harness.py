@@ -18,7 +18,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "RunConfig",
     "SweepRecord",
     "SCHEMA",
-    "SWEEP_COLUMNS",
     "load_config",
     "build_problem",
     "config_number",
@@ -77,9 +76,6 @@ class SweepRecord:
     w_diff_h1: float
     sigma_diff_l2: float
     wall_time: float
-
-
-SWEEP_COLUMNS = [f.name for f in fields(SweepRecord)]
 
 
 @dataclass
@@ -420,8 +416,8 @@ def _jsonable(obj):
 def emit(report, format: str = "json", path: str | None = None) -> str:
     """Serialize a report and write it to path (or stdout); returns the text.
 
-    CSV is available for row tables: a list of row dicts, whose first row's
-    keys are the header, or a report carrying "records" or "rows".
+    CSV is available for row tables: a nonempty list of row dicts, whose first
+    row's keys are the header, or a report carrying "records" or "rows".
     Everything serializes to JSON.
     """
     if format == "json":
@@ -432,10 +428,10 @@ def emit(report, format: str = "json", path: str | None = None) -> str:
         rows = report.get("records") if isinstance(report, dict) else report
         if rows is None and isinstance(report, dict):
             rows = report.get("rows")
-        if rows is None:
-            raise ValueError("CSV output needs a row table")
+        if not rows:
+            raise ValueError("CSV output needs a row table of at least one row")
         rows = [asdict(r) if isinstance(r, SweepRecord) else r for r in rows]
-        cols = list(rows[0]) if rows else SWEEP_COLUMNS
+        cols = list(rows[0])
         writer.writerow(cols)
         writer.writerows([r[c] for c in cols] for r in rows)
         text = buf.getvalue()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sif_lab.angular
 from sif_lab.angular import (QuadratureNotConverged, check_ij_identity,
                              gamma_lame, gamma_limit_study, gamma_stokes,
                              gauss_nodes, kappa_closed, raw_ij)
@@ -113,11 +114,12 @@ def test_gamma_limit_study_slopes():
         gamma_limit_study(1, 1.0, [1e-4, 1e-3, 1e-2, 1e-1], FRAME)
 
 
-def test_quadrature_convergence_guard():
+def test_quadrature_convergence_guard(monkeypatch):
+    monkeypatch.setattr(sif_lab.angular, "DEFAULT_ORDER", 2)
     with pytest.raises(QuadratureNotConverged):
-        gamma_lame(1, MaterialParams(1.0, 1e-3), FRAME, order=2)
+        gamma_lame(1, MaterialParams(1.0, 1e-3), FRAME)
     with pytest.raises(QuadratureNotConverged):
-        gamma_stokes(1, FRAME, order=2)
+        gamma_stokes(1, FRAME)
 
 
 def test_stokes_second_mode_absent_below_critical_angle():

@@ -198,6 +198,28 @@ def test_basis_grad_matches_per_element_map():
         assert np.allclose(G[m], p2_shape_grad(pts) @ space.invJ[m], rtol=0, atol=1e-13)
 
 
+def test_p2_shape_grad_matches_central_differences():
+    """Central differences of a quadratic are exact up to rounding, so they
+    check p2_shape_grad independently of its own construction."""
+    pts = np.random.default_rng(4).random((40, 2)) * 0.5
+    h = 1e-4
+    for d in (0, 1):
+        step = h * np.eye(2)[d]
+        fd = (p2_shape(pts + step) - p2_shape(pts - step)) / (2 * h)
+        assert np.allclose(p2_shape_grad(pts)[..., d], fd, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("degree", [5, 8])
+def test_rule_weights_sum_to_the_area(degree):
+    poly = lshape_polygon(1.0)
+    space = P2Space(generate_lshape_mesh(poly, 0.25, levels=3))
+    pts, x, w = space.rule(degree)
+    m = len(space.mesh.tris)
+    assert x.shape == (m, len(pts), 2) and w.shape == (m, len(pts))
+    assert np.allclose(w.sum(axis=1), space.mesh.areas(), rtol=1e-14, atol=0)
+    assert w.sum() == pytest.approx(poly.area, rel=1e-13)
+
+
 def test_field_values_and_gradient_match_element_loops():
     mesh = _shuffled(generate_lshape_mesh(lshape_polygon(1.0), 0.25, levels=3))
     rng = np.random.default_rng(1)

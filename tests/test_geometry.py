@@ -13,7 +13,8 @@ from sif_lab.extraction import (CornerDataNonzero, ProblemData, _check_data,
 from sif_lab.fem import P2Space
 from sif_lab.geometry import (BoundaryData, NonConforming, NotReentrant, TriMesh,
                               UnsupportedPolygon, UntaggedBoundaryEdge,
-                              _edge_table, _find_edges, build_polygon,
+                              _affine, _edge_table, _find_edges, _images,
+                              build_polygon,
                               generate_lshape_mesh, generate_square_mesh,
                               lshape_polygon, lshape_vertices)
 from sif_lab.spectral import MaterialParams
@@ -66,6 +67,22 @@ def test_lshape_mesh_invariants(h, levels):
     assert sum(lens) == pytest.approx(poly.perimeter, abs=1e-12)
     tags = {int(t) for _, _, t in mesh.bedges}
     assert tags == {1, 2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("mesh", [
+    generate_lshape_mesh(lshape_polygon(1.0), 0.1, levels=6),
+    generate_lshape_mesh(lshape_polygon(1.3), 0.25, levels=3),
+    generate_square_mesh(7),
+], ids=["lshape", "lshape-1.3", "square"])
+def test_affine_maps_the_reference_vertices_onto_each_triangle(mesh):
+    """The images of (0, 0), (1, 0), (0, 1) are each triangle's vertices, bit
+    for bit on these meshes, and half the determinant is its area."""
+    v = mesh.nodes[mesh.tris]
+    origin, J, det = _affine(v)
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(_images(origin, J, ref), v)
+    assert np.array_equal(0.5 * det, mesh.areas())
+    assert np.all(det > 0.0)
 
 
 def test_corner_grading_reaches_prescribed_scale():

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from sif_lab.fem import P2Space, dirichlet_values, load_vector
 from sif_lab.geometry import build_polygon
 from sif_lab.modes import make_mode
 from sif_lab.spectral import MaterialParams
-from sif_lab.harness import (SCHEMA, SWEEP_COLUMNS, ConfigError, SweepRecord,
+from sif_lab.harness import (SCHEMA, ConfigError, SweepRecord,
                              build_problem, emit, load_config,
                              run_eps_sweep, run_manufactured)
 
 from test_fem import FACTORS_PER_SPACE, count_factorizations
+
+SWEEP_COLUMNS = [f.name for f in fields(SweepRecord)]
 
 BASE = """
 [domain]
@@ -153,6 +156,9 @@ def test_emit_csv_columns(tmp_path):
     assert len(rows) == 3
     with pytest.raises(ValueError):
         emit({"no": "rows"}, format="csv", path=str(tmp_path / "x.csv"))
+    for empty in ([], {"records": []}, {"rows": []}):
+        with pytest.raises(ValueError, match="at least one row"):
+            emit(empty, format="csv", path=str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
         emit(report, format="yaml", path=str(tmp_path / "x.yaml"))
 
@@ -445,6 +451,11 @@ def test_cli_identity_check(tmp_path):
     rows = _read_csv(out)
     dev, scale = float(rows[1][2]), float(rows[1][3])
     assert dev < 1e-12 * scale
+    # A grid of one value is that value.
+    rc = main(["identity-check", "--index", "1", "--omega", str(1.5 * math.pi),
+               "--eps-grid", "1e-3,1e-1,1", "--out", str(out)])
+    assert rc == 0
+    assert _read_csv(out)[1:] == rows[1:]
 
 
 def test_cli_solve_and_extract(tmp_path):
@@ -493,6 +504,33 @@ def test_cli_format_is_a_usage_error_for_solve_and_extract(tmp_path, capsys, com
         main(command + ["--config", str(cfg)])
     assert info.value.code == 2
     assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gamma", "identity-check"])
+@pytest.mark.parametrize("grid, message", [
+    ("1e-3,1e-1,0", "n must be at least 1"),
+    ("1e-3,1e-1,-2", "n must be at least 1"),
+    ("1e-3,1e-1", "expected lo,hi,n"),
+    ("1e-3,1e-2,1e-1,3", "expected lo,hi,n"),
+    ("1e-3,abc,3", "expected two numbers and a count"),
+    ("1e-3,1e-1,2.5", "expected two numbers and a count"),
+    ("0,1e-1,3", "lo and hi must be positive and finite"),
+    ("1e-3,-1e-1,3", "lo and hi must be positive and finite"),
+    ("1e-3,inf,3", "lo and hi must be positive and finite"),
+    ("nan,1e-1,3", "lo and hi must be positive and finite"),
+], ids=["n-0", "n-negative", "two-fields", "four-fields", "word", "n-float",
+        "lo-0", "hi-negative", "hi-inf", "lo-nan"])
+def test_cli_bad_eps_grid_is_a_usage_error(capsys, command, grid, message):
+    """A malformed --eps-grid ends in one usage error line, before any work."""
+    args = [command, "--omega", str(1.5 * math.pi), "--eps-grid", grid]
+    if command == "gamma":
+        args += ["--family", "lame"]
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --eps-grid: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_reports_config_errors(tmp_path):
