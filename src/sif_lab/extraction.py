@@ -46,17 +46,23 @@ material and the family; they are computed once and kept in a single-entry
 memo, reused while the next extraction has the same mesh and polygon
 objects, an equal material and the same family.  Each data set is sampled
 once and paired with the kept weights, so it evaluates no mode; it still
-runs the input checks.  The memo keeps the weights, no corrector field, and
-two things that serve every material on its mesh: the volume rule
-(_volume_rule, read-only) and the P2Space, whose scalar stiffness and mass
+runs the input checks, on the same sample.  The memo keeps the weights, no
+corrector field, and two things that serve every material on its mesh: the
+points a sample is taken at (_SamplePoints, read-only and coordinate-major:
+load_vector's points, the volume rule's points and the corner in one array,
+and per edge its rule's points, boundary nodes and ends), with the volume
+rule's weights, and the P2Space, whose scalar stiffness and mass
 factorizations (fem.P2Space.stiffness_lu, mass_lu) serve an extraction of
-another material.  The memo is dropped before a new entry is computed, and
-as soon as an extraction on another mesh starts; on the same mesh the volume
-rule and the space pass on to the new entry.  Meshes are treated as
-immutable (TriMesh is frozen): changing the arrays of a mesh in place after
-an extraction is not detected.  The report carries the primal modes
-(SifReport.modes), so regular_part(u, report) subtracts c1 and c2 times them
-without building the modes again.
+another material.  So a warm extraction calls f, zeta and each trace once
+and maps no point.  The memo is dropped before a new entry is computed, and
+as soon as an extraction on another mesh starts, before that mesh's arrays
+are allocated; the space passes on to a new entry on the same mesh, and
+the points when the polygon is the same object too.  The entry holds its
+mesh and polygon, so no other object can take their place.  Meshes are
+treated as immutable (TriMesh is frozen): changing the arrays of a mesh in
+place after an extraction is not detected.  The report carries the primal
+modes (SifReport.modes), so regular_part(u, report) subtracts c1 and c2
+times them without building the modes again.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ import numpy as np
 from . import SifLabError
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
 from .fem import (InconsistentEdgeData, MeshMismatch, MixedField, P2Space,
-                  dirichlet_values, load_vector, tri_quadrature)
+                  _load_from_values, dirichlet_values, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh, _affine, _images
 from .modes import SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, exponent_table
@@ -298,7 +304,8 @@ def _volume_rule(space: P2Space):
 
     Degree-8 on every element; elements touching the corner vertex use the
     graded reference rule instead, mapped with the corner as its (0, 0), so
-    the r^(a-1) growth of the dual weight is resolved.
+    the r^(a-1) growth of the dual weight is resolved.  The points are stored
+    coordinate-major (_coordinate_major).
     """
     mesh = space.mesh
     rnode = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
@@ -310,10 +317,57 @@ def _volume_rule(space: P2Space):
     origin, J, _ = _affine(
         mesh.nodes[np.take_along_axis(tris, np.argsort(rnode[tris], axis=1), axis=1)])
     st, wt = _GRADED_TRI_RULE
-    x = np.concatenate([xq[~corner].reshape(-1, 2), _images(origin, J, st).reshape(-1, 2)])
+    x = _coordinate_major([np.compress(~corner, np.moveaxis(xq, -1, 0), axis=1),
+                           np.moveaxis(_images(origin, J, st), -1, 0)])
     weights = np.concatenate([wq[~corner].ravel(), (space.areas[corner, None] * wt).ravel()])
-    x.flags.writeable = weights.flags.writeable = False
+    weights.flags.writeable = False
     return x, weights
+
+
+def _coordinate_major(parts):
+    """The points of the coordinate arrays parts (2, ...), in order, as one
+    read-only (n, 2) array stored as its (2, n) transpose, so that x = [:, 0]
+    and y = [:, 1] are contiguous."""
+    x = np.concatenate([np.reshape(p, (2, -1)) for p in parts], axis=1).T
+    x.flags.writeable = False
+    return x
+
+
+@dataclass(frozen=True)
+class _SamplePoints:
+    """The points a data set is sampled at on one (mesh, polygon), stored
+    coordinate-major (_coordinate_major).
+
+    volume : the images of the degree-5 rule's points in every element
+             (load_vector's points, the first n_load), then the volume rule's
+             points (rule), then the corner
+    weights: the volume rule's weights
+    edges  : per polygon edge in order, (edge, points): its edge rule's
+             points, its boundary P2 dofs (_edge_dofs), then its ends p0, p1
+    """
+
+    volume: np.ndarray | None
+    n_load: int
+    weights: np.ndarray | None
+    edges: tuple
+
+    @property
+    def rule(self):
+        return self.volume[self.n_load:-1]
+
+
+def _sample_points(space: P2Space, polygon: CornerPolygon, x=None,
+                   w=None) -> _SamplePoints:
+    """The _SamplePoints of (space, polygon) with the volume rule (x, w), or
+    on the edges only when x is None."""
+    edges = tuple((edge, _coordinate_major([_edge_rule(edge)[0].T, space.dof_coords[dofs].T,
+                                            np.transpose([edge.p0, edge.p1])]))
+                  for edge, dofs in _edge_dofs(space, polygon))
+    if x is None:
+        return _SamplePoints(None, 0, None, edges)
+    _, xq, _ = space.rule(5)
+    return _SamplePoints(_coordinate_major([np.moveaxis(xq, -1, 0), x.T, polygon.edges[0].p0]),
+                         xq.shape[0] * xq.shape[1], w, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +375,41 @@ def _volume_rule(space: P2Space):
 # ---------------------------------------------------------------------------
 
 def _sample(space: P2Space, polygon: CornerPolygon, traces: dict,
-            f=None, zeta=None, x=None) -> dict:
+            f=None, zeta=None, points=None) -> dict:
     """One data set, each callable called once, keyed by the term it enters:
-    f and zeta at the volume rule's points x (volume_*_dual), the rows of
-    load_vector(f, zeta) (volume_*_psi), and the trace of each edge in
+    f and zeta at the volume rule's points (volume_*_dual), load_vector(f,
+    zeta) from the same call (volume_*_psi), and the trace of each edge in
     traces at its edge rule's points, then at its boundary P2 dofs
-    (boundary_edge_<tag>).  A term whose data is absent has no key."""
+    (boundary_edge_<tag>).  A term whose data is absent has no key.  Two keys
+    pair with no weight and serve _check_data: ends, each trace at its edge's
+    p0 and p1 (k, 2, 2), and zeta_corner, zeta at the corner.
+
+    points are the _SamplePoints of (space, polygon), or the volume rule's
+    points x (n, 2) to build them from, or None when f and zeta are None.
+    """
+    if not isinstance(points, _SamplePoints):
+        points = _sample_points(space, polygon, points)
     sample: dict = {}
-    load, S = load_vector(space, f, zeta), space.n_scalar
-    if f is not None:
-        sample["volume_f_dual"] = np.asarray(f(x[:, 0], x[:, 1]), dtype=float)
-        sample["volume_f_psi"] = load[:2 * S]
-    if zeta is not None:
-        sample["volume_zeta_dual"] = np.asarray(zeta(x[:, 0], x[:, 1]), dtype=float)
-        sample["volume_zeta_psi"] = load[2 * S:]
-    for edge, dofs in _edge_dofs(space, polygon):
+    if f is not None or zeta is not None:
+        x, y = points.volume.T
+        n, S = points.n_load, space.n_scalar
+        # f is not called at the corner, where it may be singular.
+        fv = None if f is None else np.asarray(f(x[:-1], y[:-1]), dtype=float)
+        zv = None if zeta is None else np.asarray(zeta(x, y), dtype=float)
+        load = _load_from_values(space, *(None if v is None else v[:n] for v in (fv, zv)))
+        if fv is not None:
+            sample["volume_f_dual"], sample["volume_f_psi"] = fv[n:], load[:2 * S]
+        if zv is not None:
+            sample["volume_zeta_dual"], sample["volume_zeta_psi"] = zv[n:-1], load[2 * S:]
+            sample["zeta_corner"] = float(zv[-1])
+    ends = []
+    for edge, pts in points.edges:
         if edge.tag in traces:
-            pts = np.concatenate([_edge_rule(edge)[0], space.dof_coords[dofs]])
-            val = np.asarray(traces[edge.tag](pts[:, 0], pts[:, 1]), dtype=float)
-            sample[f"boundary_edge_{edge.tag}"] = np.broadcast_to(val, pts.shape)
+            val = np.broadcast_to(
+                np.asarray(traces[edge.tag](pts[:, 0], pts[:, 1]), dtype=float), pts.shape)
+            sample[f"boundary_edge_{edge.tag}"] = val[:-2]
+            ends.append(val[-2:])
+    sample["ends"] = np.array(ends)
     return sample
 
 
@@ -376,9 +446,10 @@ def _weight(polygon: CornerPolygon, dual: SingularMode, psi: MixedField,
 
 def _ci_terms(weight: dict, sample: dict) -> tuple[float, dict]:
     """Coefficient functional of a sample against a dual weight, and its terms:
-    the dot product of weight and sample per key, the volume ones minus the
-    boundary ones (Green's formula).  It does not check its input."""
-    parts = {k: float(np.vdot(weight[k], v)) for k, v in sample.items()}
+    the dot product of weight and sample per key the weight has, the volume
+    ones minus the boundary ones (Green's formula).  It does not check its
+    input."""
+    parts = {k: float(np.vdot(weight[k], v)) for k, v in sample.items() if k in weight}
     return sum(v if k.startswith("volume") else -v for k, v in parts.items()), parts
 
 
@@ -417,8 +488,9 @@ class _DualWeights:
 
     The primal modes and normalizers of every mode index, the dual weight of
     each (_weight) with its corrector's residual and flux defect, and the
-    cross coupling C* when the second mode exists.  The space and its volume
-    rule (x, w) are kept; the corrector fields are not.
+    cross coupling C* when the second mode exists.  The space and the points
+    a sample is taken at (_SamplePoints, with the volume rule) are kept; the
+    corrector fields are not.
     """
 
     mesh: TriMesh
@@ -427,7 +499,7 @@ class _DualWeights:
     family: str
     mesh_id: str
     space: P2Space
-    volume: tuple
+    points: _SamplePoints
     primals: tuple
     gammas: tuple
     weights: tuple
@@ -443,13 +515,13 @@ _last_weights: _DualWeights | None = None
 
 
 def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
-                  space: P2Space, volume) -> _DualWeights:
+                  space: P2Space, points: _SamplePoints) -> _DualWeights:
     """The data-independent half for (data.mesh, data.polygon, material, family).
 
-    volume = (x, w) is the volume rule of space.  Reused while the mesh and
-    polygon are the same objects and the material and family are equal.
-    Otherwise the old entry is dropped before the new one is computed, so
-    two entries never coexist.
+    points are the _SamplePoints of (space, data.polygon).  Reused while the
+    mesh and polygon are the same objects and the material and family are
+    equal.  Otherwise the old entry is dropped before the new one is
+    computed, so two entries never coexist.
     """
     global _last_weights
     w = _last_weights
@@ -466,18 +538,18 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     gammas = tuple(fam.gamma(i, material, frame, m)
                    for i, m in enumerate(zip(primals, duals), 1))
     psi = solve_psi(duals, space, material, data.polygon)
-    polar = (*_polar(volume[0], frame), volume[1])
+    polar = (*_polar(points.rule, frame), points.weights)
     weights = tuple(_weight(data.polygon, dual, p, material.mu, polar)
                     for dual, p in zip(duals, psi))
     Cstar = tstar = None
     if len(duals) >= 2:
         far = {e.tag: primals[0].eval_xy for e in data.polygon.far_edges}
-        C, cross = _ci_terms(weights[1], _sample(space, data.polygon, far))
+        C, cross = _ci_terms(weights[1], _sample(space, data.polygon, far, points=points))
         Cstar = -C  # C* is the boundary pairing, which _ci_terms subtracts
         tstar = {k.replace("boundary", "cross"): v for k, v in cross.items()}
     w = _DualWeights(
         mesh=data.mesh, polygon=data.polygon, material=material, family=family,
-        mesh_id=_mesh_id(data.mesh), space=space, volume=volume, primals=primals,
+        mesh_id=_mesh_id(data.mesh), space=space, points=points, primals=primals,
         gammas=gammas, weights=weights, psi_residuals=tuple(p.residual for p in psi),
         psi_flux_defects=tuple(p.flux_defect for p in psi), Cstar=Cstar,
         cstar_terms=tstar)
@@ -502,29 +574,31 @@ def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
                 volume_weights) -> None:
     """Every check of the data of an extraction, run before any corrector solve.
 
-    sample is data's _sample, taken on the volume rule of volume_weights.
-    Vertex traces agree by the test of dirichlet_values.  Stokes data (eps = 0)
-    need |flux of g - integral of zeta| <= _FLUX_RTOL (|g.n| + |zeta|).
+    sample is data's _sample, taken on the volume rule of volume_weights; its
+    ends and zeta_corner hold the traces at the vertices and zeta at the
+    corner.  Vertex traces agree by the test of dirichlet_values.  Stokes
+    data (eps = 0) need |flux of g - integral of zeta| <= _FLUX_RTOL
+    (|g.n| + |zeta|).
     """
     edges = data.polygon.edges
-    ends = np.empty((len(edges), 2, 2))  # each trace at p0 and p1 of its edge
-    for k, edge in enumerate(edges):
-        ends[k] = data.g.trace(edge.tag)(*np.transpose([edge.p0, edge.p1]))
+    ends = sample["ends"]  # each trace at p0 and p1 of its edge
     for edge, gval in ((edges[0], ends[0, 0]), (edges[-1], ends[-1, 1])):
         if np.max(np.abs(gval)) > _CORNER_ATOL:
             raise CornerDataNonzero(
                 f"boundary trace on edge {edge.tag} is {gval} at the corner; "
                 "extraction requires it to vanish there")
     if data.zeta is not None:
-        z = float(np.asarray(data.zeta(*edges[0].p0)))
+        z = sample["zeta_corner"]
         if abs(z) > _CORNER_ATOL:
             raise ZetaCornerNonzero(
                 f"divergence source is {z} at the corner; it must vanish there")
-    for a, b, va, vb in zip(edges, edges[1:], ends[:-1, 1], ends[1:, 0]):
-        if not np.isclose(va, vb, atol=1e-10).all():
-            raise InconsistentEdgeData(
-                f"traces of edges {a.tag} and {b.tag} differ at the vertex "
-                f"({a.p1[0]:g}, {a.p1[1]:g}): {va} vs {vb}")
+    agree = np.isclose(ends[:-1, 1], ends[1:, 0], atol=1e-10).all(axis=1)
+    if not agree.all():
+        k = int(np.argmin(agree))
+        a, b, va, vb = edges[k], edges[k + 1], ends[k, 1], ends[k + 1, 0]
+        raise InconsistentEdgeData(
+            f"traces of edges {a.tag} and {b.tag} differ at the vertex "
+            f"({a.p1[0]:g}, {a.p1[1]:g}): {va} vs {vb}")
     if material.eps > 0.0:
         return
     flux = size = zint = 0.0
@@ -551,13 +625,14 @@ def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifRep
         # are allocated, so the two never coexist.
         _last_weights = None
     space = _space(data)
-    w = _last_weights    # the volume rule depends on the mesh alone
-    x, wq = w.volume if w is not None else _volume_rule(space)
+    w = _last_weights    # the points depend on the mesh and the polygon alone
+    points = (w.points if w is not None and w.polygon is data.polygon
+              else _sample_points(space, data.polygon, *_volume_rule(space)))
     # Every edge needs a trace: a missing one is a KeyError, not zero data.
     traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}
-    sample = _sample(space, data.polygon, traces, data.f, data.zeta, x)
-    _check_data(data, material, sample, wq)
-    w = _dual_weights(data, material, family, space, (x, wq))
+    sample = _sample(space, data.polygon, traces, data.f, data.zeta, points)
+    _check_data(data, material, sample, points.weights)
+    w = _dual_weights(data, material, family, space, points)
     C1, t1 = _ci_terms(w.weights[0], sample)
     c1 = C1 / w.gammas[0].gamma
     gamma2 = C2 = c2 = None

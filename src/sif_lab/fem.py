@@ -39,11 +39,16 @@ mean back (-flux_defect/eps) for eps > 0.  At eps = 0 the mean is free; the
 pressure keeps zero mean and the field reports the absorbed flux defect.
 
 A solved field is evaluated in one place: P2Space.rule gives a reference
-rule's points, their images in every element and their weights,
+rule's points, their images in every element (stored coordinate-major) and
+their weights (P2Space.weights the same without the images),
 P2Space.basis_grad maps the reference basis gradients into every element,
 and MixedField.values and MixedField.gradient give velocity, pressure and
 velocity gradient at reference points of every element.  Assembly, the load
-vector, the norms and the second-equation residual read them.
+vector, the norms and the second-equation residual read them.  The load
+vector takes two steps: f and zeta are called once at the degree-5 images,
+and _load_from_values assembles their values, so a caller that keeps the
+points (the extraction) skips the first; like the second-equation residual
+it scatters by np.bincount.
 """
 
 from __future__ import annotations
@@ -232,12 +237,18 @@ class P2Space:
         rel = np.asarray(pts, dtype=float) - self.tri_origin[m]
         return rel @ self.invJ[m].T
 
-    def rule(self, degree: int):
+    def weights(self, degree: int):
         """The reference rule of degree (tri_quadrature) on every element: its
-        points pts (q, 2), their images (m, q, 2) and their weights (m, q),
-        which sum to each element's area."""
+        points pts (q, 2) and their weights (m, q), which sum to each
+        element's area."""
         pts, w = tri_quadrature(degree)
-        return pts, _images(self.tri_origin, self.J, pts), self.areas[:, None] * w
+        return pts, self.areas[:, None] * w
+
+    def rule(self, degree: int):
+        """weights(degree) with the points' images in every element: pts
+        (q, 2), images (m, q, 2) and weights (m, q)."""
+        pts, w = self.weights(degree)
+        return pts, _images(self.tri_origin, self.J, pts), w
 
     def basis_grad(self, pts, elements=slice(None)):
         """Physical P2 basis gradients (m, q, 6, 2) at reference points pts (q, 2)
@@ -250,7 +261,7 @@ class P2Space:
         """Material-free blocks (A, Bx, By, M) of the mixed matrix, built once:
         the scalar P2 stiffness A (S x S), the divergence blocks Bx, By
         (pressure test x velocity trial, N x S) and the P1 mass M (N x N)."""
-        pts, _, wdet = self.rule(5)
+        pts, wdet = self.weights(5)
         L, G = p1_shape(pts), self.basis_grad(pts)           # (q, 3), (m, q, 6, 2)
         vd, pd = self.tri_dofs, self.mesh.tris
         S, N = self.n_scalar, self.mesh.n_nodes
@@ -560,24 +571,35 @@ def load_vector(space: P2Space, f=None, zeta=None) -> np.ndarray:
 
     f    : callable (x, y) -> (..., 2) volume force, or None for zero
     zeta : callable (x, y) -> (...)    prescribed divergence source, or None
+
+    Each is called once, at the images of the degree-5 rule's points
+    (P2Space.rule(5)); _load_from_values assembles their values.
     """
-    rhs = np.zeros(space.n_dofs)
     if f is None and zeta is None:
-        return rhs
-    pts, xq, wdet = space.rule(5)
-    S = space.n_scalar
-    if f is not None:
-        Nsh = p2_shape(pts)
-        vd = space.tri_dofs
-        fv = np.asarray(f(xq[..., 0], xq[..., 1]), dtype=float)  # (m, q, 2)
-        Fx = np.einsum("mq,qi,mq->mi", wdet, Nsh, fv[..., 0])
-        Fy = np.einsum("mq,qi,mq->mi", wdet, Nsh, fv[..., 1])
-        np.add.at(rhs, vd.ravel(), Fx.ravel())
-        np.add.at(rhs, (vd + S).ravel(), Fy.ravel())
-    if zeta is not None:
-        zv = np.asarray(zeta(xq[..., 0], xq[..., 1]), dtype=float)
-        Z = np.einsum("mq,qk,mq->mk", wdet, p1_shape(pts), zv)
-        np.add.at(rhs, (space.mesh.tris + 2 * S).ravel(), -Z.ravel())
+        return np.zeros(space.n_dofs)
+    _, xq, _ = space.rule(5)
+    x, y = xq[..., 0], xq[..., 1]
+    return _load_from_values(space, None if f is None else f(x, y),
+                             None if zeta is None else zeta(x, y))
+
+
+def _load_from_values(space: P2Space, fv=None, zv=None) -> np.ndarray:
+    """load_vector from the values of f (m, q, 2) and zeta (m, q), or None,
+    at the images of the degree-5 rule's points, in P2Space.rule(5)'s order;
+    any shape of that size is read in that order."""
+    rhs = np.zeros(space.n_dofs)
+    pts, wdet = space.weights(5)
+    S, N = space.n_scalar, space.mesh.n_nodes
+    if fv is not None:
+        fv = np.reshape(np.asarray(fv, dtype=float), wdet.shape + (2,))
+        wN, vd = np.einsum("mq,qi->mqi", wdet, p2_shape(pts)), space.tri_dofs.ravel()
+        for k in (0, 1):
+            F = np.einsum("mqi,mq->mi", wN, fv[..., k])
+            rhs[k * S:(k + 1) * S] = np.bincount(vd, F.ravel(), S)
+    if zv is not None:
+        zv = np.reshape(np.asarray(zv, dtype=float), wdet.shape)
+        Z = np.einsum("mqk,mq->mk", np.einsum("mq,qk->mqk", wdet, p1_shape(pts)), zv)
+        rhs[2 * S:] = np.bincount(space.mesh.tris.ravel(), -Z.ravel(), N)
     return rhs
 
 
@@ -650,13 +672,12 @@ def error_norms(field: MixedField, velocity, velocity_grad=None, pressure=None) 
 def second_equation_residual(field: MixedField) -> float:
     """Norm of (div u_h + eps p_h) tested against P1, relative to ||p_h||."""
     space = field.space
-    pts, _, wa = space.rule(5)
+    pts, wa = space.weights(5)
     L = p1_shape(pts)
     g = field.gradient(pts)
     div = g[..., 0, 0] + g[..., 1, 1]
     _, ph = field.values(pts)
-    r = np.zeros(space.mesh.n_nodes)
     contrib = np.einsum("mq,qk,mq->mk", wa, L, div + field.material.eps * ph)
-    np.add.at(r, space.mesh.tris.ravel(), contrib.ravel())
+    r = np.bincount(space.mesh.tris.ravel(), contrib.ravel(), space.mesh.n_nodes)
     pn = norms(field)["l2_pressure"]
     return float(np.linalg.norm(r)) / max(pn, 1e-30)

@@ -255,8 +255,14 @@ def _affine(v):
 
 
 def _images(origin, J, pts):
-    """Images (m, q, 2) of reference points pts (q, 2) under the maps (origin, J)."""
-    return origin[:, None] + np.swapaxes(J @ pts.T, 1, 2)
+    """Images (m, q, 2) of reference points pts (q, 2) under the maps (origin,
+    J), stored coordinate-major: [..., 0] and [..., 1] are contiguous (m, q)
+    blocks, and moving the last axis first gives a contiguous (2, m, q).  The
+    products J pts are one (2m, 2) @ (2, q) matrix product: m stacked 2 x 2
+    products cost one BLAS call each."""
+    xy = (np.swapaxes(J, 0, 1).reshape(-1, 2) @ pts.T).reshape(2, len(origin), len(pts))
+    xy += origin.T[:, :, None]
+    return np.moveaxis(xy, 0, -1)
 
 
 def _first_use(keys):

@@ -1,6 +1,8 @@
 """Coefficient functionals: manufactured recovery, linearity, reuse, guards."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +12,8 @@ import sif_lab.extraction
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
                                 IncompatibleFlux, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero, _ci_terms,
-                                _edge_rule, _polar, _sample, _volume_rule,
-                                _weight, extract_sifs_penalized,
+                                _edge_dofs, _edge_rule, _polar, _sample,
+                                _volume_rule, _weight, extract_sifs_penalized,
                                 extract_sifs_stokes, regular_part, solve_psi)
 from sif_lab.fem import (InconsistentEdgeData, P2Space,
                          diff_norms, dirichlet_values, error_norms, norms,
@@ -652,6 +654,57 @@ def test_warm_extraction_reuses_the_volume_rule(coarse_mesh, monkeypatch):
     assert len(rules) == 2
 
 
+def moved_nodes(mesh, seed):
+    """The nodes of mesh with its interior ones moved by up to 1e-6."""
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.bedges[:, :2])
+    nodes[interior] += np.random.default_rng(seed).uniform(-1e-6, 1e-6, (len(interior), 2))
+    return nodes
+
+
+def test_kept_points_never_cross_meshes_or_polygons(coarse_mesh, monkeypatch):
+    """An extraction on a fresh mesh of the same size, made after the last
+    one is freed, and one on a new polygon object over the same mesh, are
+    each bit-identical to a cold extraction: the sample's points pass to
+    no other mesh or polygon.  No point set outlives the memo, so none can
+    be served to a later mesh at a freed one's address."""
+    data, _ = manufactured_data(coarse_mesh, "penalized", MAT)
+    nodes = [moved_nodes(coarse_mesh, seed) for seed in range(3)]
+
+    def cold(**changes):
+        sif_lab.extraction._last_weights = None
+        return report_hex(extract_sifs_penalized(replace(data, **changes)))
+
+    want = [cold(mesh=replace(coarse_mesh, nodes=n)) for n in nodes]
+    assert len({tuple(w) for w in want}) == 3    # the meshes give other bits
+    built = []    # (polygon, weak reference) of each point set built
+    build = sif_lab.extraction._sample_points
+
+    def counted(*args):
+        points = build(*args)
+        built.append((args[1], weakref.ref(points)))
+        return points
+
+    monkeypatch.setattr(sif_lab.extraction, "_sample_points", counted)
+    for free in (False, True):
+        for n, hexes in zip(nodes, want):
+            mesh = replace(coarse_mesh, nodes=n)
+            assert report_hex(extract_sifs_penalized(replace(data, mesh=mesh))) == hexes
+            if free:    # the memo too, so that the next mesh may take its place
+                del mesh
+                sif_lab.extraction._last_weights = None
+                gc.collect()
+                assert all(ref() is None for _, ref in built)
+    assert len(built) == 6
+    mesh = replace(coarse_mesh, nodes=nodes[0])
+    extract_sifs_penalized(replace(data, mesh=mesh))
+    polygon = lshape_polygon(1.0)
+    assert polygon is not POLY
+    again = report_hex(extract_sifs_penalized(replace(data, mesh=mesh, polygon=polygon)))
+    assert len(built) == 8 and built[-1][0] is polygon
+    assert again == want[0] == cold(mesh=mesh, polygon=polygon)
+
+
 def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):
     mesh = fresh_copy(coarse_mesh)
     data, _ = manufactured_data(mesh, "penalized", MAT)
@@ -674,9 +727,8 @@ def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):
 def test_warm_extraction_evaluates_no_mode(coarse_mesh, monkeypatch, key):
     """A warm extraction pairs one sample of the data with the kept weights.
 
-    It evaluates no mode, calls f twice (the volume rule and load_vector)
-    and each trace twice: on its edge rule's points and boundary nodes, and
-    at its end vertices for the input check.
+    It evaluates no mode and calls f, zeta and each trace once: a trace on
+    its edge rule's points, its boundary nodes and its two end vertices.
     """
     mesh = fresh_copy(coarse_mesh)
     _, w, minus_lap_w, zeta = INHOMOGENEOUS[key]
@@ -697,14 +749,16 @@ def test_warm_extraction_evaluates_no_mode(coarse_mesh, monkeypatch, key):
         monkeypatch.setattr(SingularMode, name, counted("mode", getattr(SingularMode, name)))
     traces = {e.tag: counted(e.tag, w) for e in POLY.edges}
     warm = extract(replace(data, f=counted("f", minus_lap_w),
+                           zeta=None if zeta is None else counted("zeta", zeta),
                            g=BoundaryData(traces)))
     assert report_hex(warm) == report_hex(cold)
     names = [name for name, _ in calls]
     assert "mode" not in names
-    assert names.count("f") == 2
-    for e in POLY.edges:
-        sizes = sorted(n for name, n in calls if name == e.tag)
-        assert len(sizes) == 2 and sizes[0] == 2 < sizes[1]
+    assert names.count("f") == 1
+    assert names.count("zeta") == (zeta is not None)
+    for e, dofs in _edge_dofs(P2Space(mesh), POLY):
+        sizes = [n for name, n in calls if name == e.tag]
+        assert sizes == [len(_edge_rule(e)[1]) + len(dofs) + 2]
     # The count is live: a cold extraction evaluates the modes.
     extract(replace(data, mesh=fresh_copy(coarse_mesh)))
     assert "mode" in [name for name, _ in calls]

@@ -253,6 +253,49 @@ def test_gradient_in_element_blocks_is_bit_identical(monkeypatch):
     assert np.array_equal(field.gradient(pts), whole)
 
 
+def _reference_load_and_residual(field, f, zeta):
+    """load_vector(field.space, f, zeta) and second_equation_residual(field)
+    as np.add.at scatters of three-operand einsums."""
+    space = field.space
+    pts, xq, wdet = space.rule(5)
+    S, L = space.n_scalar, p1_shape(pts)
+    fv, zv = f(xq[..., 0], xq[..., 1]), zeta(xq[..., 0], xq[..., 1])
+    rhs = np.zeros(space.n_dofs)
+    for k in (0, 1):
+        F = np.einsum("mq,qi,mq->mi", wdet, p2_shape(pts), fv[..., k])
+        np.add.at(rhs, (space.tri_dofs + k * S).ravel(), F.ravel())
+    Z = np.einsum("mq,qk,mq->mk", wdet, L, zv)
+    np.add.at(rhs, (space.mesh.tris + 2 * S).ravel(), -Z.ravel())
+    g, (_, ph) = field.gradient(pts), field.values(pts)
+    div = g[..., 0, 0] + g[..., 1, 1]
+    r = np.zeros(space.mesh.n_nodes)
+    np.add.at(r, space.mesh.tris.ravel(),
+              np.einsum("mq,qk,mq->mk", wdet, L, div + field.material.eps * ph).ravel())
+    return rhs, float(np.linalg.norm(r)) / max(norms(field)["l2_pressure"], 1e-30)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_bincount_scatter_is_bit_identical_to_add_at(h):
+    """The load vector and the second-equation residual scatter by
+    np.bincount, and load_vector contracts a weighted basis with the values:
+    the same bits as the three-operand einsum and np.add.at."""
+    space = P2Space(generate_lshape_mesh(lshape_polygon(1.0), h, levels=6))
+    rng = np.random.default_rng(3)
+    ux, uy = rng.normal(size=(2, space.n_scalar))
+    field = MixedField(space=space, material=MaterialParams(1.0, 1e-3),
+                       ux=ux, uy=uy, p=rng.normal(size=space.mesh.n_nodes))
+
+    def f(x, y):
+        return np.stack([np.sin(3.0 * x) * y, x * x + np.cos(y)], axis=-1)
+
+    def zeta(x, y):
+        return x * y + np.exp(x)
+
+    rhs, residual = _reference_load_and_residual(field, f, zeta)
+    assert np.array_equal(load_vector(space, f, zeta), rhs)
+    assert second_equation_residual(field) == residual
+
+
 def _reference_mixed_matrix(space, mu, eps):
     """Element-by-element assembly of the mixed matrix into a dict of entries,
     pressure-pressure entries kept even when eps = 0."""
