@@ -44,11 +44,14 @@ their weights (P2Space.weights the same without the images),
 P2Space.basis_grad maps the reference basis gradients into every element,
 and MixedField.values and MixedField.gradient give velocity, pressure and
 velocity gradient at reference points of every element.  Assembly, the load
-vector, the norms and the second-equation residual read them.  The load
+vector, error_norms and the second-equation residual read them.  The load
 vector takes two steps: f and zeta are called once at the degree-5 images,
 and _load_from_values assembles their values, so a caller that keeps the
 points (the extraction) skips the first; like the second-equation residual
-it scatters by np.bincount.
+it scatters by np.bincount.  The norms of a discrete field need no
+quadrature: they are quadratic forms of A, of the P2 mass element by element
+(_P2_MASS) and of M.  error_norms integrates against analytic fields by the
+degree-8 rule.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ _RESIDUAL_GATE = 1e-10
 _PCG_RTOL = 1e-13
 _PCG_MAX_ITER = 200
 # MixedField.gradient maps basis gradients this many elements at a time: 1.5 MB
-# for the 16-point rule of the norms.
+# for the 16-point rule of error_norms.
 _GRADIENT_BLOCK = 1024
 
 
@@ -179,6 +182,11 @@ def p2_shape(pts):
     return np.stack([
         L1 * (2 * L1 - 1), L2 * (2 * L2 - 1), L3 * (2 * L3 - 1),
         4 * L1 * L2, 4 * L2 * L3, 4 * L3 * L1], axis=-1)
+
+
+# The P2 mass of an element over its area (6 x 6): the degree-5 rule
+# integrates its degree-4 entries exactly.
+_P2_MASS = np.einsum("q,qi,qj->ij", _Q5_W, p2_shape(_Q5_PTS), p2_shape(_Q5_PTS))
 
 
 # The reference gradients of the barycentric coordinates L1, L2, L3.
@@ -633,9 +641,31 @@ def dirichlet_values(space: P2Space, traces: dict) -> np.ndarray:
 
 
 def norms(field: MixedField) -> dict:
-    """H1 (semi)norms of the velocity and L2 norms of both unknowns."""
-    zero = lambda x, y: 0.0
-    return error_norms(field, zero, zero, zero)
+    """H1 (semi)norms of the velocity and L2 norms of both unknowns.
+
+    The integrands are polynomials, so these are quadratic forms of the
+    stiffness A, the P2 mass and the P1 mass M: the numbers error_norms gives
+    against zero fields, without quadrature.  The P2 mass is never assembled:
+    on each element it is the element's area times _P2_MASS, so its form is
+    summed over the elements' dofs.  An assembled copy per space left the heap
+    to grow by about 10 MB over 50 eps sweeps.
+    """
+    space = field.space
+    A, _, _, M = space.stokes_blocks
+    u = np.stack([field.ux, field.uy], axis=1)
+    # One row per element and velocity component: its six dofs.
+    ue = u[space.tri_dofs].transpose(0, 2, 1).reshape(-1, 6)
+    # A does not see constants, so its form drops the mean: a near-constant
+    # field's seminorm would otherwise be lost to rounding of order
+    # |u|^2 ||A|| eps, which may even leave the form below 0.  The products
+    # are summed without a BLAS dot product, whose idle threads can take
+    # milliseconds to wake.
+    semi2, l2p2 = (max(float(np.sum(v * (K @ v))), 0.0) for K, v in
+                   ((A, u - u.mean(axis=0)), (M, field.p)))
+    l2v2 = max(float(np.einsum("k,ki,ki->", np.repeat(space.areas, 2),
+                               ue @ _P2_MASS, ue)), 0.0)
+    return {"h1_seminorm": math.sqrt(semi2), "h1": math.sqrt(semi2 + l2v2),
+            "l2_velocity": math.sqrt(l2v2), "l2_pressure": math.sqrt(l2p2)}
 
 
 def diff_norms(a: MixedField, b: MixedField) -> dict:

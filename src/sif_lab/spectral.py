@@ -3,7 +3,8 @@
 Solves the characteristic equations whose roots give the strength of the
 corner singularity for the penalized elastic operator and for the Stokes
 operator, and locates the critical opening angle where the Stokes root
-structure changes.
+structure changes.  Each root is bracketed by a sign scan and bisected until
+the bracket's ends are adjacent floats (_bisect).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import SifLabError
 
@@ -133,14 +133,34 @@ def _scan_pattern(signs: np.ndarray) -> str:
     )
 
 
+def _bisect(eq, args: tuple, lo: float, hi: float) -> float:
+    """The root of the scalar eq(x, *args) between lo < hi, bisected until the
+    bracket's ends are adjacent floats: a point where eq is exactly 0, or else
+    the end with the smaller |eq|."""
+    flo, fhi = eq(lo, *args), eq(hi, *args)
+    if flo and fhi and (flo < 0.0) == (fhi < 0.0):
+        raise NoRootInBracket(
+            f"no sign change between {lo!r} and {hi!r}: values {flo!r}, {fhi!r}")
+    while flo and fhi:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fmid = eq(mid, *args)
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
 def _scan_and_bisect(eq, args: tuple, a: float, b: float, what: str) -> float:
     """Locate the single root of eq(x, *args) in (a, b).
 
     Pre-scans the open interval in one array evaluation,
-    ``eq(xs, *args, sin=np.sin)``, and refines the sign change by Brent's
-    method on the scalar ``eq(x, *args)``, which also gives the residuals;
-    zero or several sign changes abort loudly instead of silently picking a
-    root.  With no sign change, a sample below the noise floor is taken as
+    ``eq(xs, *args, sin=np.sin)``, and bisects the sign change to adjacent
+    floats (_bisect) on the scalar ``eq(x, *args)``, which also gives the
+    residuals; zero or several sign changes abort loudly instead of silently
+    picking a root.  With no sign change, a sample below the noise floor is taken as
     the root if there is one.
     """
     xs = _scan_grid(a, b)
@@ -160,7 +180,7 @@ def _scan_and_bisect(eq, args: tuple, a: float, b: float, what: str) -> float:
             f"{what}: {len(steps)} sign changes in ({a}, {b}); "
             f"scan pattern {_scan_pattern(signs)}")
     lo, hi = nz[steps[0]], nz[steps[0] + 1]
-    return float(brentq(eq, xs[lo], xs[hi], args=args, xtol=1e-15, rtol=9e-16))
+    return _bisect(eq, args, float(xs[lo]), float(xs[hi]))
 
 
 def lame_exponents(omega: float, C: float) -> ExponentTable:
@@ -249,5 +269,4 @@ def critical_angle() -> float:
     """Root of tan(w) = w in (pi, 3*pi/2), approximately 1.4303*pi."""
     # tan has a pole at 3*pi/2; work with sin - w*cos which is smooth.
     f = lambda w: math.sin(w) - w * math.cos(w)
-    lo, hi = math.pi + 1e-9, 1.5 * math.pi - 1e-9
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=9e-16))
+    return _bisect(f, (), math.pi + 1e-9, 1.5 * math.pi - 1e-9)

@@ -117,6 +117,30 @@ def test_stokes_limit_matches_small_eps_velocity():
     assert d["h1"] < 1e-6 * norms(field)["h1"]
 
 
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_norms_as_quadratic_forms_match_quadrature(h):
+    """norms reads quadratic forms of A and the two masses; error_norms against
+    zero fields integrates the same polynomials by the degree-8 rule."""
+    velocity, _, _, f, zeta = manufactured_square(1.0, 1e-3)
+    mesh = generate_lshape_mesh(lshape_polygon(1.0), h, levels=6)
+    traces = {int(t): velocity for t in np.unique(mesh.bedges[:, 2])}
+    field = mixed_solve(mesh, MaterialParams(1.0, 1e-3), traces, f, zeta)[-1]
+    zero = lambda x, y: 0.0
+    quad, forms = error_norms(field, zero, zero, zero), norms(field)
+    assert list(forms) == list(quad)
+    for k, v in quad.items():
+        assert forms[k] == pytest.approx(v, rel=1e-13, abs=0.0), k
+    # a constant field: no seminorm left over from rounding, and the L2 norms
+    # are its size times sqrt(|Omega|)
+    const = MixedField(space=field.space, material=field.material,
+                       ux=np.full_like(field.ux, 2.5), uy=np.full_like(field.uy, -1.0),
+                       p=np.ones_like(field.p))
+    nc = norms(const)
+    assert nc["h1_seminorm"] < 1e-12
+    assert nc["l2_velocity"] == pytest.approx(math.hypot(2.5, 1.0) * nc["l2_pressure"],
+                                              rel=1e-13)
+
+
 def test_discrete_second_equation_residual_is_machine_zero():
     # no divergence source: div u + eps*p must vanish weakly to solver precision
     velocity, _, _, f, _ = manufactured_square(1.0, 1e-3)

@@ -1,6 +1,10 @@
 """Eigenvalue layer: critical angle, root ordering, residuals, failure modes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +27,30 @@ def stokes_eq(k, omega):
     return math.sin(k * omega) ** 2 - k * k * math.sin(omega) ** 2
 
 
+def assert_bisected_to_adjacent_floats(eq, x, *args):
+    """eq(x) is 0, or eq changes sign between x and a neighbouring float."""
+    fx = eq(x, *args)
+    if fx != 0.0:
+        neighbours = (eq(math.nextafter(x, d), *args) for d in (-math.inf, math.inf))
+        assert any(fx * fn <= 0.0 for fn in neighbours), (x, args)
+
+
 def test_critical_angle_fixed_point():
     w = critical_angle()
     assert abs(math.tan(w) - w) < 1e-9
     assert 1.4302 <= w / math.pi <= 1.4304
+    assert_bisected_to_adjacent_floats(lambda w: math.sin(w) - w * math.cos(w), w)
+
+
+def test_package_import_leaves_out_scipy_optimize():
+    """The exponent roots are bisected in spectral, so importing the whole
+    package (the CLI imports every module) loads no scipy.optimize module."""
+    code = ("import sys, sif_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_material_params_relations():
@@ -46,7 +70,7 @@ def test_material_params_reject_nonfinite_and_out_of_range(mu, eps, name):
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
-@pytest.mark.parametrize("C", [1.0, 1.02, 1.2])
+@pytest.mark.parametrize("C", [1.0, 1.0 + 2e-4, 1.0 + 2e-3, 1.02, 1.2, 1.26])
 def test_lame_ordering_chain(omega, C):
     table = lame_exponents(omega, C)
     e1, e2, e3 = table.exponents
@@ -59,6 +83,8 @@ def test_lame_ordering_chain(omega, C):
         assert any(e == 1.0 for e in table.exponents)
     for e in table.exponents:
         assert abs(lame_eq(e, omega, C)) < 1e-12
+        if e != 1.0:
+            assert_bisected_to_adjacent_floats(_lame_eq, e, omega, C)
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
@@ -71,6 +97,8 @@ def test_stokes_ordering_and_exact_root(omega):
     assert any(e == 1.0 for e in exps)
     for e in exps:
         assert abs(stokes_eq(e, omega)) < 1e-12
+        if e != 1.0:
+            assert_bisected_to_adjacent_floats(_lame_eq, e, omega, 1.0)
 
 
 def test_mode_count_splits_at_critical_angle():
