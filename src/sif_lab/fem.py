@@ -19,17 +19,22 @@ and every material on that mesh reuses it.  The block's free dofs are
 numbered by reverse Cuthill-McKee (P2Space._free; Cuthill & McKee 1969;
 George & Liu 1981) before SuperLU orders them by minimum degree, which leaves
 about 25% less fill than the P2 numbering.  The pressure solves the Schur
-complement  B A^-1 B^T / mu + eps M  by conjugate gradients preconditioned
+complement  D A^-1 D^T / mu + eps M  by conjugate gradients preconditioned
 with the P1 mass M (P2Space.mass_lu), which is spectrally equivalent to it
 uniformly in h and eps (Elman, Silvester & Wathen, Finite Elements and Fast
-Iterative Solvers, 2014), so the iteration count stays flat in both.  Both
+Iterative Solvers, 2014), so the iteration count stays flat in both.  D is
+the divergence on the free velocity dofs with the x and y columns of each
+dof interleaved (P2Space._free_div), so D^T p read as an (n, 2k) array is
+the x and then the y parts of k columns, as the stiffness solve takes them:
+one application is one product, one triangular solve and one product.  Both
 factorizations are built on first use.  solve_all runs several right-hand
 sides, and several materials of one mu, as one batch.  Preconditioned by M,
 the Schur complements of every eps form the shifted family
-M^-1 B A^-1 B^T / mu + eps I, so one multi-shift PCG solves all of them,
+M^-1 D A^-1 D^T / mu + eps I, so one multi-shift PCG solves all of them,
 applying the operator of the smallest eps only (Jegerlehner, hep-lat/9612014,
-1996; Frommer, Computing 70, 2003); with one eps it is plain PCG.  The
-iteration is fixed, so a run is deterministic.
+1996; Frommer, Computing 70, 2003); with one eps it is plain PCG.  Its
+working arrays hold the columns still running only, and a converged column
+leaves them.  The iteration is fixed, so a run is deterministic.
 
 Summing the pressure rows eliminates the free velocity (a field vanishing on
 the boundary has no net flux), so the pressure mean follows from the data
@@ -310,9 +315,17 @@ class P2Space:
 
     @cached_property
     def _free_div(self):
-        """Bx and By restricted to the free velocity columns, in _free order."""
+        """The divergence D (N x 2n, CSR) on the n free velocity dofs and its
+        transpose, a CSC view of the same arrays.  D is Bx and By on the free
+        columns in _free order, interleaved, so x of free dof i is column 2i
+        and y column 2i + 1.  A vector over D's columns, read as an (n, 2)
+        array, is one free velocity; D.T @ p read as (n, 2k) holds the x then
+        the y parts of k columns, the layout stiffness_lu.solve takes."""
         _, Bx, By, _ = self.stokes_blocks
-        return Bx[:, self._free].tocsr(), By[:, self._free].tocsr()
+        n = len(self._free)
+        D = sp.hstack([Bx[:, self._free], By[:, self._free]], format="csc")
+        D = D[:, np.arange(2 * n).reshape(2, n).T.ravel()].tocsr()
+        return D, D.T
 
     @cached_property
     def _mass_one(self) -> np.ndarray:    # M applied to 1
@@ -347,7 +360,8 @@ class P2Space:
                              + ", ".join(f"{material.mu:g}" for material in materials))
         shifts = np.array([material.eps for material in materials])
         A, Bx, By, M = self.stokes_blocks
-        S, free, m = self.n_scalar, self._free, self._mass_one
+        S, free, m, (D, Dt) = self.n_scalar, self._free, self._mass_one, self._free_div
+        n, k = len(free), len(rhs)
         # Both velocity components of every boundary P2 node, over all dofs.
         fixed = ~self.interior
         constrained = np.concatenate([fixed, fixed, np.zeros(self.mesh.n_nodes, bool)])
@@ -362,22 +376,23 @@ class P2Space:
         h = fp + bu
         scale = np.sqrt((gx ** 2).sum(axis=0) + (gy ** 2).sum(axis=0)
                         + (h ** 2).sum(axis=0))
+        w = self.stiffness_lu.solve(np.hstack([gx, gy]))
         p, iterations = self._pcg(mu, shifts,
-                                  -h - self._div(self._stiffness_solve(gx, gy)) / mu,
+                                  -h - D @ np.ascontiguousarray(w).reshape(2 * n, k) / mu,
                                   _PCG_RTOL * scale)
         # From here on, column i * k + j is row j for materials[i].
-        s, k = iterations.shape
+        s = len(shifts)
         p, iterations = np.hstack(p), iterations.ravel()
         eps = np.repeat(shifts, k)
 
         def per_material(a):
             return np.concatenate([a] * s, axis=-1)
 
-        Bfx, Bfy = self._free_div
         ux, uy, f, fp, flux_defect, scale = map(per_material,
                                                 (ux, uy, f, fp, flux_defect, scale))
-        ux[free], uy[free] = self._stiffness_solve(per_material(gx) + Bfx.T @ p,
-                                                   per_material(gy) + Bfy.T @ p) / mu
+        w = self.stiffness_lu.solve(np.hstack([per_material(gx), per_material(gy)])
+                                    + (Dt @ p).reshape(n, 2 * k * s)) / mu
+        ux[free], uy[free] = w[:, :k * s], w[:, k * s:]
         penalized = eps > 0.0
         # The mean; these pairs solve the given rows.
         p[:, penalized] -= flux_defect[penalized] / eps[penalized]
@@ -398,24 +413,22 @@ class P2Space:
                   for c in range(k * s)]
         return [fields[i * k:(i + 1) * k] for i in range(s)]
 
-    def _stiffness_solve(self, vx, vy):
-        """A^-1 on the interior of both velocity components, stacked on axis 0.
-
-        The columns of vx and vy are one SuperLU.solve, which rounds each
-        column differently depending on the batch it is in: a column's bits
-        are reproducible only for the same batch of columns."""
-        k = vx.shape[1]
-        w = self.stiffness_lu.solve(np.hstack([vx, vy]))
-        return np.stack([w[:, :k], w[:, k:]])
-
-    def _div(self, w):
-        Bfx, Bfy = self._free_div
-        return Bfx @ w[0] + Bfy @ w[1]
-
     def _schur(self, mu, eps, d):
-        Bfx, Bfy = self._free_div
-        w = self._stiffness_solve(Bfx.T @ d, Bfy.T @ d)
-        return self._div(w) / mu + eps * (self.stokes_blocks[3] @ d)
+        """The Schur complement D A^-1 D^T / mu + eps M applied to the k
+        columns of d: one product, one triangular solve of 2k columns (the x
+        then the y parts, see _free_div) and one product.
+
+        SuperLU.solve rounds each column differently depending on the batch
+        it is in: a column's bits are reproducible only for the same batch of
+        columns."""
+        D, Dt = self._free_div
+        n, k = D.shape[1] // 2, d.shape[1]
+        w = self.stiffness_lu.solve((Dt @ d).reshape(n, 2 * k))
+        out = D @ np.ascontiguousarray(w).reshape(2 * n, k)
+        out /= mu
+        if eps:
+            out += eps * (self.stokes_blocks[3] @ d)
+        return out
 
     def _pcg(self, mu, shifts, b, tol):
         """Mass-preconditioned CG on the Schur complements S0/mu + eps M of
@@ -432,58 +445,69 @@ class P2Space:
         All of it is in the zero-mean subspace: b has zero sum, and every
         preconditioned residual is projected to zero mean.
 
+        The working arrays hold the live columns only, in order: a column
+        whose shifts have all converged writes its iterates and counts out
+        and leaves them, and a column of b already within tol never enters.
+
         Returns the solutions (s, n, k) and the iteration counts (s, k) of the
         s shifts and the k columns of b.
         """
         m, lu_m = self._mass_one, self.mass_lu
+        m_sum = m.sum()
 
         def precondition(r):
             z = lu_m.solve(r)
-            return z - (m @ z) / m.sum()
+            return z - (m @ z) / m_sum
 
         seed = int(np.argmin(shifts))
         delta = (shifts - shifts[seed])[:, None]
-        b = b - np.outer(m, b.sum(axis=0)) / m.sum()
-        x, r = np.zeros((len(shifts),) + b.shape), b
+        b = b - np.outer(m, b.sum(axis=0)) / m_sum
+        out = np.zeros((len(shifts),) + b.shape)
         iterations = np.zeros((len(shifts), b.shape[1]), dtype=int)
-        # Per (shift, column): zeta now and one step back, and whether it runs.
-        zeta, zeta_old = np.ones(iterations.shape), np.ones(iterations.shape)
-        live = np.repeat((np.linalg.norm(r, axis=0) > tol)[None], len(shifts), axis=0)
-        # The seed's alpha and beta one step back, per column.
-        alpha_old, beta_old = np.ones(b.shape[1]), np.zeros(b.shape[1])
-        active = np.flatnonzero(live[seed])
-        d = np.zeros_like(x)
-        d[:, :, active] = precondition(r[:, active])
+        # The live columns of b, and per live column: the seed's residual r,
+        # the iterates x and directions d of every shift, the counts, zeta now
+        # and one step back, whether each shift runs, and the seed's rz and
+        # its alpha and beta one step back.
+        cols = np.flatnonzero(np.linalg.norm(b, axis=0) > tol)
+        r, tol = b[:, cols], tol[cols]
+        shape = (len(shifts), len(cols))
+        x, d = np.zeros((len(shifts),) + r.shape), np.empty((len(shifts),) + r.shape)
+        d[:] = precondition(r)
+        counts, zeta, zeta_old = np.zeros(shape, dtype=int), np.ones(shape), np.ones(shape)
+        run = np.ones(shape, dtype=bool)
+        alpha_old, beta_old = np.ones(len(cols)), np.zeros(len(cols))
         rz = np.einsum("ik,ik->k", r, d[seed])
-        while len(active):
-            if iterations[seed, active[0]] == _PCG_MAX_ITER:
+        step = 0
+        while len(cols):
+            if step == _PCG_MAX_ITER:
                 raise SolverBreakdown(
                     f"Schur-complement PCG did not converge in {_PCG_MAX_ITER} iterations")
-            da = d[seed][:, active]
-            sd = self._schur(mu, shifts[seed], da)
-            alpha = rz[active] / np.einsum("ik,ik->k", da, sd)
-            # z0, z1, z2: zeta at steps n - 1, n and n + 1.
-            z0, z1, run = zeta_old[:, active], zeta[:, active], live[:, active]
-            ao, bo = alpha_old[active], beta_old[active]
-            z2 = np.where(run, z0 * z1 * ao / (alpha * bo * (z0 - z1)
-                                               + z0 * ao * (1.0 + delta * alpha)), z1)
-            x[:, :, active] += np.where(run, alpha * z2 / z1, 0.0)[:, None] * d[:, :, active]
-            r[:, active] -= alpha * sd
-            iterations[:, active] += run
-            run &= np.abs(z2) * np.linalg.norm(r[:, active], axis=0) > tol[active]
+            step += 1
+            sd = self._schur(mu, shifts[seed], d[seed])
+            alpha = rz / np.einsum("ik,ik->k", d[seed], sd)
+            # zeta_old, zeta, z2: zeta at steps n - 1, n and n + 1.
+            z2 = np.where(run, zeta_old * zeta * alpha_old
+                          / (alpha * beta_old * (zeta_old - zeta)
+                             + zeta_old * alpha_old * (1.0 + delta * alpha)), zeta)
+            x += np.where(run, alpha * z2 / zeta, 0.0)[:, None] * d
+            r -= alpha * sd
+            counts += run
+            run &= np.abs(z2) * np.linalg.norm(r, axis=0) > tol
             run[seed] = run.any(axis=0)
-            live[:, active] = run
             going = run[seed]
-            active, z1, z2, run = active[going], z1[:, going], z2[:, going], run[:, going]
-            z = precondition(r[:, active])
-            rz_new = np.einsum("ik,ik->k", r[:, active], z)
-            beta = rz_new / rz[active]
-            step = z2[:, None] * z + (beta * (z2 / z1) ** 2)[:, None] * d[:, :, active]
-            d[:, :, active] = np.where(run[:, None], step, d[:, :, active])
-            zeta_old[:, active], zeta[:, active] = z1, z2
-            alpha_old[active], beta_old[active] = alpha[going], beta
-            rz[active] = rz_new
-        return x, iterations
+            if not going.all():
+                done = ~going
+                out[:, :, cols[done]], iterations[:, cols[done]] = x[..., done], counts[:, done]
+                cols, r, tol, rz, alpha = cols[going], r[:, going], tol[going], rz[going], alpha[going]
+                x, d, counts = x[..., going], d[..., going], counts[:, going]
+                zeta, z2, run = zeta[:, going], z2[:, going], run[:, going]
+            z = precondition(r)
+            rz_new = np.einsum("ik,ik->k", r, z)
+            beta = rz_new / rz
+            d = np.where(run[:, None], z2[:, None] * z + (beta * (z2 / zeta) ** 2)[:, None] * d, d)
+            zeta_old, zeta = zeta, z2
+            alpha_old, beta_old, rz = alpha, beta, rz_new
+        return out, iterations
 
 
 def _factor(matrix):

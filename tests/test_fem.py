@@ -614,3 +614,88 @@ def test_schur_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(sif_lab.fem, "_PCG_MAX_ITER", 2)
     with pytest.raises(SolverBreakdown, match="2 iterations"):
         _net_flux_solve(0.25, 1e-3)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("k", [1, 3])
+def test_schur_matches_explicit_schur_complement(eps, k):
+    """_schur against Bf A^-1 Bf^T / mu + eps M built densely from the blocks
+    in the P2 numbering, so the interleaved divergence and the solve's
+    layout are pinned independently of each other."""
+    space = P2Space(generate_lshape_mesh(lshape_polygon(1.0), 0.25, levels=3))
+    mu, (A, Bx, By, M) = 1.3, space.stokes_blocks
+    free = space.interior
+    A_free = A[free][:, free].tocsc()
+    Bfx, Bfy = Bx[:, free], By[:, free]
+    schur = (Bfx @ scipy.sparse.linalg.spsolve(A_free, Bfx.T.toarray())
+             + Bfy @ scipy.sparse.linalg.spsolve(A_free, Bfy.T.toarray())) / mu
+    schur = schur + eps * M.toarray()
+    d = np.random.default_rng(7).standard_normal((space.mesh.n_nodes, k))
+    got, want = space._schur(mu, eps, d), schur @ d
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class _CountingLU:
+    """A factorization's solve, counting its calls and their columns."""
+
+    def __init__(self, lu):
+        self.lu, self.columns = lu, []
+
+    def solve(self, b):
+        self.columns.append(b.shape[1])
+        return self.lu.solve(b)
+
+
+def _counting_stiffness(space):
+    counting = _CountingLU(space.stiffness_lu)
+    space.__dict__["stiffness_lu"] = counting
+    return counting
+
+
+def _seed_iterations(fields):
+    """Per row: the seed's count, the largest over the materials' fields."""
+    return [max(per_material[j].iterations for per_material in fields)
+            for j in range(len(fields[0]))]
+
+
+def test_corrector_pair_makes_one_stiffness_solve_per_iteration():
+    """The first right-hand side, one per Schur application and the velocity
+    recovery: max(iterations) + 2 solves of 2 columns per live row."""
+    poly = lshape_polygon(1.0)
+    space = P2Space(generate_lshape_mesh(poly, 0.1, levels=6))
+    material = MaterialParams(1.0, 1e-3)
+    counting = _counting_stiffness(space)
+    duals = [make_mode("lame", "dual", i, poly.frame, material) for i in (1, 2)]
+    fields = solve_psi(duals, space, material, poly)
+    iterations = _seed_iterations([fields])
+    assert iterations[0] != iterations[1]    # one column leaves before the other
+    assert len(counting.columns) == max(iterations) + 2
+    assert sum(counting.columns) == 2 * sum(iterations) + 2 * 2 + 2 * 2
+
+
+def test_shifted_solve_makes_one_stiffness_solve_per_iteration():
+    space, rhs, values = _two_rows(0.1)
+    counting = _counting_stiffness(space)
+    materials = [MaterialParams(1.0, eps) for eps in SWEEP_EPS]
+    fields = space.solve_all(materials, rhs, values)
+    iterations, k, s = _seed_iterations(fields), len(rhs), len(materials)
+    assert len(counting.columns) == max(iterations) + 2
+    assert sum(counting.columns) == 2 * sum(iterations) + 2 * k + 2 * k * s
+
+
+@pytest.mark.parametrize("live_row", [0, 1])
+def test_zero_row_beside_a_live_row(live_row):
+    """A row already solved by zero never enters the PCG: 0 iterations and a
+    zero field; the other row keeps the count it gets alone."""
+    space, rhs, values = _two_rows(0.1)
+    material = MaterialParams(1.0, 1e-3)
+    alone = space.solve(material, rhs[0], values[0])
+    rows, data = np.zeros((2, space.n_dofs)), np.zeros((2, space.n_dofs))
+    rows[live_row], data[live_row] = rhs[0], values[0]
+    pair = space.solve_all([material], rows, data)[0]
+    empty, live = pair[1 - live_row], pair[live_row]
+    assert empty.iterations == 0 and live.iterations == alone.iterations > 0
+    assert not empty.p.any() and not empty.ux.any() and not empty.uy.any()
+    assert live.residual <= 1e-10
+    assert np.linalg.norm(live.p - alone.p) <= 1e-12 * np.linalg.norm(alone.p)
