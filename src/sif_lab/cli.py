@@ -21,7 +21,7 @@ from .extraction import ProblemData, extract_sifs_penalized, extract_sifs_stokes
 from .fem import P2Space, dirichlet_values, load_vector, norms
 from .harness import (ConfigError, build_problem, emit, load_config, run_eps_sweep,
                       run_manufactured)
-from .modes import CornerFrame, make_mode
+from .modes import CornerFrame, Polar, make_mode
 from .spectral import MaterialParams, exponent_table
 
 log = logging.getLogger(__name__)
@@ -49,6 +49,21 @@ def _eps_grid(text: str) -> list[float]:
     return [float(e) for e in np.geomspace(lo, hi, n)]
 
 
+def _point(text: str) -> tuple[float, float]:
+    """--at r,theta: two finite numbers; anything else is a usage error.  A
+    radius that is not positive is the library's NonpositiveRadius."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected r,theta, got {text!r}")
+    try:
+        r, theta = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers r,theta, got {text!r}") from None
+    if not (math.isfinite(r) and math.isfinite(theta)):
+        raise argparse.ArgumentTypeError(f"r and theta must be finite, got {text!r}")
+    return r, theta
+
+
 def _eps_values(args) -> list[float]:
     return args.eps_grid or [args.eps]
 
@@ -68,13 +83,14 @@ def cmd_mode(args) -> int:
     material = MaterialParams(args.mu, args.eps)
     frame = CornerFrame(0.0, args.omega)
     mode = make_mode(args.family, args.kind, args.index, frame, material)
-    r, theta = (float(t) for t in args.at.split(","))
-    v = mode.eval(r, theta)
-    G = mode.eval_grad(r, theta)
+    r, theta = args.at
+    at = Polar(r, theta)
+    v = mode.eval(at)
+    G = mode.eval_grad(at)
     if args.family == "lame":
-        extra = {"div_scaled": float(mode.eval_div_scaled(r, theta))}
+        extra = {"div_scaled": float(mode.eval_div_scaled(at))}
     else:
-        extra = {"pressure": float(mode.eval_pressure(r, theta))}
+        extra = {"pressure": float(mode.eval_pressure(at))}
     row = {"family": mode.family, "kind": mode.kind, "index": mode.index,
            "a": mode.a, "r": r, "theta": theta, "vx": v[0], "vy": v[1],
            "g11": G[0, 0], "g12": G[0, 1], "g21": G[1, 0], "g22": G[1, 1], **extra}
@@ -186,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--at", required=True, metavar="r,theta")
+    p.add_argument("--at", type=_point, required=True, metavar="r,theta")
     _add_common(p)
     p.set_defaults(func=cmd_mode)
 

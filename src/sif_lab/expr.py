@@ -4,7 +4,8 @@ A recursive-descent parser over the variables x, y, r, theta, the constants
 pi, omega1, omega2, the binary operators + - * / ^ (with ^ right-associative)
 and a fixed set of real functions.  parse returns a closure over an
 environment of point values, and evaluate builds that environment and calls
-it.  A chain of + - (or of * /) becomes one closure that applies its
+it; r and theta enter it on first read, so an expression that does not read
+them computes neither.  A chain of + - (or of * /) becomes one closure that applies its
 operators left to right, so its length costs no recursion; nesting
 (parentheses, function arguments, unary minus, ^) deeper than 50 levels is
 a syntax error.  Evaluation is numpy-vectorized; given a corner frame, the
@@ -263,18 +264,31 @@ def parse(text: str):
     return _Parser(text).parse()
 
 
+class _Env(dict):
+    """The names of one evaluation; r and theta are computed on first read."""
+
+    def __init__(self, x, y, frame):
+        super().__init__(x=x, y=y, pi=math.pi,
+                         omega1=None if frame is None else frame.omega1,
+                         omega2=None if frame is None else frame.omega2)
+        self.frame = frame
+
+    def __missing__(self, name):
+        x, y = self["x"], self["y"]
+        if name == "r":
+            value = np.hypot(x, y)
+        elif name == "theta":
+            value = np.arctan2(y, x)
+            if self.frame is not None:
+                value = map_theta(value, self.frame)
+        else:
+            raise KeyError(name)
+        self[name] = value
+        return value
+
+
 def evaluate(expr, x, y, frame=None):
     """Evaluate a parsed expression at points (x, y); frame supplies
-    omega1/omega2 and the theta branch."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    theta = np.arctan2(y, x)
-    return expr({
-        "x": x,
-        "y": y,
-        "r": np.hypot(x, y),
-        "theta": theta if frame is None else map_theta(theta, frame),
-        "pi": math.pi,
-        "omega1": None if frame is None else frame.omega1,
-        "omega2": None if frame is None else frame.omega2,
-    })
+    omega1/omega2 and the theta branch.  r and theta are computed only if
+    the expression reads them."""
+    return expr(_Env(np.asarray(x, dtype=float), np.asarray(y, dtype=float), frame))

@@ -79,7 +79,7 @@ from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
 from .fem import (InconsistentEdgeData, MeshMismatch, MixedField, P2Space,
                   _load_from_values, dirichlet_values, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh, _affine, _images
-from .modes import SingularMode, make_mode, map_theta
+from .modes import Polar, SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, exponent_table
 
 log = logging.getLogger(__name__)
@@ -130,8 +130,9 @@ class _Family:
     gamma      : (index, material, frame, (primal, dual)) -> normalizer
     dual_scale : mu -> factor s of the dual mode in the dual weight; the
                  corrector's far-edge data is -s times the dual mode
-    sigma      : (mode, r, theta) -> pressure-like part paired with g.n and
-                 zeta: the scaled divergence, or minus the pressure
+    sigma      : (mode, points) -> pressure-like part paired with g.n and
+                 zeta on a modes.Polar: the scaled divergence, or minus the
+                 pressure
     terms      : key order of SifReport.terms
     """
 
@@ -150,7 +151,7 @@ _FAMILY = {
         gamma=lambda i, material, frame, modes: gamma_lame(
             i, material, frame, modes=modes),
         dual_scale=lambda mu: 1.0,
-        sigma=lambda mode, r, theta: mode.eval_div_scaled(r, theta),
+        sigma=lambda mode, at: mode.eval_div_scaled(at),
         terms=("C1", "C2", "Cstar", "psi_residuals", "psi_flux_defects",
                "gamma_quad_errors")),
     "stokes": _Family(
@@ -158,7 +159,7 @@ _FAMILY = {
         gamma=lambda i, material, frame, modes: gamma_stokes(
             i, frame, modes=modes),
         dual_scale=lambda mu: mu,
-        sigma=lambda mode, r, theta: -mode.eval_pressure(r, theta),
+        sigma=lambda mode, at: -mode.eval_pressure(at),
         terms=("C1", "psi_residuals", "psi_flux_defects", "gamma_quad_errors",
                "mode_count", "C2", "Cstar")),
 }
@@ -252,12 +253,6 @@ def _edge_rule(edge):
     if np.hypot(*b) < np.hypot(*a):  # corner at the p1 end
         a, b = b, a
     return a + t[:, None] * (b - a), w
-
-
-def _polar(pts, frame):
-    r = np.hypot(pts[..., 0], pts[..., 1])
-    theta = map_theta(np.arctan2(pts[..., 1], pts[..., 0]), frame)
-    return r, theta
 
 
 def _edge_dofs(space: P2Space, polygon: CornerPolygon):
@@ -413,32 +408,41 @@ def _sample(space: P2Space, polygon: CornerPolygon, traces: dict,
     return sample
 
 
+def _weight_rules(polygon: CornerPolygon, x, w) -> tuple:
+    """The point sets a dual weight is evaluated on, each a modes.Polar in
+    polygon's frame with its weights: the volume rule (x, w), then the edge
+    rule of each polygon edge, in order.  Every dual weight of an extraction
+    shares them."""
+    frame = polygon.frame
+    edges = tuple((Polar.at(pts[:, 0], pts[:, 1], frame), we)
+                  for pts, we in map(_edge_rule, polygon.edges))
+    return (Polar.at(x[:, 0], x[:, 1], frame), w), edges
+
+
 def _weight(polygon: CornerPolygon, dual: SingularMode, psi: MixedField,
-            mu: float, volume) -> dict:
+            mu: float, rules) -> dict:
     """The dual weight (dual, psi) with the keys and shapes of a _sample.
 
-    volume = (r, theta, w) is the volume rule in polar coordinates.  In the
-    volume: s Phi~ w, s sigma(Phi~) w and the corrector's coefficients
-    x_psi; on an edge: s w (mu dn(Phi~) + sigma(Phi~) n), w the edge rule's
-    weights times the length, then R at the edge's dofs.  R, the velocity
-    rows of K x_psi, is Psi's consistent boundary flux: it vanishes at the
-    interior dofs, as Psi solves the system with zero volume data.
+    rules are the _weight_rules of polygon.  In the volume: s Phi~ w,
+    s sigma(Phi~) w and the corrector's coefficients x_psi; on an edge:
+    s w (mu dn(Phi~) + sigma(Phi~) n), w the edge rule's weights times the
+    length, then R at the edge's dofs.  R, the velocity rows of K x_psi, is
+    Psi's consistent boundary flux: it vanishes at the interior dofs, as Psi
+    solves the system with zero volume data.
     """
     fam = _BY_MODES[dual.family]
     s = fam.dual_scale(mu)
-    r, theta, w = volume
-    weight = {"volume_f_dual": (s * w)[:, None] * dual.eval(r, theta),
+    (volume, w), edge_rules = rules
+    weight = {"volume_f_dual": (s * w)[:, None] * dual.eval(volume),
               "volume_f_psi": np.concatenate([psi.ux, psi.uy]),
-              "volume_zeta_dual": s * w * fam.sigma(dual, r, theta),
+              "volume_zeta_dual": s * w * fam.sigma(dual, volume),
               "volume_zeta_psi": psi.p}
     A, Bx, By, _ = psi.space.stokes_blocks
     R = np.stack([mu * (A @ psi.ux) - Bx.T @ psi.p,
                   mu * (A @ psi.uy) - By.T @ psi.p], axis=-1)
-    for edge, dofs in _edge_dofs(psi.space, polygon):
-        pts, we = _edge_rule(edge)
-        rb, tb = _polar(pts, dual.frame)
-        flux = mu * (dual.eval_grad(rb, tb) @ edge.normal) \
-            + fam.sigma(dual, rb, tb)[:, None] * edge.normal
+    for (edge, dofs), (at, we) in zip(_edge_dofs(psi.space, polygon), edge_rules):
+        flux = mu * (dual.eval_grad(at) @ edge.normal) \
+            + fam.sigma(dual, at)[:, None] * edge.normal
         weight[f"boundary_edge_{edge.tag}"] = np.concatenate(
             [(s * edge.length * we)[:, None] * flux, R[dofs]])
     return weight
@@ -460,19 +464,22 @@ def solve_psi(duals: Sequence[SingularMode], space: P2Space, material: MaterialP
 
     Zero volume data; Dirichlet data -s Phi~ on the far edges, with s the
     family's dual scale, so the dual weight s Phi~ + Psi vanishes there, and
-    exactly zero on the two corner edges.
+    exactly zero on the two corner edges.  The boundary dofs of each far edge
+    are mapped once, for every dual.
     """
     if any(d.kind != "dual" for d in duals):
         raise ValueError("solve_psi expects dual modes")
     zero = lambda x, y: np.zeros(np.shape(x) + (2,))
+    # dirichlet_values calls an edge's trace at its boundary dofs: the points
+    # of far[tag].
+    far = {e.tag: Polar.at(*space.dof_coords[space.boundary_dofs[e.tag]].T, polygon.frame)
+           for e in polygon.far_edges}
     values = []
     for dual in duals:
         s = _BY_MODES[dual.family].dual_scale(material.mu)
-
-        def far_trace(x, y, dual=dual, s=s):
-            return -s * dual.eval_xy(x, y)
-
-        traces = {e.tag: zero if e.on_corner_ray else far_trace for e in polygon.edges}
+        traces = {tag: lambda x, y, at=at, dual=dual, s=s: -s * dual.eval(at)
+                  for tag, at in far.items()}
+        traces.update((e.tag, zero) for e in polygon.edges if e.on_corner_ray)
         values.append(dirichlet_values(space, traces))
     return tuple(space.solve_all([material], np.zeros((len(duals), space.n_dofs)),
                                  np.array(values))[0])
@@ -538,8 +545,8 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     gammas = tuple(fam.gamma(i, material, frame, m)
                    for i, m in enumerate(zip(primals, duals), 1))
     psi = solve_psi(duals, space, material, data.polygon)
-    polar = (*_polar(points.rule, frame), points.weights)
-    weights = tuple(_weight(data.polygon, dual, p, material.mu, polar)
+    rules = _weight_rules(data.polygon, points.rule, points.weights)
+    weights = tuple(_weight(data.polygon, dual, p, material.mu, rules)
                     for dual, p in zip(duals, psi))
     Cstar = tstar = None
     if len(duals) >= 2:
@@ -689,14 +696,16 @@ def regular_part(u: MixedField, report: SifReport) -> MixedField:
     pairs = list(zip((report.c1, report.c2), report.modes))
 
     space = u.space
+    frame = report.modes[0].frame
     coords = space.dof_coords
     r = np.hypot(coords[:, 0], coords[:, 1])
     interior = r > 1e-12
+    at = Polar.at(coords[interior, 0], coords[interior, 1], frame)
     ux = u.ux.copy()
     uy = u.uy.copy()
     for c, mode in pairs:
         vals = np.zeros((len(coords), 2))
-        vals[interior] = mode.eval_xy(coords[interior, 0], coords[interior, 1])
+        vals[interior] = mode.eval(at)
         # r^a -> 0 at the corner for a > 0, so the corner node stays zero.
         ux -= c * vals[:, 0]
         uy -= c * vals[:, 1]
@@ -705,9 +714,8 @@ def regular_part(u: MixedField, report: SifReport) -> MixedField:
     rn = np.hypot(nodes[:, 0], nodes[:, 1])
     pos = rn[rn > 1e-12]
     r_floor = 0.5 * float(pos.min()) if len(pos) else 1.0
-    rc = np.maximum(rn, r_floor)
-    theta = map_theta(np.arctan2(nodes[:, 1], nodes[:, 0]), report.modes[0].frame)
+    at = Polar(np.maximum(rn, r_floor), map_theta(np.arctan2(nodes[:, 1], nodes[:, 0]), frame))
     sigma = u.p.copy()
     for c, mode in pairs:
-        sigma += c * _BY_MODES[mode.family].sigma(mode, rc, theta)
+        sigma += c * _BY_MODES[mode.family].sigma(mode, at)
     return MixedField(space=space, material=u.material, ux=ux, uy=uy, p=sigma)

@@ -27,7 +27,7 @@ from .extraction import (ProblemData, extract_sifs_penalized,
                          extract_sifs_stokes, regular_part)
 from .fem import P2Space, diff_norms, dirichlet_values, load_vector
 from .geometry import BoundaryData, CornerPolygon, generate_lshape_mesh, lshape_polygon
-from .modes import make_mode
+from .modes import Polar, make_mode
 from .spectral import MaterialParams, exponent_table
 
 log = logging.getLogger(__name__)
@@ -263,10 +263,9 @@ def manufactured_fields(case: str, material: MaterialParams, polygon: CornerPoly
         y = np.asarray(y, dtype=float)
         out = w_poly(x, y)
         if phis:
-            r = np.hypot(x, y)
-            mask = r > 1e-14
-            sing = sum(c * phi.eval_xy(x[mask], y[mask])
-                       for c, phi in zip(c_true, phis))
+            mask = np.hypot(x, y) > 1e-14
+            at = Polar.at(x[mask], y[mask], frame)
+            sing = sum(c * phi.eval(at) for c, phi in zip(c_true, phis))
             out[mask] += sing
         return out
 

@@ -7,12 +7,19 @@ pressures are all evaluated from hand-differentiated closed forms — no
 numerical differentiation and no cutoff functions anywhere.  A mode is fixed
 by (family, kind, index, frame, material): make_mode reads the exponent from
 spectral.exponent_table, which solves each (family, omega, C) once.
+
+Modes are evaluated on point sets (Polar): one array of points in the
+corner frame's polar coordinates, with cos theta and sin theta computed on
+first read.  Each evaluation computes each sine or cosine that it reads
+once, and sharing a point set between modes changes no floating-point
+operation: the values are bit-identical to evaluating each mode alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +28,7 @@ from .spectral import MaterialParams, exponent_table
 
 __all__ = [
     "CornerFrame",
+    "Polar",
     "SingularMode",
     "IndexOutOfRange",
     "FamilyMismatch",
@@ -39,7 +47,7 @@ class FamilyMismatch(SifLabError):
 
 
 class NonpositiveRadius(SifLabError):
-    """Mode evaluation requested at r <= 0."""
+    """Mode evaluation requested at a radius that is not finite and positive."""
 
 
 @dataclass(frozen=True)
@@ -58,12 +66,54 @@ class CornerFrame:
         return 0.5 * (self.omega1 + self.omega2)
 
 
-def _e_r(theta):
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+@dataclass(frozen=True, eq=False)
+class Polar:
+    """Points in the polar coordinates of a corner frame.
+
+    r and theta are float arrays of one shape, theta on the frame's branch;
+    cos and sin are computed on first read and kept.  Polar.at(x, y, frame)
+    maps Cartesian points; Polar(r, theta) takes given coordinates, scalars
+    or arrays that broadcast.  Every r must be finite and positive.
+    """
+
+    r: np.ndarray
+    theta: np.ndarray
+
+    def __post_init__(self):
+        r, theta = np.broadcast_arrays(np.asarray(self.r, dtype=float),
+                                       np.asarray(self.theta, dtype=float))
+        # NaN fails both comparisons.
+        if not np.all((r > 0.0) & (r < math.inf)):
+            raise NonpositiveRadius("mode evaluation requires a finite r > 0")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "theta", theta)
+
+    @classmethod
+    def at(cls, x, y, frame: CornerFrame) -> Polar:
+        """The Cartesian points (x, y), with theta mapped into frame."""
+        return cls(np.hypot(x, y), map_theta(np.arctan2(y, x), frame))
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        return np.cos(self.theta)
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return np.sin(self.theta)
 
 
-def _e_theta(theta):
-    return np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+def _points(at, theta) -> Polar:
+    """at itself if it is a Polar, else Polar(at, theta)."""
+    return at if isinstance(at, Polar) else Polar(at, theta)
+
+
+def _rotated(X, Y, cos, sin):
+    """X e_r + Y e_theta in Cartesian components, one (..., 2) array, for
+    e_r = (cos, sin) and e_theta = (-sin, cos)."""
+    out = np.empty(np.broadcast_shapes(np.shape(X), np.shape(cos)) + (2,))
+    out[..., 0] = X * cos - Y * sin
+    out[..., 1] = X * sin + Y * cos
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,82 +141,89 @@ class SingularMode:
 
     # -- angular closed forms -------------------------------------------------
 
-    def _trig(self, x):
-        """(S(x), S'(x)): (sin, cos) for index 1, the odd branch, and
-        (cos, -sin) for index 2, the even one."""
-        if self.index == 1:
-            return np.sin(x), np.cos(x)
-        return np.cos(x), -np.sin(x)
+    def _sine(self, x):
+        """S(x): sin for index 1, the odd branch, and cos for index 2, the even one."""
+        return np.sin(x) if self.index == 1 else np.cos(x)
+
+    def _sines(self, that):
+        """(S1, S1', S2, S2'): S and its derivative, (sin, cos) for index 1 and
+        (cos, -sin) for index 2, at (1 - a) that and at (1 + a) that; one
+        sine and one cosine of each."""
+        out = []
+        for x in ((1 - self.a) * that, (1 + self.a) * that):
+            sin, cos = np.sin(x), np.cos(x)
+            out += [sin, cos] if self.index == 1 else [cos, -sin]
+        return out
 
     def _constants(self) -> tuple[float, float, float]:
         a, C, om = self.a, self.C, self.frame.omega
         K = C * math.cos(a * om) + (-1) ** (self.index - 1) * a * math.cos(om)
         return C - a, C + a, K
 
-    def angular(self, that):
-        """Radial/tangential coefficients (A, B) at that = theta - omega_bar."""
+    def _angular(self, sines):
+        cm, cp, K = self._constants()
+        S1, dS1, S2, dS2 = sines
+        return -cm * S1 + K * S2, -cp * dS1 + K * dS2
+
+    def _angular_derivative(self, sines):
         cm, cp, K = self._constants()
         a = self.a
-        S1, dS1 = self._trig((1 - a) * that)
-        S2, dS2 = self._trig((1 + a) * that)
-        return -cm * S1 + K * S2, -cp * dS1 + K * dS2
+        S1, dS1, S2, dS2 = sines
+        return (-cm * (1 - a) * dS1 + K * (1 + a) * dS2,
+                cp * (1 - a) * S1 - K * (1 + a) * S2)
+
+    def angular(self, that):
+        """Radial/tangential coefficients (A, B) at that = theta - omega_bar."""
+        return self._angular(self._sines(that))
 
     def angular_derivative(self, that):
         """d/dtheta of the angular coefficients, in closed form."""
-        cm, cp, K = self._constants()
-        a = self.a
-        S1, dS1 = self._trig((1 - a) * that)
-        S2, dS2 = self._trig((1 + a) * that)
-        return (-cm * (1 - a) * dS1 + K * (1 + a) * dS2,
-                cp * (1 - a) * S1 - K * (1 + a) * S2)
+        return self._angular_derivative(self._sines(that))
 
     def pressure_coeff(self, that):
         """Angular coefficient of the Stokes pressure, xi(theta - omega_bar)."""
         if self.family != "stokes":
             raise FamilyMismatch("pressure is defined for Stokes modes only")
         a = self.a
-        return 4.0 * a * self._trig((1 - a) * that)[0]
+        return 4.0 * a * self._sine((1 - a) * that)
 
     # -- point evaluation -----------------------------------------------------
+    # Each method takes a Polar, or radii r with theta the angles on the
+    # frame's branch.
 
-    def _check_r(self, r):
-        if np.any(np.asarray(r) <= 0.0):
-            raise NonpositiveRadius("mode evaluation requires r > 0")
-
-    def eval(self, r, theta):
+    def eval(self, at, theta=None):
         """Velocity/displacement vector at polar (r, theta); shape (..., 2)."""
-        self._check_r(r)
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        that = theta - self.frame.omega_bar
-        A, B = self.angular(that)
-        rad = self.prefactor * r ** self.a
-        return rad[..., None] * (A[..., None] * _e_r(theta) + B[..., None] * _e_theta(theta))
+        at = _points(at, theta)
+        # Read first, so that a point set's kept cos and sin are allocated
+        # before this call's temporaries: read after them, repeated eps
+        # sweeps grew the process's peak RSS by up to 20%.
+        cos, sin = at.cos, at.sin
+        A, B = self.angular(at.theta - self.frame.omega_bar)
+        v = _rotated(A, B, cos, sin)
+        v *= (self.prefactor * at.r ** self.a)[..., None]
+        return v
 
-    def eval_pressure(self, r, theta):
+    def eval_pressure(self, at, theta=None):
         """Stokes pressure scalar r^(a-1) * xi(theta - omega_bar)."""
-        self._check_r(r)
-        r = np.asarray(r, dtype=float)
-        that = np.asarray(theta, dtype=float) - self.frame.omega_bar
-        return r ** (self.a - 1.0) * self.pressure_coeff(that)
+        at = _points(at, theta)
+        return at.r ** (self.a - 1.0) * self.pressure_coeff(at.theta - self.frame.omega_bar)
 
-    def eval_grad(self, r, theta):
+    def eval_grad(self, at, theta=None):
         """Cartesian gradient G with G[k, l] = d(velocity_k)/d(x_l); shape (..., 2, 2)."""
-        self._check_r(r)
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        that = theta - self.frame.omega_bar
-        A, B = self.angular(that)
-        dA, dB = self.angular_derivative(that)
-        er, et = _e_r(theta), _e_theta(theta)
-        T = A[..., None] * er + B[..., None] * et
+        at = _points(at, theta)
+        cos, sin = at.cos, at.sin
+        sines = self._sines(at.theta - self.frame.omega_bar)
+        A, B = self._angular(sines)
+        dA, dB = self._angular_derivative(sines)
+        T = _rotated(A, B, cos, sin)
         # Frame terms: d/dtheta e_r = e_theta, d/dtheta e_theta = -e_r.
-        dT = (dA - B)[..., None] * er + (A + dB)[..., None] * et
-        rad = self.prefactor * r ** (self.a - 1.0)
-        G = self.a * T[..., :, None] * er[..., None, :] + dT[..., :, None] * et[..., None, :]
-        return rad[..., None, None] * G
+        dT = _rotated(dA - B, A + dB, cos, sin)
+        # Row k of G is a T_k e_r + dT_k e_theta.
+        G = _rotated(self.a * T, dT, cos[..., None], sin[..., None])
+        G *= (self.prefactor * at.r ** (self.a - 1.0))[..., None, None]
+        return G
 
-    def eval_div_scaled(self, r, theta):
+    def eval_div_scaled(self, at, theta=None):
         """Divergence divided by eps, from the cancellation-free closed form.
 
         div(r^a T) = r^(a-1) [(a+1)A + B'] and the bracket collapses to
@@ -175,19 +232,14 @@ class SingularMode:
         """
         if self.family != "lame":
             raise FamilyMismatch("scaled divergence applies to penalized modes")
-        self._check_r(r)
-        r = np.asarray(r, dtype=float)
-        that = np.asarray(theta, dtype=float) - self.frame.omega_bar
+        at = _points(at, theta)
         a = self.a
-        return -4.0 * self.mu * a * r ** (a - 1.0) * self._trig((1 - a) * that)[0]
+        that = at.theta - self.frame.omega_bar
+        return -4.0 * self.mu * a * at.r ** (a - 1.0) * self._sine((1 - a) * that)
 
     def eval_xy(self, x, y):
         """Velocity at Cartesian points, with theta mapped into the corner frame."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = np.hypot(x, y)
-        theta = map_theta(np.arctan2(y, x), self.frame)
-        return self.eval(r, theta)
+        return self.eval(Polar.at(x, y, self.frame))
 
 
 def map_theta(theta, frame: CornerFrame):

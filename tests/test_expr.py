@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sif_lab.expr import (EvalDomainError, ExprSyntaxError, UnknownIdentifier,
                           evaluate, parse)
-from sif_lab.modes import CornerFrame
+from sif_lab.modes import CornerFrame, map_theta
 
 FRAME = CornerFrame(0.0, 1.5 * math.pi)
 
@@ -58,6 +58,40 @@ def test_theta_keeps_the_ray_angle_just_outside_a_corner_ray():
     the branch is cut in the middle of the excluded sector, as in the modes."""
     theta = evaluate(parse("theta"), 1e-12, -1.0, frame=FRAME)
     assert theta == pytest.approx(1.5 * math.pi, abs=1e-11)
+
+
+def _counted(monkeypatch, name):
+    """Replace np.<name> with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(np, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def test_r_and_theta_are_computed_only_when_read(monkeypatch):
+    hypot, atan2 = _counted(monkeypatch, "hypot"), _counted(monkeypatch, "arctan2")
+    x, y = np.linspace(0.1, 1.0, 7), np.linspace(-0.9, 0.9, 7)
+    for text in ("1", "x*y + pi", "omega2 - x"):
+        evaluate(parse(text), x, y, frame=FRAME)
+    assert (len(hypot), len(atan2)) == (0, 0)
+    evaluate(parse("r + r^2"), x, y, frame=FRAME)
+    assert (len(hypot), len(atan2)) == (1, 0)
+    evaluate(parse("theta*r + sin(theta)"), x, y, frame=FRAME)
+    assert (len(hypot), len(atan2)) == (2, 1)
+
+
+def test_r_and_theta_values_are_bit_identical_to_numpy():
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(-1.0, 1.0, (2, 50))
+    r = np.hypot(x, y)
+    for frame, theta in ((None, np.arctan2(y, x)),
+                         (FRAME, map_theta(np.arctan2(y, x), FRAME))):
+        got = evaluate(parse("r^0.5*sin(theta) + theta/r"), x, y, frame=frame)
+        assert np.array_equal(got, r ** 0.5 * np.sin(theta) + theta / r)
 
 
 def test_vectorized_evaluation_shape():

@@ -12,8 +12,8 @@ import sif_lab.extraction
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
                                 IncompatibleFlux, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero, _ci_terms,
-                                _edge_dofs, _edge_rule, _polar, _sample,
-                                _volume_rule, _weight, extract_sifs_penalized,
+                                _edge_dofs, _edge_rule, _sample, _volume_rule,
+                                _weight, _weight_rules, extract_sifs_penalized,
                                 extract_sifs_stokes, regular_part, solve_psi)
 from sif_lab.fem import (InconsistentEdgeData, P2Space,
                          diff_norms, dirichlet_values, error_norms, norms,
@@ -248,7 +248,7 @@ def test_mesh_checks_compare_connectivity(coarse_mesh):
 def dual_weight(dual, psi):
     """_weight of (dual, psi) on the volume rule of psi's space."""
     x, w = _volume_rule(psi.space)
-    return _weight(POLY, dual, psi, psi.material.mu, (*_polar(x, FRAME), w))
+    return _weight(POLY, dual, psi, psi.material.mu, _weight_rules(POLY, x, w))
 
 
 def pair(data, dual, psi):

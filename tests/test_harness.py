@@ -16,7 +16,7 @@ from sif_lab.cli import main
 from sif_lab.extraction import IncompatibleFlux, _mesh_id
 from sif_lab.fem import P2Space, dirichlet_values, load_vector
 from sif_lab.geometry import build_polygon
-from sif_lab.modes import make_mode
+from sif_lab.modes import CornerFrame, make_mode
 from sif_lab.spectral import MaterialParams
 from sif_lab.harness import (SCHEMA, ConfigError, SweepRecord,
                              build_problem, emit, load_config,
@@ -531,6 +531,35 @@ def test_cli_bad_eps_grid_is_a_usage_error(capsys, command, grid, message):
     err = capsys.readouterr().err
     assert f"argument --eps-grid: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("at, message", [
+    ("nan,1", "r and theta must be finite"),
+    ("1,nan", "r and theta must be finite"),
+    ("inf,1", "r and theta must be finite"),
+    ("1,2,3", "expected r,theta"),
+    ("0.5", "expected r,theta"),
+    ("abc,1", "expected two numbers r,theta"),
+], ids=["r-nan", "theta-nan", "r-inf", "three-fields", "one-field", "word"])
+def test_cli_mode_bad_at_is_a_usage_error(capsys, at, message):
+    """A malformed --at ends in one usage error line, before any evaluation."""
+    with pytest.raises(SystemExit) as info:
+        main(["mode", "--family", "lame", "--omega", str(1.5 * math.pi), "--at", at])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --at: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_mode_stokes_row_carries_the_pressure(capsys):
+    """The Stokes row gives the pressure at the point of its other columns."""
+    omega = 1.5 * math.pi
+    assert main(["mode", "--family", "stokes", "--index", "1", "--omega", str(omega),
+                 "--at", "0.5,1.0"]) == 0
+    row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    mode = make_mode("stokes", "primal", 1, CornerFrame(0.0, omega), MaterialParams(1.0, 0.0))
+    assert float(row["pressure"]) == float(mode.eval_pressure(0.5, 1.0))
+    assert float(row["vx"]) == mode.eval(0.5, 1.0)[0]
 
 
 def test_cli_reports_config_errors(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sif_lab.modes import (CornerFrame, FamilyMismatch, IndexOutOfRange,
-                           NonpositiveRadius, make_mode, map_theta)
+                           NonpositiveRadius, Polar, make_mode, map_theta)
 from sif_lab.spectral import MaterialParams, exponent_table
 
 FRAME = CornerFrame(-math.pi / 2, math.pi)
@@ -188,3 +188,126 @@ def test_error_conditions():
         mode.eval(0.0, 0.0)
     with pytest.raises(NonpositiveRadius):
         mode.eval(np.array([0.5, -0.1]), np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("r", [0.0, -0.1, math.nan, math.inf])
+def test_polar_rejects_a_radius_that_is_not_finite_and_positive(r):
+    with pytest.raises(NonpositiveRadius):
+        Polar(np.array([0.5, r]), np.array([0.0, 1.0]))
+    with pytest.raises(NonpositiveRadius):
+        make_mode("lame", "primal", 1, FRAME, MAT).eval(r, 0.0)
+
+
+def test_polar_at_maps_into_the_frame_and_computes_cos_sin_once():
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1.0, 1.0, (2, 40))
+    at = Polar.at(x, y, FRAME)
+    assert np.array_equal(at.r, np.hypot(x, y))
+    assert np.array_equal(at.theta, map_theta(np.arctan2(y, x), FRAME))
+    assert at.cos is at.cos and at.sin is at.sin
+    assert np.array_equal(at.cos, np.cos(at.theta))
+    assert np.array_equal(at.sin, np.sin(at.theta))
+
+
+# -- bit-exact against the stacked closed forms ------------------------------
+# The evaluation of the modes in its earlier form: each unit vector stacked
+# on its own (cos and sin computed for each), and both trigonometric values
+# of each angular argument in every call.  Evaluation on a shared Polar must
+# reproduce it bit for bit.
+
+def _ref_e_r(theta):
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
+def _ref_e_theta(theta):
+    return np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+
+
+def _ref_trig(mode, x):
+    if mode.index == 1:
+        return np.sin(x), np.cos(x)
+    return np.cos(x), -np.sin(x)
+
+
+def _ref_constants(mode):
+    a, C, om = mode.a, mode.C, mode.frame.omega
+    K = C * math.cos(a * om) + (-1) ** (mode.index - 1) * a * math.cos(om)
+    return C - a, C + a, K
+
+
+def _ref_angular(mode, that):
+    cm, cp, K = _ref_constants(mode)
+    a = mode.a
+    S1, dS1 = _ref_trig(mode, (1 - a) * that)
+    S2, dS2 = _ref_trig(mode, (1 + a) * that)
+    return -cm * S1 + K * S2, -cp * dS1 + K * dS2
+
+
+def _ref_angular_derivative(mode, that):
+    cm, cp, K = _ref_constants(mode)
+    a = mode.a
+    S1, dS1 = _ref_trig(mode, (1 - a) * that)
+    S2, dS2 = _ref_trig(mode, (1 + a) * that)
+    return (-cm * (1 - a) * dS1 + K * (1 + a) * dS2,
+            cp * (1 - a) * S1 - K * (1 + a) * S2)
+
+
+def _ref_eval(mode, r, theta):
+    that = theta - mode.frame.omega_bar
+    A, B = _ref_angular(mode, that)
+    rad = mode.prefactor * r ** mode.a
+    return rad[..., None] * (A[..., None] * _ref_e_r(theta) + B[..., None] * _ref_e_theta(theta))
+
+
+def _ref_eval_grad(mode, r, theta):
+    that = theta - mode.frame.omega_bar
+    A, B = _ref_angular(mode, that)
+    dA, dB = _ref_angular_derivative(mode, that)
+    er, et = _ref_e_r(theta), _ref_e_theta(theta)
+    T = A[..., None] * er + B[..., None] * et
+    dT = (dA - B)[..., None] * er + (A + dB)[..., None] * et
+    rad = mode.prefactor * r ** (mode.a - 1.0)
+    G = mode.a * T[..., :, None] * er[..., None, :] + dT[..., :, None] * et[..., None, :]
+    return rad[..., None, None] * G
+
+
+def _ref_eval_div_scaled(mode, r, theta):
+    that = theta - mode.frame.omega_bar
+    a = mode.a
+    return -4.0 * mode.mu * a * r ** (a - 1.0) * _ref_trig(mode, (1 - a) * that)[0]
+
+
+def _ref_eval_pressure(mode, r, theta):
+    that = theta - mode.frame.omega_bar
+    a = mode.a
+    return r ** (a - 1.0) * (4.0 * a * _ref_trig(mode, (1 - a) * that)[0])
+
+
+@pytest.mark.parametrize("omega", [1.2 * math.pi, 1.5 * math.pi, 1.95 * math.pi],
+                         ids=["1.2pi", "1.5pi", "1.95pi"])
+def test_evaluation_on_a_shared_polar_is_bit_identical_to_the_stacked_forms(omega):
+    frame = CornerFrame(-0.4, omega - 0.4)
+    material = MaterialParams(1.3, 1e-3)
+    rng = np.random.default_rng(11)
+    rho = rng.uniform(1e-3, 2.0, 200)
+    phi = rng.uniform(frame.omega1, frame.omega2, 200)
+    x, y = rho * np.cos(phi), rho * np.sin(phi)
+    at = Polar.at(x, y, frame)
+    r, theta = np.hypot(x, y), map_theta(np.arctan2(y, x), frame)
+    modes = [make_mode(family, kind, i, frame, material)
+             for family in ("lame", "stokes") for kind in ("primal", "dual")
+             for i in range(1, exponent_table(family, omega, material.C if family == "lame"
+                                              else 1.0).mode_count + 1)]
+    assert len(modes) == (6 if omega < 1.4 * math.pi else 8)
+    for mode in modes:
+        assert np.array_equal(mode.eval(at), _ref_eval(mode, r, theta))
+        assert np.array_equal(mode.eval_xy(x, y), _ref_eval(mode, r, theta))
+        assert np.array_equal(mode.eval(r, theta), _ref_eval(mode, r, theta))
+        assert np.array_equal(mode.eval_grad(at), _ref_eval_grad(mode, r, theta))
+        A, B = mode.angular(theta - frame.omega_bar)
+        rA, rB = _ref_angular(mode, theta - frame.omega_bar)
+        assert np.array_equal(A, rA) and np.array_equal(B, rB)
+        if mode.family == "lame":
+            assert np.array_equal(mode.eval_div_scaled(at), _ref_eval_div_scaled(mode, r, theta))
+        else:
+            assert np.array_equal(mode.eval_pressure(at), _ref_eval_pressure(mode, r, theta))
