@@ -26,7 +26,8 @@ Quadrature policy, fixed by the points a sample is taken at:
     with the data through the discrete system, x_psi . load_vector(f, zeta)
     in the volume and R . g on the boundary nodes, with R the velocity rows
     of K x_psi, Psi's consistent (residual) flux (Babuska & Miller, IJNME 20,
-    1984; Carey, Chow & Seager, CMAME 50, 1985).
+    1984; Carey, Chow & Seager, CMAME 50, 1985), the volume one pointwise:
+    the load assembly's transpose is kept, f and zeta are not assembled.
 
 Input: before any solve, _space names a space of another mesh, and
 _check_data g or zeta nonzero at the corner, traces that differ at a vertex,
@@ -45,24 +46,24 @@ gamma2, the dual weights and Cstar depend only on the mesh, the polygon, the
 material and the family; they are computed once and kept in a single-entry
 memo, reused while the next extraction has the same mesh and polygon
 objects, an equal material and the same family.  Each data set is sampled
-once and paired with the kept weights, so it evaluates no mode; it still
-runs the input checks, on the same sample.  The memo keeps the weights, no
-corrector field, and two things that serve every material on its mesh: the
-points a sample is taken at (_SamplePoints, read-only and coordinate-major:
-load_vector's points, the volume rule's points and the corner in one array,
-and per edge its rule's points, boundary nodes and ends), with the volume
-rule's weights, and the P2Space, whose scalar stiffness and mass
-factorizations (fem.P2Space.stiffness_lu, mass_lu) serve an extraction of
-another material.  So a warm extraction calls f, zeta and each trace once
-and maps no point.  The memo is dropped before a new entry is computed, and
-as soon as an extraction on another mesh starts, before that mesh's arrays
-are allocated; the space passes on to a new entry on the same mesh, and
-the points when the polygon is the same object too.  The entry holds its
-mesh and polygon, so no other object can take their place.  Meshes are
-treated as immutable (TriMesh is frozen): changing the arrays of a mesh in
-place after an extraction is not detected.  The report carries the primal
-modes (SifReport.modes), so regular_part(u, report) subtracts c1 and c2
-times them without building the modes again.
+once and paired raw with the kept weights: it evaluates no mode and builds
+no load vector, and it still runs the input checks, on the same sample.  The
+memo keeps the weights, no corrector field, and two things that serve every
+material on its mesh: the points a sample is taken at (_SamplePoints,
+read-only and coordinate-major: load_vector's points, the volume rule's
+points and the corner in one array, and per edge its rule's points, boundary
+nodes and ends), with the volume rule's weights, and the P2Space, whose
+scalar stiffness and mass factorizations (fem.P2Space.stiffness_lu, mass_lu)
+serve an extraction of another material.  So a warm extraction calls f, zeta
+and each trace once and maps no point.  The memo is dropped before a new
+entry is computed, and as soon as an extraction on another mesh starts,
+before that mesh's arrays are allocated; the space passes on to a new entry
+on the same mesh, and the points when the polygon is the same object too.
+The entry holds its mesh and polygon, so no other object can take their
+place.  Meshes are treated as immutable (TriMesh is frozen): changing the
+arrays of a mesh in place after an extraction is not detected.  The report
+carries the primal modes (SifReport.modes), so regular_part(u, report)
+subtracts c1 and c2 times them without building the modes again.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ import numpy as np
 from . import SifLabError
 from .angular import GammaNearZero, gamma_lame, gamma_stokes, gauss_nodes
 from .fem import (InconsistentEdgeData, MeshMismatch, MixedField, P2Space,
-                  _load_from_values, dirichlet_values, tri_quadrature)
+                  dirichlet_values, tri_quadrature)
 from .geometry import BoundaryData, CornerPolygon, TriMesh, _affine, _images
 from .modes import Polar, SingularMode, make_mode, map_theta
 from .spectral import MaterialParams, exponent_table
@@ -372,12 +373,13 @@ def _sample_points(space: P2Space, polygon: CornerPolygon, x=None,
 def _sample(space: P2Space, polygon: CornerPolygon, traces: dict,
             f=None, zeta=None, points=None) -> dict:
     """One data set, each callable called once, keyed by the term it enters:
-    f and zeta at the volume rule's points (volume_*_dual), load_vector(f,
-    zeta) from the same call (volume_*_psi), and the trace of each edge in
-    traces at its edge rule's points, then at its boundary P2 dofs
-    (boundary_edge_<tag>).  A term whose data is absent has no key.  Two keys
-    pair with no weight and serve _check_data: ends, each trace at its edge's
-    p0 and p1 (k, 2, 2), and zeta_corner, zeta at the corner.
+    f and zeta at the volume rule's points (volume_*_dual) and at
+    load_vector's points (volume_*_psi), both views of the one result, and
+    the trace of each edge in traces at its edge rule's points, then at its
+    boundary P2 dofs (boundary_edge_<tag>).  A term whose data is absent has
+    no key.  Two keys pair with no weight and serve _check_data: ends, each
+    trace at its edge's p0 and p1 (k, 2, 2), and zeta_corner, zeta at the
+    corner.
 
     points are the _SamplePoints of (space, polygon), or the volume rule's
     points x (n, 2) to build them from, or None when f and zeta are None.
@@ -387,15 +389,14 @@ def _sample(space: P2Space, polygon: CornerPolygon, traces: dict,
     sample: dict = {}
     if f is not None or zeta is not None:
         x, y = points.volume.T
-        n, S = points.n_load, space.n_scalar
+        n = points.n_load
         # f is not called at the corner, where it may be singular.
-        fv = None if f is None else np.asarray(f(x[:-1], y[:-1]), dtype=float)
-        zv = None if zeta is None else np.asarray(zeta(x, y), dtype=float)
-        load = _load_from_values(space, *(None if v is None else v[:n] for v in (fv, zv)))
-        if fv is not None:
-            sample["volume_f_dual"], sample["volume_f_psi"] = fv[n:], load[:2 * S]
-        if zv is not None:
-            sample["volume_zeta_dual"], sample["volume_zeta_psi"] = zv[n:-1], load[2 * S:]
+        if f is not None:
+            fv = np.asarray(f(x[:-1], y[:-1]), dtype=float)
+            sample["volume_f_dual"], sample["volume_f_psi"] = fv[n:], fv[:n]
+        if zeta is not None:
+            zv = np.asarray(zeta(x, y), dtype=float)
+            sample["volume_zeta_dual"], sample["volume_zeta_psi"] = zv[n:-1], zv[:n]
             sample["zeta_corner"] = float(zv[-1])
     ends = []
     for edge, pts in points.edges:
@@ -423,8 +424,10 @@ def _weight(polygon: CornerPolygon, dual: SingularMode, psi: MixedField,
             mu: float, rules) -> dict:
     """The dual weight (dual, psi) with the keys and shapes of a _sample.
 
-    rules are the _weight_rules of polygon.  In the volume: s Phi~ w,
-    s sigma(Phi~) w and the corrector's coefficients x_psi; on an edge:
+    rules are the _weight_rules of polygon.  In the volume: s Phi~ w and
+    s sigma(Phi~) w on the volume rule, then Psi's velocity and minus its
+    pressure times the weights at load_vector's points, whose pairing with
+    f and zeta there is x_psi . load_vector(f, zeta); on an edge:
     s w (mu dn(Phi~) + sigma(Phi~) n), w the edge rule's weights times the
     length, then R at the edge's dofs.  R, the velocity rows of K x_psi, is
     Psi's consistent boundary flux: it vanishes at the interior dofs, as Psi
@@ -434,9 +437,14 @@ def _weight(polygon: CornerPolygon, dual: SingularMode, psi: MixedField,
     s = fam.dual_scale(mu)
     (volume, w), edge_rules = rules
     weight = {"volume_f_dual": (s * w)[:, None] * dual.eval(volume),
-              "volume_f_psi": np.concatenate([psi.ux, psi.uy]),
-              "volume_zeta_dual": s * w * fam.sigma(dual, volume),
-              "volume_zeta_psi": psi.p}
+              "volume_zeta_dual": s * w * fam.sigma(dual, volume)}
+    # After the dual's evaluations: their temporaries set the heap peak of a
+    # cold extraction, and these arrays would add to it.
+    pts, wdet = psi.space.weights(5)
+    u, p = psi.values(pts)
+    u *= wdet[..., None]
+    p *= -wdet
+    weight.update(volume_f_psi=u.reshape(-1, 2), volume_zeta_psi=p.ravel())
     A, Bx, By, _ = psi.space.stokes_blocks
     R = np.stack([mu * (A @ psi.ux) - Bx.T @ psi.p,
                   mu * (A @ psi.uy) - By.T @ psi.p], axis=-1)

@@ -50,13 +50,12 @@ P2Space.basis_grad maps the reference basis gradients into every element,
 and MixedField.values and MixedField.gradient give velocity, pressure and
 velocity gradient at reference points of every element.  Assembly, the load
 vector, error_norms and the second-equation residual read them.  The load
-vector takes two steps: f and zeta are called once at the degree-5 images,
-and _load_from_values assembles their values, so a caller that keeps the
-points (the extraction) skips the first; like the second-equation residual
-it scatters by np.bincount.  The norms of a discrete field need no
-quadrature: they are quadratic forms of A, of the P2 mass element by element
-(_P2_MASS) and of M.  error_norms integrates against analytic fields by the
-degree-8 rule.
+vector calls f and zeta once at the degree-5 images and, like the
+second-equation residual, scatters by np.bincount; the extraction pairs the
+same values with pointwise weights and builds none.  The norms of a discrete
+field need no quadrature: they are quadratic forms of A, of the P2 mass
+element by element (_P2_MASS) and of M.  error_norms integrates against
+analytic fields by the degree-8 rule.
 """
 
 from __future__ import annotations
@@ -605,31 +604,23 @@ def load_vector(space: P2Space, f=None, zeta=None) -> np.ndarray:
     zeta : callable (x, y) -> (...)    prescribed divergence source, or None
 
     Each is called once, at the images of the degree-5 rule's points
-    (P2Space.rule(5)); _load_from_values assembles their values.
+    (P2Space.rule(5)); a weighted basis is contracted with the values and
+    scattered by np.bincount.
     """
-    if f is None and zeta is None:
-        return np.zeros(space.n_dofs)
-    _, xq, _ = space.rule(5)
-    x, y = xq[..., 0], xq[..., 1]
-    return _load_from_values(space, None if f is None else f(x, y),
-                             None if zeta is None else zeta(x, y))
-
-
-def _load_from_values(space: P2Space, fv=None, zv=None) -> np.ndarray:
-    """load_vector from the values of f (m, q, 2) and zeta (m, q), or None,
-    at the images of the degree-5 rule's points, in P2Space.rule(5)'s order;
-    any shape of that size is read in that order."""
     rhs = np.zeros(space.n_dofs)
-    pts, wdet = space.weights(5)
+    if f is None and zeta is None:
+        return rhs
+    pts, xq, wdet = space.rule(5)
+    x, y = xq[..., 0], xq[..., 1]
     S, N = space.n_scalar, space.mesh.n_nodes
-    if fv is not None:
-        fv = np.reshape(np.asarray(fv, dtype=float), wdet.shape + (2,))
+    if f is not None:
+        fv = np.reshape(np.asarray(f(x, y), dtype=float), wdet.shape + (2,))
         wN, vd = np.einsum("mq,qi->mqi", wdet, p2_shape(pts)), space.tri_dofs.ravel()
         for k in (0, 1):
             F = np.einsum("mqi,mq->mi", wN, fv[..., k])
             rhs[k * S:(k + 1) * S] = np.bincount(vd, F.ravel(), S)
-    if zv is not None:
-        zv = np.reshape(np.asarray(zv, dtype=float), wdet.shape)
+    if zeta is not None:
+        zv = np.reshape(np.asarray(zeta(x, y), dtype=float), wdet.shape)
         Z = np.einsum("mqk,mq->mk", np.einsum("mq,qk->mqk", wdet, p1_shape(pts)), zv)
         rhs[2 * S:] = np.bincount(space.mesh.tris.ravel(), -Z.ravel(), N)
     return rhs

@@ -15,7 +15,7 @@ from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
                                 _edge_dofs, _edge_rule, _sample, _volume_rule,
                                 _weight, _weight_rules, extract_sifs_penalized,
                                 extract_sifs_stokes, regular_part, solve_psi)
-from sif_lab.fem import (InconsistentEdgeData, P2Space,
+from sif_lab.fem import (InconsistentEdgeData, P2Space, load_vector,
                          diff_norms, dirichlet_values, error_norms, norms,
                          tri_quadrature)
 from sif_lab.geometry import (BoundaryData, TriMesh, build_polygon,
@@ -762,6 +762,91 @@ def test_warm_extraction_evaluates_no_mode(coarse_mesh, monkeypatch, key):
     # The count is live: a cold extraction evaluates the modes.
     extract(replace(data, mesh=fresh_copy(coarse_mesh)))
     assert "mode" in [name for name, _ in calls]
+
+
+def test_warm_sample_holds_the_raw_values(coarse_mesh, monkeypatch):
+    """A warm extraction pairs views of the one f and zeta results with the
+    kept weights: every volume entry of its sample shares memory with them,
+    and it builds no vector over the dofs (no load vector)."""
+    mesh = fresh_copy(coarse_mesh)
+    _, w, minus_lap_w, zeta = INHOMOGENEOUS["penalized-zeta"]
+    data = ProblemData(polygon=POLY, mesh=mesh, material=MAT, zeta=zeta,
+                       g=BoundaryData({e.tag: w for e in POLY.edges}), f=minus_lap_w)
+    cold = extract_sifs_penalized(data)
+    space = sif_lab.extraction._last_weights.space
+    results, samples, sizes = {}, [], []
+
+    def kept(name, fn):
+        def wrapper(x, y):
+            results[name] = fn(x, y)
+            return results[name]
+        return wrapper
+
+    def recorded(weight, sample):
+        samples.append(sample)
+        return _ci_terms(weight, sample)
+
+    def zeros(shape, *args, _zeros=np.zeros, **kwargs):
+        sizes.append(np.prod(shape))
+        return _zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(sif_lab.extraction, "_ci_terms", recorded)
+    monkeypatch.setattr(np, "zeros", zeros)
+    warm = extract_sifs_penalized(replace(data, f=kept("f", minus_lap_w),
+                                          zeta=kept("zeta", zeta)))
+    monkeypatch.undo()
+    assert report_hex(warm) == report_hex(cold)
+    assert len(samples) == 2 and samples[0] is samples[1]
+    sample = samples[0]
+    for key in ("volume_f_psi", "volume_f_dual", "volume_zeta_psi", "volume_zeta_dual"):
+        assert np.shares_memory(sample[key], results[key.split("_")[1]]), key
+    dof_sizes = {space.n_dofs, 2 * space.n_scalar, space.mesh.n_nodes}
+    assert not dof_sizes & {np.size(v) for v in sample.values()}
+    assert not dof_sizes & set(sizes)
+
+
+@pytest.mark.parametrize("h", [0.25, 0.1])
+@pytest.mark.parametrize("extract, modes, material", [
+    (extract_sifs_penalized, "lame", MAT),
+    (extract_sifs_stokes, "stokes", MaterialParams(1.0, 0.0))])
+def test_pointwise_corrector_weights_are_the_load_pairing(h, extract, modes, material):
+    """The kept weights of the corrector, paired with the raw values of f and
+    zeta, are x_psi . load_vector(space, f, zeta): the transpose of the load
+    assembly.  Zero data pairs to exactly 0."""
+    mesh = generate_lshape_mesh(POLY, h, levels=5)
+    extract(ProblemData(polygon=POLY, mesh=mesh, material=material, g=zero_g()))
+    kept = sif_lab.extraction._last_weights
+    space = kept.space
+    duals = [make_mode(modes, "dual", i, FRAME, material)
+             for i in range(1, len(kept.weights) + 1)]
+    psi = solve_psi(duals, space, material, POLY)
+    a = np.random.default_rng(int(100 * h)).uniform(-1.0, 1.0, (3, 6))
+
+    def poly(c, x, y):
+        return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+
+    def f(x, y):
+        return np.stack([poly(a[0], x, y), poly(a[1], x, y)], axis=-1)
+
+    def zeta(x, y):
+        return poly(a[2], x, y)
+
+    def zero_f(x, y):
+        return np.zeros(np.shape(x) + (2,))
+
+    def zero_zeta(x, y):
+        return np.zeros(np.shape(x))
+
+    load = load_vector(space, f, zeta)
+    sample = _sample(space, POLY, {}, f, zeta, kept.points)
+    zero = _sample(space, POLY, {}, zero_f, zero_zeta, kept.points)
+    for weight, p in zip(kept.weights, psi):
+        terms = _ci_terms(weight, sample)[1]
+        got = terms["volume_f_psi"] + terms["volume_zeta_psi"]
+        want = float(np.concatenate([p.ux, p.uy, p.p]) @ load)
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+        terms = _ci_terms(weight, zero)[1]
+        assert terms["volume_f_psi"] == terms["volume_zeta_psi"] == 0.0
 
 
 def test_extraction_keeps_no_operator(coarse_mesh, monkeypatch):
