@@ -29,7 +29,7 @@ Quadrature policy, fixed by the points a sample is taken at:
     1984; Carey, Chow & Seager, CMAME 50, 1985), the volume one pointwise:
     the load assembly's transpose is kept, f and zeta are not assembled.
 
-Input: before any solve, _space names a space of another mesh, and
+Input: before any solve, _extract names a space of another mesh, and
 _check_data g or zeta nonzero at the corner, traces that differ at a vertex,
 and Stokes data whose flux of g is not the integral of zeta.
 
@@ -43,27 +43,29 @@ with minus the corrector's pressure.
 Reuse: c1 = C1/gamma1 and c2 = (C2 + c1*Cstar)/gamma2 are fixed linear
 functionals of the data.  The exponent table, the primal modes, gamma1 and
 gamma2, the dual weights and Cstar depend only on the mesh, the polygon, the
-material and the family; they are computed once and kept in a single-entry
-memo, reused while the next extraction has the same mesh and polygon
-objects, an equal material and the same family.  Each data set is sampled
-once and paired raw with the kept weights: it evaluates no mode and builds
-no load vector, and it still runs the input checks, on the same sample.  The
-memo keeps the weights, no corrector field, and two things that serve every
-material on its mesh: the points a sample is taken at (_SamplePoints,
-read-only and coordinate-major: load_vector's points, the volume rule's
-points and the corner in one array, and per edge its rule's points, boundary
-nodes and ends), with the volume rule's weights, and the P2Space, whose
-scalar stiffness and mass factorizations (fem.P2Space.stiffness_lu, mass_lu)
-serve an extraction of another material.  So a warm extraction calls f, zeta
-and each trace once and maps no point.  The memo is dropped before a new
-entry is computed, and as soon as an extraction on another mesh starts,
-before that mesh's arrays are allocated; the space passes on to a new entry
-on the same mesh, and the points when the polygon is the same object too.
-The entry holds its mesh and polygon, so no other object can take their
-place.  Meshes are treated as immutable (TriMesh is frozen): changing the
-arrays of a mesh in place after an extraction is not detected.  The report
-carries the primal modes (SifReport.modes), so regular_part(u, report)
-subtracts c1 and c2 times them without building the modes again.
+material and the family; _dual_weights computes them once, and they are kept
+in a single-entry memo that _extract alone reads and writes, with one lookup
+per extraction: reused while the mesh and polygon are the same objects, the
+material equal and the family the same.  Each data set is sampled once and
+paired raw with the kept weights: it evaluates no mode and builds no load
+vector, and it still runs the input checks, on the same sample.  The memo
+keeps the weights, no corrector field, and two things that serve every
+material on its mesh: _SamplePoints, every point, weight and dof list an
+extraction reads (read-only and coordinate-major: load_vector's points, the
+volume rule's points and the corner in one array, with the rule's weights,
+and per edge its rule's points, boundary nodes and ends, with the rule's
+weights and the dofs), and the P2Space, whose scalar stiffness and mass
+factorizations (fem.P2Space.stiffness_lu, mass_lu) serve another material.
+So a warm extraction calls f, zeta and each trace once, maps no point and
+builds no rule.  The memo is dropped as soon as an extraction on another
+mesh starts, before that mesh's arrays are allocated, and else before a new
+entry is computed.  A new entry takes the old one's space when the mesh is
+the same object, and its points when the polygon is too.  The entry holds
+its mesh and polygon, so no other object can take their place.  Meshes are
+treated as immutable (TriMesh is frozen): changing the arrays of a mesh in
+place after an extraction is not detected.  The report carries the primal
+modes (SifReport.modes), so regular_part(u, report) subtracts c1 and c2
+times them without building the modes again.
 """
 
 from __future__ import annotations
@@ -264,6 +266,7 @@ def _edge_dofs(space: P2Space, polygon: CornerPolygon):
         dofs = space.boundary_dofs[edge.tag]
         dofs = dofs[~seen[dofs]]
         seen[dofs] = True
+        dofs.flags.writeable = False
         yield edge, dofs
 
 
@@ -331,20 +334,21 @@ def _coordinate_major(parts):
 
 @dataclass(frozen=True)
 class _SamplePoints:
-    """The points a data set is sampled at on one (mesh, polygon), stored
-    coordinate-major (_coordinate_major).
+    """Every point, weight and dof list an extraction reads on one (mesh,
+    polygon); the points are stored coordinate-major (_coordinate_major).
 
     volume : the images of the degree-5 rule's points in every element
              (load_vector's points, the first n_load), then the volume rule's
              points (rule), then the corner
     weights: the volume rule's weights
-    edges  : per polygon edge in order, (edge, points): its edge rule's
-             points, its boundary P2 dofs (_edge_dofs), then its ends p0, p1
+    edges  : per polygon edge in order, (edge, points, w, dofs): its edge
+             rule's points, its boundary P2 dofs' coordinates, then its ends
+             p0, p1; the edge rule's weights; and those dofs (_edge_dofs)
     """
 
-    volume: np.ndarray | None
+    volume: np.ndarray
     n_load: int
-    weights: np.ndarray | None
+    weights: np.ndarray
     edges: tuple
 
     @property
@@ -352,54 +356,46 @@ class _SamplePoints:
         return self.volume[self.n_load:-1]
 
 
-def _sample_points(space: P2Space, polygon: CornerPolygon, x=None,
-                   w=None) -> _SamplePoints:
-    """The _SamplePoints of (space, polygon) with the volume rule (x, w), or
-    on the edges only when x is None."""
-    edges = tuple((edge, _coordinate_major([_edge_rule(edge)[0].T, space.dof_coords[dofs].T,
-                                            np.transpose([edge.p0, edge.p1])]))
-                  for edge, dofs in _edge_dofs(space, polygon))
-    if x is None:
-        return _SamplePoints(None, 0, None, edges)
+def _sample_points(space: P2Space, polygon: CornerPolygon) -> _SamplePoints:
+    """The _SamplePoints of (space, polygon), with the volume rule of space."""
+    edges = []
+    for edge, dofs in _edge_dofs(space, polygon):
+        pts, we = _edge_rule(edge)
+        edges.append((edge, _coordinate_major([pts.T, space.dof_coords[dofs].T,
+                                               np.transpose([edge.p0, edge.p1])]), we, dofs))
+    x, w = _volume_rule(space)
     _, xq, _ = space.rule(5)
     return _SamplePoints(_coordinate_major([np.moveaxis(xq, -1, 0), x.T, polygon.edges[0].p0]),
-                         xq.shape[0] * xq.shape[1], w, edges)
+                         xq.shape[0] * xq.shape[1], w, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
 # coefficient functionals
 # ---------------------------------------------------------------------------
 
-def _sample(space: P2Space, polygon: CornerPolygon, traces: dict,
-            f=None, zeta=None, points=None) -> dict:
-    """One data set, each callable called once, keyed by the term it enters:
-    f and zeta at the volume rule's points (volume_*_dual) and at
+def _sample(points: _SamplePoints, traces: dict, f=None, zeta=None) -> dict:
+    """One data set at points, each callable called once, keyed by the term
+    it enters: f and zeta at the volume rule's points (volume_*_dual) and at
     load_vector's points (volume_*_psi), both views of the one result, and
     the trace of each edge in traces at its edge rule's points, then at its
     boundary P2 dofs (boundary_edge_<tag>).  A term whose data is absent has
     no key.  Two keys pair with no weight and serve _check_data: ends, each
     trace at its edge's p0 and p1 (k, 2, 2), and zeta_corner, zeta at the
     corner.
-
-    points are the _SamplePoints of (space, polygon), or the volume rule's
-    points x (n, 2) to build them from, or None when f and zeta are None.
     """
-    if not isinstance(points, _SamplePoints):
-        points = _sample_points(space, polygon, points)
     sample: dict = {}
-    if f is not None or zeta is not None:
-        x, y = points.volume.T
-        n = points.n_load
-        # f is not called at the corner, where it may be singular.
-        if f is not None:
-            fv = np.asarray(f(x[:-1], y[:-1]), dtype=float)
-            sample["volume_f_dual"], sample["volume_f_psi"] = fv[n:], fv[:n]
-        if zeta is not None:
-            zv = np.asarray(zeta(x, y), dtype=float)
-            sample["volume_zeta_dual"], sample["volume_zeta_psi"] = zv[n:-1], zv[:n]
-            sample["zeta_corner"] = float(zv[-1])
+    x, y = points.volume.T
+    n = points.n_load
+    # f is not called at the corner, where it may be singular.
+    if f is not None:
+        fv = np.asarray(f(x[:-1], y[:-1]), dtype=float)
+        sample["volume_f_dual"], sample["volume_f_psi"] = fv[n:], fv[:n]
+    if zeta is not None:
+        zv = np.asarray(zeta(x, y), dtype=float)
+        sample["volume_zeta_dual"], sample["volume_zeta_psi"] = zv[n:-1], zv[:n]
+        sample["zeta_corner"] = float(zv[-1])
     ends = []
-    for edge, pts in points.edges:
+    for edge, pts, _, _ in points.edges:
         if edge.tag in traces:
             val = np.broadcast_to(
                 np.asarray(traces[edge.tag](pts[:, 0], pts[:, 1]), dtype=float), pts.shape)
@@ -409,33 +405,33 @@ def _sample(space: P2Space, polygon: CornerPolygon, traces: dict,
     return sample
 
 
-def _weight_rules(polygon: CornerPolygon, x, w) -> tuple:
+def _weight_rules(points: _SamplePoints, frame) -> tuple:
     """The point sets a dual weight is evaluated on, each a modes.Polar in
-    polygon's frame with its weights: the volume rule (x, w), then the edge
-    rule of each polygon edge, in order.  Every dual weight of an extraction
-    shares them."""
-    frame = polygon.frame
-    edges = tuple((Polar.at(pts[:, 0], pts[:, 1], frame), we)
-                  for pts, we in map(_edge_rule, polygon.edges))
-    return (Polar.at(x[:, 0], x[:, 1], frame), w), edges
+    frame: the volume rule's points, then each edge rule's points, in
+    polygon order.  Every dual weight of an extraction shares them."""
+    x = points.rule
+    return Polar.at(x[:, 0], x[:, 1], frame), tuple(
+        Polar.at(pts[:len(w), 0], pts[:len(w), 1], frame) for _, pts, w, _ in points.edges)
 
 
-def _weight(polygon: CornerPolygon, dual: SingularMode, psi: MixedField,
+def _weight(points: _SamplePoints, dual: SingularMode, psi: MixedField,
             mu: float, rules) -> dict:
-    """The dual weight (dual, psi) with the keys and shapes of a _sample.
+    """The dual weight (dual, psi) with the keys and shapes of a _sample at points.
 
-    rules are the _weight_rules of polygon.  In the volume: s Phi~ w and
-    s sigma(Phi~) w on the volume rule, then Psi's velocity and minus its
-    pressure times the weights at load_vector's points, whose pairing with
-    f and zeta there is x_psi . load_vector(f, zeta); on an edge:
-    s w (mu dn(Phi~) + sigma(Phi~) n), w the edge rule's weights times the
-    length, then R at the edge's dofs.  R, the velocity rows of K x_psi, is
-    Psi's consistent boundary flux: it vanishes at the interior dofs, as Psi
-    solves the system with zero volume data.
+    rules are the _weight_rules of points; the rules' weights and each edge's
+    dofs are read from points.  In the volume: s Phi~ w and s sigma(Phi~) w
+    on the volume rule, then Psi's velocity and minus its pressure times the
+    weights at load_vector's points, whose pairing with f and zeta there is
+    x_psi . load_vector(f, zeta); on an edge: s w (mu dn(Phi~) + sigma(Phi~) n),
+    w the edge rule's weights times the length, then R at the edge's dofs.
+    R, the velocity rows of K x_psi, is Psi's consistent boundary flux: it
+    vanishes at the interior dofs, as Psi solves the system with zero volume
+    data.
     """
     fam = _BY_MODES[dual.family]
     s = fam.dual_scale(mu)
-    (volume, w), edge_rules = rules
+    volume, edge_rules = rules
+    w = points.weights
     weight = {"volume_f_dual": (s * w)[:, None] * dual.eval(volume),
               "volume_zeta_dual": s * w * fam.sigma(dual, volume)}
     # After the dual's evaluations: their temporaries set the heap peak of a
@@ -448,7 +444,7 @@ def _weight(polygon: CornerPolygon, dual: SingularMode, psi: MixedField,
     A, Bx, By, _ = psi.space.stokes_blocks
     R = np.stack([mu * (A @ psi.ux) - Bx.T @ psi.p,
                   mu * (A @ psi.uy) - By.T @ psi.p], axis=-1)
-    for (edge, dofs), (at, we) in zip(_edge_dofs(psi.space, polygon), edge_rules):
+    for (edge, _, we, dofs), at in zip(points.edges, edge_rules):
         flux = mu * (dual.eval_grad(at) @ edge.normal) \
             + fam.sigma(dual, at)[:, None] * edge.normal
         weight[f"boundary_edge_{edge.tag}"] = np.concatenate(
@@ -503,9 +499,9 @@ class _DualWeights:
 
     The primal modes and normalizers of every mode index, the dual weight of
     each (_weight) with its corrector's residual and flux defect, and the
-    cross coupling C* when the second mode exists.  The space and the points
-    a sample is taken at (_SamplePoints, with the volume rule) are kept; the
-    corrector fields are not.
+    cross coupling C* when the second mode exists.  The space and every point
+    set an extraction reads (_SamplePoints) are kept; the corrector fields
+    are not.
     """
 
     mesh: TriMesh
@@ -524,8 +520,9 @@ class _DualWeights:
     cstar_terms: dict | None
 
 
-# Single-entry memo of _dual_weights.  It holds the mesh and the polygon
-# strongly, so their ids cannot be reused while it lives.
+# Single-entry memo of _dual_weights, read and written by _extract alone.  It
+# holds the mesh and the polygon strongly, so their ids cannot be reused
+# while it lives.
 _last_weights: _DualWeights | None = None
 
 
@@ -533,18 +530,8 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
                   space: P2Space, points: _SamplePoints) -> _DualWeights:
     """The data-independent half for (data.mesh, data.polygon, material, family).
 
-    points are the _SamplePoints of (space, data.polygon).  Reused while the
-    mesh and polygon are the same objects and the material and family are
-    equal.  Otherwise the old entry is dropped before the new one is
-    computed, so two entries never coexist.
+    points are the _SamplePoints of (space, data.polygon).
     """
-    global _last_weights
-    w = _last_weights
-    if (w is not None and w.mesh is data.mesh and w.polygon is data.polygon
-            and (w.material, w.family) == (material, family)):
-        return w
-    _last_weights = w = None
-
     fam = _FAMILY[family]
     frame = data.polygon.frame
     indices = range(1, exponent_table(fam.modes, frame.omega, material.C).mode_count + 1)
@@ -553,47 +540,32 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     gammas = tuple(fam.gamma(i, material, frame, m)
                    for i, m in enumerate(zip(primals, duals), 1))
     psi = solve_psi(duals, space, material, data.polygon)
-    rules = _weight_rules(data.polygon, points.rule, points.weights)
-    weights = tuple(_weight(data.polygon, dual, p, material.mu, rules)
+    rules = _weight_rules(points, frame)
+    weights = tuple(_weight(points, dual, p, material.mu, rules)
                     for dual, p in zip(duals, psi))
     Cstar = tstar = None
     if len(duals) >= 2:
         far = {e.tag: primals[0].eval_xy for e in data.polygon.far_edges}
-        C, cross = _ci_terms(weights[1], _sample(space, data.polygon, far, points=points))
+        C, cross = _ci_terms(weights[1], _sample(points, far))
         Cstar = -C  # C* is the boundary pairing, which _ci_terms subtracts
         tstar = {k.replace("boundary", "cross"): v for k, v in cross.items()}
-    w = _DualWeights(
+    return _DualWeights(
         mesh=data.mesh, polygon=data.polygon, material=material, family=family,
         mesh_id=_mesh_id(data.mesh), space=space, points=points, primals=primals,
         gammas=gammas, weights=weights, psi_residuals=tuple(p.residual for p in psi),
         psi_flux_defects=tuple(p.flux_defect for p in psi), Cstar=Cstar,
         cstar_terms=tstar)
-    _last_weights = w
-    return w
-
-
-def _space(data: ProblemData) -> P2Space:
-    """The P2Space of data.mesh: data.space, once it is checked against the
-    mesh, else the memo's, else a new one."""
-    if data.space is not None:
-        if not data.mesh.same_as(data.space.mesh):
-            raise MeshMismatch("space was built on a different mesh")
-        return data.space
-    w = _last_weights
-    if w is not None and w.mesh is data.mesh:
-        return w.space
-    return P2Space(data.mesh)
 
 
 def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
-                volume_weights) -> None:
+                points: _SamplePoints) -> None:
     """Every check of the data of an extraction, run before any corrector solve.
 
-    sample is data's _sample, taken on the volume rule of volume_weights; its
-    ends and zeta_corner hold the traces at the vertices and zeta at the
-    corner.  Vertex traces agree by the test of dirichlet_values.  Stokes
-    data (eps = 0) need |flux of g - integral of zeta| <= _FLUX_RTOL
-    (|g.n| + |zeta|).
+    sample is data's _sample at points; its ends and zeta_corner hold the
+    traces at the vertices and zeta at the corner, and the flux of g and the
+    integral of zeta take the rules' weights in points.  Vertex traces agree
+    by the test of dirichlet_values.  Stokes data (eps = 0) need
+    |flux of g - integral of zeta| <= _FLUX_RTOL (|g.n| + |zeta|).
     """
     edges = data.polygon.edges
     ends = sample["ends"]  # each trace at p0 and p1 of its edge
@@ -617,37 +589,44 @@ def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
     if material.eps > 0.0:
         return
     flux = size = zint = 0.0
-    for edge in edges:
-        w = _edge_rule(edge)[1]
+    for edge, _, w, _ in points.edges:
         gn = sample[f"boundary_edge_{edge.tag}"][:len(w)] @ edge.normal
         flux += edge.length * float(np.dot(w, gn))
         size += edge.length * float(np.dot(w, np.abs(gn)))
     if data.zeta is not None:
         zeta = sample["volume_zeta_dual"]
-        zint = float(zeta @ volume_weights)
-        size += float(np.abs(zeta) @ volume_weights)
+        zint = float(zeta @ points.weights)
+        size += float(np.abs(zeta) @ points.weights)
     if abs(flux - zint) > _FLUX_RTOL * size:
         raise IncompatibleFlux(f"the flux of g is {flux:.6g} but zeta integrates to "
                                f"{zint:.6g}; the Stokes problem needs them equal")
 
 
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
-    """The data sampled once and checked, the (reused) dual weights, then the
-    functionals."""
+    """The data sampled once and checked, the memo's dual weights or new ones,
+    then the functionals.  The one place that reads and writes the memo."""
     global _last_weights
-    if _last_weights is not None and _last_weights.mesh is not data.mesh:
+    w = _last_weights
+    if w is not None and w.mesh is not data.mesh:
         # Nothing in it serves this mesh: free it before this mesh's arrays
         # are allocated, so the two never coexist.
-        _last_weights = None
-    space = _space(data)
-    w = _last_weights    # the points depend on the mesh and the polygon alone
-    points = (w.points if w is not None and w.polygon is data.polygon
-              else _sample_points(space, data.polygon, *_volume_rule(space)))
+        _last_weights = w = None
+    if data.space is None:
+        space = P2Space(data.mesh) if w is None else w.space
+    elif data.mesh.same_as(data.space.mesh):
+        space = data.space
+    else:
+        raise MeshMismatch("space was built on a different mesh")
+    # The points depend on the mesh and the polygon alone.
+    same = w is not None and w.polygon is data.polygon
+    points = w.points if same else _sample_points(space, data.polygon)
     # Every edge needs a trace: a missing one is a KeyError, not zero data.
     traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}
-    sample = _sample(space, data.polygon, traces, data.f, data.zeta, points)
-    _check_data(data, material, sample, points.weights)
-    w = _dual_weights(data, material, family, space, points)
+    sample = _sample(points, traces, data.f, data.zeta)
+    _check_data(data, material, sample, points)
+    if not (same and (w.material, w.family) == (material, family)):
+        _last_weights = w = None    # before the new entry, so two never coexist
+        _last_weights = w = _dual_weights(data, material, family, space, points)
     C1, t1 = _ci_terms(w.weights[0], sample)
     c1 = C1 / w.gammas[0].gamma
     gamma2 = C2 = c2 = None

@@ -105,6 +105,11 @@ def config_number(cfg: RunConfig, section: str, key: str, default: str | None = 
                       + ("numbers" if many else f"one {kind.__name__}"))
 
 
+def _falling(values) -> bool:
+    """Whether values are finite, positive and strictly decreasing."""
+    return all(0.0 < b < a for a, b in zip([math.inf, *values], values))
+
+
 def load_config(source: str) -> RunConfig:
     """Read an INI config from a path, or from literal text if it has a newline.
 
@@ -142,7 +147,11 @@ def _domain(cfg: RunConfig):
     kind = cfg.domain.get("kind", "lshape")
     if kind != "lshape":
         raise ConfigError(f"unsupported domain kind {kind!r}")
-    polygon = lshape_polygon(config_number(cfg, "domain", "size", "1.0"))
+    size = config_number(cfg, "domain", "size", "1.0")
+    if not 0.0 < size < math.inf:
+        raise ConfigError(f"[domain] size = {cfg.domain['size']!r}: expected a finite "
+                          "positive float")
+    polygon = lshape_polygon(size)
     levels = config_number(cfg, "mesh", "levels", "6", kind=int)
     return polygon, lambda h: generate_lshape_mesh(polygon, h, levels=levels)
 
@@ -290,6 +299,9 @@ def run_manufactured(cfg: RunConfig) -> dict:
 
     polygon, mesher = _domain(cfg)
     hs = config_number(cfg, "mesh", h_key, "0.1", many=True)
+    if not _falling(hs):
+        raise ConfigError(f"[mesh] {h_key} = {cfg.mesh[h_key]!r}: expected finite "
+                          "positive numbers, strictly decreasing")
 
     f, traces, c_true, family = manufactured_fields(case, material, polygon)
     g = BoundaryData(traces=traces)
@@ -344,10 +356,9 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     eps_grid = config_number(cfg, "material", "eps_grid", many=True)
     if len(eps_grid) < 4:
         raise ConfigError("eps_grid needs at least 4 points")
-    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ConfigError("eps_grid must be strictly decreasing")
-    if min(eps_grid) <= 0.0:
-        raise ConfigError("eps_grid values must be positive")
+    if not _falling(eps_grid):
+        raise ConfigError(f"[material] eps_grid = {cfg.material['eps_grid']!r}: expected "
+                          "finite positive numbers, strictly decreasing")
 
     polygon, mesh, mu, f, g, zeta = build_problem(cfg, ["mu", "eps_grid"])
     space = P2Space(mesh)
@@ -381,13 +392,15 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
                  records[-1].w_diff_h1, records[-1].sigma_diff_l2)
 
     def fit_slope(vals):
-        xs = np.log([r.eps for r in records])
-        ys = np.log(vals)
-        return float(np.polyfit(xs, ys, 1)[0])
+        """The log-log slope of vals against eps, or None unless every value is
+        positive (zero data, or no second mode: NaN)."""
+        if not all(v > 0.0 for v in vals):
+            return None
+        return float(np.polyfit(np.log([r.eps for r in records]), np.log(vals), 1)[0])
 
     slopes = {
         "dc1": fit_slope([r.dc1 for r in records]),
-        "dc2": fit_slope([r.dc2 for r in records]) if sref.c2 is not None else None,
+        "dc2": fit_slope([r.dc2 for r in records]),
         "w_diff_h1": fit_slope([r.w_diff_h1 for r in records]),
         "sigma_diff_l2": fit_slope([r.sigma_diff_l2 for r in records]),
     }

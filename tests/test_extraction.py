@@ -12,8 +12,9 @@ import sif_lab.extraction
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
                                 IncompatibleFlux, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero, _ci_terms,
-                                _edge_dofs, _edge_rule, _sample, _volume_rule,
-                                _weight, _weight_rules, extract_sifs_penalized,
+                                _edge_dofs, _edge_rule, _sample, _sample_points,
+                                _volume_rule, _weight, _weight_rules,
+                                extract_sifs_penalized,
                                 extract_sifs_stokes, regular_part, solve_psi)
 from sif_lab.fem import (InconsistentEdgeData, P2Space, load_vector,
                          diff_norms, dirichlet_values, error_norms, norms,
@@ -246,15 +247,14 @@ def test_mesh_checks_compare_connectivity(coarse_mesh):
 # -- functional-level properties ---------------------------------------------
 
 def dual_weight(dual, psi):
-    """_weight of (dual, psi) on the volume rule of psi's space."""
-    x, w = _volume_rule(psi.space)
-    return _weight(POLY, dual, psi, psi.material.mu, _weight_rules(POLY, x, w))
+    """_weight of (dual, psi) on the sample points of psi's space."""
+    points = _sample_points(psi.space, POLY)
+    return _weight(points, dual, psi, psi.material.mu, _weight_rules(points, FRAME))
 
 
 def pair(data, dual, psi):
     """The functional of data against the dual weight (dual, psi), and its terms."""
-    x, _ = _volume_rule(psi.space)
-    sample = _sample(psi.space, POLY, data.g.traces, data.f, data.zeta, x)
+    sample = _sample(_sample_points(psi.space, POLY), data.g.traces, data.f, data.zeta)
     return _ci_terms(dual_weight(dual, psi), sample)
 
 
@@ -299,10 +299,10 @@ def test_cstar_symmetric_domain_and_stub(coarse_mesh):
     (psi2,) = solve_psi([dual2], P2Space(coarse_mesh), MAT, POLY)
     weight = dual_weight(dual2, psi2)
     far = {e.tag: primal1.eval_xy for e in POLY.far_edges}
-    val = _ci_terms(weight, _sample(psi2.space, POLY, far))[0]
+    val = _ci_terms(weight, _sample(_sample_points(psi2.space, POLY), far))[0]
     assert abs(val) < 1e-8
     far = {e.tag: zero_g().traces[e.tag] for e in POLY.far_edges}
-    assert _ci_terms(weight, _sample(psi2.space, POLY, far))[0] == 0.0
+    assert _ci_terms(weight, _sample(_sample_points(psi2.space, POLY), far))[0] == 0.0
 
 
 def test_pure_zeta_stokes_against_brute_quadrature(coarse_mesh):
@@ -383,7 +383,7 @@ def test_boundary_flux_is_the_galerkin_residual(coarse_mesh, index):
     far = {e.tag: primal.eval_xy for e in POLY.far_edges}
     weight = dual_weight(dual, psi)
     for trs, full in ((traces, traces), (far, {**zero, **far})):
-        sample = _sample(space, POLY, trs)
+        sample = _sample(_sample_points(space, POLY), trs)
         _, parts = _ci_terms(weight, sample)
         edges = [e for e in POLY.edges if e.tag in trs]
         assert list(parts) == [f"boundary_edge_{e.tag}" for e in edges]
@@ -415,7 +415,7 @@ def test_corner_edge_integrals_mirror_each_other(coarse_mesh, index):
         return g(y, x)[..., ::-1]
 
     edges = (POLY.edges[0], POLY.edges[-1])
-    sample = _sample(psi.space, POLY, {edges[0].tag: g, edges[1].tag: g_mirror})
+    sample = _sample(_sample_points(psi.space, POLY), {edges[0].tag: g, edges[1].tag: g_mirror})
     first, last = (
         np.sum((weight[k] * sample[k])[:len(_edge_rule(e)[1])])
         for e in edges for k in [f"boundary_edge_{e.tag}"])
@@ -654,6 +654,31 @@ def test_warm_extraction_reuses_the_volume_rule(coarse_mesh, monkeypatch):
     assert len(rules) == 2
 
 
+def test_each_edge_rule_is_built_once_per_mesh_and_polygon(coarse_mesh, monkeypatch):
+    """The kept points hold each edge's rule with its weights and dofs: a
+    cold extraction builds one rule per edge, and a warm one, one of another
+    material and a Stokes one on the same mesh and polygon build none."""
+    mesh = fresh_copy(coarse_mesh)
+    data, _ = manufactured_data(mesh, "penalized", MAT)
+    built = []
+
+    def counting(edge):
+        built.append(edge.tag)
+        return _edge_rule(edge)
+
+    monkeypatch.setattr(sif_lab.extraction, "_edge_rule", counting)
+    extract_sifs_penalized(data)
+    assert built == [e.tag for e in POLY.edges]
+    # Warm, another eps, then a cold and a warm Stokes extraction (on zero
+    # data, which has the flux the Stokes problem needs).
+    for extract, changes in ((extract_sifs_penalized, {}),
+                             (extract_sifs_penalized, {"material": MaterialParams(1.0, 1e-2)}),
+                             (extract_sifs_stokes, {"g": zero_g()}),
+                             (extract_sifs_stokes, {"g": zero_g()})):
+        extract(replace(data, **changes))
+        assert len(built) == len(POLY.edges)
+
+
 def moved_nodes(mesh, seed):
     """The nodes of mesh with its interior ones moved by up to 1e-6."""
     nodes = mesh.nodes.copy()
@@ -838,8 +863,8 @@ def test_pointwise_corrector_weights_are_the_load_pairing(h, extract, modes, mat
         return np.zeros(np.shape(x))
 
     load = load_vector(space, f, zeta)
-    sample = _sample(space, POLY, {}, f, zeta, kept.points)
-    zero = _sample(space, POLY, {}, zero_f, zero_zeta, kept.points)
+    sample = _sample(kept.points, {}, f, zeta)
+    zero = _sample(kept.points, {}, zero_f, zero_zeta)
     for weight, p in zip(kept.weights, psi):
         terms = _ci_terms(weight, sample)[1]
         got = terms["volume_f_psi"] + terms["volume_zeta_psi"]

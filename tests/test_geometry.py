@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sif_lab.extraction import (CornerDataNonzero, ProblemData, _check_data,
-                                _sample, _volume_rule)
+                                _sample, _sample_points)
 from sif_lab.fem import P2Space
 from sif_lab.geometry import (BoundaryData, NonConforming, NotReentrant, TriMesh,
                               UnsupportedPolygon, UntaggedBoundaryEdge,
@@ -232,10 +232,9 @@ def test_mesher_rejects_nonfinite_h(h):
 
 def check_data(data, material):
     """The extraction's input check of data, on the sample an extraction takes."""
-    space = P2Space(data.mesh)
-    x, w = _volume_rule(space)
-    sample = _sample(space, data.polygon, data.g.traces, data.f, data.zeta, x)
-    _check_data(data, material, sample, w)
+    points = _sample_points(P2Space(data.mesh), data.polygon)
+    sample = _sample(points, data.g.traces, data.f, data.zeta)
+    _check_data(data, material, sample, points)
 
 
 def test_boundary_data_validation_flags():

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -278,7 +279,16 @@ def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, monkeypatch, c
     (["sweep"], "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 x 1e-3 1e-4",
      "[material] eps_grid", "f_x = 1"),
     (["manufactured"], "h = 0.25", "h_levels =", "[mesh] h_levels", "case = smooth"),
-], ids=["mu-abc", "levels-2.5", "size-big", "eps-grid-x", "h-levels-empty"])
+    (["manufactured"], "h = 0.25", "h_levels = 0.25 0.25", "[mesh] h_levels",
+     "case = smooth"),
+    (["manufactured"], "h = 0.25", "h_levels = 0.25 -0.1", "[mesh] h_levels",
+     "case = smooth"),
+    (["extract", "--family", "penalized"], "size = 1.0", "size = -1", "[domain] size",
+     "f_x = 1"),
+    (["extract", "--family", "penalized"], "size = 1.0", "size = inf", "[domain] size",
+     "f_x = 1"),
+], ids=["mu-abc", "levels-2.5", "size-big", "eps-grid-x", "h-levels-empty",
+        "h-levels-repeated", "h-levels-negative", "size-negative", "size-inf"])
 def test_cli_bad_number_is_a_config_error(tmp_path, capsys, command, old, new, key, data):
     cfg = tmp_path / "number.ini"
     cfg.write_text(BASE.replace(old, new) + f"[data]\n{data}\n")
@@ -310,6 +320,23 @@ def test_eps_sweep_grid_validation():
             "mu = 1.0", f"mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 {tail}")
         with pytest.raises(ConfigError, match="positive"):
             run_eps_sweep(load_config(nonpositive))
+
+
+def test_zero_data_sweep_fits_no_slope(tmp_path):
+    """On zero data every gap is exactly 0: each slope is null, no log(0) is
+    taken, and the JSON output holds no NaN."""
+    cfg = load_config(BASE.replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4")
+                      + "[data]\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run_eps_sweep(cfg)
+    assert out["slopes"] == dict.fromkeys(["dc1", "dc2", "w_diff_h1", "sigma_diff_l2"])
+
+    def no_constant(name):
+        raise ValueError(f"{name} in strict JSON")
+
+    text = emit(out, format="json", path=str(tmp_path / "sweep.json"))
+    assert json.loads(text, parse_constant=no_constant)["slopes"]["dc1"] is None
 
 
 def test_eps_sweep_deterministic_up_to_wall_time():
