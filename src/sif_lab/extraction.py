@@ -12,7 +12,9 @@ divergence of the dual mode, or minus the mixed pressure of the corrector).
 Each term is one pairing (_ci_terms): the dot product of a sample, a data
 set evaluated once (_sample), and a dual weight of the same keys and shapes
 (_weight).  C1 and C2 pair the data with the two dual weights; C*
-pairs the first primal mode's far-edge trace with the second.
+pairs the first primal mode's far-edge trace with the second.  A caller that
+has already solved the data (ProblemData.field) adds its field to the
+sample, and the weights pair it (_dual_weights).
 
 Quadrature policy, fixed by the points a sample is taken at:
   * on each edge, the trace at composite Gauss points, 8 per panel: panels
@@ -27,11 +29,24 @@ Quadrature policy, fixed by the points a sample is taken at:
     in the volume and R . g on the boundary nodes, with R the velocity rows
     of K x_psi, Psi's consistent (residual) flux (Babuska & Miller, IJNME 20,
     1984; Carey, Chow & Seager, CMAME 50, 1985), the volume one pointwise:
-    the load assembly's transpose is kept, f and zeta are not assembled.
+    the load assembly's transpose is kept, f and zeta are not assembled;
+  * with the data's solved field x_u, the same pairing is its residual flux
+    against the corrector's Dirichlet data Psi_b (-s Phi~ on the far edges):
+    K is symmetric, K x_u = F and K x_psi = 0 on the free rows, so
+        x_psi . F - R . g = -Psi_b . R_u,   R_u = K x_u - F on the boundary,
+    the primal form of the dual extraction (Babuska & Miller, "The
+    post-processing approach in the finite element method, Part 2", IJNME
+    20, 1984).  Any psi with the data Psi_b gives it once the free rows of
+    K x_psi pair with x_u too, so the first corrector is replaced by its
+    boundary lift (_psi_lifts), nothing solved, and F's rows at the far dofs
+    still come from the sample, through the lift's pointwise weights.  The
+    second corrector is still solved: C* pairs it with the first primal
+    mode's far-edge trace, which has no solved field.
 
-Input: before any solve, _extract names a space of another mesh, and
-_check_data g or zeta nonzero at the corner, traces that differ at a vertex,
-and Stokes data whose flux of g is not the integral of zeta.
+Input: before any solve, _prepare names a space or a field of another mesh,
+a field of another material, and _check_data g or zeta nonzero at the
+corner, traces that differ at a vertex, and Stokes data whose flux of g is
+not the integral of zeta.  check_input runs these alone.
 
 Families: the penalized and the Stokes extraction run the same code.  What
 differs between them (the mode family, the normalizer, the scale of the dual
@@ -44,9 +59,14 @@ Reuse: c1 = C1/gamma1 and c2 = (C2 + c1*Cstar)/gamma2 are fixed linear
 functionals of the data.  The exponent table, the primal modes, gamma1 and
 gamma2, the dual weights and Cstar depend only on the mesh, the polygon, the
 material and the family; _dual_weights computes them once, and they are kept
-in a single-entry memo that _extract alone reads and writes, with one lookup
-per extraction: reused while the mesh and polygon are the same objects, the
-material equal and the family the same.  Each data set is sampled once and
+in a single-entry memo, read by _prepare and written by _extract, with one
+lookup per extraction: reused while the mesh and polygon are the same
+objects, the material equal and the family the same.  One corrector serves
+any number of data sets this way, and a data solve costs more than the
+corrector pair, so an extraction without a field always takes this path.
+An extraction with a field reads the memo's space and points but writes no
+entry: its paired weights serve one data set, and an eps sweep would
+otherwise leave an entry per eps.  Each data set is sampled once and
 paired raw with the kept weights: it evaluates no mode and builds no load
 vector, and it still runs the input checks, on the same sample.  The memo
 keeps the weights, no corrector field, and two things that serve every
@@ -93,8 +113,10 @@ __all__ = [
     "CornerDataNonzero",
     "ZetaCornerNonzero",
     "IncompatibleFlux",
+    "MaterialMismatch",
     "GammaNearZero",
     "MeshMismatch",
+    "check_input",
     "extract_sifs_penalized",
     "extract_sifs_stokes",
     "regular_part",
@@ -123,6 +145,11 @@ class ZetaCornerNonzero(SifLabError):
 
 class IncompatibleFlux(SifLabError):
     """Stokes data whose boundary flux differs from the integral of zeta."""
+
+
+class MaterialMismatch(SifLabError):
+    """A solved field given with the data, for another material than the
+    extraction's."""
 
 
 @dataclass(frozen=True)
@@ -155,16 +182,16 @@ _FAMILY = {
             i, material, frame, modes=modes),
         dual_scale=lambda mu: 1.0,
         sigma=lambda mode, at: mode.eval_div_scaled(at),
-        terms=("C1", "C2", "Cstar", "psi_residuals", "psi_flux_defects",
-               "gamma_quad_errors")),
+        terms=("C1", "C2", "Cstar", "psi_residuals", "field_residual",
+               "psi_flux_defects", "gamma_quad_errors")),
     "stokes": _Family(
         modes="stokes",
         gamma=lambda i, material, frame, modes: gamma_stokes(
             i, frame, modes=modes),
         dual_scale=lambda mu: mu,
         sigma=lambda mode, at: -mode.eval_pressure(at),
-        terms=("C1", "psi_residuals", "psi_flux_defects", "gamma_quad_errors",
-               "mode_count", "C2", "Cstar")),
+        terms=("C1", "psi_residuals", "field_residual", "psi_flux_defects",
+               "gamma_quad_errors", "mode_count", "C2", "Cstar")),
 }
 _BY_MODES = {fam.modes: fam for fam in _FAMILY.values()}
 
@@ -200,8 +227,15 @@ class ProblemData:
     g     : Dirichlet boundary data (per-edge traces)
     zeta  : callable (x, y) -> (...) divergence source, or None (g has none)
     space : P2Space(mesh) to reuse with its factorizations, or None to have
-            the extraction take the memo's or build its own; one built on
-            other nodes, triangles or boundary edges raises MeshMismatch
+            the extraction take the field's, the memo's or build its own; one
+            built on other nodes, triangles or boundary edges raises
+            MeshMismatch
+    field : this data's solved field on mesh (P2Space.solve of load_vector(f,
+            zeta) and dirichlet_values(g)), if the caller has it, or None.
+            The extraction then pairs it with the dual weights and solves no
+            corrector for C1 (_dual_weights).  A field of another mesh raises
+            MeshMismatch, one of another material MaterialMismatch; that it
+            solves this f, zeta and g is not checked.
     """
 
     polygon: CornerPolygon
@@ -211,6 +245,7 @@ class ProblemData:
     f: object = None
     zeta: object = None
     space: P2Space | None = None
+    field: MixedField | None = None
 
 
 def _mesh_id(mesh: TriMesh) -> str:
@@ -373,15 +408,17 @@ def _sample_points(space: P2Space, polygon: CornerPolygon) -> _SamplePoints:
 # coefficient functionals
 # ---------------------------------------------------------------------------
 
-def _sample(points: _SamplePoints, traces: dict, f=None, zeta=None) -> dict:
+def _sample(points: _SamplePoints, traces: dict, f=None, zeta=None,
+            field: MixedField | None = None) -> dict:
     """One data set at points, each callable called once, keyed by the term
     it enters: f and zeta at the volume rule's points (volume_*_dual) and at
     load_vector's points (volume_*_psi), both views of the one result, and
     the trace of each edge in traces at its edge rule's points, then at its
     boundary P2 dofs (boundary_edge_<tag>).  A term whose data is absent has
-    no key.  Two keys pair with no weight and serve _check_data: ends, each
-    trace at its edge's p0 and p1 (k, 2, 2), and zeta_corner, zeta at the
-    corner.
+    no key.  Given the data's solved field, its values at the free rows
+    (_free_rows) are the term field.  Two keys pair with no weight and serve
+    _check_data: ends, each trace at its edge's p0 and p1 (k, 2, 2), and
+    zeta_corner, zeta at the corner.
     """
     sample: dict = {}
     x, y = points.volume.T
@@ -402,7 +439,17 @@ def _sample(points: _SamplePoints, traces: dict, f=None, zeta=None) -> dict:
             sample[f"boundary_edge_{edge.tag}"] = val[:-2]
             ends.append(val[-2:])
     sample["ends"] = np.array(ends)
+    if field is not None:
+        sample["field"] = _free_rows(field.space, field.ux, field.uy, field.p)
     return sample
+
+
+def _free_rows(space: P2Space, ux, uy, p) -> np.ndarray:
+    """The free rows of a vector over the mixed dofs given by its velocity
+    (ux, uy) and pressure p rows: each component at the interior scalar dofs,
+    then every pressure dof."""
+    interior = space.interior
+    return np.concatenate([ux[interior], uy[interior], p])
 
 
 def _weight_rules(points: _SamplePoints, frame) -> tuple:
@@ -415,18 +462,19 @@ def _weight_rules(points: _SamplePoints, frame) -> tuple:
 
 
 def _weight(points: _SamplePoints, dual: SingularMode, psi: MixedField,
-            mu: float, rules) -> dict:
+            mu: float, rules, paired: bool = False) -> dict:
     """The dual weight (dual, psi) with the keys and shapes of a _sample at points.
 
     rules are the _weight_rules of points; the rules' weights and each edge's
     dofs are read from points.  In the volume: s Phi~ w and s sigma(Phi~) w
-    on the volume rule, then Psi's velocity and minus its pressure times the
+    on the volume rule, then psi's velocity and minus its pressure times the
     weights at load_vector's points, whose pairing with f and zeta there is
     x_psi . load_vector(f, zeta); on an edge: s w (mu dn(Phi~) + sigma(Phi~) n),
     w the edge rule's weights times the length, then R at the edge's dofs.
-    R, the velocity rows of K x_psi, is Psi's consistent boundary flux: it
-    vanishes at the interior dofs, as Psi solves the system with zero volume
-    data.
+    R, the velocity rows of K x_psi, is psi's consistent boundary flux: for
+    the corrector it vanishes at the interior dofs, as Psi solves the system
+    with zero volume data.  A paired weight adds the free rows of K x_psi
+    (field), to pair with the data's solved field (_dual_weights).
     """
     fam = _BY_MODES[dual.family]
     s = fam.dual_scale(mu)
@@ -436,19 +484,23 @@ def _weight(points: _SamplePoints, dual: SingularMode, psi: MixedField,
               "volume_zeta_dual": s * w * fam.sigma(dual, volume)}
     # After the dual's evaluations: their temporaries set the heap peak of a
     # cold extraction, and these arrays would add to it.
-    pts, wdet = psi.space.weights(5)
+    space = psi.space
+    pts, wdet = space.weights(5)
     u, p = psi.values(pts)
     u *= wdet[..., None]
     p *= -wdet
     weight.update(volume_f_psi=u.reshape(-1, 2), volume_zeta_psi=p.ravel())
-    A, Bx, By, _ = psi.space.stokes_blocks
-    R = np.stack([mu * (A @ psi.ux) - Bx.T @ psi.p,
-                  mu * (A @ psi.uy) - By.T @ psi.p], axis=-1)
+    A, Bx, By, M = space.stokes_blocks
+    Rx, Ry = mu * (A @ psi.ux) - Bx.T @ psi.p, mu * (A @ psi.uy) - By.T @ psi.p
+    R = np.stack([Rx, Ry], axis=-1)
     for (edge, _, we, dofs), at in zip(points.edges, edge_rules):
         flux = mu * (dual.eval_grad(at) @ edge.normal) \
             + fam.sigma(dual, at)[:, None] * edge.normal
         weight[f"boundary_edge_{edge.tag}"] = np.concatenate(
             [(s * edge.length * we)[:, None] * flux, R[dofs]])
+    if paired:
+        weight["field"] = _free_rows(space, Rx, Ry, -(Bx @ psi.ux + By @ psi.uy)
+                                     - psi.material.eps * (M @ psi.p))
     return weight
 
 
@@ -468,9 +520,28 @@ def solve_psi(duals: Sequence[SingularMode], space: P2Space, material: MaterialP
 
     Zero volume data; Dirichlet data -s Phi~ on the far edges, with s the
     family's dual scale, so the dual weight s Phi~ + Psi vanishes there, and
-    exactly zero on the two corner edges.  The boundary dofs of each far edge
-    are mapped once, for every dual.
+    exactly zero on the two corner edges (_psi_data).
     """
+    if not duals:
+        return ()
+    return tuple(space.solve_all([material], np.zeros((len(duals), space.n_dofs)),
+                                 _psi_data(duals, space, material, polygon))[0])
+
+
+def _psi_lifts(duals: Sequence[SingularMode], space: P2Space, material: MaterialParams,
+               polygon: CornerPolygon) -> tuple[MixedField, ...]:
+    """The boundary lift of each corrector of solve_psi: its Dirichlet data,
+    and zero at every free dof.  Nothing is solved."""
+    S = space.n_scalar
+    return tuple(MixedField(space=space, material=material, ux=v[:S], uy=v[S:2 * S],
+                            p=v[2 * S:]) for v in _psi_data(duals, space, material, polygon))
+
+
+def _psi_data(duals, space: P2Space, material: MaterialParams,
+              polygon: CornerPolygon) -> np.ndarray:
+    """The correctors' Dirichlet data (k, n_dofs), as dirichlet_values gives
+    it: -s Phi~ on the far edges, zero on the corner edges.  The boundary
+    dofs of each far edge are mapped once, for every dual."""
     if any(d.kind != "dual" for d in duals):
         raise ValueError("solve_psi expects dual modes")
     zero = lambda x, y: np.zeros(np.shape(x) + (2,))
@@ -485,8 +556,7 @@ def solve_psi(duals: Sequence[SingularMode], space: P2Space, material: MaterialP
                   for tag, at in far.items()}
         traces.update((e.tag, zero) for e in polygon.edges if e.on_corner_ray)
         values.append(dirichlet_values(space, traces))
-    return tuple(space.solve_all([material], np.zeros((len(duals), space.n_dofs)),
-                                 np.array(values))[0])
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +568,8 @@ class _DualWeights:
     """The data-independent half of an extraction on one (mesh, material).
 
     The primal modes and normalizers of every mode index, the dual weight of
-    each (_weight) with its corrector's residual and flux defect, and the
-    cross coupling C* when the second mode exists.  The space and every point
+    each (_weight), the residuals and flux defects of the correctors solved
+    for them, and the cross coupling C* when the second mode exists.  The space and every point
     set an extraction reads (_SamplePoints) are kept; the corrector fields
     are not.
     """
@@ -530,7 +600,12 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
                   space: P2Space, points: _SamplePoints) -> _DualWeights:
     """The data-independent half for (data.mesh, data.polygon, material, family).
 
-    points are the _SamplePoints of (space, data.polygon).
+    points are the _SamplePoints of (space, data.polygon).  Given the data's
+    solved field, the weights are paired (_weight): any Psi with the
+    corrector's Dirichlet data then gives the corrector's functional, so the
+    first dual takes its boundary lift (_psi_lifts) and only the second
+    corrector is solved, for C*, which pairs it with a trace that has no
+    field.
     """
     fam = _FAMILY[family]
     frame = data.polygon.frame
@@ -539,10 +614,12 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     duals = tuple(make_mode(fam.modes, "dual", i, frame, material) for i in indices)
     gammas = tuple(fam.gamma(i, material, frame, m)
                    for i, m in enumerate(zip(primals, duals), 1))
-    psi = solve_psi(duals, space, material, data.polygon)
+    paired = data.field is not None
+    lifts = _psi_lifts(duals[:1], space, material, data.polygon) if paired else ()
+    solved = solve_psi(duals[len(lifts):], space, material, data.polygon)
     rules = _weight_rules(points, frame)
-    weights = tuple(_weight(points, dual, p, material.mu, rules)
-                    for dual, p in zip(duals, psi))
+    weights = tuple(_weight(points, dual, p, material.mu, rules, paired)
+                    for dual, p in zip(duals, lifts + solved))
     Cstar = tstar = None
     if len(duals) >= 2:
         far = {e.tag: primals[0].eval_xy for e in data.polygon.far_edges}
@@ -552,8 +629,8 @@ def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
     return _DualWeights(
         mesh=data.mesh, polygon=data.polygon, material=material, family=family,
         mesh_id=_mesh_id(data.mesh), space=space, points=points, primals=primals,
-        gammas=gammas, weights=weights, psi_residuals=tuple(p.residual for p in psi),
-        psi_flux_defects=tuple(p.flux_defect for p in psi), Cstar=Cstar,
+        gammas=gammas, weights=weights, psi_residuals=tuple(p.residual for p in solved),
+        psi_flux_defects=tuple(p.flux_defect for p in solved), Cstar=Cstar,
         cstar_terms=tstar)
 
 
@@ -602,29 +679,61 @@ def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
                                f"{zint:.6g}; the Stokes problem needs them equal")
 
 
-def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
-    """The data sampled once and checked, the memo's dual weights or new ones,
-    then the functionals.  The one place that reads and writes the memo."""
+def _prepare(data: ProblemData, material: MaterialParams):
+    """The input half of an extraction of data for material: (space, points,
+    sample, entry), with data sampled once and checked (_check_data) before
+    anything is solved, and entry the memo's if it is on data's mesh and
+    polygon, else None.  The one entry to the checks, and the one reader of
+    the memo."""
     global _last_weights
     w = _last_weights
     if w is not None and w.mesh is not data.mesh:
         # Nothing in it serves this mesh: free it before this mesh's arrays
         # are allocated, so the two never coexist.
         _last_weights = w = None
-    if data.space is None:
+    field = data.field
+    if field is not None and not data.mesh.same_as(field.mesh):
+        raise MeshMismatch("field was solved on a different mesh")
+    if field is not None and field.material != material:
+        raise MaterialMismatch(f"field was solved for {field.material}, the "
+                               f"extraction is for {material}")
+    given = data.space
+    if given is None and field is not None:
+        given = field.space
+    if given is None:
         space = P2Space(data.mesh) if w is None else w.space
-    elif data.mesh.same_as(data.space.mesh):
-        space = data.space
+    elif data.mesh.same_as(given.mesh):
+        space = given
     else:
         raise MeshMismatch("space was built on a different mesh")
     # The points depend on the mesh and the polygon alone.
-    same = w is not None and w.polygon is data.polygon
-    points = w.points if same else _sample_points(space, data.polygon)
+    if w is not None and w.polygon is not data.polygon:
+        w = None
+    points = w.points if w is not None else _sample_points(space, data.polygon)
     # Every edge needs a trace: a missing one is a KeyError, not zero data.
     traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}
-    sample = _sample(points, traces, data.f, data.zeta)
+    sample = _sample(points, traces, data.f, data.zeta, field)
     _check_data(data, material, sample, points)
-    if not (same and (w.material, w.family) == (material, family)):
+    return space, points, sample, w
+
+
+def check_input(data: ProblemData) -> None:
+    """Every check an extraction of data for data.material runs before it
+    solves anything (at eps = 0, the Stokes flux check too), with nothing
+    solved: the same entry as the extraction's (_prepare)."""
+    _prepare(data, data.material)
+
+
+def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
+    """The data sampled once and checked, the memo's dual weights or new ones,
+    then the functionals.  The one place that writes a memo entry; the
+    paired weights of a solved field serve that field alone and are not
+    kept."""
+    global _last_weights
+    space, points, sample, w = _prepare(data, material)
+    if data.field is not None:
+        w = _dual_weights(data, material, family, space, points)
+    elif w is None or (w.material, w.family) != (material, family):
         _last_weights = w = None    # before the new entry, so two never coexist
         _last_weights = w = _dual_weights(data, material, family, space, points)
     C1, t1 = _ci_terms(w.weights[0], sample)
@@ -641,6 +750,8 @@ def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifRep
              "psi_flux_defects": list(w.psi_flux_defects),
              "gamma_quad_errors": [g.quad_error for g in w.gammas],
              "mode_count": len(w.weights)}
+    if data.field is not None:
+        parts["field_residual"] = data.field.residual
     terms = {k: parts[k] for k in _FAMILY[family].terms if k in parts}
     log.info("%s extraction: c1=%.6g c2=%s (eps=%g)", family, c1, c2, material.eps)
     return SifReport(

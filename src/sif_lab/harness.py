@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import SifLabError, expr
-from .extraction import (ProblemData, extract_sifs_penalized,
+from .extraction import (ProblemData, check_input, extract_sifs_penalized,
                          extract_sifs_stokes, regular_part)
 from .fem import P2Space, diff_norms, dirichlet_values, load_vector
 from .geometry import BoundaryData, CornerPolygon, generate_lshape_mesh, lshape_polygon
@@ -153,6 +153,9 @@ def _domain(cfg: RunConfig):
                           "positive float")
     polygon = lshape_polygon(size)
     levels = config_number(cfg, "mesh", "levels", "6", kind=int)
+    if levels < 0:
+        raise ConfigError(f"[mesh] levels = {cfg.mesh['levels']!r}: expected a "
+                          "nonnegative int")
     return polygon, lambda h: generate_lshape_mesh(polygon, h, levels=levels)
 
 
@@ -163,15 +166,18 @@ def build_problem(cfg: RunConfig, material_keys: list):
     f is None without f_x and f_y, and zeta None without zeta; g is a
     BoundaryData whose per-edge keys g<j>_x/g<j>_y override the global
     g_x/g_y, and whose edges with neither get zero data.  A [mesh] key other
-    than h and levels, a [material] key not in `material_keys`, any other
-    [data] key, a bad number or an expression that does not parse is a
-    ConfigError, found before meshing.
+    than h and levels, an h that is not finite and positive, a negative
+    levels, a [material] key not in `material_keys`, any other [data] key, a
+    bad number or an expression that does not parse is a ConfigError, found
+    before meshing.
     """
     _check_keys(cfg, "mesh", ["h", "levels"])
     polygon, mesher = _domain(cfg)
     _check_keys(cfg, "material", material_keys)
     mu = config_number(cfg, "material", "mu")
     h = config_number(cfg, "mesh", "h", "0.1")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"[mesh] h = {cfg.mesh['h']!r}: expected a finite positive float")
     _check_keys(cfg, "data", ["f_x", "f_y", "g_x", "g_y", "zeta"]
                 + [f"g{e.tag}_{c}" for e in polygon.edges for c in "xy"])
     parsed = {}
@@ -347,11 +353,15 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     the grid should stop around eps = 1e-5.
 
     Every material shares one P2Space and its factorizations.  The Stokes
-    extraction runs first, so its input check comes before any factorization;
-    then one solve_all gives the data's field at eps = 0 and at every eps of
-    the grid, as the shifts of one multi-shift PCG (Jegerlehner,
-    hep-lat/9612014, 1996; Frommer, Computing 70, 2003).  A row's wall_time
-    covers its extraction, regular part and norms, not the shared data solve.
+    problem's input is checked first (extraction.check_input, the entry every
+    extraction's checks run through), so a bad input raises before any
+    factorization.  Then one solve_all gives the data's field at eps = 0 and
+    at every eps of the grid, as the shifts of one multi-shift PCG
+    (Jegerlehner, hep-lat/9612014, 1996; Frommer, Computing 70, 2003), and
+    each extraction is given its material's field: it pairs the field with
+    the dual weights and solves one corrector column, the second (C*), not
+    two.  A row's wall_time covers its extraction, regular part and norms,
+    not the shared data solve.
     """
     eps_grid = config_number(cfg, "material", "eps_grid", many=True)
     if len(eps_grid) < 4:
@@ -364,18 +374,19 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     space = P2Space(mesh)
     materials = [MaterialParams(mu, eps) for eps in (0.0, *eps_grid)]
 
-    def problem(material):
+    def problem(material, field=None):
         return ProblemData(polygon=polygon, mesh=mesh, material=material,
-                           g=g, f=f, zeta=zeta, space=space)
+                           g=g, f=f, zeta=zeta, space=space, field=field)
 
-    sref = extract_sifs_stokes(problem(materials[0]))
+    check_input(problem(materials[0]))
     solved = space.solve_all(materials, load_vector(space, f, zeta)[None],
                              dirichlet_values(space, g.traces)[None])
+    sref = extract_sifs_stokes(problem(materials[0], solved[0][0]))
     ws = regular_part(solved[0][0], sref)
     records = []
     for material, (u,) in zip(materials[1:], solved[1:]):
         t0 = time.perf_counter()
-        rep = extract_sifs_penalized(problem(material))
+        rep = extract_sifs_penalized(problem(material, u))
         dn = diff_norms(regular_part(u, rep), ws)
         records.append(SweepRecord(
             eps=material.eps,

@@ -10,7 +10,7 @@ import pytest
 
 import sif_lab.extraction
 from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
-                                IncompatibleFlux, MeshMismatch,
+                                IncompatibleFlux, MaterialMismatch, MeshMismatch,
                                 ProblemData, ZetaCornerNonzero, _ci_terms,
                                 _edge_dofs, _edge_rule, _sample, _sample_points,
                                 _volume_rule, _weight, _weight_rules,
@@ -728,6 +728,35 @@ def test_kept_points_never_cross_meshes_or_polygons(coarse_mesh, monkeypatch):
     again = report_hex(extract_sifs_penalized(replace(data, mesh=mesh, polygon=polygon)))
     assert len(built) == 8 and built[-1][0] is polygon
     assert again == want[0] == cold(mesh=mesh, polygon=polygon)
+
+
+def test_field_of_another_mesh_or_material_is_refused(coarse_mesh, monkeypatch):
+    """A solved field must be the data's: one of another mesh raises
+    MeshMismatch and one of another material MaterialMismatch.  The data's
+    own field is paired: no space given, the extraction takes the field's
+    and factors nothing, solves the second corrector alone and keeps no memo
+    entry."""
+    data, _ = manufactured_data(fresh_copy(coarse_mesh), "penalized", MAT)
+    _, rhs, values, field = mixed_solve(data.mesh, MAT, data.g.traces, data.f)
+    stiffer = field.space.solve(MaterialParams(1.0, 1e-2), rhs, values)
+    other = mixed_solve(generate_lshape_mesh(POLY, 0.2, levels=3), MAT, data.g.traces,
+                        data.f)[-1]
+    sif_lab.extraction._last_weights = None
+    calls = count_factorizations(monkeypatch)
+    with pytest.raises(MeshMismatch):
+        extract_sifs_penalized(replace(data, field=other))
+    with pytest.raises(MaterialMismatch):
+        extract_sifs_penalized(replace(data, field=stiffer))
+    with pytest.raises(MaterialMismatch):
+        extract_sifs_stokes(replace(data, field=field))
+    psi = []
+    monkeypatch.setattr(sif_lab.extraction, "solve_psi",
+                        lambda duals, *args: psi.append(len(duals)) or solve_psi(duals, *args))
+    rep = extract_sifs_penalized(replace(data, field=field))
+    assert calls == [] and psi == [1]
+    assert sif_lab.extraction._last_weights is None
+    assert rep.terms["field_residual"] == field.residual
+    assert len(rep.terms["psi_residuals"]) == 1
 
 
 def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):

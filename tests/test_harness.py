@@ -7,14 +7,15 @@ import io
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from sif_lab import SifLabError, harness
 from sif_lab.cli import main
-from sif_lab.extraction import IncompatibleFlux, _mesh_id
+from sif_lab.extraction import (IncompatibleFlux, ProblemData, _mesh_id,
+                                extract_sifs_penalized, extract_sifs_stokes)
 from sif_lab.fem import P2Space, dirichlet_values, load_vector
 from sif_lab.geometry import build_polygon
 from sif_lab.modes import CornerFrame, make_mode
@@ -287,15 +288,31 @@ def test_cli_unknown_data_key_is_a_config_error(tmp_path, capsys, monkeypatch, c
      "f_x = 1"),
     (["extract", "--family", "penalized"], "size = 1.0", "size = inf", "[domain] size",
      "f_x = 1"),
+    (["solve", "--eps", "1e-3"], "h = 0.25", "h = -1", "[mesh] h", "f_x = 1"),
+    (["extract", "--family", "penalized"], "h = 0.25", "h = 0", "[mesh] h", "f_x = 1"),
+    (["extract", "--family", "penalized"], "h = 0.25", "h = inf", "[mesh] h", "f_x = 1"),
+    (["extract", "--family", "penalized"], "h = 0.25", "h = nan", "[mesh] h", "f_x = 1"),
+    (["solve", "--eps", "1e-3"], "levels = 4", "levels = -1", "[mesh] levels", "f_x = 1"),
+    (["manufactured"], "h = 0.25\nlevels = 4", "h_levels = 0.25\nlevels = -1",
+     "[mesh] levels", "case = smooth"),
 ], ids=["mu-abc", "levels-2.5", "size-big", "eps-grid-x", "h-levels-empty",
-        "h-levels-repeated", "h-levels-negative", "size-negative", "size-inf"])
-def test_cli_bad_number_is_a_config_error(tmp_path, capsys, command, old, new, key, data):
+        "h-levels-repeated", "h-levels-negative", "size-negative", "size-inf",
+        "h-negative", "h-zero", "h-inf", "h-nan", "levels-negative",
+        "manufactured-levels-negative"])
+def test_cli_bad_number_is_a_config_error(tmp_path, capsys, monkeypatch, command, old, new,
+                                          key, data):
+    """A bad number is a ConfigError (exit 2) found before any mesh is made."""
+    meshed, mesher = [], harness.generate_lshape_mesh
+    monkeypatch.setattr(harness, "generate_lshape_mesh",
+                        lambda *a, **k: meshed.append(a) or mesher(*a, **k))
     cfg = tmp_path / "number.ini"
+    assert old in BASE
     cfg.write_text(BASE.replace(old, new) + f"[data]\n{data}\n")
     rc = main(command + ["--config", str(cfg)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} = ") and err.count("\n") == 1
+    assert meshed == []
 
 
 SWEEP_CFG = BASE + """
@@ -378,8 +395,10 @@ def test_eps_sweep_factors_once_per_material(monkeypatch):
 
 
 def test_eps_sweep_runs_one_shifted_data_solve(monkeypatch):
-    """Six PCG runs: the corrector pair of the Stokes reference and of each
-    of the four eps, and one data solve whose shifts are all five eps."""
+    """Six PCG runs: one data solve whose shifts are all five eps, and the
+    second corrector alone for the Stokes reference and for each of the four
+    eps: each extraction pairs its material's field instead of solving the
+    first corrector."""
     runs, pcg = [], P2Space._pcg
 
     def counting(space, mu, shifts, b, tol):
@@ -391,21 +410,26 @@ def test_eps_sweep_runs_one_shifted_data_solve(monkeypatch):
         "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4")
     run_eps_sweep(load_config(cfg_text))
     assert len(runs) == 6
-    assert sorted(runs) == [(1, 2)] * 5 + [(5, 1)]
+    assert sorted(runs) == [(1, 1)] * 5 + [(5, 1)]
+
+
+# The force (y^2 - y, x), whose Stokes coefficients are nonzero, plus the
+# force of the exact pair u = (x^2 y, 0), p = x y: g = u carries the flux of
+# zeta = div u without changing the coefficients.
+LIMIT_CFG = BASE.replace("h = 0.25", "h = 0.1").replace("levels = 4", "levels = 6") \
+    .replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-2 1e-3 1e-4 1e-5") \
+    + "[data]\nf_x = y^2 - 2*y\nf_y = 2*x\ng_x = x^2*y\ng_y = 0\nzeta = 2*x*y\n"
+
+# The benchmark's sweep: f = (1, 0) on the h = 0.05 mesh.
+BENCH_SWEEP_CFG = BASE.replace("h = 0.25", "h = 0.05").replace("levels = 4", "levels = 6") \
+    .replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4") \
+    + "[data]\nf_x = 1\nf_y = 0\n"
 
 
 def test_eps_sweep_with_zeta_approaches_a_nontrivial_limit():
-    """Both sides of the sweep solve div u + eps p = zeta with the same zeta.
-
-    The force is (y^2 - y, x), whose Stokes coefficients are nonzero, plus
-    the force of the exact pair u = (x^2 y, 0), p = x y: g = u carries the
-    flux of zeta = div u without changing the coefficients.  Every gap falls
-    like eps.
-    """
-    text = BASE.replace("h = 0.25", "h = 0.1").replace("levels = 4", "levels = 6") \
-        .replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-2 1e-3 1e-4 1e-5") \
-        + "[data]\nf_x = y^2 - 2*y\nf_y = 2*x\ng_x = x^2*y\ng_y = 0\nzeta = 2*x*y\n"
-    out = run_eps_sweep(load_config(text))
+    """Both sides of the sweep solve div u + eps p = zeta with the same zeta
+    (LIMIT_CFG).  Every gap falls like eps."""
+    out = run_eps_sweep(load_config(LIMIT_CFG))
     assert abs(out["records"][0].c2_ref) > 1e-3
     for key, slope in out["slopes"].items():
         assert slope >= 0.9, (key, slope)
@@ -423,6 +447,38 @@ def test_eps_sweep_rejects_incompatible_stokes_data(monkeypatch):
         run_eps_sweep(load_config(text))
     assert penalized == []
     assert calls == []
+
+
+@pytest.mark.parametrize("text", [BENCH_SWEEP_CFG, LIMIT_CFG], ids=["f10", "limit"])
+def test_field_pairing_is_the_corrector_path(text):
+    """Given each sweep field, both families' C1, C2 and C* (and c1, c2) are
+    the corrector path's, to 1e-10 of the sum of the absolute terms of that
+    functional: the residual-flux identity, up to the solves' residuals.  A
+    plain relative bound would not do: C* is about 1e-13 on the symmetric
+    L-shape."""
+    cfg = load_config(text)
+    polygon, mesh, mu, f, g, zeta = build_problem(cfg, ["mu", "eps_grid"])
+    space = P2Space(mesh)
+    materials = [MaterialParams(mu, eps) for eps in
+                 (0.0, *harness.config_number(cfg, "material", "eps_grid", many=True))]
+    solved = space.solve_all(materials, load_vector(space, f, zeta)[None],
+                             dirichlet_values(space, g.traces)[None])
+    for material, (u,) in zip(materials, solved):
+        data = ProblemData(polygon=polygon, mesh=mesh, material=material, g=g, f=f,
+                           zeta=zeta, space=space)
+        extract = extract_sifs_stokes if material.eps == 0.0 else extract_sifs_penalized
+        want = extract(data)
+        got = extract(replace(data, field=u))
+        assert got.terms["psi_residuals"] == [pytest.approx(0.0, abs=1e-10)]
+        assert got.terms["field_residual"] == u.residual
+        scale = {k: sum(abs(v) for v in want.terms[k].values()) for k in ("C1", "C2", "Cstar")}
+        for k in scale:
+            assert abs(getattr(got, k) - getattr(want, k)) <= 1e-10 * scale[k], (material, k)
+        s1 = scale["C1"] / abs(want.gamma1)
+        s2 = (scale["C2"] + abs(want.c1) * scale["Cstar"] + abs(want.Cstar) * s1) \
+            / abs(want.gamma2)
+        assert abs(got.c1 - want.c1) <= 1e-10 * s1, material
+        assert abs(got.c2 - want.c2) <= 1e-10 * s2, material
 
 
 def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
@@ -622,8 +678,6 @@ OMEGA = "4.71238898038469"
 @pytest.mark.parametrize("argv,config,error", [
     (["extract", "--family", "penalized", "--eps", "0"], BASE, "ValueError"),
     (["eigen", "--family", "lame", "--omega", "1.0"], None, "ValueError"),
-    (["solve", "--eps", "1e-3"], BASE.replace("h = 0.25", "h = -1"), "ValueError"),
-    (["solve", "--eps", "1e-3"], BASE.replace("levels = 4", "levels = -1"), "ValueError"),
     (["mode", "--family", "lame", "--index", "3", "--omega", OMEGA, "--at", "1,0"],
      None, "IndexOutOfRange"),
     (["mode", "--family", "lame", "--omega", OMEGA, "--at", "0,0"],
@@ -636,17 +690,13 @@ OMEGA = "4.71238898038469"
      None, "ValueError"),
     (["gamma", "--family", "lame", "--omega", OMEGA, "--eps", "inf"],
      None, "ValueError"),
-    (["extract", "--family", "penalized"], BASE.replace("h = 0.25", "h = inf"),
-     "ValueError"),
-    (["extract", "--family", "penalized"], BASE.replace("h = 0.25", "h = nan"),
-     "ValueError"),
     # g = (xy, 0) carries flux 0.5 and there is no zeta.
     (["extract", "--family", "stokes"],
      BASE + "[data]\nf_x = 1 + y\nf_y = x*x\ng_x = x*y\n", "IncompatibleFlux"),
-], ids=["extract-eps-0", "eigen-convex-omega", "negative-h", "negative-levels",
+], ids=["extract-eps-0", "eigen-convex-omega",
         "mode-index-3", "mode-at-corner", "mode-stokes-2-below-critical",
         "gamma-stokes-2-below-critical", "eigen-mu-inf", "gamma-eps-inf",
-        "h-inf", "h-nan", "stokes-flux"])
+        "stokes-flux"])
 def test_cli_reports_bad_input_in_one_line(tmp_path, capsys, argv, config, error):
     if config is not None:
         cfg = tmp_path / "run.ini"
