@@ -45,8 +45,9 @@ Quadrature policy, fixed by the points a sample is taken at:
 
 Input: before any solve, _prepare names a space or a field of another mesh,
 a field of another material, and _check_data g or zeta nonzero at the
-corner, traces that differ at a vertex, and Stokes data whose flux of g is
-not the integral of zeta.  check_input runs these alone.
+corner, traces that differ at a vertex, a field whose boundary values are
+not g, and Stokes data whose flux of g is not the integral of zeta.
+check_input runs these alone.
 
 Families: the penalized and the Stokes extraction run the same code.  What
 differs between them (the mode family, the normalizer, the scale of the dual
@@ -56,36 +57,26 @@ pairs like the flux g.n: with s times the dual mode's pressure-like part, and
 with minus the corrector's pressure.
 
 Reuse: c1 = C1/gamma1 and c2 = (C2 + c1*Cstar)/gamma2 are fixed linear
-functionals of the data.  The exponent table, the primal modes, gamma1 and
-gamma2, the dual weights and Cstar depend only on the mesh, the polygon, the
-material and the family; _dual_weights computes them once, and they are kept
-in a single-entry memo, read by _prepare and written by _extract, with one
-lookup per extraction: reused while the mesh and polygon are the same
-objects, the material equal and the family the same.  One corrector serves
-any number of data sets this way, and a data solve costs more than the
-corrector pair, so an extraction without a field always takes this path.
-An extraction with a field reads the memo's space and points but writes no
-entry: its paired weights serve one data set, and an eps sweep would
-otherwise leave an entry per eps.  Each data set is sampled once and
-paired raw with the kept weights: it evaluates no mode and builds no load
-vector, and it still runs the input checks, on the same sample.  The memo
-keeps the weights, no corrector field, and two things that serve every
-material on its mesh: _SamplePoints, every point, weight and dof list an
-extraction reads (read-only and coordinate-major: load_vector's points, the
-volume rule's points and the corner in one array, with the rule's weights,
-and per edge its rule's points, boundary nodes and ends, with the rule's
-weights and the dofs), and the P2Space, whose scalar stiffness and mass
-factorizations (fem.P2Space.stiffness_lu, mass_lu) serve another material.
-So a warm extraction calls f, zeta and each trace once, maps no point and
-builds no rule.  The memo is dropped as soon as an extraction on another
-mesh starts, before that mesh's arrays are allocated, and else before a new
-entry is computed.  A new entry takes the old one's space when the mesh is
-the same object, and its points when the polygon is too.  The entry holds
-its mesh and polygon, so no other object can take their place.  Meshes are
-treated as immutable (TriMesh is frozen): changing the arrays of a mesh in
-place after an extraction is not detected.  The report carries the primal
-modes (SifReport.modes), so regular_part(u, report) subtracts c1 and c2
-times them without building the modes again.
+functionals of the data, so all but the data's sample is built once.  A
+single-entry memo keeps _SamplePoints, the holder of the last (mesh,
+polygon): the mesh, the polygon, the mesh's id, the P2Space, whose scalar
+factorizations (fem.P2Space.stiffness_lu, mass_lu) serve every material,
+and every point set an extraction reads.  _prepare is its one reader and
+writer, so check_input and every extraction share it, with a field or
+without.  Beside it the memo keeps the dual weights of one (material,
+family) (_dual_weights: the primal modes, gamma1 and gamma2, the weights
+and Cstar), written by an extraction without a field alone: one corrector
+serves any number of data sets, and paired weights serve their field alone.
+So a warm extraction calls f, zeta and each trace once, maps no point,
+evaluates no mode, builds no rule and no load vector, and still checks its
+input.  The memo is dropped as soon as an extraction on another mesh
+starts, before that mesh's arrays are allocated; on another polygon all but
+the space is; the weights alone before new ones are computed.  The holder
+holds its mesh and polygon, so no other object can take their place.
+Meshes are treated as immutable (TriMesh is frozen): changing the arrays of
+a mesh in place after an extraction is not detected.  The report carries
+the primal modes (SifReport.modes), so regular_part(u, report) subtracts c1
+and c2 times them without building the modes again.
 """
 
 from __future__ import annotations
@@ -93,6 +84,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,6 +106,7 @@ __all__ = [
     "ZetaCornerNonzero",
     "IncompatibleFlux",
     "MaterialMismatch",
+    "FieldMismatch",
     "GammaNearZero",
     "MeshMismatch",
     "check_input",
@@ -150,6 +143,10 @@ class IncompatibleFlux(SifLabError):
 class MaterialMismatch(SifLabError):
     """A solved field given with the data, for another material than the
     extraction's."""
+
+
+class FieldMismatch(SifLabError):
+    """A solved field given with the data, whose boundary values are not g."""
 
 
 @dataclass(frozen=True)
@@ -234,8 +231,9 @@ class ProblemData:
             zeta) and dirichlet_values(g)), if the caller has it, or None.
             The extraction then pairs it with the dual weights and solves no
             corrector for C1 (_dual_weights).  A field of another mesh raises
-            MeshMismatch, one of another material MaterialMismatch; that it
-            solves this f, zeta and g is not checked.
+            MeshMismatch, one of another material MaterialMismatch, one whose
+            boundary values are not g FieldMismatch; that it solves this f
+            and zeta is not checked.
     """
 
     polygon: CornerPolygon
@@ -369,30 +367,43 @@ def _coordinate_major(parts):
 
 @dataclass(frozen=True)
 class _SamplePoints:
-    """Every point, weight and dof list an extraction reads on one (mesh,
-    polygon); the points are stored coordinate-major (_coordinate_major).
+    """All an extraction reads on one (mesh, polygon) but the data and the
+    dual weights; the points are stored coordinate-major (_coordinate_major).
 
+    mesh, polygon, space: what the rest is built on, and mesh_id its _mesh_id
     volume : the images of the degree-5 rule's points in every element
              (load_vector's points, the first n_load), then the volume rule's
-             points (rule), then the corner
+             points, then the corner
     weights: the volume rule's weights
     edges  : per polygon edge in order, (edge, points, w, dofs): its edge
              rule's points, its boundary P2 dofs' coordinates, then its ends
              p0, p1; the edge rule's weights; and those dofs (_edge_dofs)
     """
 
+    mesh: TriMesh
+    polygon: CornerPolygon
+    space: P2Space
+    mesh_id: str
     volume: np.ndarray
     n_load: int
     weights: np.ndarray
     edges: tuple
 
-    @property
-    def rule(self):
-        return self.volume[self.n_load:-1]
+    @cached_property
+    def polar(self) -> tuple:
+        """The points every dual weight is evaluated on, built on first read:
+        as modes.Polar in the polygon's frame, the volume rule's points, then
+        each edge rule's points, in polygon order."""
+        frame = self.polygon.frame
+        x = self.volume[self.n_load:-1]
+        return Polar.at(x[:, 0], x[:, 1], frame), tuple(
+            Polar.at(pts[:len(w), 0], pts[:len(w), 1], frame) for _, pts, w, _ in self.edges)
 
 
-def _sample_points(space: P2Space, polygon: CornerPolygon) -> _SamplePoints:
-    """The _SamplePoints of (space, polygon), with the volume rule of space."""
+def _sample_points(space: P2Space, polygon: CornerPolygon,
+                   mesh: TriMesh | None = None) -> _SamplePoints:
+    """The _SamplePoints of (space, polygon), with the volume rule of space,
+    held for mesh: space's mesh or one equal to it (TriMesh.same_as)."""
     edges = []
     for edge, dofs in _edge_dofs(space, polygon):
         pts, we = _edge_rule(edge)
@@ -400,7 +411,9 @@ def _sample_points(space: P2Space, polygon: CornerPolygon) -> _SamplePoints:
                                                np.transpose([edge.p0, edge.p1])]), we, dofs))
     x, w = _volume_rule(space)
     _, xq, _ = space.rule(5)
-    return _SamplePoints(_coordinate_major([np.moveaxis(xq, -1, 0), x.T, polygon.edges[0].p0]),
+    mesh = space.mesh if mesh is None else mesh
+    return _SamplePoints(mesh, polygon, space, _mesh_id(mesh),
+                         _coordinate_major([np.moveaxis(xq, -1, 0), x.T, polygon.edges[0].p0]),
                          xq.shape[0] * xq.shape[1], w, tuple(edges))
 
 
@@ -452,20 +465,11 @@ def _free_rows(space: P2Space, ux, uy, p) -> np.ndarray:
     return np.concatenate([ux[interior], uy[interior], p])
 
 
-def _weight_rules(points: _SamplePoints, frame) -> tuple:
-    """The point sets a dual weight is evaluated on, each a modes.Polar in
-    frame: the volume rule's points, then each edge rule's points, in
-    polygon order.  Every dual weight of an extraction shares them."""
-    x = points.rule
-    return Polar.at(x[:, 0], x[:, 1], frame), tuple(
-        Polar.at(pts[:len(w), 0], pts[:len(w), 1], frame) for _, pts, w, _ in points.edges)
-
-
 def _weight(points: _SamplePoints, dual: SingularMode, psi: MixedField,
-            mu: float, rules, paired: bool = False) -> dict:
+            mu: float, paired: bool = False) -> dict:
     """The dual weight (dual, psi) with the keys and shapes of a _sample at points.
 
-    rules are the _weight_rules of points; the rules' weights and each edge's
+    The dual is evaluated on points.polar; the rules' weights and each edge's
     dofs are read from points.  In the volume: s Phi~ w and s sigma(Phi~) w
     on the volume rule, then psi's velocity and minus its pressure times the
     weights at load_vector's points, whose pairing with f and zeta there is
@@ -478,7 +482,7 @@ def _weight(points: _SamplePoints, dual: SingularMode, psi: MixedField,
     """
     fam = _BY_MODES[dual.family]
     s = fam.dual_scale(mu)
-    volume, edge_rules = rules
+    volume, edge_rules = points.polar
     w = points.weights
     weight = {"volume_f_dual": (s * w)[:, None] * dual.eval(volume),
               "volume_zeta_dual": s * w * fam.sigma(dual, volume)}
@@ -565,22 +569,17 @@ def _psi_data(duals, space: P2Space, material: MaterialParams,
 
 @dataclass(frozen=True)
 class _DualWeights:
-    """The data-independent half of an extraction on one (mesh, material).
+    """The data-independent half of an extraction for one (material, family)
+    on a _SamplePoints.
 
     The primal modes and normalizers of every mode index, the dual weight of
     each (_weight), the residuals and flux defects of the correctors solved
-    for them, and the cross coupling C* when the second mode exists.  The space and every point
-    set an extraction reads (_SamplePoints) are kept; the corrector fields
-    are not.
+    for them, and the cross coupling C* when the second mode exists.  The
+    corrector fields are not kept.
     """
 
-    mesh: TriMesh
-    polygon: CornerPolygon
     material: MaterialParams
     family: str
-    mesh_id: str
-    space: P2Space
-    points: _SamplePoints
     primals: tuple
     gammas: tuple
     weights: tuple
@@ -590,46 +589,39 @@ class _DualWeights:
     cstar_terms: dict | None
 
 
-# Single-entry memo of _dual_weights, read and written by _extract alone.  It
-# holds the mesh and the polygon strongly, so their ids cannot be reused
-# while it lives.
-_last_weights: _DualWeights | None = None
+# The single-entry memo, (_SamplePoints, _DualWeights or None) or None.  The
+# points hold the mesh and the polygon, so their ids cannot be reused.
+_memo: tuple | None = None
 
 
-def _dual_weights(data: ProblemData, material: MaterialParams, family: str,
-                  space: P2Space, points: _SamplePoints) -> _DualWeights:
-    """The data-independent half for (data.mesh, data.polygon, material, family).
-
-    points are the _SamplePoints of (space, data.polygon).  Given the data's
-    solved field, the weights are paired (_weight): any Psi with the
-    corrector's Dirichlet data then gives the corrector's functional, so the
-    first dual takes its boundary lift (_psi_lifts) and only the second
-    corrector is solved, for C*, which pairs it with a trace that has no
-    field.
+def _dual_weights(points: _SamplePoints, space: P2Space, material: MaterialParams,
+                  family: str, paired: bool) -> _DualWeights:
+    """The data-independent half for (material, family) on points, with the
+    correctors solved on space.  Paired, the weights pair the data's solved
+    field (_weight) and the first dual takes its boundary lift (_psi_lifts):
+    only the second corrector is solved, for C*, whose trace has no field.
     """
     fam = _FAMILY[family]
-    frame = data.polygon.frame
+    polygon = points.polygon
+    frame = polygon.frame
     indices = range(1, exponent_table(fam.modes, frame.omega, material.C).mode_count + 1)
     primals = tuple(make_mode(fam.modes, "primal", i, frame, material) for i in indices)
     duals = tuple(make_mode(fam.modes, "dual", i, frame, material) for i in indices)
     gammas = tuple(fam.gamma(i, material, frame, m)
                    for i, m in enumerate(zip(primals, duals), 1))
-    paired = data.field is not None
-    lifts = _psi_lifts(duals[:1], space, material, data.polygon) if paired else ()
-    solved = solve_psi(duals[len(lifts):], space, material, data.polygon)
-    rules = _weight_rules(points, frame)
-    weights = tuple(_weight(points, dual, p, material.mu, rules, paired)
+    lifts = _psi_lifts(duals[:1], space, material, polygon) if paired else ()
+    solved = solve_psi(duals[len(lifts):], space, material, polygon)
+    weights = tuple(_weight(points, dual, p, material.mu, paired)
                     for dual, p in zip(duals, lifts + solved))
     Cstar = tstar = None
     if len(duals) >= 2:
-        far = {e.tag: primals[0].eval_xy for e in data.polygon.far_edges}
+        far = {e.tag: primals[0].eval_xy for e in polygon.far_edges}
         C, cross = _ci_terms(weights[1], _sample(points, far))
         Cstar = -C  # C* is the boundary pairing, which _ci_terms subtracts
         tstar = {k.replace("boundary", "cross"): v for k, v in cross.items()}
     return _DualWeights(
-        mesh=data.mesh, polygon=data.polygon, material=material, family=family,
-        mesh_id=_mesh_id(data.mesh), space=space, points=points, primals=primals,
-        gammas=gammas, weights=weights, psi_residuals=tuple(p.residual for p in solved),
+        material=material, family=family, primals=primals, gammas=gammas,
+        weights=weights, psi_residuals=tuple(p.residual for p in solved),
         psi_flux_defects=tuple(p.flux_defect for p in solved), Cstar=Cstar,
         cstar_terms=tstar)
 
@@ -640,8 +632,9 @@ def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
 
     sample is data's _sample at points; its ends and zeta_corner hold the
     traces at the vertices and zeta at the corner, and the flux of g and the
-    integral of zeta take the rules' weights in points.  Vertex traces agree
-    by the test of dirichlet_values.  Stokes data (eps = 0) need
+    integral of zeta take the rules' weights in points.  Vertex traces, and
+    a solved field and g at the boundary dofs, agree by the test of
+    dirichlet_values.  Stokes data (eps = 0) need
     |flux of g - integral of zeta| <= _FLUX_RTOL (|g.n| + |zeta|).
     """
     edges = data.polygon.edges
@@ -663,6 +656,11 @@ def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
         raise InconsistentEdgeData(
             f"traces of edges {a.tag} and {b.tag} differ at the vertex "
             f"({a.p1[0]:g}, {a.p1[1]:g}): {va} vs {vb}")
+    for edge, _, w, dofs in points.edges if data.field is not None else ():
+        u = np.stack([data.field.ux[dofs], data.field.uy[dofs]], axis=-1)
+        if not np.isclose(sample[f"boundary_edge_{edge.tag}"][len(w):], u, atol=1e-10).all():
+            raise FieldMismatch(f"field differs from g on edge {edge.tag}: it was solved "
+                                "for other data")
     if material.eps > 0.0:
         return
     flux = size = zint = 0.0
@@ -681,16 +679,16 @@ def _check_data(data: ProblemData, material: MaterialParams, sample: dict,
 
 def _prepare(data: ProblemData, material: MaterialParams):
     """The input half of an extraction of data for material: (space, points,
-    sample, entry), with data sampled once and checked (_check_data) before
-    anything is solved, and entry the memo's if it is on data's mesh and
-    polygon, else None.  The one entry to the checks, and the one reader of
-    the memo."""
-    global _last_weights
-    w = _last_weights
-    if w is not None and w.mesh is not data.mesh:
+    sample, weights), with points the memo's _SamplePoints of data's mesh and
+    polygon (kept if new), data sampled on them once and checked (_check_data)
+    before anything is solved, and weights the memo's, or None.  The one entry
+    to the checks, and the one reader and writer of the memo's points."""
+    global _memo
+    points, weights = _memo or (None, None)
+    if points is not None and points.mesh is not data.mesh:
         # Nothing in it serves this mesh: free it before this mesh's arrays
         # are allocated, so the two never coexist.
-        _last_weights = w = None
+        _memo = points = weights = None
     field = data.field
     if field is not None and not data.mesh.same_as(field.mesh):
         raise MeshMismatch("field was solved on a different mesh")
@@ -701,20 +699,20 @@ def _prepare(data: ProblemData, material: MaterialParams):
     if given is None and field is not None:
         given = field.space
     if given is None:
-        space = P2Space(data.mesh) if w is None else w.space
+        space = P2Space(data.mesh) if points is None else points.space
     elif data.mesh.same_as(given.mesh):
         space = given
     else:
         raise MeshMismatch("space was built on a different mesh")
-    # The points depend on the mesh and the polygon alone.
-    if w is not None and w.polygon is not data.polygon:
-        w = None
-    points = w.points if w is not None else _sample_points(space, data.polygon)
-    # Every edge needs a trace: a missing one is a KeyError, not zero data.
+    if points is None or points.polygon is not data.polygon:
+        _memo = points = weights = None
+        points = _sample_points(space, data.polygon, data.mesh)
+        _memo = (points, None)
+    # Every edge needs a trace: a missing one is MissingEdgeData, not zero data.
     traces = {e.tag: data.g.trace(e.tag) for e in data.polygon.edges}
     sample = _sample(points, traces, data.f, data.zeta, field)
     _check_data(data, material, sample, points)
-    return space, points, sample, w
+    return space, points, sample, weights
 
 
 def check_input(data: ProblemData) -> None:
@@ -726,16 +724,16 @@ def check_input(data: ProblemData) -> None:
 
 def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifReport:
     """The data sampled once and checked, the memo's dual weights or new ones,
-    then the functionals.  The one place that writes a memo entry; the
-    paired weights of a solved field serve that field alone and are not
-    kept."""
-    global _last_weights
+    then the functionals.  The one writer of the memo's weights; the paired
+    weights of a solved field serve that field alone and are not kept."""
+    global _memo
     space, points, sample, w = _prepare(data, material)
     if data.field is not None:
-        w = _dual_weights(data, material, family, space, points)
+        w = _dual_weights(points, space, material, family, paired=True)
     elif w is None or (w.material, w.family) != (material, family):
-        _last_weights = w = None    # before the new entry, so two never coexist
-        _last_weights = w = _dual_weights(data, material, family, space, points)
+        _memo, w = (points, None), None    # before the new weights, so two never coexist
+        w = _dual_weights(points, space, material, family, paired=False)
+        _memo = (points, w)
     C1, t1 = _ci_terms(w.weights[0], sample)
     c1 = C1 / w.gammas[0].gamma
     gamma2 = C2 = c2 = None
@@ -757,7 +755,7 @@ def _extract(data: ProblemData, material: MaterialParams, family: str) -> SifRep
     return SifReport(
         family=family, eps=material.eps if material.eps > 0.0 else None,
         gamma1=w.gammas[0].gamma, gamma2=gamma2, C1=C1, C2=C2, Cstar=w.Cstar,
-        c1=c1, c2=c2, modes=w.primals, terms=terms, mesh_id=w.mesh_id)
+        c1=c1, c2=c2, modes=w.primals, terms=terms, mesh_id=points.mesh_id)
 
 
 def extract_sifs_penalized(data: ProblemData) -> SifReport:

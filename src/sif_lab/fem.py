@@ -72,7 +72,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from . import SifLabError
-from .geometry import TriMesh, _affine, _edge_table, _find_edges, _images
+from .geometry import MissingEdgeData, TriMesh, _affine, _edge_table, _find_edges, _images
 from .spectral import MaterialParams
 
 log = logging.getLogger(__name__)
@@ -96,10 +96,6 @@ __all__ = [
 
 
 class EmptyMesh(SifLabError):
-    pass
-
-
-class MissingEdgeData(SifLabError):
     pass
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "NonConforming",
     "NegativeArea",
     "UntaggedBoundaryEdge",
+    "MissingEdgeData",
     "Edge",
     "CornerPolygon",
     "TriMesh",
@@ -454,6 +455,11 @@ def _refine_toward_corner(nodes, tris, bedges, n_ref: int):
 # -- boundary data ------------------------------------------------------------
 
 
+class MissingEdgeData(SifLabError, KeyError):
+    """A boundary edge with no Dirichlet trace."""
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr of it
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """Per-edge Dirichlet traces g_j, callables (x, y) -> array(..., 2) on arrays.
@@ -471,5 +477,5 @@ class BoundaryData:
 
     def trace(self, tag: int):
         if tag not in self.traces:
-            raise KeyError(f"no boundary data for edge {tag}")
+            raise MissingEdgeData(f"no boundary data for edge {tag}")
         return self.traces[tag]

@@ -352,16 +352,16 @@ def run_eps_sweep(cfg: RunConfig) -> dict:
     meshes the discretization floor limits how far the differences can fall;
     the grid should stop around eps = 1e-5.
 
-    Every material shares one P2Space and its factorizations.  The Stokes
-    problem's input is checked first (extraction.check_input, the entry every
-    extraction's checks run through), so a bad input raises before any
-    factorization.  Then one solve_all gives the data's field at eps = 0 and
-    at every eps of the grid, as the shifts of one multi-shift PCG
-    (Jegerlehner, hep-lat/9612014, 1996; Frommer, Computing 70, 2003), and
-    each extraction is given its material's field: it pairs the field with
-    the dual weights and solves one corrector column, the second (C*), not
-    two.  A row's wall_time covers its extraction, regular part and norms,
-    not the shared data solve.
+    Every material shares one P2Space, its factorizations and one point set,
+    kept by the input check of the Stokes problem (extraction.check_input, the
+    entry every extraction's checks run through), which runs first, so a bad
+    input raises before any factorization.  Then one solve_all gives the
+    data's field at eps = 0 and at every eps of the grid, as the shifts of
+    one multi-shift PCG (Jegerlehner, hep-lat/9612014, 1996; Frommer,
+    Computing 70, 2003), and each extraction is given its material's field:
+    it pairs the field with the dual weights and solves one corrector column,
+    the second (C*), not two.  A row's wall_time covers its extraction,
+    regular part and norms, not the shared data solve.
     """
     eps_grid = config_number(cfg, "material", "eps_grid", many=True)
     if len(eps_grid) < 4:

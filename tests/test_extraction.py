@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import sif_lab.extraction
-from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero,
+from sif_lab.extraction import (CORNER_DEPTH, CornerDataNonzero, FieldMismatch,
                                 IncompatibleFlux, MaterialMismatch, MeshMismatch,
-                                ProblemData, ZetaCornerNonzero, _ci_terms,
+                                ProblemData, ZetaCornerNonzero, _ci_terms, check_input,
                                 _edge_dofs, _edge_rule, _sample, _sample_points,
-                                _volume_rule, _weight, _weight_rules,
+                                _volume_rule, _weight,
                                 extract_sifs_penalized,
                                 extract_sifs_stokes, regular_part, solve_psi)
 from sif_lab.fem import (InconsistentEdgeData, P2Space, load_vector,
@@ -249,7 +249,7 @@ def test_mesh_checks_compare_connectivity(coarse_mesh):
 def dual_weight(dual, psi):
     """_weight of (dual, psi) on the sample points of psi's space."""
     points = _sample_points(psi.space, POLY)
-    return _weight(points, dual, psi, psi.material.mu, _weight_rules(points, FRAME))
+    return _weight(points, dual, psi, psi.material.mu)
 
 
 def pair(data, dual, psi):
@@ -697,7 +697,7 @@ def test_kept_points_never_cross_meshes_or_polygons(coarse_mesh, monkeypatch):
     nodes = [moved_nodes(coarse_mesh, seed) for seed in range(3)]
 
     def cold(**changes):
-        sif_lab.extraction._last_weights = None
+        sif_lab.extraction._memo = None
         return report_hex(extract_sifs_penalized(replace(data, **changes)))
 
     want = [cold(mesh=replace(coarse_mesh, nodes=n)) for n in nodes]
@@ -717,7 +717,7 @@ def test_kept_points_never_cross_meshes_or_polygons(coarse_mesh, monkeypatch):
             assert report_hex(extract_sifs_penalized(replace(data, mesh=mesh))) == hexes
             if free:    # the memo too, so that the next mesh may take its place
                 del mesh
-                sif_lab.extraction._last_weights = None
+                sif_lab.extraction._memo = None
                 gc.collect()
                 assert all(ref() is None for _, ref in built)
     assert len(built) == 6
@@ -734,14 +734,14 @@ def test_field_of_another_mesh_or_material_is_refused(coarse_mesh, monkeypatch):
     """A solved field must be the data's: one of another mesh raises
     MeshMismatch and one of another material MaterialMismatch.  The data's
     own field is paired: no space given, the extraction takes the field's
-    and factors nothing, solves the second corrector alone and keeps no memo
-    entry."""
+    and factors nothing, solves the second corrector alone and keeps no dual
+    weights."""
     data, _ = manufactured_data(fresh_copy(coarse_mesh), "penalized", MAT)
     _, rhs, values, field = mixed_solve(data.mesh, MAT, data.g.traces, data.f)
     stiffer = field.space.solve(MaterialParams(1.0, 1e-2), rhs, values)
     other = mixed_solve(generate_lshape_mesh(POLY, 0.2, levels=3), MAT, data.g.traces,
                         data.f)[-1]
-    sif_lab.extraction._last_weights = None
+    sif_lab.extraction._memo = None
     calls = count_factorizations(monkeypatch)
     with pytest.raises(MeshMismatch):
         extract_sifs_penalized(replace(data, field=other))
@@ -754,9 +754,42 @@ def test_field_of_another_mesh_or_material_is_refused(coarse_mesh, monkeypatch):
                         lambda duals, *args: psi.append(len(duals)) or solve_psi(duals, *args))
     rep = extract_sifs_penalized(replace(data, field=field))
     assert calls == [] and psi == [1]
-    assert sif_lab.extraction._last_weights is None
+    assert sif_lab.extraction._memo[1] is None
     assert rep.terms["field_residual"] == field.residual
     assert len(rep.terms["psi_residuals"]) == 1
+
+
+def test_field_solved_for_other_data_is_refused(coarse_mesh, monkeypatch):
+    """A field solved with g = 0, given with the manufactured g, is refused
+    before anything is solved, naming an edge where the two differ."""
+    data, _ = manufactured_data(fresh_copy(coarse_mesh), "penalized", MAT)
+    other = mixed_solve(data.mesh, MAT, zero_g().traces, data.f)[-1]
+    calls = count_factorizations(monkeypatch)
+    psi = []
+    monkeypatch.setattr(sif_lab.extraction, "solve_psi",
+                        lambda duals, *args: psi.append(len(duals)) or solve_psi(duals, *args))
+    for extract in (check_input, extract_sifs_penalized):
+        with pytest.raises(FieldMismatch, match=r"^field differs from g on edge \d+: "):
+            extract(replace(data, field=other))
+    assert calls == [] and psi == []
+
+
+def test_check_input_and_a_paired_extraction_share_one_point_set(coarse_mesh, monkeypatch):
+    """check_input keeps the point set of its mesh and polygon, and a paired
+    extraction of the same data reads it: one point set for both, and a
+    report bit-identical to a cold paired extraction."""
+    data, _ = manufactured_data(fresh_copy(coarse_mesh), "penalized", MAT)
+    data = replace(data, field=mixed_solve(data.mesh, MAT, data.g.traces, data.f)[-1])
+    sif_lab.extraction._memo = None
+    cold = report_hex(extract_sifs_penalized(data))
+    sif_lab.extraction._memo = None
+    built = []
+    build = sif_lab.extraction._sample_points
+    monkeypatch.setattr(sif_lab.extraction, "_sample_points",
+                        lambda *args: built.append(args[1]) or build(*args))
+    check_input(data)
+    assert report_hex(extract_sifs_penalized(data)) == cold
+    assert built == [POLY]
 
 
 def test_warm_extraction_still_checks_its_input(coarse_mesh, monkeypatch):
@@ -827,7 +860,7 @@ def test_warm_sample_holds_the_raw_values(coarse_mesh, monkeypatch):
     data = ProblemData(polygon=POLY, mesh=mesh, material=MAT, zeta=zeta,
                        g=BoundaryData({e.tag: w for e in POLY.edges}), f=minus_lap_w)
     cold = extract_sifs_penalized(data)
-    space = sif_lab.extraction._last_weights.space
+    space = sif_lab.extraction._memo[0].space
     results, samples, sizes = {}, [], []
 
     def kept(name, fn):
@@ -869,8 +902,8 @@ def test_pointwise_corrector_weights_are_the_load_pairing(h, extract, modes, mat
     assembly.  Zero data pairs to exactly 0."""
     mesh = generate_lshape_mesh(POLY, h, levels=5)
     extract(ProblemData(polygon=POLY, mesh=mesh, material=material, g=zero_g()))
-    kept = sif_lab.extraction._last_weights
-    space = kept.space
+    points, kept = sif_lab.extraction._memo
+    space = points.space
     duals = [make_mode(modes, "dual", i, FRAME, material)
              for i in range(1, len(kept.weights) + 1)]
     psi = solve_psi(duals, space, material, POLY)
@@ -892,8 +925,8 @@ def test_pointwise_corrector_weights_are_the_load_pairing(h, extract, modes, mat
         return np.zeros(np.shape(x))
 
     load = load_vector(space, f, zeta)
-    sample = _sample(kept.points, {}, f, zeta)
-    zero = _sample(kept.points, {}, zero_f, zero_zeta)
+    sample = _sample(points, {}, f, zeta)
+    zero = _sample(points, {}, zero_f, zero_zeta)
     for weight, p in zip(kept.weights, psi):
         terms = _ci_terms(weight, sample)[1]
         got = terms["volume_f_psi"] + terms["volume_zeta_psi"]

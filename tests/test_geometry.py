@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from sif_lab.extraction import (CornerDataNonzero, ProblemData, _check_data,
                                 _sample, _sample_points)
+import sif_lab.fem
+from sif_lab import SifLabError
 from sif_lab.fem import P2Space
-from sif_lab.geometry import (BoundaryData, NonConforming, NotReentrant, TriMesh,
+from sif_lab.geometry import (BoundaryData, MissingEdgeData, NonConforming, NotReentrant,
+                              TriMesh,
                               UnsupportedPolygon, UntaggedBoundaryEdge,
                               _affine, _edge_table, _find_edges, _images,
                               build_polygon,
@@ -256,6 +259,16 @@ def test_boundary_data_validation_flags():
 
     with pytest.raises(ValueError, match="ProblemData.zeta"):
         BoundaryData(ok.g.traces, zeta=lambda x, y: 2.0 * x * y)
+
+
+def test_missing_trace_is_a_named_key_error():
+    """A missing trace is the same named error in BoundaryData.trace and
+    fem.dirichlet_values, and still a KeyError, whose message is unquoted."""
+    assert sif_lab.fem.MissingEdgeData is MissingEdgeData
+    assert issubclass(MissingEdgeData, SifLabError) and issubclass(MissingEdgeData, KeyError)
+    with pytest.raises(MissingEdgeData) as info:
+        BoundaryData({1: None}).trace(3)
+    assert str(info.value) == "no boundary data for edge 3"
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,22 +2,25 @@
 
 import csv
 import functools
+import gc
 import importlib
 import io
 import json
 import math
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from sif_lab import SifLabError, harness
+from sif_lab import SifLabError, extraction, harness
 from sif_lab.cli import main
 from sif_lab.extraction import (IncompatibleFlux, ProblemData, _mesh_id,
                                 extract_sifs_penalized, extract_sifs_stokes)
 from sif_lab.fem import P2Space, dirichlet_values, load_vector
-from sif_lab.geometry import build_polygon
+from sif_lab.geometry import (BoundaryData, build_polygon, generate_lshape_mesh,
+                              lshape_polygon)
 from sif_lab.modes import CornerFrame, make_mode
 from sif_lab.spectral import MaterialParams
 from sif_lab.harness import (SCHEMA, ConfigError, SweepRecord,
@@ -486,6 +489,46 @@ def test_eps_sweep_mesh_id_is_the_extraction_mesh_id():
         "mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4"))
     mesh = build_problem(cfg, ["mu", "eps_grid"])[1]
     assert run_eps_sweep(cfg)["mesh_id"] == _mesh_id(mesh)
+
+
+SWEEP4_CFG = SWEEP_CFG.replace("mu = 1.0", "mu = 1.0\neps_grid = 1e-1 1e-2 1e-3 1e-4")
+
+
+def test_eps_sweep_builds_one_point_set(monkeypatch):
+    """The input check and the five field-paired extractions of a sweep share
+    one _SamplePoints."""
+    built = []
+    build = extraction._sample_points
+    monkeypatch.setattr(extraction, "_sample_points",
+                        lambda *args: built.append(args[1]) or build(*args))
+    run_eps_sweep(load_config(SWEEP4_CFG))
+    assert len(built) == 1
+
+
+def test_sweep_points_are_freed_by_an_extraction_on_another_mesh(monkeypatch):
+    """A sweep's point set, with its mesh and space, is kept after the sweep,
+    and freed as soon as an extraction on another mesh starts: before that
+    mesh's space is built."""
+    run_eps_sweep(load_config(SWEEP4_CFG))
+    points = extraction._memo[0]
+    refs = [weakref.ref(x) for x in (points, points.mesh, points.space)]
+    del points
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    freed, init = [], P2Space.__init__
+
+    def counting(self, mesh):
+        gc.collect()
+        freed.append([ref() is None for ref in refs])
+        init(self, mesh)
+
+    monkeypatch.setattr(P2Space, "__init__", counting)
+    polygon = lshape_polygon(1.0)
+    zero = lambda x, y: np.zeros(np.shape(x) + (2,))
+    extract_sifs_penalized(ProblemData(
+        polygon=polygon, mesh=generate_lshape_mesh(polygon, 0.25, levels=3),
+        material=MaterialParams(1.0, 1e-3), g=BoundaryData({e.tag: zero for e in polygon.edges})))
+    assert freed == [[True, True, True]]
 
 
 # -- CLI -----------------------------------------------------------------------
